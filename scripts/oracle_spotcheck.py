@@ -18,33 +18,23 @@ import numpy as np
 from gausspair import fock, onemode, states, twomode
 from gausspair.onemode import OneModeMoments
 
-DEAD_BAND = 1e-5
-
 
 def check(label: str, kernel, cutoff: int) -> bool:
     op = fock.from_kernel(kernel, cutoff=cutoff, strict=False)
     min_eig = fock.spectrum(op)[-1]
     if kernel.modes == 1:
-        analytic_pos = onemode.classify(onemode.moments_from_c(kernel)).positive
-        sep_txt, min_ppt = "n/a", None
+        pos, sep = onemode.classify(onemode.moments_from_c(kernel)).positive, None
     else:
-        analytic_pos = twomode.positivity_by_q(kernel)
-        if analytic_pos:
-            sep = twomode.ppt_separable(kernel)
-            min_ppt = fock.spectrum(fock.partial_transpose_fock(op))[-1]
-            sep_txt = str(sep)
-        else:
-            sep_txt, min_ppt = "n/a", None
+        v = twomode.classify2(kernel)
+        pos, sep = v.positive, v.ppt_separable
+    min_ppt = None if sep is None else fock.spectrum(fock.partial_transpose_fock(op))[-1]
+    ok, _ = fock.agreement(min_eig, pos, min_ppt, sep)
 
-    ok = True
-    if abs(min_eig) > DEAD_BAND and (min_eig > 0) != analytic_pos:
-        ok = False
-    if min_ppt is not None and abs(min_ppt) > DEAD_BAND and (min_ppt > 0) != (sep_txt == "True"):
-        ok = False
+    sep_txt = "n/a" if sep is None else str(sep)
     ppt_txt = "n/a" if min_ppt is None else f"{min_ppt:+.2e}"
     verdict = "ok" if ok else "DISAGREE"
     print(
-        f"{label:<28s} analytic: pos={analytic_pos!s:<5} sep={sep_txt:<5} "
+        f"{label:<28s} analytic: pos={pos!s:<5} sep={sep_txt:<5} "
         f"oracle: min_eig={min_eig:+.2e} min_ppt={ppt_txt:<9} {verdict}"
     )
     return ok

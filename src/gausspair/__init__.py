@@ -12,7 +12,7 @@ from .errors import (
     WrongModeCountError,
 )
 from .kernels import GaussianKernel, convert
-from .linalg import StructureMatrix, SymMatrix
+from .linalg import SymMatrix
 from .onemode import OneModeMoments, OneModeVerdict, SqueezeMap, build_C, classify
 from .states import (
     BellShift,
@@ -50,7 +50,6 @@ __all__ = [
     "SingularMatrixError",
     "SmoothedEprParam",
     "SqueezeMap",
-    "StructureMatrix",
     "SymMatrix",
     "ThermalPair",
     "TwoModeMoments",

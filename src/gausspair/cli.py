@@ -2,12 +2,14 @@
 emit wave-function / Wigner grids, and compare against the Fock oracle.
 
 Exit codes: 0 ok, 2 not-a-state, 3 singular matrix, 4 not P-representable,
-5 oracle disagreement, 6 cutoff too small, 64 usage error.
+5 oracle disagreement, 6 cutoff too small, 64 usage error (including a
+non-finite number, an unreadable input file or a malformed kernel file).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from dataclasses import dataclass
@@ -31,8 +33,6 @@ EXIT_NOT_P_REP = 4
 EXIT_DISAGREEMENT = 5
 EXIT_CUTOFF = 6
 EXIT_USAGE = 64
-
-DEAD_BAND = 1e-5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,33 +82,16 @@ def _family_matrices(family: str, n: np.ndarray, mc: np.ndarray, ratio: float) -
 def run_scan(req: ScanRequest) -> list[str]:
     """CSV lines (header included) for a family region scan.
 
-    The whole grid is evaluated with stacked linear algebra; the flags are the
-    same closed criteria as classify2 applies point by point.
+    The whole grid goes through ``twomode.invariant_verdicts`` at once, the
+    engine that ``classify2`` applies to one kernel.
     """
     mcs = np.linspace(req.mc_lo, req.mc_hi, req.mc_steps)
     ns = np.linspace(req.n_lo, req.n_hi, req.n_steps)
     mc_g, n_g = np.meshgrid(mcs, ns, indexing="ij")
-    c = _family_matrices(req.family, n_g.ravel(), mc_g.ravel(), req.ratio)
-
-    eig_lo = np.linalg.eigvalsh(c)[:, 0]
-    exists = eig_lo >= -1e-12
-    eye = np.eye(4)
-    e = np.diag([1.0, -1.0, 1.0, -1.0])
-    # C + I/2 is singular only at grid points that are not states; invert the rest
-    safe = eig_lo > -0.499
-    nu1 = np.full(len(c), -1.0)
-    nu2, mus, muc = nu1.copy(), np.zeros(len(c)), np.zeros(len(c))
-    q = e @ np.linalg.inv(c[safe] + 0.5 * eye) @ e
-    nu1[safe], nu2[safe] = 1.0 - q[:, 0, 0], 1.0 - q[:, 2, 2]
-    mus[safe], muc[safe] = q[:, 0, 2], q[:, 0, 3]
-    tol = twomode.POS_TOL
-    positive = exists & (nu1 + nu2 >= -tol) & (nu1 * nu2 - mus**2 >= -tol)
-    separable = positive & (nu1 * nu2 - muc**2 >= -tol)
-    pure = positive & (np.abs(np.linalg.det(c) - 1.0 / 16.0) <= twomode.PURE_TOL)
-    p_rep = exists & (np.linalg.eigvalsh(c - 0.5 * eye)[:, 0] > twomode.PREP_TOL)
+    v = twomode.invariant_verdicts(_family_matrices(req.family, n_g.ravel(), mc_g.ravel(), req.ratio))
 
     lines = ["mc,n,positive,pure,separable,p_representable"]
-    flags = np.column_stack([positive, pure, separable, p_rep]).astype(int)
+    flags = np.column_stack([v.positive, v.pure, v.ppt_separable, v.p_representable]).astype(int)
     for (mc, n), (po, pu, se, pr) in zip(
         zip(mc_g.ravel(), n_g.ravel()), flags, strict=True
     ):
@@ -146,11 +129,22 @@ def _two_mode_report(k: GaussianKernel) -> dict:
     }
 
 
-def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
+def _finite(kind):
+    """argparse type that parses ``kind`` (float or complex) and rejects NaN and infinity."""
+
+    def parse(text: str):
+        try:
+            x = kind(text.replace(" ", ""))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a {kind.__name__} number: {text!r}")
+        if not cmath.isfinite(x):
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        return x
+
+    return parse
+
+
+_finite_float, _parse_complex = _finite(float), _finite(complex)
 
 
 def _moments_from_args(args) -> tuple[int, object]:
@@ -187,11 +181,11 @@ def _usage_error(msg: str) -> int:
 
 def _add_moment_flags(p: _Parser):
     p.add_argument("--modes", type=int, choices=(1, 2), required=True)
-    p.add_argument("--n", type=float)
+    p.add_argument("--n", type=_finite_float)
     p.add_argument("--m", type=_parse_complex)
     p.add_argument("--family", choices=("mixed-epr", "anti-epr", "squeezed-epr"))
-    p.add_argument("--n1", type=float)
-    p.add_argument("--n2", type=float)
+    p.add_argument("--n1", type=_finite_float)
+    p.add_argument("--n2", type=_finite_float)
     p.add_argument("--m1", type=_parse_complex)
     p.add_argument("--m2", type=_parse_complex)
     p.add_argument("--ms", type=_parse_complex)
@@ -243,10 +237,13 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    with open(args.infile) as fh:
-        k = kernel_from_json(json.load(fh))
     try:
+        with open(args.infile) as fh:
+            k = kernel_from_json(json.load(fh))
         out = convert(k, args.to)
+    except NotAStateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_A_STATE
     except SingularMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
@@ -279,23 +276,19 @@ def _cmd_oracle(args) -> int:
     except CutoffTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CUTOFF
-    spec = fock.spectrum(op)
-    min_eig = float(spec[-1])
+    min_eig = float(fock.spectrum(op)[-1])
     oracle_report = {
         "min_eig": min_eig,
         "trace": fock.trace_power(op, 1),
         "trace_g2": fock.trace_power(op, 2),
     }
-    indeterminate = abs(min_eig) <= DEAD_BAND
-    agree = indeterminate or (min_eig > 0) == analytic["positive"]
+    min_ppt = None
     if modes == 2:
-        ppt_spec = fock.spectrum(fock.partial_transpose_fock(op))
-        min_ppt = float(ppt_spec[-1])
+        min_ppt = float(fock.spectrum(fock.partial_transpose_fock(op))[-1])
         oracle_report["min_ppt_eig"] = min_ppt
-        if analytic["positive"]:
-            ppt_indet = abs(min_ppt) <= DEAD_BAND
-            indeterminate = indeterminate or ppt_indet
-            agree = agree and (ppt_indet or (min_ppt > -DEAD_BAND) == analytic["separable"])
+    agree, indeterminate = fock.agreement(
+        min_eig, analytic["positive"], min_ppt, analytic["separable"]
+    )
     report = {
         "analytic": analytic,
         "oracle": oracle_report,
@@ -351,12 +344,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="region scan over (mc, n) as CSV")
     p.add_argument("--family", required=True, choices=("mixed-epr", "anti-epr", "squeezed-epr"))
-    p.add_argument("--ratio", type=float, default=0.0, help="ms (anti) or m (squeezed) as ratio * mc")
-    p.add_argument("--mc-min", type=float, required=True)
-    p.add_argument("--mc-max", type=float, required=True)
+    p.add_argument("--ratio", type=_finite_float, default=0.0, help="ms (anti) or m (squeezed) as ratio * mc")
+    p.add_argument("--mc-min", type=_finite_float, required=True)
+    p.add_argument("--mc-max", type=_finite_float, required=True)
     p.add_argument("--mc-steps", type=int, required=True)
-    p.add_argument("--n-min", type=float, required=True)
-    p.add_argument("--n-max", type=float, required=True)
+    p.add_argument("--n-min", type=_finite_float, required=True)
+    p.add_argument("--n-max", type=_finite_float, required=True)
     p.add_argument("--n-steps", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_scan)
@@ -373,18 +366,18 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("wavefun", help="smoothed EPR wave function grid as CSV")
-    p.add_argument("--nbar", type=float, required=True)
-    p.add_argument("--lo", type=float, default=-4.0)
-    p.add_argument("--hi", type=float, default=4.0)
+    p.add_argument("--nbar", type=_finite_float, required=True)
+    p.add_argument("--lo", type=_finite_float, default=-4.0)
+    p.add_argument("--hi", type=_finite_float, default=4.0)
     p.add_argument("--samples", type=int, default=101)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_wavefun)
 
     p = sub.add_parser("wigner", help="one-mode Wigner function grid as CSV")
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--n", type=_finite_float, required=True)
     p.add_argument("--m", type=_parse_complex, default=0j)
-    p.add_argument("--lo", type=float, default=-4.0)
-    p.add_argument("--hi", type=float, default=4.0)
+    p.add_argument("--lo", type=_finite_float, default=-4.0)
+    p.add_argument("--hi", type=_finite_float, default=4.0)
     p.add_argument("--samples", type=int, default=101)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_wigner)
@@ -394,7 +387,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (KeyError, ValueError, TypeError, OSError) as exc:
+        return _usage_error(f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

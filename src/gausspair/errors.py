@@ -34,7 +34,7 @@ class NotPRepresentableError(GausspairError):
 
 
 class NoRealSolutionError(GausspairError):
-    """Thermal-parameter extraction has no real solution for this kernel."""
+    """Thermal-parameter extraction has no real solution (no longer raised)."""
 
 
 class CutoffTooSmallError(GausspairError):

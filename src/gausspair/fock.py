@@ -25,6 +25,7 @@ from .kernels import GaussianKernel, convert
 
 DEFAULT_CUTOFF = 16
 LOSS_THRESHOLD = 1e-4
+DEAD_BAND = 1e-5  # oracle eigenvalues this close to zero decide nothing
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,18 @@ def spectrum(f: FockOperator) -> np.ndarray:
     """Eigenvalues of the (hermitized) truncated matrix, descending."""
     h = 0.5 * (f.matrix + f.matrix.conj().T)
     return np.linalg.eigvalsh(h)[::-1]
+
+
+def agreement(min_eig: float, positive: bool, min_ppt=None, separable=None) -> tuple[bool, bool]:
+    """(agree, indeterminate) of the oracle's smallest eigenvalues against the
+    closed-form verdicts.  An eigenvalue outside ``DEAD_BAND`` must carry the
+    verdict's sign; one inside decides nothing.  The partial-transpose pair is
+    compared only when both of its values are given."""
+    pairs = [(min_eig, positive)]
+    if min_ppt is not None and separable is not None:
+        pairs.append((min_ppt, separable))
+    agree = all(abs(eig) <= DEAD_BAND or (eig > 0) == verdict for eig, verdict in pairs)
+    return agree, any(abs(eig) <= DEAD_BAND for eig, _ in pairs)
 
 
 def partial_transpose_fock(f: FockOperator) -> FockOperator:

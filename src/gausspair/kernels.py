@@ -22,7 +22,7 @@ from .linalg import SymMatrix
 
 KINDS = ("C", "W", "Q", "P")
 
-_PD_TOL = 1e-12
+PD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,11 @@ class GaussianKernel:
         if self.kind == "C":
             # a negative eigenvalue of C means no Gaussian exists at all;
             # exact zeros are kept as degenerate boundary cases
-            if linalg.eigenvalues_hermitian(self.sym)[0] < -_PD_TOL:
+            if linalg.eigenvalues_hermitian(self.sym)[0] < -PD_TOL:
                 raise NotAStateError("C matrix has a negative eigenvalue")
         elif self.kind == "P":
             # a P kernel only exists when C - I/2 > 0 strictly
-            if linalg.eigenvalues_hermitian(self.sym)[0] <= _PD_TOL:
+            if linalg.eigenvalues_hermitian(self.sym)[0] <= PD_TOL:
                 raise NotAStateError("P matrix is not positive definite")
 
     @property
@@ -88,7 +88,7 @@ def _from_c(c: SymMatrix, target: str) -> SymMatrix:
         return _sandwich_e(linalg.invert(_shift(c, +0.5)))
     # P: requires C - I/2 > 0
     shifted = _shift(c, -0.5)
-    if linalg.eigenvalues_hermitian(shifted)[0] <= _PD_TOL:
+    if linalg.eigenvalues_hermitian(shifted)[0] <= PD_TOL:
         raise NotPRepresentableError("C - I/2 has a non-positive eigenvalue")
     return _sandwich_e(linalg.invert(shifted))
 

@@ -8,9 +8,6 @@ below preserve it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError
@@ -18,48 +15,8 @@ from .errors import DimensionMismatchError, SingularMatrixError
 HERM_TOL = 1e-12
 DET_TOL = 1e-12
 
-_SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-@lru_cache(maxsize=None)
-def _structure(kind: str, dim: int) -> np.ndarray:
-    if dim not in (2, 4):
-        raise DimensionMismatchError(f"dim must be 2 or 4, got {dim}")
-    modes = dim // 2
-    if kind == "E":
-        m = np.diag([1.0, -1.0] * modes)
-    elif kind == "T":
-        blocks = [_SWAP2] * modes
-        m = np.zeros((dim, dim))
-        for i, b in enumerate(blocks):
-            m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = b
-    elif kind == "T1":
-        if dim != 4:
-            raise DimensionMismatchError("T1 is only defined for two modes")
-        m = np.eye(4)
-        m[0:2, 0:2] = _SWAP2
-    elif kind == "E_T1":
-        t1 = _structure("T1", dim)
-        m = t1 @ _structure("E", dim) @ t1
-    else:
-        raise ValueError(f"unknown structure kind {kind!r}")
-    m.setflags(write=False)
-    return m
-
-
-@dataclass(frozen=True)
-class StructureMatrix:
-    """One of the fixed involutions E, T, T1, E_T1 at dimension 2 or 4."""
-
-    kind: str
-    dim: int
-
-    def __post_init__(self):
-        _structure(self.kind, self.dim)  # validates kind/dim
-
-    @property
-    def mat(self) -> np.ndarray:
-        return _structure(self.kind, self.dim)
+# T as an index permutation: it exchanges z and z* of every mode
+_T_SWAP = {dim: np.ix_(np.arange(dim) ^ 1, np.arange(dim) ^ 1) for dim in (2, 4)}
 
 
 class SymMatrix:
@@ -78,8 +35,7 @@ class SymMatrix:
             raise DimensionMismatchError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
         if not np.allclose(m, m.conj().T, atol=HERM_TOL, rtol=0.0):
             raise ValueError("matrix is not Hermitian within tolerance")
-        t = _structure("T", m.shape[0])
-        m = 0.5 * (m + t @ m.T @ t)
+        m = 0.5 * (m + m.T[_T_SWAP[m.shape[0]]])
         m = 0.5 * (m + m.conj().T)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
@@ -128,13 +84,5 @@ def eigenvalues_hermitian(m: SymMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(m.mat)
 
 
-def conj_by_structure(m: SymMatrix, s: StructureMatrix) -> SymMatrix:
-    """Return s.m.s for one of the structure involutions."""
-    if s.dim != m.dim:
-        raise DimensionMismatchError(f"structure dim {s.dim} != matrix dim {m.dim}")
-    sm = s.mat
-    return SymMatrix(sm @ m.mat @ sm)
-
-
 def structure_e(dim: int) -> np.ndarray:
-    return _structure("E", dim)
+    return np.diag([1.0, -1.0] * (dim // 2))

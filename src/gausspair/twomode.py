@@ -1,5 +1,6 @@
 """Two-mode Gaussian states: positivity, partial transpose, PPT separability,
-P-representability, and thermal-pair extraction.
+P-representability, and thermal-pair extraction.  ``classify2`` decides through
+``invariant_verdicts``; the Q-matrix and squared-kernel routes stay as criteria.
 
 The covariance matrix is parameterized as
 
@@ -19,13 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NoRealSolutionError, NotPositiveError, NotPureError
-from .kernels import GaussianKernel, convert
-from .linalg import StructureMatrix, SymMatrix
+from .errors import NotPositiveError, NotPureError, WrongModeCountError
+from .kernels import PD_TOL, GaussianKernel, convert
+from .linalg import SymMatrix
 
 POS_TOL = 1e-10
 PURE_TOL = 1e-10
 PREP_TOL = 1e-12
+
+# transposing the first mode exchanges z1 and z1*
+_PT_SWAP = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,19 @@ class TwoModeVerdict:
     p_representable: bool
     ppt_separable: bool | None
     thermal: ThermalPair | None
+
+
+@dataclass(frozen=True)
+class InvariantVerdicts:
+    """Verdicts and symplectic eigenvalues of stacked C matrices; every field
+    has the stack's shape.  ``ppt_separable`` is False where not ``positive``."""
+
+    positive: np.ndarray
+    pure: np.ndarray
+    ppt_separable: np.ndarray
+    p_representable: np.ndarray
+    nu_plus: np.ndarray
+    nu_minus: np.ndarray
 
 
 def assemble_c(p: TwoModeMoments) -> np.ndarray:
@@ -157,11 +174,8 @@ def positivity_by_q(k: GaussianKernel) -> bool:
 def partial_transpose(k: GaussianKernel) -> GaussianKernel:
     """Transpose the first mode only; on moments m1 -> m1*, ms -> mc*, mc -> ms*."""
     if k.modes != 2:
-        from .errors import WrongModeCountError
-
         raise WrongModeCountError("partial transpose needs a two-mode kernel")
-    t1 = StructureMatrix("T1", 4)
-    return GaussianKernel(k.kind, linalg.conj_by_structure(k.sym, t1))
+    return GaussianKernel(k.kind, SymMatrix(k.matrix[_PT_SWAP]))
 
 
 def separability_inequality(k: GaussianKernel) -> bool:
@@ -180,29 +194,25 @@ def ppt_separable(k: GaussianKernel) -> bool:
 def p_representable(k: GaussianKernel) -> bool:
     """True iff all four eigenvalues of C - I/2 are strictly positive."""
     _require_c(k)
-    shifted = k.matrix - 0.5 * np.eye(k.dim)
-    return bool(np.linalg.eigvalsh(shifted)[0] > PREP_TOL)
+    return bool(invariant_verdicts(k.matrix).p_representable)
 
 
 def thermal_pair(k: GaussianKernel, diagnostics: bool = False) -> ThermalPair:
-    """Recover (g1, g2) from det C and det Cbar.
+    """Recover (g1, g2) from the symplectic eigenvalues: g = (2 nu - 1)/(2 nu + 1).
 
-    With x_i = (1+g_i)/(1-g_i) the two determinants fix x1*x2 and
-    x1/x2 + x2/x1, which is a closed-form solve.  ``diagnostics`` allows
-    extraction for non-positive kernels (one g may then be negative).
+    Each thermal factor has C = nu I with nu = (1+g)/(2(1-g)).  ``diagnostics``
+    allows extraction for non-positive kernels (one g may then be negative).
     """
-    if not diagnostics and not positivity_by_dets(k):
+    _require_c(k)
+    v = invariant_verdicts(k.matrix)
+    if not (diagnostics or v.positive):
         raise NotPositiveError("kernel is not positive; pass diagnostics=True to force")
-    s = 4.0 * math.sqrt(k.sym.det())
-    sbar = 4.0 * math.sqrt(squared_kernel(k).sym.det())
-    b = 4.0 * sbar - s - 1.0 / s
-    if b < 2.0 - 1e-8:
-        raise NoRealSolutionError(f"x1/x2 + x2/x1 = {b} < 2 has no real solution")
-    b = max(b, 2.0)
-    r = 0.5 * (b + math.sqrt(b * b - 4.0))
-    x1 = math.sqrt(s * r)
-    x2 = math.sqrt(s / r)
-    return ThermalPair(g1=(x1 - 1.0) / (x1 + 1.0), g2=(x2 - 1.0) / (x2 + 1.0))
+    return _thermal(v)
+
+
+def _thermal(v: InvariantVerdicts) -> ThermalPair:
+    g1, g2 = ((2.0 * nu - 1.0) / (2.0 * nu + 1.0) for nu in (v.nu_plus, v.nu_minus))
+    return ThermalPair(g1=float(g1), g2=float(g2))
 
 
 def purity2(k: GaussianKernel) -> bool:
@@ -233,7 +243,7 @@ def local_squeeze_map(theta1: float, theta2: float) -> np.ndarray:
 
 def local_squeeze_to_p_rep(k: GaussianKernel, theta: float) -> GaussianKernel:
     """Apply the local map C -> E U E C E U^dag E with equal real squeezes on both modes."""
-    if not positivity_by_q(k):
+    if not invariant_verdicts(k.matrix).positive:
         raise NotPositiveError("local squeeze to P form requires a positive state")
     u = local_squeeze_map(theta, theta)
     e = linalg.structure_e(4)
@@ -241,14 +251,55 @@ def local_squeeze_to_p_rep(k: GaussianKernel, theta: float) -> GaussianKernel:
     return GaussianKernel("C", SymMatrix(mat))
 
 
+def _det2(c: np.ndarray, row: int, col: int) -> np.ndarray:
+    """Determinant of the 2x2 block of stacked matrices at (row, col)."""
+    a, b = c[..., row, col], c[..., row, col + 1]
+    d, e = c[..., row + 1, col], c[..., row + 1, col + 1]
+    return (a * e - b * d).real
+
+
+def invariant_verdicts(c) -> InvariantVerdicts:
+    """Two-mode verdicts for stacked (..., 4, 4) C matrices from their local
+    symplectic invariants (Simon, PRL 84, 2726 (2000); Serafini, PRL 96,
+    110402 (2006)), in the normalization where vacuum is C = I/2.
+
+    With D = det C and dA, dB, dX the determinants of the diagonal and
+    off-diagonal 2x2 blocks, an existing C is positive iff D >= 1/16 and
+    1/4 + 4D - (dA + dB + 2dX) >= 0.  Transposing one mode flips the sign of
+    dX, so the same test with -2dX decides PPT separability.  The symplectic
+    eigenvalues are nu+-^2 = (Delta +- sqrt(Delta^2 - 4D))/2 with
+    Delta = dA + dB + 2dX; on positive states both are held at 1/2 or above.
+    """
+    c = np.asarray(c)
+    lam = np.linalg.eigvalsh(c)[..., 0]
+    det_c = np.linalg.det(c).real
+    da, db, dx = _det2(c, 0, 0), _det2(c, 2, 2), _det2(c, 0, 2)
+    delta = da + db + 2.0 * dx
+    base = 0.25 + 4.0 * det_c - (da + db)
+    positive = (lam >= -PD_TOL) & (det_c - 1.0 / 16.0 >= -POS_TOL) & (base - 2.0 * dx >= -POS_TOL)
+    root = np.sqrt(np.maximum(delta * delta - 4.0 * det_c, 0.0))
+    floor = np.where(positive, 0.25, 0.0)  # lower bound on nu^2
+    return InvariantVerdicts(
+        positive=positive,
+        pure=positive & (np.abs(det_c - 1.0 / 16.0) <= PURE_TOL),
+        ppt_separable=positive & (base + 2.0 * dx >= -POS_TOL),
+        p_representable=lam - 0.5 > PREP_TOL,
+        nu_plus=np.sqrt(np.maximum(0.5 * (delta + root), floor)),
+        nu_minus=np.sqrt(np.maximum(0.5 * (delta - root), floor)),
+    )
+
+
 def classify2(k: GaussianKernel) -> TwoModeVerdict:
-    positive = positivity_by_q(k)
+    """Verdict bundle of one kernel: the batch-of-one case of ``invariant_verdicts``."""
+    _require_c(k)
+    v = invariant_verdicts(k.matrix)
+    positive = bool(v.positive)
     return TwoModeVerdict(
         positive=positive,
-        pure=positive and purity2(k),
-        p_representable=p_representable(k),
-        ppt_separable=ppt_separable(k) if positive else None,
-        thermal=thermal_pair(k) if positive else None,
+        pure=bool(v.pure),
+        p_representable=bool(v.p_representable),
+        ppt_separable=bool(v.ppt_separable) if positive else None,
+        thermal=_thermal(v) if positive else None,
     )
 
 

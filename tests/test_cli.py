@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from gausspair import cli, onemode, states
+from gausspair import cli, onemode, states, twomode
 from gausspair.cli import main
+from gausspair.errors import NotAStateError
 
 
 def run(capsys, *argv):
@@ -114,6 +115,24 @@ class TestScan:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    @pytest.mark.parametrize(
+        "family, ratio",
+        [("mixed_epr", 0.0), ("anti_epr", 0.5), ("anti_epr", 1.0), ("squeezed_epr", 0.5), ("squeezed_epr", 1.0)],
+    )
+    def test_pointwise_matches_classify2(self, family, ratio):
+        # the five family/ratio pairs of scripts/reproduce_figures.py
+        lines = cli.run_scan(cli.ScanRequest(family, ratio, 0.0, 2.0, 21, 0.0, 2.0, 21))
+        for row in lines[1:]:
+            mc, n, *flags = row.split(",")
+            mc, n = float(mc), float(n)
+            args = (n, mc) if family == "mixed_epr" else (n, mc, ratio * mc)
+            try:
+                v = twomode.classify2(getattr(states, family)(*args))
+                want = [v.positive, v.pure, bool(v.ppt_separable), v.p_representable]
+            except NotAStateError:
+                want = [False] * 4
+            assert [int(f) for f in flags] == [int(w) for w in want], row
+
 
 class TestConvert:
     def write_kernel(self, tmp_path, kernel, name="k.json"):
@@ -216,3 +235,34 @@ class TestGrids:
     def test_wigner_not_a_state_exit_2(self, capsys):
         code, _, _ = run(capsys, "wigner", "--n", "0", "--m", "2")
         assert code == 2
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["classify", "--modes", "1", "--n", "nan", "--m", "0"], 64),
+            (["classify", "--modes", "1", "--n", "inf", "--m", "0"], 64),
+            (["classify", "--modes", "2", "--family", "mixed-epr", "--n", "0.8", "--mc", "nan"], 64),
+            (["wigner", "--n", "nan"], 64),
+            (["scan", "--family", "mixed-epr", "--mc-min", "0", "--mc-max", "2", "--mc-steps", "1",
+              "--n-min", "0", "--n-max", "2", "--n-steps", "3"], 64),
+            (["convert", "--in", "{no_matrix}", "--to", "W"], 64),
+            (["convert", "--in", "{missing}", "--to", "W"], 64),
+            (["convert", "--in", "{not_a_state}", "--to", "W"], 2),
+        ],
+        ids=["n-nan", "n-inf", "mc-nan", "wigner-nan", "one-step", "no-matrix", "missing-file",
+             "not-a-state-file"],
+    )
+    def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code):
+        paths = {name: tmp_path / f"{name}.json" for name in ("no_matrix", "missing", "not_a_state")}
+        paths["no_matrix"].write_text(json.dumps({"modes": 1, "kind": "C"}))
+        negative = {"modes": 1, "kind": "C", "matrix": [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}
+        paths["not_a_state"].write_text(json.dumps(negative))
+        try:
+            got = main([a.format(**paths) for a in argv])
+        except SystemExit as exc:  # argparse rejects the value itself
+            got = exc.code
+        err = capsys.readouterr().err
+        assert got == code
+        assert "error:" in err and "Traceback" not in err

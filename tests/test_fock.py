@@ -184,3 +184,20 @@ class TestBulkAgreement:
             if min_eig < -1e-5:
                 decisive += 1
         assert decisive >= 8
+
+
+class TestAgreement:
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            ((0.1, True), (True, False)),
+            ((-0.1, True), (False, False)),
+            ((1e-6, False), (True, True)),  # inside the dead band: decides nothing
+            ((0.1, True, -0.1, False), (True, False)),
+            ((0.1, True, -0.1, True), (False, False)),
+            ((0.1, True, 1e-6, False), (True, True)),
+            ((0.1, True, -0.1, None), (True, False)),  # no separability verdict to compare
+        ],
+    )
+    def test_sign_rule(self, args, want):
+        assert fock.agreement(*args) == want

@@ -3,45 +3,64 @@ import pytest
 from hypothesis import given
 
 from conftest import assert_close, one_mode_moments, two_mode_kernels
-from gausspair import linalg, onemode, states
-from gausspair.errors import DimensionMismatchError, SingularMatrixError
-from gausspair.linalg import StructureMatrix, SymMatrix
+from gausspair import linalg, onemode, states, twomode
+from gausspair.errors import DimensionMismatchError, SingularMatrixError, WrongModeCountError
+from gausspair.linalg import SymMatrix
+
+# the fixed involutions, written out: T exchanges (z, z*) of every mode,
+# T1 of the first mode only
+T2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+T4 = np.array(
+    [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]
+)
+T1 = np.array(
+    [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+)
+T_OF_DIM = {2: T2, 4: T4}
+
+
+def hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return m + m.conj().T
 
 
 class TestStructureMatrix:
-    def test_e_is_diag_plus_minus(self):
-        assert_close(StructureMatrix("E", 2).mat, np.diag([1.0, -1.0]))
-        assert_close(StructureMatrix("E", 4).mat, np.diag([1.0, -1.0, 1.0, -1.0]))
+    """E = structure_e; T is the SymMatrix normal form; T1 is the partial transpose."""
 
-    def test_t_swaps_every_mode_pair(self):
-        t = StructureMatrix("T", 4).mat
-        v = t @ np.array([1, 2, 3, 4])
-        assert_close(v, [2, 1, 4, 3])
+    def test_e_is_diag_plus_minus(self):
+        assert_close(linalg.structure_e(2), np.diag([1.0, -1.0]))
+        assert_close(linalg.structure_e(4), np.diag([1.0, -1.0, 1.0, -1.0]))
+
+    def test_t_swaps_every_mode_pair(self, rng):
+        m = hermitian(rng, 4)
+        assert_close(SymMatrix(m).mat, 0.5 * (m + T4 @ m.T @ T4))
 
     def test_t1_swaps_first_mode_only(self):
-        t1 = StructureMatrix("T1", 4).mat
-        assert_close(t1 @ np.array([1, 2, 3, 4]), [2, 1, 3, 4])
-
-    def test_e_t1_signs(self):
-        assert_close(StructureMatrix("E_T1", 4).mat, np.diag([-1.0, 1.0, 1.0, -1.0]))
+        k = twomode.build_C2(
+            twomode.TwoModeMoments(n1=1.0, n2=0.8, m1=0.1 + 0.2j, m2=0.1j, ms=0.2, mc=0.15j)
+        )
+        assert_close(twomode.partial_transpose(k).matrix, T1 @ k.matrix @ T1)
 
     @pytest.mark.parametrize("kind", ["E", "T"])
     @pytest.mark.parametrize("dim", [2, 4])
-    def test_squares_to_identity(self, kind, dim):
-        m = StructureMatrix(kind, dim).mat
-        assert_close(m @ m, np.eye(dim))
+    def test_squares_to_identity(self, kind, dim, rng):
+        if kind == "E":
+            e = linalg.structure_e(dim)
+            assert_close(e @ e, np.eye(dim))
+        else:
+            # the T normal form is a projection: applying it again changes nothing
+            m = SymMatrix(hermitian(rng, dim))
+            assert np.array_equal(SymMatrix(m.mat).mat, m.mat)
+            assert np.array_equal(m.mat, T_OF_DIM[dim] @ m.mat.T @ T_OF_DIM[dim])
 
     def test_t1_squares_to_identity(self):
-        m = StructureMatrix("T1", 4).mat
-        assert_close(m @ m, np.eye(4))
+        k = states.anti_epr(n=0.9, mc=0.3, ms=0.2)
+        twice = twomode.partial_transpose(twomode.partial_transpose(k))
+        assert_close(twice.matrix, k.matrix)
 
     def test_t1_one_mode_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            StructureMatrix("T1", 2)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            StructureMatrix("X", 2)
+        with pytest.raises(WrongModeCountError):
+            twomode.partial_transpose(onemode.build_C(onemode.OneModeMoments(n=1.0, m=0.3)))
 
 
 class TestSymMatrix:
@@ -56,8 +75,7 @@ class TestSymMatrix:
     def test_normal_form_is_exact(self):
         # hermitian but not T-symmetric input gets averaged into the normal form
         m = SymMatrix([[1.0, 0.2j], [-0.2j, 2.0]])
-        t = StructureMatrix("T", 2).mat
-        assert np.array_equal(m.mat, t @ m.mat.T @ t)
+        assert np.array_equal(m.mat, T2 @ m.mat.T @ T2)
         # diagonal entries averaged, off-diagonal kept
         assert m[0, 0] == pytest.approx(1.5)
         assert m[0, 1] == pytest.approx(0.2j)
@@ -128,30 +146,35 @@ class TestEigenvalues:
 
 
 class TestConjByStructure:
+    """Conjugation by the literal T1 and E: the partial transpose and the E sandwich."""
+
     def test_t_conjugates_one_mode_m(self):
-        c = onemode.build_C(onemode.OneModeMoments(n=1.0, m=0.3j))
-        out = linalg.conj_by_structure(c.sym, StructureMatrix("T", 2))
-        want = onemode.build_C(onemode.OneModeMoments(n=1.0, m=-0.3j))
-        assert out.allclose(want.sym)
+        # on the first mode's block the partial transpose is T conjugation: m1 -> m1*
+        k = twomode.build_C2(twomode.TwoModeMoments(n1=1.0, n2=0.5, m1=0.3j))
+        out = twomode.partial_transpose(k)
+        want = twomode.build_C2(twomode.TwoModeMoments(n1=1.0, n2=0.5, m1=-0.3j))
+        assert out.sym.allclose(want.sym)
+        assert_close(out.matrix[:2, :2], T2 @ k.matrix[:2, :2] @ T2)
 
     def test_t1_moves_mc_to_ms_slot(self):
-        k = states.mixed_epr(n=1.0, mc=0.7)
-        out = linalg.conj_by_structure(k.sym, StructureMatrix("T1", 4))
+        out = twomode.partial_transpose(states.mixed_epr(n=1.0, mc=0.7))
         want = states.anti_epr(n=1.0, mc=0.0, ms=0.7)
-        assert out.allclose(want.sym)
+        assert out.sym.allclose(want.sym)
 
-    @pytest.mark.parametrize("kind", ["E", "T", "T1", "E_T1"])
+    @pytest.mark.parametrize("kind", ["E", "T", "T1"])
     def test_involution(self, kind):
         k = states.anti_epr(n=0.9, mc=0.3, ms=0.2)
-        s = StructureMatrix(kind, 4)
-        twice = linalg.conj_by_structure(linalg.conj_by_structure(k.sym, s), s)
-        assert twice.allclose(k.sym)
+        if kind == "E":
+            e = linalg.structure_e(4)
+            twice = e @ (e @ k.matrix @ e) @ e
+        elif kind == "T":
+            # T applied to the transpose: the kernel's own normal form
+            twice = T4 @ k.matrix.T @ T4
+        else:
+            twice = twomode.partial_transpose(twomode.partial_transpose(k)).matrix
+        assert_close(twice, k.matrix)
 
     @given(two_mode_kernels())
     def test_t1_preserves_det(self, k):
-        out = linalg.conj_by_structure(k.sym, StructureMatrix("T1", 4))
-        assert out.det() == pytest.approx(k.sym.det(), abs=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            linalg.conj_by_structure(linalg.identity(2), StructureMatrix("E", 4))
+        out = twomode.partial_transpose(k)
+        assert out.sym.det() == pytest.approx(k.sym.det(), abs=1e-10)

@@ -319,3 +319,86 @@ class TestClassify2:
     def test_non_positive(self):
         v = twomode.classify2(states.mixed_epr(0.5, 0.99))
         assert not v.positive and v.ppt_separable is None and v.thermal is None
+
+    def test_large_n_pure_epr_returns(self):
+        # a pure state at large n, where det C carries visible round-off:
+        # the verdict comes back without raising, whatever it says
+        n = 1000.0
+        v = twomode.classify2(states.mixed_epr(n, math.sqrt(n * (n + 1.0))))
+        if v.positive:
+            assert v.thermal.g1 >= v.thermal.g2 >= 0.0
+
+
+def random_kernels(rng, count):
+    """C kernels spread over both sides of the positivity and PPT boundaries."""
+    kernels = []
+    while len(kernels) < count:
+        p = TwoModeMoments(
+            n1=rng.uniform(0.0, 1.5),
+            n2=rng.uniform(0.0, 1.5),
+            **{
+                key: rng.uniform(0, 0.8) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                for key in ("m1", "m2", "ms", "mc")
+            },
+        )
+        if np.linalg.eigvalsh(twomode.assemble_c(p))[0] > 1e-3:
+            kernels.append(build_C2(p))
+    return kernels
+
+
+class TestInvariantVerdicts:
+    """The engine against the paper's other routes."""
+
+    def test_matches_q_and_det_routes(self, rng):
+        kernels = random_kernels(rng, 1000)
+        v = twomode.invariant_verdicts(np.stack([k.matrix for k in kernels]))
+        checked = entangled = 0
+        for i, k in enumerate(kernels):
+            p = twomode.normal_order_params(k)
+            margins = (
+                p.nu1 + p.nu2,
+                p.nu1 * p.nu2 - abs(p.mus) ** 2,
+                *twomode.positivity_det_margins(k),
+            )
+            if min(abs(m) for m in margins) <= 1e-8:
+                continue
+            checked += 1
+            assert v.positive[i] == twomode.positivity_by_q(k) == twomode.positivity_by_dets(k)
+            if v.positive[i] and abs(p.nu1 * p.nu2 - abs(p.muc) ** 2) > 1e-8:
+                assert v.ppt_separable[i] == twomode.ppt_separable(k)
+                entangled += not v.ppt_separable[i]
+        assert checked > 900 and 0 < v.positive.mean() < 1 and entangled > 20
+
+    def test_stack_matches_single_calls(self, rng):
+        kernels = random_kernels(rng, 50)
+        v = twomode.invariant_verdicts(np.stack([k.matrix for k in kernels]).reshape(5, 10, 4, 4))
+        for i, k in enumerate(kernels):
+            one = twomode.invariant_verdicts(k.matrix)
+            for field in ("positive", "pure", "ppt_separable", "p_representable", "nu_plus", "nu_minus"):
+                assert getattr(v, field)[i // 10, i % 10] == getattr(one, field)
+
+    @pytest.mark.parametrize("family", ["mixed_epr", "anti_epr", "squeezed_epr"])
+    def test_family_margins(self, family):
+        ns, mcs = np.meshgrid(np.linspace(0.0, 2.0, 41), np.linspace(0.0, 2.0, 41))
+        seen = set()
+        for n, mc in zip(ns.ravel(), mcs.ravel()):
+            x = 0.4 * mc
+            args = (n, mc) if family == "mixed_epr" else (n, mc, x)
+            try:
+                k = getattr(states, family)(*args)
+            except NotAStateError:
+                continue
+            pos = getattr(states, f"{family}_positivity")(*args)
+            sep = getattr(states, f"{family}_separability")(*args)
+            v = twomode.invariant_verdicts(k.matrix)
+            if abs(pos) > 1e-8:
+                assert v.positive == (pos > 0)
+                seen.add(("positive", pos > 0))
+            if pos > 1e-8 and abs(sep) > 1e-8:
+                assert v.ppt_separable == (sep > 0)
+                seen.add(("separable", sep > 0))
+        assert len(seen) == 4  # both sides of both boundaries were checked
+
+    def test_symplectic_eigenvalues_of_product_thermal(self):
+        v = twomode.invariant_verdicts(twomode.product_thermal_kernel(0.5, 0.2).matrix)
+        assert v.nu_plus == pytest.approx(1.5) and v.nu_minus == pytest.approx(0.75)
