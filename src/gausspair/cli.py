@@ -155,6 +155,8 @@ def _moments_from_args(args) -> tuple[int, object]:
         return 1, onemode.OneModeMoments(n=args.n, m=args.m)
     family = getattr(args, "family", None)
     if family is not None:
+        if args.n is None or args.mc is None:
+            raise SystemExit(_usage_error("--family needs --n and --mc"))
         fam = family.replace("-", "_")
         if fam == "mixed_epr":
             return 2, states.mixed_epr(args.n, args.mc)
@@ -163,6 +165,8 @@ def _moments_from_args(args) -> tuple[int, object]:
         if fam == "squeezed_epr":
             return 2, states.squeezed_epr(args.n, args.mc, args.m.real if args.m else 0.0)
         raise SystemExit(_usage_error(f"unknown family {family!r}"))
+    if args.n is None and (args.n1 is None or args.n2 is None):
+        raise SystemExit(_usage_error("two-mode input needs --n or both --n1 and --n2"))
     p = twomode.TwoModeMoments(
         n1=args.n1 if args.n1 is not None else args.n,
         n2=args.n2 if args.n2 is not None else args.n,
@@ -227,12 +231,7 @@ def _cmd_scan(args) -> int:
         n_hi=args.n_max,
         n_steps=args.n_steps,
     )
-    text = "\n".join(run_scan(req)) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(run_scan(req), args.out)
     return EXIT_OK
 
 
@@ -250,12 +249,7 @@ def _cmd_convert(args) -> int:
     except NotPRepresentableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_P_REP
-    text = json.dumps(kernel_to_json(out))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_lines([json.dumps(kernel_to_json(out))], args.out)
     return EXIT_OK
 
 

@@ -22,8 +22,6 @@ from .linalg import SymMatrix
 
 KINDS = ("C", "W", "Q", "P")
 
-PD_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GaussianKernel:
@@ -35,14 +33,15 @@ class GaussianKernel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind == "C":
+        if self.kind in ("C", "P"):
+            lam = linalg.eigenvalues_hermitian(self.sym)
+            band = linalg.band(lam.sum(), 1)
             # a negative eigenvalue of C means no Gaussian exists at all;
-            # exact zeros are kept as degenerate boundary cases
-            if linalg.eigenvalues_hermitian(self.sym)[0] < -PD_TOL:
+            # zeros within the band are kept as degenerate boundary cases
+            if self.kind == "C" and lam[0] < -band:
                 raise NotAStateError("C matrix has a negative eigenvalue")
-        elif self.kind == "P":
             # a P kernel only exists when C - I/2 > 0 strictly
-            if linalg.eigenvalues_hermitian(self.sym)[0] <= PD_TOL:
+            if self.kind == "P" and lam[0] <= band:
                 raise NotAStateError("P matrix is not positive definite")
 
     @property
@@ -88,7 +87,8 @@ def _from_c(c: SymMatrix, target: str) -> SymMatrix:
         return _sandwich_e(linalg.invert(_shift(c, +0.5)))
     # P: requires C - I/2 > 0
     shifted = _shift(c, -0.5)
-    if linalg.eigenvalues_hermitian(shifted)[0] <= PD_TOL:
+    lam = linalg.eigenvalues_hermitian(shifted)
+    if lam[0] <= linalg.band(lam.sum(), 1):
         raise NotPRepresentableError("C - I/2 has a non-positive eigenvalue")
     return _sandwich_e(linalg.invert(shifted))
 

@@ -8,12 +8,15 @@ below preserve it.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
 HERM_TOL = 1e-12
 DET_TOL = 1e-12
+K = 16  # width of the verdict band in units of eps * scale**degree
 
 # T as an index permutation: it exchanges z and z* of every mode
 _T_SWAP = {dim: np.ix_(np.arange(dim) ^ 1, np.arange(dim) ^ 1) for dim in (2, 4)}
@@ -82,6 +85,12 @@ def invert(m: SymMatrix) -> SymMatrix:
 def eigenvalues_hermitian(m: SymMatrix) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending."""
     return np.linalg.eigvalsh(m.mat)
+
+
+def band(scale, degree: int):
+    """Verdict band K * eps * scale**degree, for floats or arrays: the round-off
+    of a margin of polynomial degree ``degree`` in a matrix of trace ``scale``."""
+    return K * sys.float_info.epsilon * scale**degree
 
 
 def structure_e(dim: int) -> np.ndarray:

@@ -16,10 +16,6 @@ from .errors import NotAStateError, NotPositiveError, NotPureError, NotRealBranc
 from .kernels import GaussianKernel, convert
 from .linalg import SymMatrix
 
-POS_TOL = 1e-10
-PURE_TOL = 1e-10
-_DIAG_M_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class OneModeMoments:
@@ -87,12 +83,15 @@ def moments_from_c(k: GaussianKernel) -> OneModeMoments:
 
 
 def classify(p: OneModeMoments) -> OneModeVerdict:
-    """Positivity, purity, and P-representability in closed form."""
+    """Positivity, purity, and P-representability in closed form; each margin
+    is decided against ``linalg.band`` at the scale tr C = 2n + 1."""
     mm = abs(p.m) ** 2
     det_c = (p.n + 0.5) ** 2 - mm
-    positive = p.n * (p.n + 1.0) - mm >= -POS_TOL
-    pure = abs(det_c - 0.25) <= PURE_TOL
-    p_rep = p.n > abs(p.m)  # strict: the delta-function limit is excluded
+    scale = 2.0 * p.n + 1.0
+    band = linalg.band(scale, 2)
+    positive = p.n * (p.n + 1.0) - mm >= -band
+    pure = abs(det_c - 0.25) <= band
+    p_rep = p.n - abs(p.m) > linalg.band(scale, 1)  # strict: no delta-function limit
     g = None
     if positive:
         s = math.sqrt(max(det_c, 0.25))
@@ -162,25 +161,22 @@ def moments_after_squeeze(p: OneModeMoments, theta: float) -> tuple[float, float
 def diagonalizing_squeeze(p: OneModeMoments) -> SqueezeMap:
     """Squeeze map whose inverse action brings C to its thermal diagonal form c*I.
 
-    The relative phase is fixed by phi = -arg(m), varphi = 0; for m -> 0 the
-    identity map is returned.
+    The relative phase is fixed by phi = -arg(m), varphi = 0; at m = 0 this is
+    the identity map.
     """
     if not classify(p).positive:
         raise NotPositiveError("diagonalizing squeeze requires a positive state")
-    if abs(p.m) <= _DIAG_M_TOL:
-        return SqueezeMap(0.0)
     _, _, theta0 = theta_window(p)
     return SqueezeMap(theta=theta0, phi=-np.angle(p.m), varphi=0.0)
 
 
 def squeezed_wavefunction(p: OneModeMoments) -> SqueezedWavefunction:
     """Position wave function of a pure state with real, non-negative m."""
-    if abs(p.m.imag) > 1e-12:
+    if abs(p.m.imag) > linalg.band(2.0 * p.n + 1.0, 1):
         raise NotRealBranchError("wave function is given for real m only")
-    m = p.m.real
-    if m < 0:
+    if p.m.real < 0:
         raise NotRealBranchError("wave function is given for m >= 0 only")
-    if abs(abs(p.m) - math.sqrt(p.n * (p.n + 1.0))) > 1e-10:
+    if not classify(p).pure:
         raise NotPureError("|m| must equal sqrt(n(n+1)) for a pure state")
     mu = math.sqrt(p.n / (p.n + 1.0))
     kappa = (1.0 + mu) / (1.0 - mu)

@@ -21,12 +21,10 @@ import numpy as np
 
 from . import linalg
 from .errors import NotPositiveError, NotPureError, WrongModeCountError
-from .kernels import PD_TOL, GaussianKernel, convert
+from .kernels import GaussianKernel, convert
 from .linalg import SymMatrix
 
-POS_TOL = 1e-10
-PURE_TOL = 1e-10
-PREP_TOL = 1e-12
+POS_TOL = 1e-10  # band of the paper's reference routes; the engine uses ``linalg.band``
 
 # transposing the first mode exchanges z1 and z1*
 _PT_SWAP = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
@@ -216,9 +214,9 @@ def _thermal(v: InvariantVerdicts) -> ThermalPair:
 
 
 def purity2(k: GaussianKernel) -> bool:
-    """det C = 1/16 marks a pure state (given positivity)."""
+    """det C = 1/16 marks a pure state (given positivity): the engine's verdict."""
     _require_c(k)
-    return abs(k.sym.det() - 1.0 / 16.0) <= PURE_TOL
+    return bool(invariant_verdicts(k.matrix).pure)
 
 
 def pure_marginal_separability(k: GaussianKernel, which: int = 1) -> bool:
@@ -227,9 +225,9 @@ def pure_marginal_separability(k: GaussianKernel, which: int = 1) -> bool:
         raise ValueError("which must be 1 or 2")
     if not purity2(k):
         raise NotPureError("marginal criterion only applies to pure states")
-    sl = slice(0, 2) if which == 1 else slice(2, 4)
-    block = k.matrix[sl, sl]
-    return abs(float(np.linalg.det(block).real) - 0.25) <= PURE_TOL
+    at = 2 * (which - 1)
+    margin = _det2(k.matrix, at, at) - 0.25
+    return bool(abs(margin) <= linalg.band(np.trace(k.matrix).real, 2))
 
 
 def local_squeeze_map(theta1: float, theta2: float) -> np.ndarray:
@@ -269,6 +267,7 @@ def invariant_verdicts(c) -> InvariantVerdicts:
     dX, so the same test with -2dX decides PPT separability.  The symplectic
     eigenvalues are nu+-^2 = (Delta +- sqrt(Delta^2 - 4D))/2 with
     Delta = dA + dB + 2dX; on positive states both are held at 1/2 or above.
+    Margins get band(tr C, 4); the smallest eigenvalue of C gets band(tr C, 1).
     """
     c = np.asarray(c)
     lam = np.linalg.eigvalsh(c)[..., 0]
@@ -276,14 +275,16 @@ def invariant_verdicts(c) -> InvariantVerdicts:
     da, db, dx = _det2(c, 0, 0), _det2(c, 2, 2), _det2(c, 0, 2)
     delta = da + db + 2.0 * dx
     base = 0.25 + 4.0 * det_c - (da + db)
-    positive = (lam >= -PD_TOL) & (det_c - 1.0 / 16.0 >= -POS_TOL) & (base - 2.0 * dx >= -POS_TOL)
+    scale = np.trace(c, axis1=-2, axis2=-1).real
+    tol, tol_lam = linalg.band(scale, 4), linalg.band(scale, 1)
+    positive = (lam >= -tol_lam) & (det_c - 1.0 / 16.0 >= -tol) & (base - 2.0 * dx >= -tol)
     root = np.sqrt(np.maximum(delta * delta - 4.0 * det_c, 0.0))
     floor = np.where(positive, 0.25, 0.0)  # lower bound on nu^2
     return InvariantVerdicts(
         positive=positive,
-        pure=positive & (np.abs(det_c - 1.0 / 16.0) <= PURE_TOL),
-        ppt_separable=positive & (base + 2.0 * dx >= -POS_TOL),
-        p_representable=lam - 0.5 > PREP_TOL,
+        pure=positive & (np.abs(det_c - 1.0 / 16.0) <= tol),
+        ppt_separable=positive & (base + 2.0 * dx >= -tol),
+        p_representable=lam - 0.5 > tol_lam,
         nu_plus=np.sqrt(np.maximum(0.5 * (delta + root), floor)),
         nu_minus=np.sqrt(np.maximum(0.5 * (delta - root), floor)),
     )

@@ -239,22 +239,26 @@ class TestGrids:
 
 class TestBadInput:
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, code, says",
         [
-            (["classify", "--modes", "1", "--n", "nan", "--m", "0"], 64),
-            (["classify", "--modes", "1", "--n", "inf", "--m", "0"], 64),
-            (["classify", "--modes", "2", "--family", "mixed-epr", "--n", "0.8", "--mc", "nan"], 64),
-            (["wigner", "--n", "nan"], 64),
+            (["classify", "--modes", "1", "--n", "nan", "--m", "0"], 64, "--n"),
+            (["classify", "--modes", "1", "--n", "inf", "--m", "0"], 64, "--n"),
+            (["classify", "--modes", "2", "--family", "mixed-epr", "--n", "0.8", "--mc", "nan"], 64, "--mc"),
+            (["wigner", "--n", "nan"], 64, "--n"),
             (["scan", "--family", "mixed-epr", "--mc-min", "0", "--mc-max", "2", "--mc-steps", "1",
-              "--n-min", "0", "--n-max", "2", "--n-steps", "3"], 64),
-            (["convert", "--in", "{no_matrix}", "--to", "W"], 64),
-            (["convert", "--in", "{missing}", "--to", "W"], 64),
-            (["convert", "--in", "{not_a_state}", "--to", "W"], 2),
+              "--n-min", "0", "--n-max", "2", "--n-steps", "3"], 64, "steps"),
+            (["convert", "--in", "{no_matrix}", "--to", "W"], 64, "matrix"),
+            (["convert", "--in", "{missing}", "--to", "W"], 64, "No such file"),
+            (["convert", "--in", "{not_a_state}", "--to", "W"], 2, "negative eigenvalue"),
+            (["classify", "--modes", "2", "--mc", "1"], 64, "needs --n or both --n1 and --n2"),
+            (["classify", "--modes", "2", "--n1", "1", "--mc", "0.5"], 64, "needs --n or both --n1 and --n2"),
+            (["classify", "--modes", "2", "--family", "mixed-epr", "--n", "1"], 64, "--family needs --n and --mc"),
+            (["oracle", "--modes", "2", "--ms", "0.1"], 64, "needs --n or both --n1 and --n2"),
         ],
         ids=["n-nan", "n-inf", "mc-nan", "wigner-nan", "one-step", "no-matrix", "missing-file",
-             "not-a-state-file"],
+             "not-a-state-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n"],
     )
-    def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code):
+    def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code, says):
         paths = {name: tmp_path / f"{name}.json" for name in ("no_matrix", "missing", "not_a_state")}
         paths["no_matrix"].write_text(json.dumps({"modes": 1, "kind": "C"}))
         negative = {"modes": 1, "kind": "C", "matrix": [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}
@@ -266,3 +270,4 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert got == code
         assert "error:" in err and "Traceback" not in err
+        assert says in err

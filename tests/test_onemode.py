@@ -159,9 +159,10 @@ class TestThetaWindow:
 
 class TestDiagonalizingSqueeze:
     def test_m_zero_gives_identity(self):
-        u = onemode.diagonalizing_squeeze(OneModeMoments(1.0, 0.0))
-        assert u.theta == 0.0
-        assert_close(u.matrix, np.eye(2))
+        for n in (0.0, 1e-6, 1.0, 1e6):
+            u = onemode.diagonalizing_squeeze(OneModeMoments(n, 0.0))
+            assert u == SqueezeMap(0.0)
+            assert np.array_equal(u.matrix, np.eye(2))
 
     @given(one_mode_moments(positive_only=True))
     def test_inverse_action_lands_on_thermal_diagonal(self, p):
