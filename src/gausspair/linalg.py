@@ -89,7 +89,7 @@ def eigenvalues_hermitian(m: SymMatrix) -> np.ndarray:
 
 def band(scale, degree: int):
     """Verdict band K * eps * scale**degree, for floats or arrays: the round-off
-    of a margin of polynomial degree ``degree`` in a matrix of trace ``scale``."""
+    of a margin that grows like the power ``degree`` of the matrix size ``scale``."""
     return K * sys.float_info.epsilon * scale**degree
 
 

@@ -90,7 +90,7 @@ def classify(p: OneModeMoments) -> OneModeVerdict:
     scale = 2.0 * p.n + 1.0
     band = linalg.band(scale, 2)
     positive = p.n * (p.n + 1.0) - mm >= -band
-    pure = abs(det_c - 0.25) <= band
+    pure = positive and abs(det_c - 0.25) <= band
     p_rep = p.n - abs(p.m) > linalg.band(scale, 1)  # strict: no delta-function limit
     g = None
     if positive:

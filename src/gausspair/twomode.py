@@ -267,16 +267,24 @@ def invariant_verdicts(c) -> InvariantVerdicts:
     dX, so the same test with -2dX decides PPT separability.  The symplectic
     eigenvalues are nu+-^2 = (Delta +- sqrt(Delta^2 - 4D))/2 with
     Delta = dA + dB + 2dX; on positive states both are held at 1/2 or above.
-    Margins get band(tr C, 4); the smallest eigenvalue of C gets band(tr C, 1).
+
+    The margins get band(s, 2), s^2 = |C| (|C| + |adj C|) with |C| the largest
+    |eigenvalue| and |adj C| the sum of the eigenvalue triple products: det C
+    carries a round-off of about eps |C| |adj C|, the 2x2 block determinants
+    eps |C|^2.  s is of order tr C for pure states and of order (tr C)^2 for
+    mixed ones with a large symplectic eigenvalue.  Eigenvalues get band(tr C, 1).
     """
     c = np.asarray(c)
-    lam = np.linalg.eigvalsh(c)[..., 0]
+    eig = np.linalg.eigvalsh(c)
+    lam = eig[..., 0]
     det_c = np.linalg.det(c).real
     da, db, dx = _det2(c, 0, 0), _det2(c, 2, 2), _det2(c, 0, 2)
     delta = da + db + 2.0 * dx
     base = 0.25 + 4.0 * det_c - (da + db)
-    scale = np.trace(c, axis1=-2, axis2=-1).real
-    tol, tol_lam = linalg.band(scale, 4), linalg.band(scale, 1)
+    a0, a1, a2, a3 = np.moveaxis(np.abs(eig), -1, 0)
+    top = np.maximum(a0, a3)
+    adj = a0 * a1 * (a2 + a3) + a2 * a3 * (a0 + a1)
+    tol, tol_lam = linalg.band(np.sqrt(top * (top + adj)), 2), linalg.band(eig.sum(-1), 1)
     positive = (lam >= -tol_lam) & (det_c - 1.0 / 16.0 >= -tol) & (base - 2.0 * dx >= -tol)
     root = np.sqrt(np.maximum(delta * delta - 4.0 * det_c, 0.0))
     floor = np.where(positive, 0.25, 0.0)  # lower bound on nu^2

@@ -2,6 +2,7 @@
 agree on the same kernel (ROADMAP item 2)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +64,54 @@ class TestPureTwoModeAcrossScale:
         assert twomode.pure_marginal_separability(k) is False
 
 
+def with_nu(n: float, nu: float) -> float:
+    """|m| (one mode) or mc (mixed_epr) for which the symplectic eigenvalue is nu."""
+    return math.sqrt((n + 0.5) ** 2 - nu * nu)
+
+
+class TestNoFalseAdmissionAtLargeN:
+    """Verdicts just outside the true boundary, far outside the round-off
+    of the margins (about eps (2n+1)^2) but inside a band of eps (tr C)^4."""
+
+    @pytest.mark.parametrize("n", [1e2, 1e3, 1e4])
+    def test_uncertainty_violation_is_not_positive(self, n):
+        assert not twomode.classify2(states.mixed_epr(n, with_nu(n, 0.3))).positive
+        assert not onemode.classify(OneModeMoments(n, complex(with_nu(n, 0.3)))).positive
+
+    @pytest.mark.parametrize("n", [1e2, 1e3, 1e4])
+    @pytest.mark.parametrize("nu", [0.6, 0.99])
+    def test_mixed_state_is_not_pure(self, n, nu):
+        k = states.mixed_epr(n, with_nu(n, nu))
+        v = twomode.classify2(k)
+        assert v.positive and not v.pure and not twomode.purity2(k)
+        with pytest.raises(NotPureError):
+            twomode.pure_marginal_separability(k)
+        p = OneModeMoments(n, complex(with_nu(n, nu)))
+        assert onemode.classify(p).positive and not onemode.classify(p).pure
+        with pytest.raises(NotPureError):
+            onemode.squeezed_wavefunction(p)
+
+
+def _at_margin(kind: str, n: float, r: float, delta: float):
+    """(builder, margin, args) whose closed-form positivity margin is delta;
+    r sets ms = r mc (anti) or m = r mc (squeezed)."""
+    q = n * (n + 1.0) - delta
+    if kind == "mixed_epr":
+        return states.mixed_epr, states.mixed_epr_positivity, (n, math.sqrt(q))
+    if kind == "anti_epr":
+        t = q / (r * (n + 0.5) + math.sqrt(r * r * (n + 0.5) ** 2 + (1.0 - r * r) * q))
+        return states.anti_epr, states.anti_epr_positivity, (n, t, r * t)
+    mc = math.sqrt(q) / (1.0 + r)
+    return states.squeezed_epr, states.squeezed_epr_positivity, (n, mc, r * mc)
+
+
+def _positive(build, args) -> bool:
+    try:
+        return twomode.classify2(build(*args)).positive
+    except NotAStateError:  # C itself is not positive semi-definite
+        return False
+
+
 def _family(kind: str, n: float, r: float, f: float):
     """(builder, margin, args) at f times the family's positivity boundary;
     r sets ms = r mc (anti) or m = r mc (squeezed)."""
@@ -84,8 +133,25 @@ class TestFamilyBoundariesAcrossScale:
     @example(n=1e6, r=1.0)
     def test_verdict_has_the_sign_of_the_margin(self, kind, f, n, r):
         build, margin, args = _family(kind, n, r, f)
-        try:
-            positive = twomode.classify2(build(*args)).positive
-        except NotAStateError:  # C itself is not positive semi-definite
-            positive = False
-        assert positive == (margin(*args) > 0.0)
+        assert _positive(build, args) == (margin(*args) > 0.0)
+
+    @pytest.mark.parametrize("kind", ["mixed_epr", "anti_epr", "squeezed_epr"])
+    @pytest.mark.parametrize("delta", [-0.1, 0.1])
+    @given(n=st.floats(min_value=2.0, max_value=6.0).map(lambda e: 10.0**e), r=ratios)
+    @example(n=1e3, r=0.0)
+    @example(n=1e4, r=1.0)
+    def test_margin_of_a_tenth_at_large_n(self, kind, delta, n, r):
+        build, margin, args = _at_margin(kind, n, r, delta)
+        assert _positive(build, args) == (margin(*args) > 0.0)
+
+    @pytest.mark.parametrize("kind", ["mixed_epr", "anti_epr", "squeezed_epr"])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @given(n=st.floats(min_value=0.0, max_value=6.0).map(lambda e: 10.0**e), r=st.floats(0.1, 1.0))
+    @example(n=1e3, r=0.5)
+    def test_margin_a_thousand_times_its_round_off(self, kind, sign, n, r):
+        # the closed-form margin carries a round-off of about eps (2n+1)^2; r
+        # keeps off 0, where both symplectic eigenvalues near 1/2 leave the
+        # invariant margins only second-order sensitive to the sign
+        delta = sign * 2.0**10 * sys.float_info.epsilon * (2.0 * n + 1.0) ** 2
+        build, margin, args = _at_margin(kind, n, r, delta)
+        assert _positive(build, args) == (margin(*args) > 0.0)
