@@ -112,19 +112,6 @@ def _positive(build, args) -> bool:
         return False
 
 
-def _family(kind: str, n: float, r: float, f: float):
-    """(builder, margin, args) at f times the family's positivity boundary;
-    r sets ms = r mc (anti) or m = r mc (squeezed)."""
-    nn = n * (n + 1.0)
-    if kind == "mixed_epr":
-        return states.mixed_epr, states.mixed_epr_positivity, (n, f * math.sqrt(nn))
-    if kind == "anti_epr":
-        t = nn / (r * (n + 0.5) + math.sqrt(r * r * (n + 0.5) ** 2 + (1.0 - r * r) * nn))
-        return states.anti_epr, states.anti_epr_positivity, (n, f * t, r * f * t)
-    mc = f * math.sqrt(nn) / (1.0 + r)
-    return states.squeezed_epr, states.squeezed_epr_positivity, (n, mc, r * mc)
-
-
 class TestFamilyBoundariesAcrossScale:
     @pytest.mark.parametrize("kind", ["mixed_epr", "anti_epr", "squeezed_epr"])
     @pytest.mark.parametrize("f", [0.9, 1.1])
@@ -132,7 +119,8 @@ class TestFamilyBoundariesAcrossScale:
     @example(n=1e-5, r=0.5)
     @example(n=1e6, r=1.0)
     def test_verdict_has_the_sign_of_the_margin(self, kind, f, n, r):
-        build, margin, args = _family(kind, n, r, f)
+        # q = f^2 n(n+1): mixed and squeezed EPR at f times their boundary mc
+        build, margin, args = _at_margin(kind, n, r, (1.0 - f * f) * n * (n + 1.0))
         assert _positive(build, args) == (margin(*args) > 0.0)
 
     @pytest.mark.parametrize("kind", ["mixed_epr", "anti_epr", "squeezed_epr"])
