@@ -231,12 +231,7 @@ def _cmd_scan(args) -> int:
         n_hi=args.n_max,
         n_steps=args.n_steps,
     )
-    text = "\n".join(run_scan(req)) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(run_scan(req), args.out)
     return EXIT_OK
 
 
@@ -254,12 +249,7 @@ def _cmd_convert(args) -> int:
     except NotPRepresentableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_P_REP
-    text = json.dumps(kernel_to_json(out))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_lines([json.dumps(kernel_to_json(out))], args.out)
     return EXIT_OK
 
 

@@ -1,16 +1,17 @@
 """Truncated Fock-space oracle: rebuild a Gaussian kernel as an explicit matrix
 and re-derive every verdict numerically.
 
-Matrix elements come from the coherent-state generating function of the
-normally ordered form G = sqrt(det Q) :exp(-a^dag Q a / 2):.  Writing the
-exponent in the eigen-variables (alpha*, beta) gives
+The generating function of G = sqrt(det Q) :exp(-a^dag Q a / 2): is
 
-    sum_jk G_jk alpha*^j beta^k / sqrt(j! k!)
-        = sqrt(det Q) exp(alpha* . beta - s^dag Q s / 2)
+    sum_jk G_jk alpha*^j beta^k / sqrt(j! k!) = sqrt(det Q) exp(x^T B x / 2)
 
-with s = (beta_1, alpha*_1, beta_2, alpha*_2).  The right-hand side is the
-exponential of a quadratic polynomial, expanded exactly (up to round-off) by
-iterated truncated polynomial products.
+over x = (alpha1*, beta1, alpha2*, beta2): the exponent alpha*.beta - s^dag Q s / 2,
+s = (beta1, alpha1*, beta2, alpha2*), is x^T B x / 2 with B = S - (Q~ + Q~^T) / 2,
+where Q~ = Q[:, (1, 0, 3, 2)] and S holds [[0, 1], [1, 0]] per mode.  So G_jk / sqrt(det Q)
+is the amplitude A_k = sqrt(k!) [x^k] exp(x^T B x / 2), k = (j1, k1, j2, k2), and the
+Gaussian Fock-amplitude recurrence (Miatto & Quesada, Quantum 4, 366 (2020)) builds each
+one from lower orders: sqrt(k_0 + 1) A_{k+e_0} = sum_j B_0j sqrt(k_j) A_{k-e_j}.
+Each exponent term has degree 2, so entries with odd total index are exactly zero.
 """
 
 from __future__ import annotations
@@ -45,59 +46,23 @@ class FockOperator:
         return 1.0 - float(np.trace(self.matrix).real)
 
 
-def _quadratic_terms(q: np.ndarray, modes: int) -> dict[tuple[int, ...], complex]:
-    """Monomials of alpha*.beta - s^dag Q s / 2 as exponent-tuple -> coefficient.
-
-    Exponent tuples are (j1, k1) for one mode and (j1, k1, j2, k2) for two,
-    with j the alpha* power and k the beta power.
-    """
-    nvars = 2 * modes
-
-    def unit(var: int) -> tuple[int, ...]:
-        e = [0] * nvars
-        e[var] = 1
-        return tuple(e)
-
-    # variable index per matrix slot: rows follow (alpha1*, beta1, alpha2*, beta2),
-    # columns follow (beta1, alpha1*, beta2, alpha2*)
-    row_var = [0, 1, 2, 3][: 2 * modes]
-    col_var = [1, 0, 3, 2][: 2 * modes]
-
-    terms: dict[tuple[int, ...], complex] = {}
-
-    def add(exp: tuple[int, ...], coeff: complex):
-        if abs(coeff) == 0.0:
-            return
-        terms[exp] = terms.get(exp, 0.0) + coeff
-
-    for mode in range(modes):
-        add(tuple(np.add(unit(2 * mode), unit(2 * mode + 1))), 1.0)
-    for a in range(2 * modes):
-        for b in range(2 * modes):
-            exp = tuple(np.add(unit(row_var[a]), unit(col_var[b])))
-            add(exp, -0.5 * complex(q[a, b]))
-    return terms
-
-
-def _exp_poly(terms: dict[tuple[int, ...], complex], cutoff: int, modes: int) -> np.ndarray:
-    """exp of a quadratic polynomial, truncated to per-variable degree <= cutoff."""
-    nvars = 2 * modes
-    shape = (cutoff + 1,) * nvars
-    total = np.zeros(shape, dtype=complex)
-    total[(0,) * nvars] = 1.0
-    power = total.copy()
-    max_order = modes * cutoff  # every monomial has degree 2; higher powers truncate away
-    for t in range(1, max_order + 1):
-        nxt = np.zeros(shape, dtype=complex)
-        for exp, coeff in terms.items():
-            src = tuple(slice(0, cutoff + 1 - e) for e in exp)
-            dst = tuple(slice(e, cutoff + 1) for e in exp)
-            nxt[dst] += coeff * power[src]
-        power = nxt / t
-        total += power
-        if not np.any(power):
-            break
-    return total
+def _amplitudes(b: np.ndarray, d: int) -> np.ndarray:
+    """A_k = sqrt(k!) [x^k] exp(x^T b x / 2) for every k with entries < d, filled
+    along the first index; the k_0 = 0 slab is the same problem over the other variables."""
+    if len(b) == 0:
+        return np.ones((), dtype=complex)
+    root = np.sqrt(np.arange(d))
+    a = np.zeros((d,) * len(b), dtype=complex)
+    a[0] = _amplitudes(b[1:, 1:], d)
+    for k in range(d - 1):
+        a[k + 1] = b[0, 0] * root[k] * a[k - 1]  # zero at k = 0
+        for ax in range(len(b) - 1):
+            lead = (slice(None),) * ax
+            scale = root[1:].reshape((-1,) + (1,) * (len(b) - 2 - ax))
+            dst, src = lead + (slice(1, None),), lead + (slice(None, -1),)
+            a[k + 1][dst] += b[0, ax + 1] * scale * a[k][src]
+        a[k + 1] /= root[k + 1]
+    return a
 
 
 def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = True) -> FockOperator:
@@ -107,24 +72,12 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     q = convert(k, "Q").matrix
     modes = k.modes
     det_q = float(np.linalg.det(q).real)
-    coeff = _exp_poly(_quadratic_terms(q, modes), cutoff, modes)
-
-    # math.sqrt handles the arbitrary-precision factorials that overflow int64
-    root_fact = np.array([math.sqrt(math.factorial(j)) for j in range(cutoff + 1)])
-    if modes == 1:
-        mat = coeff * np.outer(root_fact, root_fact)
-    else:
-        # coeff axes are (j1, k1, j2, k2); reorder to (j1, j2, k1, k2) and flatten
-        scale = (
-            root_fact[:, None, None, None]
-            * root_fact[None, :, None, None]
-            * root_fact[None, None, :, None]
-            * root_fact[None, None, None, :]
-        )
-        mat = (coeff.transpose(0, 2, 1, 3) * scale).reshape(
-            (cutoff + 1) ** 2, (cutoff + 1) ** 2
-        )
-    mat = math.sqrt(det_q) * mat
+    q_x = q[:, [1, 0, 3, 2][: 2 * modes]]
+    b = np.kron(np.eye(modes), [[0.0, 1.0], [1.0, 0.0]]) - 0.5 * (q_x + q_x.T)
+    # amplitude axes are (j1, k1, j2, k2); reorder to (j1, j2, k1, k2) and flatten
+    axes = [*range(0, 2 * modes, 2), *range(1, 2 * modes, 2)]
+    dim = (cutoff + 1) ** modes
+    mat = math.sqrt(det_q) * _amplitudes(b, cutoff + 1).transpose(axes).reshape(dim, dim)
     op = FockOperator(modes=modes, cutoff=cutoff, matrix=mat)
     if strict and op.truncation_loss > LOSS_THRESHOLD:
         raise CutoffTooSmallError(

@@ -80,15 +80,20 @@ def characteristic_value(k: GaussianKernel, pt: PhasePoint) -> complex:
 
 
 def wigner_grid(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
-    """Rows (q, p, w) for a one-mode W kernel, row-major over q then p."""
+    """Rows (q, p, w) for a one-mode W kernel, row-major over q then p.
+
+    The same W(z) as ``wigner_value``, evaluated on the whole grid at once.
+    """
     if k.modes != 1:
         raise ValueError("wigner_grid evaluates one-mode kernels")
-    qs = grid.axis
-    rows = []
-    for q in qs:
-        for p in qs:
-            rows.append((q, p, wigner_value(k, PhasePoint.one_mode(q, p))))
-    return np.array(rows)
+    if k.kind != "W":
+        raise ValueError("expected a W kernel")
+    q, p = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+    z = (q + 1j * p) / math.sqrt(2.0)
+    v = np.stack([z, np.conj(z)])
+    quad = np.real(np.einsum("i...,ij,j...->...", np.conj(v), k.matrix, v))
+    w = math.sqrt(k.sym.det()) * np.exp(-0.5 * quad)
+    return np.column_stack([q.ravel(), p.ravel(), w.ravel()])
 
 
 def scan_wavefunction(p: SmoothedEprParam, grid: GridSpec) -> np.ndarray:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -40,6 +41,27 @@ class TestFromKernel:
         op = fock.from_kernel(k)
         assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-10
         assert abs(op.truncation_loss) < 1e-4
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_two_mode_squeezed_vacuum_at_cutoff_32(self, phi):
+        # |psi><psi| with psi_kk = sqrt(1 - lam^2) (-lam e^{i phi})^k, lam^2 = n / (n + 1)
+        n, d = 1.0, 33
+        k = twomode.build_C2(
+            twomode.TwoModeMoments(n1=n, n2=n, mc=math.sqrt(n * (n + 1)) * cmath.exp(1j * phi))
+        )
+        lam = math.sqrt(n / (n + 1))
+        psi = np.zeros((d, d), dtype=complex)
+        psi[range(d), range(d)] = math.sqrt(1 - lam**2) * (-lam * cmath.exp(1j * phi)) ** np.arange(d)
+        want = np.outer(psi.ravel(), psi.ravel().conj())
+        assert_close(fock.from_kernel(k, cutoff=32).matrix, want, tol=1e-15)
+
+    def test_odd_total_index_is_exactly_zero(self, rng):
+        k = twomode.build_C2(random_two_mode(rng, coupling=0.4))
+        d = 17
+        four = fock.from_kernel(k, cutoff=d - 1, strict=False).matrix.reshape(d, d, d, d)
+        odd = np.indices(four.shape).sum(axis=0) % 2 == 1
+        assert np.all(four[odd] == 0)
+        assert np.all(four[~odd] != 0)
 
     def test_cutoff_guard(self):
         with pytest.raises(CutoffTooSmallError):

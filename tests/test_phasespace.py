@@ -73,6 +73,24 @@ class TestWignerValue:
         with pytest.raises(ValueError):
             phasespace.wigner_value(c, PhasePoint.one_mode(0.0, 0.0))
 
+    def test_grid_rows_match_wigner_value(self):
+        # complex m makes W asymmetric under q <-> p, so the row order shows
+        k = wigner_kernel(0.7, 0.3 + 0.4j)
+        grid = GridSpec(-3.0, 2.0, 9)
+        want = [
+            (q, p, phasespace.wigner_value(k, PhasePoint.one_mode(q, p)))
+            for q in grid.axis
+            for p in grid.axis
+        ]
+        np.testing.assert_allclose(phasespace.wigner_grid(k, grid), want, rtol=1e-12, atol=0)
+
+    def test_grid_requires_one_mode_w_kernel(self):
+        grid = GridSpec(-1.0, 1.0, 3)
+        with pytest.raises(ValueError):
+            phasespace.wigner_grid(onemode.build_C(OneModeMoments(0.0, 0.0)), grid)
+        with pytest.raises(ValueError):
+            phasespace.wigner_grid(convert(states.mixed_epr(0.5, 0.2), "W"), grid)
+
 
 class TestCharacteristicValue:
     def test_unit_trace_at_origin(self):
