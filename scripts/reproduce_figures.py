@@ -13,10 +13,9 @@ Produces, under --out-dir:
 import argparse
 import pathlib
 
-import numpy as np
-
 from gausspair import states
-from gausspair.cli import ScanRequest, run_scan
+from gausspair.cli import ScanRequest, csv_lines, run_scan
+from gausspair.phasespace import GridSpec, scan_wavefunction
 
 
 def write_scan(path: pathlib.Path, family: str, ratio: float, steps: int) -> None:
@@ -26,13 +25,9 @@ def write_scan(path: pathlib.Path, family: str, ratio: float, steps: int) -> Non
 
 
 def write_wavefunction(path: pathlib.Path, nbar: float, steps: int) -> None:
-    p = states.SmoothedEprParam(nbar)
-    qs = np.linspace(-3.0, 3.0, steps)
-    rows = ["q1,q2,density"]
-    for q1 in qs:
-        psi = states.epr_wavefunction(p, q1, qs)
-        rows.extend(f"{q1:.10g},{q2:.10g},{d:.10g}" for q2, d in zip(qs, psi**2))
-    path.write_text("\n".join(rows) + "\n")
+    table = scan_wavefunction(states.SmoothedEprParam(nbar), GridSpec(-3.0, 3.0, steps))
+    table[:, 2] **= 2
+    path.write_text("\n".join(csv_lines("q1,q2,density", "%.10g,%.10g,%.10g", table)) + "\n")
     print(f"wrote {path} ({steps}x{steps})")
 
 

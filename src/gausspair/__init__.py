@@ -3,7 +3,6 @@
 from .errors import (
     CutoffTooSmallError,
     GausspairError,
-    NoRealSolutionError,
     NotAStateError,
     NotPositiveError,
     NotPRepresentableError,
@@ -39,7 +38,6 @@ __all__ = [
     "CutoffTooSmallError",
     "GaussianKernel",
     "GausspairError",
-    "NoRealSolutionError",
     "NotAStateError",
     "NotPRepresentableError",
     "NotPositiveError",

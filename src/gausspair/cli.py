@@ -33,6 +33,7 @@ EXIT_NOT_P_REP = 4
 EXIT_DISAGREEMENT = 5
 EXIT_CUTOFF = 6
 EXIT_USAGE = 64
+_CSV_BLOCK = 4096  # rows per tolist() call in csv_lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,12 +91,17 @@ def run_scan(req: ScanRequest) -> list[str]:
     mc_g, n_g = np.meshgrid(mcs, ns, indexing="ij")
     v = twomode.invariant_verdicts(_family_matrices(req.family, n_g.ravel(), mc_g.ravel(), req.ratio))
 
-    lines = ["mc,n,positive,pure,separable,p_representable"]
-    flags = np.column_stack([v.positive, v.pure, v.ppt_separable, v.p_representable]).astype(int)
-    for (mc, n), (po, pu, se, pr) in zip(
-        zip(mc_g.ravel(), n_g.ravel()), flags, strict=True
-    ):
-        lines.append(f"{mc:.10g},{n:.10g},{po},{pu},{se},{pr}")
+    table = np.column_stack([mc_g.ravel(), n_g.ravel(), v.positive, v.pure, v.ppt_separable, v.p_representable])
+    return csv_lines("mc,n,positive,pure,separable,p_representable", "%.10g,%.10g,%d,%d,%d,%d", table)
+
+
+def csv_lines(header: str, row_format: str, table: np.ndarray) -> list[str]:
+    """The header, then one ``%``-formatted line per row of ``table``.  Rows go
+    through ``tolist`` in blocks, so that the Python floats of the whole table
+    never sit in memory beside the lines."""
+    lines = [header]
+    for start in range(0, len(table), _CSV_BLOCK):
+        lines.extend(map(row_format.__mod__, map(tuple, table[start : start + _CSV_BLOCK].tolist())))
     return lines
 
 
@@ -297,10 +303,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_wavefun(args) -> int:
     grid = phasespace.GridSpec(lo=args.lo, hi=args.hi, samples=args.samples)
     table = phasespace.scan_wavefunction(states.SmoothedEprParam(args.nbar), grid)
-    lines = ["q1,q2,psi"]
-    for q1, q2, psi in table:
-        lines.append(f"{q1:.10g},{q2:.10g},{psi:.12g}")
-    _write_lines(lines, args.out)
+    _write_lines(csv_lines("q1,q2,psi", "%.10g,%.10g,%.12g", table), args.out)
     return EXIT_OK
 
 
@@ -312,10 +315,7 @@ def _cmd_wigner(args) -> int:
         return EXIT_NOT_A_STATE
     w = convert(onemode.build_C(p), "W")
     grid = phasespace.GridSpec(lo=args.lo, hi=args.hi, samples=args.samples)
-    lines = ["q,p,w"]
-    for q, pp, val in phasespace.wigner_grid(w, grid):
-        lines.append(f"{q:.10g},{pp:.10g},{val:.12g}")
-    _write_lines(lines, args.out)
+    _write_lines(csv_lines("q,p,w", "%.10g,%.10g,%.12g", phasespace.wigner_grid(w, grid)), args.out)
     return EXIT_OK
 
 

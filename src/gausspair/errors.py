@@ -33,10 +33,6 @@ class NotPRepresentableError(GausspairError):
     """Conversion to the P form requested for a kernel that is not P-representable."""
 
 
-class NoRealSolutionError(GausspairError):
-    """Thermal-parameter extraction has no real solution (no longer raised)."""
-
-
 class CutoffTooSmallError(GausspairError):
     """Fock-space truncation loses too much trace weight at the requested cutoff."""
 

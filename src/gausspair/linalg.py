@@ -2,8 +2,12 @@
 
 All covariance-style matrices in this package are Hermitian and obey the
 swap symmetry M = T M^T T, where T exchanges the (z, z*) pair of every mode.
-``SymMatrix`` enforces that normal form on construction; the free functions
-below preserve it.
+``SymMatrix`` enforces that normal form on construction; ``congruence`` builds
+a M a^dag Hermitian by construction, and ``invert`` goes through one ``eigh``.
+
+No tolerance here is absolute: the Hermiticity check, the singularity test of
+``reciprocal`` and every verdict margin use ``band``, which scales with the
+size of the matrix.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
-HERM_TOL = 1e-12
-DET_TOL = 1e-12
 K = 16  # width of the verdict band in units of eps * scale**degree
 
 # T as an index permutation: it exchanges z and z* of every mode
@@ -25,9 +27,10 @@ _T_SWAP = {dim: np.ix_(np.arange(dim) ^ 1, np.arange(dim) ^ 1) for dim in (2, 4)
 class SymMatrix:
     """Hermitian matrix in the T-symmetric normal form M = T M^T T.
 
-    The constructor rejects non-Hermitian input (beyond ``HERM_TOL``) and
-    symmetrizes by averaging M with T M^T T, which leaves the associated
-    Gaussian characteristic function unchanged.
+    The constructor rejects input whose anti-Hermitian part exceeds
+    ``band(max|M|, 1)`` (or is not finite) and symmetrizes by averaging M with
+    T M^T T, which leaves the associated Gaussian characteristic function
+    unchanged.
     """
 
     __slots__ = ("mat",)
@@ -36,7 +39,8 @@ class SymMatrix:
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise DimensionMismatchError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=HERM_TOL, rtol=0.0):
+        # written as "not <=" so that NaN entries are rejected too
+        if not np.abs(m - m.conj().T).max() <= band(np.abs(m).max(), 1):
             raise ValueError("matrix is not Hermitian within tolerance")
         m = 0.5 * (m + m.T[_T_SWAP[m.shape[0]]])
         m = 0.5 * (m + m.conj().T)
@@ -63,7 +67,7 @@ class SymMatrix:
     def __repr__(self):
         return f"SymMatrix({self.mat.tolist()!r})"
 
-    def allclose(self, other: "SymMatrix", atol: float = 1e-10) -> bool:
+    def allclose(self, other: "SymMatrix", atol: float) -> bool:
         return self.dim == other.dim and np.allclose(self.mat, other.mat, atol=atol, rtol=0.0)
 
 
@@ -71,15 +75,26 @@ def identity(dim: int) -> SymMatrix:
     return SymMatrix(np.eye(dim))
 
 
+def congruence(a: np.ndarray, m: np.ndarray) -> SymMatrix:
+    """a m a^dag for a Hermitian m, symmetrized so that it is exactly Hermitian."""
+    out = a @ m @ a.conj().T
+    return SymMatrix(0.5 * (out + out.conj().T))
+
+
+def reciprocal(x: np.ndarray) -> np.ndarray:
+    """1/x for the eigenvalues x of one Hermitian matrix.  The matrix counts as
+    singular when min|x| <= band(sum|x|, 1), the round-off of its eigenvalues."""
+    a = np.abs(x)
+    tol = band(a.sum(), 1)
+    if not a.min() > tol:
+        raise SingularMatrixError(f"min|eigenvalue| = {a.min():.3e} <= {tol:.3e}")
+    return 1.0 / x
+
+
 def invert(m: SymMatrix) -> SymMatrix:
-    """Inverse of ``m``; Hermiticity and T-symmetry carry over."""
-    det = np.linalg.det(m.mat)
-    if abs(det) <= DET_TOL:
-        raise SingularMatrixError(f"|det| = {abs(det):.3e} <= {DET_TOL}")
-    inv = np.linalg.inv(m.mat)
-    # the exact inverse is Hermitian; drop the round-off asymmetry so that
-    # ill-conditioned inputs still pass the constructor's strict check
-    return SymMatrix(0.5 * (inv + inv.conj().T))
+    """Inverse of ``m`` from its eigendecomposition: V diag(1/x) V^dag."""
+    x, v = np.linalg.eigh(m.mat)
+    return congruence(v, np.diag(reciprocal(x)))
 
 
 def eigenvalues_hermitian(m: SymMatrix) -> np.ndarray:

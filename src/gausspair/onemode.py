@@ -126,13 +126,13 @@ def apply_squeeze(k: GaussianKernel, u: SqueezeMap, direction: str = "forward") 
 
         raise DimensionMismatchError("squeeze map dimension does not match kernel")
     if direction == "forward":
-        mat = um.conj().T @ k.matrix @ um
+        a = um.conj().T
     elif direction == "inverse":
         e = linalg.structure_e(k.dim)
-        mat = e @ um @ e @ k.matrix @ e @ um.conj().T @ e
+        a = e @ um @ e
     else:
         raise ValueError("direction must be 'forward' or 'inverse'")
-    return GaussianKernel("C", SymMatrix(mat))
+    return GaussianKernel("C", linalg.congruence(a, k.matrix))
 
 
 def theta_window(p: OneModeMoments) -> tuple[float, float, float]:

@@ -243,10 +243,8 @@ def local_squeeze_to_p_rep(k: GaussianKernel, theta: float) -> GaussianKernel:
     """Apply the local map C -> E U E C E U^dag E with equal real squeezes on both modes."""
     if not invariant_verdicts(k.matrix).positive:
         raise NotPositiveError("local squeeze to P form requires a positive state")
-    u = local_squeeze_map(theta, theta)
     e = linalg.structure_e(4)
-    mat = e @ u @ e @ k.matrix @ e @ u.conj().T @ e
-    return GaussianKernel("C", SymMatrix(mat))
+    return GaussianKernel("C", linalg.congruence(e @ local_squeeze_map(theta, theta) @ e, k.matrix))
 
 
 def _det2(c: np.ndarray, row: int, col: int) -> np.ndarray:

@@ -169,6 +169,13 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "--in", src, "--to", "P")
         assert code == 4
 
+    def test_near_vacuum_thermal_to_p_exit_0(self, capsys, tmp_path):
+        # P-representable by classify2, so convert must not call it singular
+        src = self.write_kernel(tmp_path, twomode.build_C2(twomode.TwoModeMoments(1e-4, 1e-4)))
+        code, out, _ = run(capsys, "convert", "--in", src, "--to", "P")
+        assert code == 0
+        assert json.loads(out)["matrix"][0] == pytest.approx([1e4, 0.0], rel=1e-12)
+
     def test_singular_exit_3(self, capsys, tmp_path):
         boundary = states.mixed_epr(0.5, 1.0)  # det C = 0 exactly
         src = self.write_kernel(tmp_path, boundary)

@@ -68,6 +68,19 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             SymMatrix([[1.0, 1.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "scale, skew, hermitian",
+        [(1.0, 1e-13, False), (1.0, 1e-15, True), (1e6, 1e-9, True), (1e6, 1e-8, False)],
+    )
+    def test_hermiticity_band_is_relative(self, scale, skew, hermitian):
+        # the anti-Hermitian part may reach band(max|M|, 1) = 16 eps max|M|
+        m = np.array([[scale, 0.5 * scale + skew], [0.5 * scale, scale]])
+        if hermitian:
+            SymMatrix(m)
+        else:
+            with pytest.raises(ValueError):
+                SymMatrix(m)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatchError):
             SymMatrix(np.eye(3))
@@ -96,7 +109,7 @@ class TestSymMatrix:
 
 class TestInvert:
     def test_identity(self):
-        assert linalg.invert(linalg.identity(2)).allclose(linalg.identity(2))
+        assert linalg.invert(linalg.identity(2)).allclose(linalg.identity(2), atol=1e-10)
 
     def test_thermal_scalar_inverse(self):
         inv = linalg.invert(SymMatrix(np.diag([1.5, 1.5])))
@@ -105,6 +118,11 @@ class TestInvert:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             linalg.invert(SymMatrix([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_small_scale_is_not_singular(self):
+        # singularity is relative to the size of the matrix, not to an absolute det
+        inv = linalg.invert(SymMatrix(1e-8 * np.array([[2.0, 1.0], [1.0, 2.0]])))
+        assert_close(inv.mat * 1e-8, np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0, tol=1e-15)
 
     @given(two_mode_kernels())
     def test_involution_on_random_c(self, k):
@@ -153,13 +171,13 @@ class TestConjByStructure:
         k = twomode.build_C2(twomode.TwoModeMoments(n1=1.0, n2=0.5, m1=0.3j))
         out = twomode.partial_transpose(k)
         want = twomode.build_C2(twomode.TwoModeMoments(n1=1.0, n2=0.5, m1=-0.3j))
-        assert out.sym.allclose(want.sym)
+        assert out.sym.allclose(want.sym, atol=1e-10)
         assert_close(out.matrix[:2, :2], T2 @ k.matrix[:2, :2] @ T2)
 
     def test_t1_moves_mc_to_ms_slot(self):
         out = twomode.partial_transpose(states.mixed_epr(n=1.0, mc=0.7))
         want = states.anti_epr(n=1.0, mc=0.0, ms=0.7)
-        assert out.sym.allclose(want.sym)
+        assert out.sym.allclose(want.sym, atol=1e-10)
 
     @pytest.mark.parametrize("kind", ["E", "T", "T1"])
     def test_involution(self, kind):

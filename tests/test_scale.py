@@ -1,5 +1,5 @@
-"""Verdicts across scale: occupations n from 1e-6 to 1e6, and paths that must
-agree on the same kernel (ROADMAP item 2)."""
+"""Verdicts and conversions across scale: occupations n from 1e-6 to 1e6, and
+paths that must agree on the same kernel."""
 
 import math
 import sys
@@ -10,7 +10,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gausspair import onemode, states, twomode
-from gausspair.errors import NotAStateError, NotPureError
+from gausspair.errors import NotAStateError, NotPRepresentableError, NotPureError
+from gausspair.kernels import convert
 from gausspair.onemode import OneModeMoments
 
 occupations = st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0**e)
@@ -143,3 +144,77 @@ class TestFamilyBoundariesAcrossScale:
         delta = sign * 2.0**10 * sys.float_info.epsilon * (2.0 * n + 1.0) ** 2
         build, margin, args = _at_margin(kind, n, r, delta)
         assert _positive(build, args) == (margin(*args) > 0.0)
+
+
+# r in [0, 1] sets the coupling; every family is a state for all n and r
+CONVERSION_FAMILIES = {
+    "mixed_epr": lambda n, r: states.mixed_epr(n, r * n),
+    "anti_epr": lambda n, r: states.anti_epr(n, 0.6 * r * n, 0.3 * r * n),
+    "squeezed_epr": lambda n, r: states.squeezed_epr(n, 0.5 * r * n, 0.5 * r * r * n),
+    "smoothed_epr": lambda n, r: states.smoothed_epr(states.SmoothedEprParam(n)),
+    "one_mode": lambda n, r: onemode.build_C(OneModeMoments(n, r * n * np.exp(1j))),
+    "one_mode_pure": lambda n, r: onemode.build_C(OneModeMoments(n, pure_m(n) * np.exp(1j * r))),
+}
+
+
+def _p_representable(k) -> bool:
+    if k.modes == 1:
+        return onemode.classify(onemode.moments_from_c(k)).p_representable
+    return twomode.classify2(k).p_representable
+
+
+class TestConversionsAcrossScale:
+    @pytest.mark.parametrize("family", sorted(CONVERSION_FAMILIES))
+    @pytest.mark.parametrize("chain", ["WC", "QC", "WQC", "PC"])
+    @given(n=occupations, r=ratios)
+    @example(n=1e4, r=0.5)  # mixed_epr(n, n/2): det W = 1/det C falls below 1e-16
+    @example(n=1e6, r=0.5)
+    @example(n=1e-4, r=0.0)  # two-mode thermal: det (C - I/2) = n^4 is 1e-16
+    @example(n=1e-6, r=0.0)
+    def test_round_trip_within_eps_kappa(self, family, chain, n, r):
+        # a generic inverse loses eps times the condition number: kappa of C,
+        # times that of C - I/2 for chains through P
+        k = CONVERSION_FAMILIES[family](n, r)
+        lam = np.linalg.eigvalsh(k.matrix)
+        kappa = lam[-1] / lam[0]
+        if "P" in chain:
+            # no path refuses what the verdict accepts, nor accepts what it refuses
+            if not _p_representable(k):
+                with pytest.raises(NotPRepresentableError):
+                    convert(k, "P")
+                return
+            kappa *= (lam[-1] - 0.5) / (lam[0] - 0.5)
+        back = k
+        for target in chain:
+            back = convert(back, target)
+        err = np.abs(back.matrix - k.matrix).max()
+        assert err <= 64 * sys.float_info.epsilon * kappa * np.abs(k.matrix).max()
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            onemode.build_C(OneModeMoments(262.31479893498516, 262.3147989349833)),
+            states.mixed_epr(7455.475754059096, 7455.47575405899),
+        ],
+        ids=["one_mode", "mixed_epr"],
+    )
+    def test_p_form_at_the_band_edge(self, k):
+        # n - |m| clears band(tr C, 1) by a few eps, so P's eigenvalues span about
+        # 1/(16 eps); its small one belongs to C's large eigenvalue, not to the P boundary
+        assert _p_representable(k)
+        assert convert(k, "P").kind == "P"
+
+
+class TestSqueezesAtLargeN:
+    def test_inverse_diagonalizing_squeeze(self):
+        p = OneModeMoments(1e6, 0.3e6)
+        k = onemode.apply_squeeze(onemode.build_C(p), onemode.diagonalizing_squeeze(p), "inverse")
+        c = math.sqrt((p.n + 0.5) ** 2 - abs(p.m) ** 2)  # the thermal form c I keeps det C
+        assert np.abs(k.matrix / c - np.eye(2)).max() <= 64 * sys.float_info.epsilon
+
+    def test_local_squeeze_of_anti_epr(self):
+        n, theta = 1e6, 0.5
+        p = twomode.moments_from_c(twomode.local_squeeze_to_p_rep(states.anti_epr(n, 3e5, 2e5), theta))
+        # N +- M = (n + 1/2) e^{-+2 theta} - 1/2 on each mode
+        assert p.n1 + p.m1.real == pytest.approx((n + 0.5) * math.exp(-2 * theta) - 0.5, rel=1e-12)
+        assert p.n2 - p.m2.real == pytest.approx((n + 0.5) * math.exp(2 * theta) - 0.5, rel=1e-12)
