@@ -11,7 +11,9 @@ where Q~ = Q[:, (1, 0, 3, 2)] and S holds [[0, 1], [1, 0]] per mode.  So G_jk / 
 is the amplitude A_k = sqrt(k!) [x^k] exp(x^T B x / 2), k = (j1, k1, j2, k2), and the
 Gaussian Fock-amplitude recurrence (Miatto & Quesada, Quantum 4, 366 (2020)) builds each
 one from lower orders: sqrt(k_0 + 1) A_{k+e_0} = sum_j B_0j sqrt(k_j) A_{k-e_j}.
-Each exponent term has degree 2, so entries with odd total index are exactly zero.
+Each exponent term has degree 2, so entries with odd total index are exactly zero: G and its
+partial transpose are block-diagonal in the parity of the row's total occupation, and spectra
+and traces of powers are taken over the even and the odd block.  Moments are diagonal sums.
 """
 
 from __future__ import annotations
@@ -86,10 +88,17 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     return op
 
 
+def _parity_blocks(f: FockOperator) -> list[np.ndarray]:
+    """The hermitized even and odd blocks of the matrix; every entry between them is zero."""
+    even = np.indices((f.cutoff + 1,) * f.modes).sum(axis=0).ravel() % 2 == 0
+    blocks = [f.matrix[np.ix_(rows, rows)] for rows in (even, ~even)]
+    return [0.5 * (b + b.conj().T) for b in blocks]
+
+
 def spectrum(f: FockOperator) -> np.ndarray:
     """Eigenvalues of the (hermitized) truncated matrix, descending."""
-    h = 0.5 * (f.matrix + f.matrix.conj().T)
-    return np.linalg.eigvalsh(h)[::-1]
+    eigs = np.concatenate([np.linalg.eigvalsh(b) for b in _parity_blocks(f)])
+    return np.sort(eigs)[::-1]
 
 
 def agreement(min_eig: float, positive: bool, min_ppt=None, separable=None) -> tuple[bool, bool]:
@@ -115,7 +124,7 @@ def partial_transpose_fock(f: FockOperator) -> FockOperator:
 
 def trace_power(f: FockOperator, k: int) -> float:
     """Tr G^k of the truncated matrix."""
-    return float(np.trace(np.linalg.matrix_power(f.matrix, k)).real)
+    return float(sum(np.trace(np.linalg.matrix_power(b, k)).real for b in _parity_blocks(f)))
 
 
 def alternating_trace(f: FockOperator) -> float:
@@ -130,30 +139,24 @@ def alternating_trace(f: FockOperator) -> float:
     return float(2**f.modes * np.dot(weights, diag))
 
 
-def _ladder(cutoff: int) -> np.ndarray:
-    a = np.zeros((cutoff + 1, cutoff + 1))
-    for n in range(1, cutoff + 1):
-        a[n - 1, n] = math.sqrt(n)
-    return a
-
-
 def reconstructed_moments(f: FockOperator) -> dict[str, complex]:
-    """Second moments recomputed from the truncated matrix."""
-    a = _ladder(f.cutoff)
+    """Second moments recomputed from the truncated matrix, each a weighted sum over one
+    shifted diagonal: n1 = sum n1 G_(n1 n2)(n1 n2), m1 = -sum sqrt(j1 (j1 - 1)) G_(j1 j2)(j1-2, j2),
+    ms = sum sqrt(j1 (j2 + 1)) G_(j1 j2)(j1-1, j2+1), mc = -sum sqrt(j1 j2) G_(j1 j2)(j1-1, j2-1).
+    The local moments are those of the reduced one-mode matrices."""
+    d = f.cutoff + 1
+    occ = np.arange(d)
+    root = np.sqrt(occ[1:])  # <j-1| a |j> for j >= 1
+
+    def n_and_m(g: np.ndarray) -> tuple[complex, complex]:
+        return complex(occ @ np.diagonal(g)), complex(-(root[1:] * root[:-1]) @ np.diagonal(g, -2))
+
     if f.modes == 1:
-        return {
-            "n": complex(np.trace(a.T @ a @ f.matrix)),
-            "m": complex(-np.trace(a @ a @ f.matrix)),
-        }
-    eye = np.eye(f.cutoff + 1)
-    a1 = np.kron(a, eye)
-    a2 = np.kron(eye, a)
-    g = f.matrix
-    return {
-        "n1": complex(np.trace(a1.conj().T @ a1 @ g)),
-        "n2": complex(np.trace(a2.conj().T @ a2 @ g)),
-        "m1": complex(-np.trace(a1 @ a1 @ g)),
-        "m2": complex(-np.trace(a2 @ a2 @ g)),
-        "ms": complex(np.trace(a1 @ a2.conj().T @ g)),
-        "mc": complex(-np.trace(a1 @ a2 @ g)),
-    }
+        n, m = n_and_m(f.matrix)
+        return {"n": n, "m": m}
+    four = f.matrix.reshape(d, d, d, d)  # (j1, j2, k1, k2): row (j1, j2), column (k1, k2)
+    (n1, m1), (n2, m2) = n_and_m(np.einsum("ijkj->ik", four)), n_and_m(np.einsum("ijil->jl", four))
+    lo, hi = slice(None, -1), slice(1, None)
+    ms = complex(root @ np.einsum("ijij->ij", four[hi, lo, lo, hi]) @ root)
+    mc = complex(-root @ np.einsum("ijij->ij", four[hi, hi, lo, lo]) @ root)
+    return {"n1": n1, "n2": n2, "m1": m1, "m2": m2, "ms": ms, "mc": mc}

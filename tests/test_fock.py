@@ -15,6 +15,53 @@ def one_mode_kernel(n, m=0.0):
     return onemode.build_C(OneModeMoments(n, m))
 
 
+COMPLEX_TWO_MODE = twomode.TwoModeMoments(
+    n1=0.7, n2=0.4, m1=0.1 + 0.05j, m2=-0.08 + 0.06j, ms=0.12 - 0.07j, mc=0.2 + 0.15j
+)
+COMPLEX_ONE_MODE = OneModeMoments(0.6, 0.3 + 0.25j)
+KERNELS = {
+    "mixed_epr": lambda: states.mixed_epr(0.8, 1.0),
+    "anti_epr": lambda: states.anti_epr(0.9, 0.5, 0.3),
+    "squeezed_epr": lambda: states.squeezed_epr(0.7, 0.4, 0.3),
+    "product_thermal": lambda: twomode.product_thermal_kernel(1.0 / 3.0, -1.0 / 3.0),
+    "complex_two_mode": lambda: twomode.build_C2(COMPLEX_TWO_MODE),
+    "complex_one_mode": lambda: onemode.build_C(COMPLEX_ONE_MODE),
+}
+
+
+def hermitized(op):
+    return 0.5 * (op.matrix + op.matrix.conj().T)
+
+
+def with_partial_transpose(op):
+    return [op, fock.partial_transpose_fock(op)] if op.modes == 2 else [op]
+
+
+def dense_moments(f):
+    """Reference for ``fock.reconstructed_moments``: the ladder-operator traces on
+    dense truncated matrices, a = sum sqrt(n) |n-1><n| and a1 = a (x) 1, a2 = 1 (x) a."""
+    a = np.zeros((f.cutoff + 1, f.cutoff + 1))
+    for n in range(1, f.cutoff + 1):
+        a[n - 1, n] = math.sqrt(n)
+    if f.modes == 1:
+        return {
+            "n": complex(np.trace(a.T @ a @ f.matrix)),
+            "m": complex(-np.trace(a @ a @ f.matrix)),
+        }
+    eye = np.eye(f.cutoff + 1)
+    a1 = np.kron(a, eye)
+    a2 = np.kron(eye, a)
+    g = f.matrix
+    return {
+        "n1": complex(np.trace(a1.conj().T @ a1 @ g)),
+        "n2": complex(np.trace(a2.conj().T @ a2 @ g)),
+        "m1": complex(-np.trace(a1 @ a1 @ g)),
+        "m2": complex(-np.trace(a2 @ a2 @ g)),
+        "ms": complex(np.trace(a1 @ a2.conj().T @ g)),
+        "mc": complex(-np.trace(a1 @ a2 @ g)),
+    }
+
+
 class TestFromKernel:
     def test_vacuum(self):
         op = fock.from_kernel(one_mode_kernel(0.0), cutoff=8)
@@ -56,12 +103,16 @@ class TestFromKernel:
         assert_close(fock.from_kernel(k, cutoff=32).matrix, want, tol=1e-15)
 
     def test_odd_total_index_is_exactly_zero(self, rng):
+        # the parity blocks of spectrum and trace_power rest on this
         k = twomode.build_C2(random_two_mode(rng, coupling=0.4))
         d = 17
-        four = fock.from_kernel(k, cutoff=d - 1, strict=False).matrix.reshape(d, d, d, d)
-        odd = np.indices(four.shape).sum(axis=0) % 2 == 1
-        assert np.all(four[odd] == 0)
-        assert np.all(four[~odd] != 0)
+        two = fock.from_kernel(k, cutoff=d - 1, strict=False)
+        one = fock.from_kernel(onemode.build_C(COMPLEX_ONE_MODE), cutoff=d - 1, strict=False)
+        for op in [*with_partial_transpose(two), one]:
+            parity = np.indices((d,) * op.modes).sum(axis=0).ravel() % 2
+            odd = parity[:, None] != parity[None, :]
+            assert np.all(op.matrix[odd] == 0)
+            assert np.all(op.matrix[~odd] != 0)
 
     def test_cutoff_guard(self):
         with pytest.raises(CutoffTooSmallError):
@@ -86,6 +137,30 @@ class TestSpectrum:
         k = states.mixed_epr(0.5, 1.0)
         op = fock.from_kernel(k, cutoff=12, strict=False)
         assert fock.spectrum(op)[-1] < -1e-4
+
+    @pytest.mark.parametrize("cutoff", [16, 24, 32])
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_blocks_match_the_full_eigenproblem(self, name, cutoff):
+        op = fock.from_kernel(KERNELS[name](), cutoff=cutoff, strict=False)
+        for m in with_partial_transpose(op):
+            full = np.linalg.eigvalsh(hermitized(m))[::-1]
+            scale = np.max(np.abs(full))
+            assert np.max(np.abs(fock.spectrum(m) - full)) <= 1e-14 * scale
+            for k in (2, 3):
+                assert fock.trace_power(m, k) == pytest.approx(np.sum(full**k), abs=1e-14)
+
+    def test_merged_spectrum_descends_to_the_minimum_of_both_blocks(self):
+        # g2 = -1/3 puts the most negative eigenvalue (1 - g1)(1 - g2) g2 = -8/27 at
+        # (j1, j2) = (0, 1), in the odd block; callers read it as spectrum(...)[-1]
+        op = fock.from_kernel(KERNELS["product_thermal"](), cutoff=21, strict=False)
+        spec = fock.spectrum(op)
+        assert np.all(np.diff(spec) <= 0)
+        d = op.cutoff + 1
+        even = np.indices((d, d)).sum(axis=0).ravel() % 2 == 0
+        h = hermitized(op)
+        even_min, odd_min = (np.linalg.eigvalsh(h[np.ix_(s, s)])[0] for s in (even, ~even))
+        assert spec[-1] == odd_min < even_min
+        assert spec[-1] == pytest.approx(-8.0 / 27.0, abs=1e-12)
 
 
 class TestPartialTranspose:
@@ -158,6 +233,16 @@ class TestMomentReconstruction:
         got = fock.reconstructed_moments(fock.from_kernel(k, cutoff=16, strict=False))
         for name in ("n1", "n2", "m1", "m2", "ms", "mc"):
             assert got[name] == pytest.approx(getattr(p, name), abs=1e-5), name
+
+
+class TestMomentIndexSums:
+    @pytest.mark.parametrize("cutoff", [16, 32])
+    @pytest.mark.parametrize("name", ["complex_one_mode", "complex_two_mode"])
+    def test_match_dense_ladder_traces(self, name, cutoff):
+        op = fock.from_kernel(KERNELS[name](), cutoff=cutoff, strict=False)
+        got, want = fock.reconstructed_moments(op), dense_moments(op)
+        assert got.keys() == want.keys()
+        assert_close([got[key] for key in want], list(want.values()), tol=1e-14)
 
 
 class TestWignerCrossCheck:
