@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Cross-check closed-form verdicts against the truncated Fock-space oracle.
 
-Runs a batch of random kernels plus a few hand-picked boundary cases through
-both routes and prints one line per kernel:
+Runs a batch of random one- and two-mode kernels (the two-mode ones with complex
+couplings) plus a few hand-picked boundary cases through both routes and prints
+one line per kernel:
 
     <label>  analytic: pos=… sep=…  oracle: min_eig=… min_ppt=…  <verdict>
 
@@ -66,6 +67,14 @@ def main() -> int:
         m = mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
         k = onemode.build_C(OneModeMoments(n=n, m=m))
         all_ok &= check(f"random one-mode #{i}", k, args.cutoff)
+
+    for i in range(args.count):
+        while True:  # complex couplings, redrawn until C is positive definite
+            couplings = rng.uniform(0.0, 0.6, 4) * np.exp(2j * np.pi * rng.random(4))
+            p = twomode.TwoModeMoments(*rng.uniform(0.1, 1.2, 2), *couplings)
+            if np.linalg.eigvalsh(twomode.assemble_c(p))[0] > 0:
+                break
+        all_ok &= check(f"random two-mode #{i}", twomode.build_C2(p), args.cutoff)
 
     if not all_ok:
         print("oracle disagreement found", file=sys.stderr)

@@ -276,11 +276,12 @@ def _cmd_oracle(args) -> int:
     except CutoffTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CUTOFF
-    min_eig = float(fock.spectrum(op)[-1])
+    eigs = fock.spectrum(op)
+    min_eig = float(eigs[-1])
     oracle_report = {
         "min_eig": min_eig,
-        "trace": fock.trace_power(op, 1),
-        "trace_g2": fock.trace_power(op, 2),
+        "trace": float(eigs.sum()),
+        "trace_g2": float(eigs @ eigs),
     }
     min_ppt = None
     if modes == 2:

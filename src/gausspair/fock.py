@@ -11,9 +11,13 @@ where Q~ = Q[:, (1, 0, 3, 2)] and S holds [[0, 1], [1, 0]] per mode.  So G_jk / 
 is the amplitude A_k = sqrt(k!) [x^k] exp(x^T B x / 2), k = (j1, k1, j2, k2), and the
 Gaussian Fock-amplitude recurrence (Miatto & Quesada, Quantum 4, 366 (2020)) builds each
 one from lower orders: sqrt(k_0 + 1) A_{k+e_0} = sum_j B_0j sqrt(k_j) A_{k-e_j}.
-Each exponent term has degree 2, so entries with odd total index are exactly zero: G and its
-partial transpose are block-diagonal in the parity of the row's total occupation, and spectra
-and traces of powers are taken over the even and the odd block.  Moments are diagonal sums.
+Every exponent term has degree 2, so entries with odd total index are exactly zero, and the
+zeros of B that come from a conserved quantity (n1 - n2 for `mixed_epr`, n1 + n2 for its
+partial transpose) zero many more.  Spectra and traces of powers are taken over the connected
+components of the exact nonzero pattern, blocks of one size in one batched solve: a
+permutation makes the matrix block-diagonal, so nothing is dropped or rounded away.  A real B
+is kept real, so real kernels give real matrices and real eigenproblems.  Moments are
+diagonal sums.
 """
 
 from __future__ import annotations
@@ -52,13 +56,13 @@ def _amplitudes(b: np.ndarray, d: int) -> np.ndarray:
     """A_k = sqrt(k!) [x^k] exp(x^T b x / 2) for every k with entries < d, filled
     along the first index; the k_0 = 0 slab is the same problem over the other variables."""
     if len(b) == 0:
-        return np.ones((), dtype=complex)
+        return np.ones((), dtype=b.dtype)
     root = np.sqrt(np.arange(d))
-    a = np.zeros((d,) * len(b), dtype=complex)
+    a = np.zeros((d,) * len(b), dtype=b.dtype)
     a[0] = _amplitudes(b[1:, 1:], d)
     for k in range(d - 1):
         a[k + 1] = b[0, 0] * root[k] * a[k - 1]  # zero at k = 0
-        for ax in range(len(b) - 1):
+        for ax in np.flatnonzero(b[0, 1:]):  # a zero of b adds nothing
             lead = (slice(None),) * ax
             scale = root[1:].reshape((-1,) + (1,) * (len(b) - 2 - ax))
             dst, src = lead + (slice(1, None),), lead + (slice(None, -1),)
@@ -76,10 +80,13 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     det_q = float(np.linalg.det(q).real)
     q_x = q[:, [1, 0, 3, 2][: 2 * modes]]
     b = np.kron(np.eye(modes), [[0.0, 1.0], [1.0, 0.0]]) - 0.5 * (q_x + q_x.T)
+    if not b.imag.any():
+        b = b.real
     # amplitude axes are (j1, k1, j2, k2); reorder to (j1, j2, k1, k2) and flatten
     axes = [*range(0, 2 * modes, 2), *range(1, 2 * modes, 2)]
     dim = (cutoff + 1) ** modes
-    mat = math.sqrt(det_q) * _amplitudes(b, cutoff + 1).transpose(axes).reshape(dim, dim)
+    mat = _amplitudes(b, cutoff + 1).transpose(axes).reshape(dim, dim)
+    mat *= math.sqrt(det_q)
     op = FockOperator(modes=modes, cutoff=cutoff, matrix=mat)
     if strict and op.truncation_loss > LOSS_THRESHOLD:
         raise CutoffTooSmallError(
@@ -88,16 +95,37 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     return op
 
 
-def _parity_blocks(f: FockOperator) -> list[np.ndarray]:
-    """The hermitized even and odd blocks of the matrix; every entry between them is zero."""
-    even = np.indices((f.cutoff + 1,) * f.modes).sum(axis=0).ravel() % 2 == 0
-    blocks = [f.matrix[np.ix_(rows, rows)] for rows in (even, ~even)]
-    return [0.5 * (b + b.conj().T) for b in blocks]
+def _blocks(f: FockOperator) -> list[np.ndarray]:
+    """The hermitized diagonal blocks of the matrix, one stack per block size.
+
+    Blocks are the connected components of the exact nonzero pattern of G and G^T; every
+    entry between two of them is zero.  Each index is labelled with the lowest index its row
+    touches; while a nonzero entry still joins two labels, every index takes the lowest
+    label among its neighbours in its row and in its column."""
+    m = f.matrix
+    touch = m != 0
+    nonzero = np.count_nonzero(touch)
+    np.fill_diagonal(touch, True)
+    lab = touch.argmax(axis=1)
+    while True:
+        count = np.bincount(lab, minlength=len(m))  # count[r]: size of the block labelled r
+        by_block = np.argsort(lab, kind="stable")
+        block_size = count[lab[by_block]]
+        stacks = []
+        for size in np.flatnonzero(np.bincount(count)[1:]) + 1:
+            idx = by_block[block_size == size].reshape(-1, size)
+            stacks.append(m[idx[:, :, None], idx[:, None, :]])
+        if sum(np.count_nonzero(b) for b in stacks) == nonzero:
+            break
+        touch |= touch.T
+        lab = np.where(touch, lab, len(m)).min(axis=1)
+    herm = [0.5 * (b + b.conj().swapaxes(1, 2)) for b in stacks]
+    return [b if b.imag.any() else b.real for b in herm]
 
 
 def spectrum(f: FockOperator) -> np.ndarray:
     """Eigenvalues of the (hermitized) truncated matrix, descending."""
-    eigs = np.concatenate([np.linalg.eigvalsh(b) for b in _parity_blocks(f)])
+    eigs = np.concatenate([np.linalg.eigvalsh(b).ravel() for b in _blocks(f)])
     return np.sort(eigs)[::-1]
 
 
@@ -124,7 +152,8 @@ def partial_transpose_fock(f: FockOperator) -> FockOperator:
 
 def trace_power(f: FockOperator, k: int) -> float:
     """Tr G^k of the truncated matrix."""
-    return float(sum(np.trace(np.linalg.matrix_power(b, k)).real for b in _parity_blocks(f)))
+    powers = (np.linalg.matrix_power(b, k) for b in _blocks(f))
+    return float(sum(np.trace(p, axis1=1, axis2=2).sum() for p in powers).real)
 
 
 def alternating_trace(f: FockOperator) -> float:

@@ -103,7 +103,7 @@ class TestFromKernel:
         assert_close(fock.from_kernel(k, cutoff=32).matrix, want, tol=1e-15)
 
     def test_odd_total_index_is_exactly_zero(self, rng):
-        # the parity blocks of spectrum and trace_power rest on this
+        # parity is one cut of the exact blocks that spectrum and trace_power solve on
         k = twomode.build_C2(random_two_mode(rng, coupling=0.4))
         d = 17
         two = fock.from_kernel(k, cutoff=d - 1, strict=False)
@@ -113,6 +113,21 @@ class TestFromKernel:
             odd = parity[:, None] != parity[None, :]
             assert np.all(op.matrix[odd] == 0)
             assert np.all(op.matrix[~odd] != 0)
+
+    @pytest.mark.parametrize("cutoff", [16, 32])
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_real_kernels_stay_real(self, name, cutoff, monkeypatch):
+        k = KERNELS[name]()
+        got = fock.from_kernel(k, cutoff=cutoff, strict=False).matrix
+        if name.startswith("complex"):
+            assert got.dtype == complex
+            return
+        assert got.dtype == float
+        recurrence = fock._amplitudes
+        monkeypatch.setattr(fock, "_amplitudes", lambda b, d: recurrence(b.astype(complex), d))
+        want = fock.from_kernel(k, cutoff=cutoff, strict=False).matrix
+        assert want.dtype == complex
+        assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_cutoff_guard(self):
         with pytest.raises(CutoffTooSmallError):
@@ -161,6 +176,70 @@ class TestSpectrum:
         even_min, odd_min = (np.linalg.eigvalsh(h[np.ix_(s, s)])[0] for s in (even, ~even))
         assert spec[-1] == odd_min < even_min
         assert spec[-1] == pytest.approx(-8.0 / 27.0, abs=1e-12)
+
+
+class TestBlocks:
+    @staticmethod
+    def count(op):
+        return sum(len(stack) for stack in fock._blocks(op))
+
+    def test_conserved_quantities_split_beyond_parity(self):
+        # mixed_epr conserves n1 - n2 and its partial transpose n1 + n2: 33 blocks of
+        # size <= 17 each; the product thermal matrix is diagonal
+        op = fock.from_kernel(KERNELS["mixed_epr"](), cutoff=16)
+        for m in with_partial_transpose(op):
+            stacks = fock._blocks(m)
+            assert sum(len(stack) for stack in stacks) == 33
+            assert max(stack.shape[-1] for stack in stacks) == 17
+        thermal = fock.from_kernel(KERNELS["product_thermal"](), cutoff=16, strict=False)
+        assert self.count(thermal) == 289
+
+    @pytest.mark.parametrize(
+        "i, j, mirror", [(0, 17, True), (18, 35, True), (18, 35, False), (35, 18, False)]
+    )
+    def test_a_tiny_entry_joins_two_blocks(self, i, j, mirror):
+        # (j1, j2) = (0, 0), (1, 1) lie in the n1 - n2 = 0 block, (1, 0), (2, 1) in the
+        # n1 - n2 = 1 block; (18, 35) joins two indices that are not the lowest of their
+        # blocks, and without its mirror only one of the two rows sees the other
+        op = fock.from_kernel(KERNELS["mixed_epr"](), cutoff=16)
+        m = op.matrix.copy()
+        assert m[i, j] == m[j, i] == 0
+        m[i, j] = 1e-300
+        if mirror:
+            m[j, i] = 1e-300
+        joined = fock.FockOperator(modes=2, cutoff=16, matrix=m)
+        assert self.count(joined) == self.count(op) - 1 == 32
+        full = np.linalg.eigvalsh(hermitized(joined))[::-1]
+        assert np.max(np.abs(fock.spectrum(joined) - full)) <= 1e-14 * np.max(np.abs(full))
+
+    def test_real_blocks_of_a_complex_matrix_are_solved_as_real(self):
+        op = fock.from_kernel(KERNELS["anti_epr"](), cutoff=16)
+        held = fock.FockOperator(modes=2, cutoff=16, matrix=op.matrix.astype(complex))
+        assert [stack.dtype for stack in fock._blocks(held)] == [float, float]
+        assert np.array_equal(fock.spectrum(held), fock.spectrum(op))
+        complex_op = fock.from_kernel(KERNELS["complex_two_mode"](), cutoff=16)
+        assert [stack.dtype for stack in fock._blocks(complex_op)] == [complex, complex]
+
+    def test_random_patterns_match_a_graph_search(self, rng):
+        # sparse patterns give long chains, so the labels need several passes
+        for _ in range(20):
+            d = 40
+            m = np.where(rng.random((d, d)) < 0.03, rng.normal(size=(d, d)), 0.0)
+            m = m + m.T
+            seen, components = set(), 0
+            for start in range(d):
+                if start in seen:
+                    continue
+                components += 1
+                todo = [start]
+                while todo:
+                    i = todo.pop()
+                    if i not in seen:
+                        seen.add(i)
+                        todo.extend(np.flatnonzero(m[i]))
+            op = fock.FockOperator(modes=1, cutoff=d - 1, matrix=m)
+            assert self.count(op) == components
+            assert_close(fock.spectrum(op), np.linalg.eigvalsh(m)[::-1], tol=1e-13)
 
 
 class TestPartialTranspose:
