@@ -2,8 +2,9 @@
 
 All covariance-style matrices in this package are Hermitian and obey the
 swap symmetry M = T M^T T, where T exchanges the (z, z*) pair of every mode.
-``SymMatrix`` enforces that normal form on construction; ``congruence`` builds
-a M a^dag Hermitian by construction, and ``invert`` goes through one ``eigh``.
+``SymMatrix`` enforces that normal form on construction; ``SymMatrix._hermitian``
+builds it, checking only finiteness, from matrices Hermitian by construction:
+assembled moments, ``congruence`` and ``kernels.convert``.
 
 No tolerance here is absolute: the Hermiticity check, the singularity test of
 ``reciprocal`` and every verdict margin use ``band``, which scales with the
@@ -42,6 +43,19 @@ class SymMatrix:
         # written as "not <=" so that NaN entries are rejected too
         if not np.abs(m - m.conj().T).max() <= band(np.abs(m).max(), 1):
             raise ValueError("matrix is not Hermitian within tolerance")
+        self._normalize(m)
+
+    @classmethod
+    def _hermitian(cls, m) -> "SymMatrix":
+        """The constructor without its anti-Hermitian-part test."""
+        m = np.asarray(m, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
+        s = object.__new__(cls)
+        s._normalize(m)
+        return s
+
+    def _normalize(self, m):
         m = 0.5 * (m + m.T[_T_SWAP[m.shape[0]]])
         m = 0.5 * (m + m.conj().T)
         m.setflags(write=False)
@@ -76,9 +90,9 @@ def identity(dim: int) -> SymMatrix:
 
 
 def congruence(a: np.ndarray, m: np.ndarray) -> SymMatrix:
-    """a m a^dag for a Hermitian m, symmetrized so that it is exactly Hermitian."""
+    """a m a^dag for a Hermitian m."""
     out = a @ m @ a.conj().T
-    return SymMatrix(0.5 * (out + out.conj().T))
+    return SymMatrix._hermitian(0.5 * (out + out.conj().T))
 
 
 def reciprocal(x: np.ndarray) -> np.ndarray:

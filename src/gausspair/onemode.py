@@ -73,7 +73,7 @@ class SqueezedWavefunction:
 
 def build_C(p: OneModeMoments) -> GaussianKernel:
     mat = [[p.n + 0.5, p.m], [np.conj(p.m), p.n + 0.5]]
-    return GaussianKernel("C", SymMatrix(mat))
+    return GaussianKernel("C", SymMatrix._hermitian(mat))
 
 
 def moments_from_c(k: GaussianKernel) -> OneModeMoments:

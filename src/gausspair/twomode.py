@@ -96,7 +96,7 @@ def assemble_c(p: TwoModeMoments) -> np.ndarray:
 
 
 def build_C2(p: TwoModeMoments) -> GaussianKernel:
-    return GaussianKernel("C", SymMatrix(assemble_c(p)))
+    return GaussianKernel("C", SymMatrix._hermitian(assemble_c(p)))
 
 
 def moments_from_c(k: GaussianKernel) -> TwoModeMoments:
@@ -125,9 +125,7 @@ def trace_g2(k: GaussianKernel) -> float:
 def squared_kernel(k: GaussianKernel) -> GaussianKernel:
     """C matrix of the normalized square G^2 / Tr G^2: Cbar = C/2 + E C^-1 E / 8."""
     _require_c(k)
-    e = linalg.structure_e(k.dim)
-    cinv = linalg.invert(k.sym).mat
-    return GaussianKernel("C", SymMatrix(0.5 * k.matrix + 0.125 * (e @ cinv @ e)))
+    return GaussianKernel("C", SymMatrix(0.5 * k.matrix + 0.125 * convert(k, "W").matrix))
 
 
 def positivity_by_dets(k: GaussianKernel) -> bool:
@@ -191,8 +189,7 @@ def ppt_separable(k: GaussianKernel) -> bool:
 
 def p_representable(k: GaussianKernel) -> bool:
     """True iff all four eigenvalues of C - I/2 are strictly positive."""
-    _require_c(k)
-    return bool(invariant_verdicts(k.matrix).p_representable)
+    return bool(_kernel_verdicts(k).p_representable)
 
 
 def thermal_pair(k: GaussianKernel, diagnostics: bool = False) -> ThermalPair:
@@ -201,8 +198,7 @@ def thermal_pair(k: GaussianKernel, diagnostics: bool = False) -> ThermalPair:
     Each thermal factor has C = nu I with nu = (1+g)/(2(1-g)).  ``diagnostics``
     allows extraction for non-positive kernels (one g may then be negative).
     """
-    _require_c(k)
-    v = invariant_verdicts(k.matrix)
+    v = _kernel_verdicts(k)
     if not (diagnostics or v.positive):
         raise NotPositiveError("kernel is not positive; pass diagnostics=True to force")
     return _thermal(v)
@@ -215,8 +211,7 @@ def _thermal(v: InvariantVerdicts) -> ThermalPair:
 
 def purity2(k: GaussianKernel) -> bool:
     """det C = 1/16 marks a pure state (given positivity): the engine's verdict."""
-    _require_c(k)
-    return bool(invariant_verdicts(k.matrix).pure)
+    return bool(_kernel_verdicts(k).pure)
 
 
 def pure_marginal_separability(k: GaussianKernel, which: int = 1) -> bool:
@@ -241,7 +236,7 @@ def local_squeeze_map(theta1: float, theta2: float) -> np.ndarray:
 
 def local_squeeze_to_p_rep(k: GaussianKernel, theta: float) -> GaussianKernel:
     """Apply the local map C -> E U E C E U^dag E with equal real squeezes on both modes."""
-    if not invariant_verdicts(k.matrix).positive:
+    if not _kernel_verdicts(k).positive:
         raise NotPositiveError("local squeeze to P form requires a positive state")
     e = linalg.structure_e(4)
     return GaussianKernel("C", linalg.congruence(e @ local_squeeze_map(theta, theta) @ e, k.matrix))
@@ -273,7 +268,17 @@ def invariant_verdicts(c) -> InvariantVerdicts:
     mixed ones with a large symplectic eigenvalue.  Eigenvalues get band(tr C, 1).
     """
     c = np.asarray(c)
-    eig = np.linalg.eigvalsh(c)
+    return _verdicts(c, np.linalg.eigvalsh(c))
+
+
+def _kernel_verdicts(k: GaussianKernel) -> InvariantVerdicts:
+    """One C kernel's verdicts on the eigenvalues it carries, which ``convert`` reads."""
+    _require_c(k)
+    return _verdicts(k.matrix, np.sort(k.eig[0]))
+
+
+def _verdicts(c: np.ndarray, eig: np.ndarray) -> InvariantVerdicts:
+    """The engine on C's eigenvalues ``eig``, ascending along the last axis."""
     lam = eig[..., 0]
     det_c = np.linalg.det(c).real
     da, db, dx = _det2(c, 0, 0), _det2(c, 2, 2), _det2(c, 0, 2)
@@ -298,8 +303,7 @@ def invariant_verdicts(c) -> InvariantVerdicts:
 
 def classify2(k: GaussianKernel) -> TwoModeVerdict:
     """Verdict bundle of one kernel: the batch-of-one case of ``invariant_verdicts``."""
-    _require_c(k)
-    v = invariant_verdicts(k.matrix)
+    v = _kernel_verdicts(k)
     positive = bool(v.positive)
     return TwoModeVerdict(
         positive=positive,

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 
 from conftest import assert_close, one_mode_moments, two_mode_kernels
-from gausspair import onemode
+from gausspair import kernels, linalg, onemode, states, twomode
 from gausspair.errors import NotAStateError, NotPRepresentableError, SingularMatrixError
 from gausspair.kernels import GaussianKernel, c_kernel, convert
 from gausspair.linalg import SymMatrix
@@ -80,3 +82,69 @@ def test_boundary_c_is_kept():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         GaussianKernel("Z", SymMatrix(np.eye(2)))
+
+
+def _carried_pair_rebuilds(k, c_scale=0.0):
+    """V diag(x) V^dag matches the stored matrix within band(max|x|, 1), widened for
+    a kind other than C by the error of V, eps |C| / gap, that x = 1/(lam + s)
+    carries into the kernel as eps |C| max|x|^2 and its normal form halves."""
+    x, v = k.eig
+    scale = np.abs(x).max() * max(1.0, c_scale * np.abs(x).max())
+    return np.abs((v * x) @ v.conj().T - k.matrix).max() <= linalg.band(scale, 1)
+
+
+def test_one_eigensolve_per_chain(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counting(*args, name=name, real=getattr(np.linalg, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    k = states.anti_epr(0.9, 0.5, 0.3)
+    assert twomode.classify2(k).p_representable
+    chain = [k]
+    for target in "WQPC":
+        chain.append(convert(chain[-1], target))
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert all(_carried_pair_rebuilds(c) for c in chain)
+
+
+@pytest.mark.parametrize("n", [1e-6, 1e-2, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("chain", ["WQPC", "PWQC", "QPWC"])
+def test_carried_pair_rebuilds_every_converted_matrix(n, chain):
+    for k in (states.anti_epr(n, 0.2 * n, 0.1 * n), states.squeezed_epr(n, 0.3 * n, 0.2 * n),
+              onemode.build_C(onemode.OneModeMoments(n, 0.4 * n * np.exp(1j)))):
+        c_scale = np.abs(k.eig[0]).max()
+        for target in chain:
+            k = convert(k, target)
+            assert _carried_pair_rebuilds(k, 0.0 if target == "C" else c_scale), (target, n)
+
+
+def test_carried_c_eigenvalue_below_band_is_not_a_state():
+    # W's eigenvalue -1/2 maps to C's eigenvalue -2 with no new eigensolve
+    w = GaussianKernel("W", SymMatrix([[0.5, 1.0], [1.0, 0.5]]))
+    with pytest.raises(NotAStateError):
+        convert(w, "C")
+
+
+def test_p_kernel_not_positive_definite_is_refused():
+    with pytest.raises(NotAStateError):
+        GaussianKernel("P", SymMatrix([[0.5, 1.0], [1.0, 0.5]]))
+    c = c_kernel(np.diag([1.5, 1.5]))
+    with pytest.raises(NotAStateError):
+        kernels._carrying("P", c.sym, np.array([1.0, -1.0]), c.eig[1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_moment_is_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        twomode.build_C2(twomode.TwoModeMoments(n1=1.0, n2=1.0, mc=bad))
+
+
+def test_carried_pair_is_read_only():
+    k = states.mixed_epr(1.0, 0.5)
+    with pytest.raises(AttributeError):
+        k.eig = (np.ones(4), np.eye(4))
+    with pytest.raises(ValueError):
+        k.eig[0][0] = -1.0

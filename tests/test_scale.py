@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from gausspair import onemode, states, twomode
-from gausspair.errors import NotAStateError, NotPRepresentableError, NotPureError
+from gausspair import linalg, onemode, states, twomode
+from gausspair.errors import NotAStateError, NotPRepresentableError, NotPureError, SingularMatrixError
 from gausspair.kernels import convert
 from gausspair.onemode import OneModeMoments
 
@@ -203,6 +203,40 @@ class TestConversionsAcrossScale:
         # 1/(16 eps); its small one belongs to C's large eigenvalue, not to the P boundary
         assert _p_representable(k)
         assert convert(k, "P").kind == "P"
+
+
+# total coupling t split so that lambda_min(C) - 1/2 = n - t for each family
+EDGE_FAMILIES = {
+    "mixed_epr": lambda n, t: states.mixed_epr(n, t),
+    "anti_epr": lambda n, t: states.anti_epr(n, 0.7 * t, 0.3 * t),
+    "squeezed_epr": lambda n, t: states.squeezed_epr(n, 0.7 * t, 0.3 * t),
+}
+
+
+def _through_p(k):
+    """C -> P -> C, or None where a step refuses."""
+    try:
+        return convert(convert(k, "P"), "C")
+    except (NotPRepresentableError, SingularMatrixError):
+        return None
+
+
+@pytest.mark.parametrize("family", sorted(EDGE_FAMILIES))
+def test_verdict_and_convert_agree_at_the_p_edge(family):
+    # +-20 ulps of n around lambda_min - 1/2 = band(tr C, 1): classify2 and convert
+    # read the kernel's one spectrum, so C -> P -> C succeeds exactly where the
+    # verdict admits P, on both sides of the edge, and again on the C it returns
+    admitted = 0
+    for n in np.geomspace(1e-6, 1e6, 100):
+        t = n - linalg.band(4.0 * n + 2.0, 1)
+        for nk in n + np.arange(-20, 21) * np.spacing(n):
+            k = EDGE_FAMILIES[family](nk, t)
+            back = _through_p(k)
+            assert twomode.classify2(k).p_representable == (back is not None), (nk, t)
+            if back is not None:
+                admitted += 1
+                assert twomode.classify2(back).p_representable == (_through_p(back) is not None), (nk, t)
+    assert 0 < admitted < 100 * 41  # the probe straddles the edge
 
 
 class TestSqueezesAtLargeN:
