@@ -14,20 +14,20 @@ import argparse
 import pathlib
 
 from gausspair import states
-from gausspair.cli import ScanRequest, csv_lines, run_scan
+from gausspair.cli import ScanRequest, _write_lines, grid_lines, run_scan
 from gausspair.phasespace import GridSpec, scan_wavefunction
 
 
 def write_scan(path: pathlib.Path, family: str, ratio: float, steps: int) -> None:
     req = ScanRequest(family, ratio, 0.0, 2.0, steps, 0.0, 2.0, steps)
-    path.write_text("\n".join(run_scan(req)) + "\n")
+    _write_lines(run_scan(req), str(path))
     print(f"wrote {path} ({steps}x{steps})")
 
 
 def write_wavefunction(path: pathlib.Path, nbar: float, steps: int) -> None:
-    table = scan_wavefunction(states.SmoothedEprParam(nbar), GridSpec(-3.0, 3.0, steps))
-    table[:, 2] **= 2
-    path.write_text("\n".join(csv_lines("q1,q2,density", "%.10g,%.10g,%.10g", table)) + "\n")
+    grid = GridSpec(-3.0, 3.0, steps)
+    density = scan_wavefunction(states.SmoothedEprParam(nbar), grid)[:, 2] ** 2
+    _write_lines(grid_lines("q1,q2,density", grid.axis, grid.axis, "%.10g", density), str(path))
     print(f"wrote {path} ({steps}x{steps})")
 
 

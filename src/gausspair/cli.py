@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ EXIT_NOT_P_REP = 4
 EXIT_DISAGREEMENT = 5
 EXIT_CUTOFF = 6
 EXIT_USAGE = 64
-_CSV_BLOCK = 4096  # rows per tolist() call in csv_lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,10 +59,19 @@ class ScanRequest:
             raise ValueError("steps must be at least 2")
 
 
-def _family_matrices(family: str, n: np.ndarray, mc: np.ndarray, ratio: float) -> np.ndarray:
-    """Stacked real C matrices, one per grid point."""
-    a = n + 0.5
-    zero = np.zeros_like(n)
+# C[i, j] of a scan family is the coefficient of the swap i ^ j (I, X, Y or XY); the scan
+# flags (positive, pure, separable, p_representable) are looked up by code 8p + 4u + 2s + r
+_SWAP = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+_FLAGS = np.array([",".join(f"{code:04b}") for code in range(16)], dtype=object)
+
+
+def _family_matrices(family: str, n: np.ndarray, mc: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked real C matrices, one per grid point, and their eigenvalues, ascending.
+
+    Each C is a I + m1 X + ms Y + mc XY, where X swaps z and z* within each mode and Y
+    swaps the modes.  X and Y commute: the eigenvalues are a + x m1 + y ms + xy mc, x, y = +-1.
+    """
+    a, zero = n + 0.5, np.zeros_like(n)
     if family == "mixed_epr":
         m1 = ms = zero
     elif family == "anti_epr":
@@ -71,37 +80,36 @@ def _family_matrices(family: str, n: np.ndarray, mc: np.ndarray, ratio: float) -
         m1, ms = ratio * mc, zero
     else:
         raise ValueError(f"unknown family {family!r}")
-    rows = [
-        [a, m1, ms, mc],
-        [m1, a, mc, ms],
-        [ms, mc, a, m1],
-        [mc, ms, m1, a],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    eig = np.stack([a + m1 + ms + mc, a + m1 - ms - mc, a - m1 + ms - mc, a - m1 - ms + mc], axis=-1)
+    if not np.isfinite(eig).all():
+        raise ValueError("scan moments overflow")
+    return np.stack([a, m1, ms, mc], axis=-1)[..., _SWAP], np.sort(eig, axis=-1)
 
 
 def run_scan(req: ScanRequest) -> list[str]:
     """CSV lines (header included) for a family region scan.
 
     The whole grid goes through ``twomode.invariant_verdicts`` at once, the
-    engine that ``classify2`` applies to one kernel.
+    engine that ``classify2`` applies to one kernel, on the families' closed-form spectra.
     """
     mcs = np.linspace(req.mc_lo, req.mc_hi, req.mc_steps)
     ns = np.linspace(req.n_lo, req.n_hi, req.n_steps)
     mc_g, n_g = np.meshgrid(mcs, ns, indexing="ij")
-    v = twomode.invariant_verdicts(_family_matrices(req.family, n_g.ravel(), mc_g.ravel(), req.ratio))
+    v = twomode.invariant_verdicts(*_family_matrices(req.family, n_g, mc_g, req.ratio))
+    code = 8 * v.positive + 4 * v.pure + 2 * v.ppt_separable + v.p_representable
+    return grid_lines("mc,n,positive,pure,separable,p_representable", mcs, ns, "%s", _FLAGS[code])
 
-    table = np.column_stack([mc_g.ravel(), n_g.ravel(), v.positive, v.pure, v.ppt_separable, v.p_representable])
-    return csv_lines("mc,n,positive,pure,separable,p_representable", "%.10g,%.10g,%d,%d,%d,%d", table)
 
-
-def csv_lines(header: str, row_format: str, table: np.ndarray) -> list[str]:
-    """The header, then one ``%``-formatted line per row of ``table``.  Rows go
-    through ``tolist`` in blocks, so that the Python floats of the whole table
-    never sit in memory beside the lines."""
+def grid_lines(header: str, outer: np.ndarray, inner: np.ndarray, cell: str, values: np.ndarray) -> list[str]:
+    """The header, then the line "outer[i],inner[j],cell % values[i, j]" for every
+    point, with ``values`` row-major, flat or 2-D.  Each axis value is formatted once
+    with %.10g, and each outer row is one ``%`` on a template of the whole row, split
+    into lines; no list over the whole grid sits beside the lines."""
+    tails = ["," + ("%.10g" % y) + "," + cell for y in inner.tolist()]
     lines = [header]
-    for start in range(0, len(table), _CSV_BLOCK):
-        lines.extend(map(row_format.__mod__, map(tuple, table[start : start + _CSV_BLOCK].tolist())))
+    for x, row in zip(outer.tolist(), values.reshape(len(outer), -1)):
+        head = "%.10g" % x
+        lines += ((head + ("\n" + head).join(tails)) % tuple(row.tolist())).split("\n")
     return lines
 
 
@@ -303,8 +311,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_wavefun(args) -> int:
     grid = phasespace.GridSpec(lo=args.lo, hi=args.hi, samples=args.samples)
-    table = phasespace.scan_wavefunction(states.SmoothedEprParam(args.nbar), grid)
-    _write_lines(csv_lines("q1,q2,psi", "%.10g,%.10g,%.12g", table), args.out)
+    p = states.SmoothedEprParam(args.nbar)
+    # the (q1, q2, psi) table is a temporary, freed before the text is written
+    lines = grid_lines("q1,q2,psi", grid.axis, grid.axis, "%.12g", phasespace.scan_wavefunction(p, grid)[:, 2])
+    _write_lines(lines, args.out)
     return EXIT_OK
 
 
@@ -316,17 +326,16 @@ def _cmd_wigner(args) -> int:
         return EXIT_NOT_A_STATE
     w = convert(onemode.build_C(p), "W")
     grid = phasespace.GridSpec(lo=args.lo, hi=args.hi, samples=args.samples)
-    _write_lines(csv_lines("q,p,w", "%.10g,%.10g,%.12g", phasespace.wigner_grid(w, grid)), args.out)
+    # the (q, p, w) table is a temporary, freed before the text is written
+    lines = grid_lines("q,p,w", grid.axis, grid.axis, "%.12g", phasespace.wigner_grid(w, grid)[:, 2])
+    _write_lines(lines, args.out)
     return EXIT_OK
 
 
 def _write_lines(lines: list[str], out: str | None):
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 def build_parser() -> _Parser:

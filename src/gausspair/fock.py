@@ -13,7 +13,8 @@ Gaussian Fock-amplitude recurrence (Miatto & Quesada, Quantum 4, 366 (2020)) bui
 one from lower orders: sqrt(k_0 + 1) A_{k+e_0} = sum_j B_0j sqrt(k_j) A_{k-e_j}.
 Every exponent term has degree 2, so entries with odd total index are exactly zero, and the
 zeros of B that come from a conserved quantity (n1 - n2 for `mixed_epr`, n1 + n2 for its
-partial transpose) zero many more.  Spectra and traces of powers are taken over the connected
+partial transpose) zero many more; entries of B within band(max|B|, 1) are the round-off of
+the conversion to Q and are set to zero, so that these zeros survive it.  Spectra and traces of powers are taken over the connected
 components of the exact nonzero pattern, blocks of one size in one batched solve: a
 permutation makes the matrix block-diagonal, so nothing is dropped or rounded away.  A real B
 is kept real, so real kernels give real matrices and real eigenproblems.  Moments are
@@ -29,6 +30,7 @@ import numpy as np
 
 from .errors import CutoffTooSmallError, WrongModeCountError
 from .kernels import GaussianKernel, convert
+from .linalg import band
 
 DEFAULT_CUTOFF = 16
 LOSS_THRESHOLD = 1e-4
@@ -80,6 +82,7 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     det_q = float(np.linalg.det(q).real)
     q_x = q[:, [1, 0, 3, 2][: 2 * modes]]
     b = np.kron(np.eye(modes), [[0.0, 1.0], [1.0, 0.0]]) - 0.5 * (q_x + q_x.T)
+    b[np.abs(b) <= band(np.abs(b).max(), 1)] = 0.0
     if not b.imag.any():
         b = b.real
     # amplitude axes are (j1, k1, j2, k2); reorder to (j1, j2, k1, k2) and flatten

@@ -111,11 +111,6 @@ def invert(m: SymMatrix) -> SymMatrix:
     return congruence(v, np.diag(reciprocal(x)))
 
 
-def eigenvalues_hermitian(m: SymMatrix) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
-    return np.linalg.eigvalsh(m.mat)
-
-
 def band(scale, degree: int):
     """Verdict band K * eps * scale**degree, for floats or arrays: the round-off
     of a margin that grows like the power ``degree`` of the matrix size ``scale``."""

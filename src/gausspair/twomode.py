@@ -249,7 +249,7 @@ def _det2(c: np.ndarray, row: int, col: int) -> np.ndarray:
     return (a * e - b * d).real
 
 
-def invariant_verdicts(c) -> InvariantVerdicts:
+def invariant_verdicts(c, eig=None) -> InvariantVerdicts:
     """Two-mode verdicts for stacked (..., 4, 4) C matrices from their local
     symplectic invariants (Simon, PRL 84, 2726 (2000); Serafini, PRL 96,
     110402 (2006)), in the normalization where vacuum is C = I/2.
@@ -266,19 +266,12 @@ def invariant_verdicts(c) -> InvariantVerdicts:
     carries a round-off of about eps |C| |adj C|, the 2x2 block determinants
     eps |C|^2.  s is of order tr C for pure states and of order (tr C)^2 for
     mixed ones with a large symplectic eigenvalue.  Eigenvalues get band(tr C, 1).
+    ``eig``, C's eigenvalues ascending along the last axis, defaults to ``eigvalsh``;
+    callers that hold them (a kernel's carried pair, a scan family's closed form) pass them.
     """
     c = np.asarray(c)
-    return _verdicts(c, np.linalg.eigvalsh(c))
-
-
-def _kernel_verdicts(k: GaussianKernel) -> InvariantVerdicts:
-    """One C kernel's verdicts on the eigenvalues it carries, which ``convert`` reads."""
-    _require_c(k)
-    return _verdicts(k.matrix, np.sort(k.eig[0]))
-
-
-def _verdicts(c: np.ndarray, eig: np.ndarray) -> InvariantVerdicts:
-    """The engine on C's eigenvalues ``eig``, ascending along the last axis."""
+    if eig is None:
+        eig = np.linalg.eigvalsh(c)
     lam = eig[..., 0]
     det_c = np.linalg.det(c).real
     da, db, dx = _det2(c, 0, 0), _det2(c, 2, 2), _det2(c, 0, 2)
@@ -299,6 +292,12 @@ def _verdicts(c: np.ndarray, eig: np.ndarray) -> InvariantVerdicts:
         nu_plus=np.sqrt(np.maximum(0.5 * (delta + root), floor)),
         nu_minus=np.sqrt(np.maximum(0.5 * (delta - root), floor)),
     )
+
+
+def _kernel_verdicts(k: GaussianKernel) -> InvariantVerdicts:
+    """One C kernel's verdicts on the eigenvalues it carries, which ``convert`` reads."""
+    _require_c(k)
+    return invariant_verdicts(k.matrix, np.sort(k.eig[0]))
 
 
 def classify2(k: GaussianKernel) -> TwoModeVerdict:

@@ -4,9 +4,33 @@ import math
 import numpy as np
 import pytest
 
-from gausspair import cli, onemode, states, twomode
+from gausspair import cli, onemode, phasespace, states, twomode
 from gausspair.cli import main
 from gausspair.errors import NotAStateError
+from gausspair.kernels import convert
+from gausspair.linalg import band
+
+FIGURE_PAIRS = [("mixed_epr", 0.0), ("anti_epr", 0.5), ("anti_epr", 1.0), ("squeezed_epr", 0.5), ("squeezed_epr", 1.0)]
+# (family, ratio, mc range and steps, n range and steps): non-square grids, negative mc, 2 steps, 1e6
+SCAN_CASES = [
+    ("mixed_epr", 0.0, -1.5, 2.0, 33, 0.0, 3.0, 7),
+    ("anti_epr", 0.5, -2.0, -0.1, 17, 0.0, 2.0, 29),
+    ("anti_epr", 1.0, 0.0, 1e6, 41, 0.0, 1e6, 23),
+    ("squeezed_epr", 0.5, -1e6, 1e6, 2, 1e-6, 1e6, 2),
+    ("squeezed_epr", 1.0, 0.0, 2.0, 21, 0.0, 2.0, 21),
+]
+
+
+def per_row_lines(header, row_format, table):
+    """The CSV as formatted before the axis texts were shared: one ``%`` per row."""
+    return [header, *(row_format % tuple(row) for row in table.tolist())]
+
+
+def family_grid(case):
+    family, ratio, mc_lo, mc_hi, mc_steps, n_lo, n_hi, n_steps = case
+    mcs, ns = np.linspace(mc_lo, mc_hi, mc_steps), np.linspace(n_lo, n_hi, n_steps)
+    mc, n = np.meshgrid(mcs, ns, indexing="ij")
+    return cli.ScanRequest(*case), mc, n, cli._family_matrices(family, n, mc, ratio)
 
 
 def run(capsys, *argv):
@@ -133,6 +157,38 @@ class TestScan:
                 want = [False] * 4
             assert [int(f) for f in flags] == [int(w) for w in want], row
 
+    @pytest.mark.parametrize("case", SCAN_CASES)
+    def test_closed_form_flags_match_eigvalsh(self, case):
+        _, _, _, (c, eig) = family_grid(case)
+        closed, numeric = twomode.invariant_verdicts(c, eig), twomode.invariant_verdicts(c)
+        for field in ("positive", "pure", "ppt_separable", "p_representable"):
+            assert np.array_equal(getattr(closed, field), getattr(numeric, field)), field
+
+    @pytest.mark.parametrize("family, ratio", FIGURE_PAIRS)
+    @pytest.mark.parametrize("top", [2.0, 1e3, 1e6])
+    def test_closed_form_spectrum_matches_eigvalsh(self, family, ratio, top):
+        _, _, _, (c, eig) = family_grid((family, ratio, -top, top, 41, 0.0, top, 37))
+        want = np.linalg.eigvalsh(c)
+        # sum |eigenvalue| is tr C wherever C is a state
+        assert np.all(np.abs(eig - want) <= band(np.abs(want).sum(-1, keepdims=True), 1))
+
+    def test_overflowing_moments_are_refused(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            cli.run_scan(cli.ScanRequest("anti_epr", 1e300, 0.0, 1e10, 3, 0.0, 1.0, 2))
+
+    @pytest.mark.parametrize("case", SCAN_CASES)
+    def test_scan_bytes_match_per_row_formatting(self, case, capsys):
+        req, mc, n, (c, _) = family_grid(case)
+        v = twomode.invariant_verdicts(c)
+        flags = (v.positive, v.pure, v.ppt_separable, v.p_representable)
+        table = np.column_stack([mc.ravel(), n.ravel(), *(f.ravel() for f in flags)])
+        want = per_row_lines("mc,n,positive,pure,separable,p_representable", "%.10g,%.10g,%d,%d,%d,%d", table)
+        assert cli.run_scan(req) == want
+        argv = [f"--mc-min={req.mc_lo}", f"--mc-max={req.mc_hi}", f"--mc-steps={req.mc_steps}",
+                f"--n-min={req.n_lo}", f"--n-max={req.n_hi}", f"--n-steps={req.n_steps}"]
+        code, out, _ = run(capsys, "scan", "--family", req.family.replace("_", "-"), "--ratio", str(req.ratio), *argv)
+        assert code == 0 and out == "\n".join(want) + "\n"
+
 
 class TestConvert:
     def write_kernel(self, tmp_path, kernel, name="k.json"):
@@ -238,6 +294,23 @@ class TestGrids:
         ridge = grid(1.0)
         assert ridge[("1", "1")] == pytest.approx(ridge[("-1", "-1")])
         assert ridge[("1", "1")] > ridge[("1", "-1")]
+
+    @pytest.mark.parametrize("lo, hi, samples", [(-4.0, 4.0, 33), (-1e6, 1e6, 7), (-3.0, 5.0, 2)])
+    @pytest.mark.parametrize("command", ["wigner", "wavefun"])
+    def test_bytes_match_per_row_formatting(self, capsys, tmp_path, command, lo, hi, samples):
+        grid = phasespace.GridSpec(lo, hi, samples)
+        if command == "wigner":
+            w = convert(onemode.build_C(onemode.OneModeMoments(0.7, 0.2 + 0.3j)), "W")
+            header, table, flags = "q,p,w", phasespace.wigner_grid(w, grid), ["--n", "0.7", "--m", "0.2+0.3j"]
+        else:
+            table = phasespace.scan_wavefunction(states.SmoothedEprParam(0.4), grid)
+            header, flags = "q1,q2,psi", ["--nbar", "0.4"]
+        want = "\n".join(per_row_lines(header, "%.10g,%.10g,%.12g", table)) + "\n"
+        argv = [command, *flags, f"--lo={lo}", f"--hi={hi}", "--samples", str(samples)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == want
+        assert main([*argv, "--out", str(tmp_path / "grid.csv")]) == 0
+        assert (tmp_path / "grid.csv").read_bytes() == want.encode()
 
     def test_wigner_not_a_state_exit_2(self, capsys):
         code, _, _ = run(capsys, "wigner", "--n", "0", "--m", "2")

@@ -195,6 +195,22 @@ class TestBlocks:
         assert self.count(thermal) == 289
 
     @pytest.mark.parametrize(
+        "n, mc", [(0.6735727653444255, 0.967023070269148), (0.7594238572792352, 0.92208927381045),
+                  (0.5661268429308703, 0.7260394427217898)],
+    )
+    def test_conversion_round_off_keeps_the_blocks(self, n, mc, monkeypatch):
+        # C -> Q leaves entries of about 1e-16 where these kernels have exact zeros
+        k = states.mixed_epr(n, mc)
+        op = fock.from_kernel(k, cutoff=16)
+        for m in with_partial_transpose(op):
+            assert self.count(m) == 33
+        monkeypatch.setattr(fock, "band", lambda scale, degree: -1.0)
+        kept = fock.from_kernel(k, cutoff=16)
+        assert self.count(kept) == 2
+        for m, raw in zip(with_partial_transpose(op), with_partial_transpose(kept)):
+            assert_close(fock.spectrum(m), fock.spectrum(raw), tol=1e-13)
+
+    @pytest.mark.parametrize(
         "i, j, mirror", [(0, 17, True), (18, 35, True), (18, 35, False), (35, 18, False)]
     )
     def test_a_tiny_entry_joins_two_blocks(self, i, j, mirror):

@@ -134,35 +134,6 @@ class TestInvert:
         assert_close(prod, np.eye(4))
 
 
-class TestEigenvalues:
-    def test_diagonal(self):
-        assert_close(
-            linalg.eigenvalues_hermitian(SymMatrix(np.diag([3.0, 3.0]))), [3.0, 3.0]
-        )
-
-    def test_two_by_two_closed_form(self):
-        vals = linalg.eigenvalues_hermitian(SymMatrix([[1.0, 0.5], [0.5, 1.0]]))
-        assert_close(vals, [0.5, 1.5])
-
-    @given(two_mode_kernels())
-    def test_sum_equals_trace(self, k):
-        vals = linalg.eigenvalues_hermitian(k.sym)
-        assert np.sum(vals) == pytest.approx(np.trace(k.matrix).real, abs=1e-10)
-
-    def test_anti_epr_nu_tilde_closed_form(self):
-        # eigenvalues of [[1 - nu1, -mus], [-mus*, 1 - nu2]] have the
-        # closed form 1 - (nu1+nu2)/2 +- sqrt(((nu1-nu2)/2)^2 + |mus|^2)
-        from gausspair.twomode import normal_order_params
-
-        k = states.anti_epr(n=1.2, mc=0.4, ms=0.3)
-        p = normal_order_params(k)
-        mat = SymMatrix([[1.0 - p.nu1, -p.mus], [-np.conj(p.mus), 1.0 - p.nu2]])
-        got = linalg.eigenvalues_hermitian(mat)
-        half_sum = 0.5 * (p.nu1 + p.nu2)
-        root = np.sqrt((0.5 * (p.nu1 - p.nu2)) ** 2 + abs(p.mus) ** 2)
-        assert_close(sorted(got), sorted([1 - half_sum - root, 1 - half_sum + root]))
-
-
 class TestConjByStructure:
     """Conjugation by the literal T1 and E: the partial transpose and the E sandwich."""
 
