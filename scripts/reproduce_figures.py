@@ -14,20 +14,20 @@ import argparse
 import pathlib
 
 from gausspair import states
-from gausspair.cli import ScanRequest, _write_lines, grid_lines, run_scan
+from gausspair.cli import ScanRequest, grid_blocks, scan_blocks, write_blocks
 from gausspair.phasespace import GridSpec, scan_wavefunction
 
 
 def write_scan(path: pathlib.Path, family: str, ratio: float, steps: int) -> None:
     req = ScanRequest(family, ratio, 0.0, 2.0, steps, 0.0, 2.0, steps)
-    _write_lines(run_scan(req), str(path))
+    write_blocks(scan_blocks(req), str(path))
     print(f"wrote {path} ({steps}x{steps})")
 
 
 def write_wavefunction(path: pathlib.Path, nbar: float, steps: int) -> None:
     grid = GridSpec(-3.0, 3.0, steps)
-    density = scan_wavefunction(states.SmoothedEprParam(nbar), grid)[:, 2] ** 2
-    _write_lines(grid_lines("q1,q2,density", grid.axis, grid.axis, "%.10g", density), str(path))
+    density = (scan_wavefunction(states.SmoothedEprParam(nbar), grid)[:, 2] ** 2).reshape(steps, steps)
+    write_blocks(grid_blocks("q1,q2,density", grid.axis, grid.axis, "%.10g", density.__getitem__), str(path))
     print(f"wrote {path} ({steps}x{steps})")
 
 

@@ -13,6 +13,7 @@ import cmath
 import contextlib
 import json
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ EXIT_NOT_P_REP = 4
 EXIT_DISAGREEMENT = 5
 EXIT_CUTOFF = 6
 EXIT_USAGE = 64
+_CONVERT_EXITS = {NotAStateError: EXIT_NOT_A_STATE, SingularMatrixError: EXIT_SINGULAR,
+                  NotPRepresentableError: EXIT_NOT_P_REP}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,10 +58,15 @@ class ScanRequest:
     n_steps: int
 
     def __post_init__(self):
+        if self.family not in ("mixed_epr", "anti_epr", "squeezed_epr"):
+            raise ValueError(f"unknown family {self.family!r}")
         if self.mc_steps < 2 or self.n_steps < 2:
             raise ValueError("steps must be at least 2")
 
 
+# grid commands format and write this many points at a time, in whole outer rows
+_BLOCK_POINTS = 6144
+_SORT4 = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))  # a sorting network: compare-exchange pairs
 # C[i, j] of a scan family is the coefficient of the swap i ^ j (I, X, Y or XY); the scan
 # flags (positive, pure, separable, p_representable) are looked up by code 8p + 4u + 2s + r
 _SWAP = np.bitwise_xor.outer(np.arange(4), np.arange(4))
@@ -76,69 +84,76 @@ def _family_matrices(family: str, n: np.ndarray, mc: np.ndarray, ratio: float) -
         m1 = ms = zero
     elif family == "anti_epr":
         m1, ms = zero, ratio * mc
-    elif family == "squeezed_epr":
+    else:  # squeezed_epr; ScanRequest admits no other family
         m1, ms = ratio * mc, zero
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    eig = np.stack([a + m1 + ms + mc, a + m1 - ms - mc, a - m1 + ms - mc, a - m1 - ms + mc], axis=-1)
-    if not np.isfinite(eig).all():
+    eig = [a + m1 + ms + mc, a + m1 - ms - mc, a - m1 + ms - mc, a - m1 - ms + mc]
+    for i, j in _SORT4:
+        eig[i], eig[j] = np.minimum(eig[i], eig[j]), np.maximum(eig[i], eig[j])
+    return np.stack([a, m1, ms, mc], axis=-1)[..., _SWAP], np.stack(eig, axis=-1)
+
+
+def scan_blocks(req: ScanRequest) -> Iterator[str]:
+    """The CSV text of a family region scan, as ``grid_blocks`` yields it: each block of mc
+    rows goes through ``twomode.invariant_verdicts``, the engine ``classify2`` applies to one
+    kernel, on the families' closed-form spectra.  The grid is checked first: no |eigenvalue|
+    exceeds max|n| + 1/2 + (1 + |ratio|) max|mc|, so no block overflows where that is finite."""
+    mcs, ns = np.linspace(req.mc_lo, req.mc_hi, req.mc_steps), np.linspace(req.n_lo, req.n_hi, req.n_steps)
+    top = float(np.abs(ns).max()) + 0.5 + (1.0 + abs(req.ratio)) * float(np.abs(mcs).max())
+    if not top < 0.5 * sys.float_info.max:
         raise ValueError("scan moments overflow")
-    return np.stack([a, m1, ms, mc], axis=-1)[..., _SWAP], np.sort(eig, axis=-1)
+
+    def flags(rows: slice) -> np.ndarray:
+        mc_g, n_g = np.meshgrid(mcs[rows], ns, indexing="ij")
+        v = twomode.invariant_verdicts(*_family_matrices(req.family, n_g, mc_g, req.ratio))
+        return _FLAGS[8 * v.positive + 4 * v.pure + 2 * v.ppt_separable + v.p_representable]
+
+    return grid_blocks("mc,n,positive,pure,separable,p_representable", mcs, ns, "%s", flags)
 
 
 def run_scan(req: ScanRequest) -> list[str]:
-    """CSV lines (header included) for a family region scan.
-
-    The whole grid goes through ``twomode.invariant_verdicts`` at once, the
-    engine that ``classify2`` applies to one kernel, on the families' closed-form spectra.
-    """
-    mcs = np.linspace(req.mc_lo, req.mc_hi, req.mc_steps)
-    ns = np.linspace(req.n_lo, req.n_hi, req.n_steps)
-    mc_g, n_g = np.meshgrid(mcs, ns, indexing="ij")
-    v = twomode.invariant_verdicts(*_family_matrices(req.family, n_g, mc_g, req.ratio))
-    code = 8 * v.positive + 4 * v.pure + 2 * v.ppt_separable + v.p_representable
-    return grid_lines("mc,n,positive,pure,separable,p_representable", mcs, ns, "%s", _FLAGS[code])
+    """CSV lines (header included) of ``scan_blocks``, the blocks the CLI writes."""
+    return [line for block in scan_blocks(req) for line in block.split("\n")[:-1]]
 
 
-def grid_lines(header: str, outer: np.ndarray, inner: np.ndarray, cell: str, values: np.ndarray) -> list[str]:
-    """The header, then the line "outer[i],inner[j],cell % values[i, j]" for every
-    point, with ``values`` row-major, flat or 2-D.  Each axis value is formatted once
-    with %.10g, and each outer row is one ``%`` on a template of the whole row, split
-    into lines; no list over the whole grid sits beside the lines."""
-    tails = ["," + ("%.10g" % y) + "," + cell for y in inner.tolist()]
-    lines = [header]
-    for x, row in zip(outer.tolist(), values.reshape(len(outer), -1)):
-        head = "%.10g" % x
-        lines += ((head + ("\n" + head).join(tails)) % tuple(row.tolist())).split("\n")
-    return lines
+def grid_blocks(header: str, outer: np.ndarray, inner: np.ndarray, cell: str,
+                values: Callable[[slice], np.ndarray]) -> Iterator[str]:
+    """CSV text, one block of whole outer rows (about ``_BLOCK_POINTS`` points) at a time:
+    the header line first, then the line "outer[i],inner[j],cell % v[i, j]" for every point,
+    where ``values(rows)`` gives v on the slice ``rows`` of outer rows, row-major.  Each axis
+    value is formatted once with %.10g, and each outer row is one ``%`` on a template of the
+    whole row; no text over the whole grid is held."""
+    yield header + "\n"
+    tails = ["," + ("%.10g" % y) + "," + cell + "\n" for y in inner.tolist()]
+    step = max(1, _BLOCK_POINTS // len(inner))
+    for lo in range(0, len(outer), step):
+        rows = slice(lo, lo + step)
+        heads = ["%.10g" % x for x in outer[rows].tolist()]
+        block = values(rows).reshape(len(heads), -1).tolist()
+        yield "".join((head + head.join(tails)) % tuple(row) for head, row in zip(heads, block))
 
 
-def _one_mode_report(p: onemode.OneModeMoments) -> dict:
-    v = onemode.classify(p)
-    w = convert(onemode.build_C(p), "W")
+def write_blocks(blocks: Iterable[str], out: str | None):
+    """Write text blocks in order to the file ``out``, or to stdout."""
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(blocks)
+
+
+def _report(modes: int, obj) -> dict:
+    """The closed-form verdict bundle of one-mode moments or of a two-mode C kernel."""
+    if modes == 1:
+        v, tg2 = onemode.classify(obj), onemode.purity_from_wigner(convert(onemode.build_C(obj), "W"))
+        g, separable = v.g, None
+    else:
+        v, tg2 = twomode.classify2(obj), twomode.trace_g2(obj)
+        g, separable = [v.thermal.g1, v.thermal.g2] if v.thermal is not None else None, v.ppt_separable
     return {
         "exists": True,
-        "modes": 1,
+        "modes": modes,
         "positive": v.positive,
         "pure": v.pure,
         "p_representable": v.p_representable,
-        "separable": None,
-        "g": v.g,
-        "trace_g2": onemode.purity_from_wigner(w),
-    }
-
-
-def _two_mode_report(k: GaussianKernel) -> dict:
-    v = twomode.classify2(k)
-    tg2 = twomode.trace_g2(k)
-    return {
-        "exists": True,
-        "modes": 2,
-        "positive": v.positive,
-        "pure": v.pure,
-        "p_representable": v.p_representable,
-        "separable": v.ppt_separable,
-        "g": [v.thermal.g1, v.thermal.g2] if v.thermal is not None else None,
+        "separable": separable,
+        "g": g,
         "trace_g2": tg2 if np.isfinite(tg2) else None,
     }
 
@@ -216,17 +231,15 @@ def kernel_to_json(k: GaussianKernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> GaussianKernel:
-    modes = int(obj["modes"])
-    kind = str(obj["kind"])
-    dim = 2 * modes
+    dim = 2 * int(obj["modes"])
     entries = np.array([complex(re, im) for re, im in obj["matrix"]]).reshape(dim, dim)
-    return GaussianKernel(kind, SymMatrix(entries))
+    return GaussianKernel(str(obj["kind"]), SymMatrix(entries))
 
 
 def _cmd_classify(args) -> int:
     try:
         modes, obj = _moments_from_args(args)
-        report = _one_mode_report(obj) if modes == 1 else _two_mode_report(obj)
+        report = _report(modes, obj)
     except NotAStateError as exc:
         print(json.dumps({"exists": False, "reason": str(exc)}))
         return EXIT_NOT_A_STATE
@@ -235,17 +248,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    req = ScanRequest(
-        family=args.family.replace("-", "_"),
-        ratio=args.ratio,
-        mc_lo=args.mc_min,
-        mc_hi=args.mc_max,
-        mc_steps=args.mc_steps,
-        n_lo=args.n_min,
-        n_hi=args.n_max,
-        n_steps=args.n_steps,
-    )
-    _write_lines(run_scan(req), args.out)
+    req = ScanRequest(args.family.replace("-", "_"), args.ratio, args.mc_min, args.mc_max, args.mc_steps,
+                      args.n_min, args.n_max, args.n_steps)
+    write_blocks(scan_blocks(req), args.out)
     return EXIT_OK
 
 
@@ -254,16 +259,10 @@ def _cmd_convert(args) -> int:
         with open(args.infile) as fh:
             k = kernel_from_json(json.load(fh))
         out = convert(k, args.to)
-    except NotAStateError as exc:
+    except tuple(_CONVERT_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_A_STATE
-    except SingularMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except NotPRepresentableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_P_REP
-    _write_lines([json.dumps(kernel_to_json(out))], args.out)
+        return _CONVERT_EXITS[type(exc)]
+    write_blocks([json.dumps(kernel_to_json(out)) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -273,12 +272,7 @@ def _cmd_oracle(args) -> int:
     except NotAStateError as exc:
         print(json.dumps({"exists": False, "reason": str(exc)}))
         return EXIT_NOT_A_STATE
-    if modes == 1:
-        analytic = _one_mode_report(obj)
-        kernel = onemode.build_C(obj)
-    else:
-        analytic = _two_mode_report(obj)
-        kernel = obj
+    analytic, kernel = _report(modes, obj), onemode.build_C(obj) if modes == 1 else obj
     try:
         op = fock.from_kernel(kernel, cutoff=args.cutoff)
     except CutoffTooSmallError as exc:
@@ -313,8 +307,8 @@ def _cmd_wavefun(args) -> int:
     grid = phasespace.GridSpec(lo=args.lo, hi=args.hi, samples=args.samples)
     p = states.SmoothedEprParam(args.nbar)
     # the (q1, q2, psi) table is a temporary, freed before the text is written
-    lines = grid_lines("q1,q2,psi", grid.axis, grid.axis, "%.12g", phasespace.scan_wavefunction(p, grid)[:, 2])
-    _write_lines(lines, args.out)
+    psi = phasespace.scan_wavefunction(p, grid)[:, 2].reshape(grid.samples, -1).copy()
+    write_blocks(grid_blocks("q1,q2,psi", grid.axis, grid.axis, "%.12g", psi.__getitem__), args.out)
     return EXIT_OK
 
 
@@ -327,15 +321,9 @@ def _cmd_wigner(args) -> int:
     w = convert(onemode.build_C(p), "W")
     grid = phasespace.GridSpec(lo=args.lo, hi=args.hi, samples=args.samples)
     # the (q, p, w) table is a temporary, freed before the text is written
-    lines = grid_lines("q,p,w", grid.axis, grid.axis, "%.12g", phasespace.wigner_grid(w, grid)[:, 2])
-    _write_lines(lines, args.out)
+    values = phasespace.wigner_grid(w, grid)[:, 2].reshape(grid.samples, -1).copy()
+    write_blocks(grid_blocks("q,p,w", grid.axis, grid.axis, "%.12g", values.__getitem__), args.out)
     return EXIT_OK
-
-
-def _write_lines(lines: list[str], out: str | None):
-    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
 
 
 def build_parser() -> _Parser:

@@ -77,9 +77,8 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     """Truncated Fock matrix of the Gaussian operator behind any kernel."""
     if cutoff < 4:
         raise ValueError("cutoff must be at least 4")
-    q = convert(k, "Q").matrix
-    modes = k.modes
-    det_q = float(np.linalg.det(q).real)
+    kq = convert(k, "Q")
+    q, det_q, modes = kq.matrix, kq.det, k.modes
     q_x = q[:, [1, 0, 3, 2][: 2 * modes]]
     b = np.kron(np.eye(modes), [[0.0, 1.0], [1.0, 0.0]]) - 0.5 * (q_x + q_x.T)
     b[np.abs(b) <= band(np.abs(b).max(), 1)] = 0.0

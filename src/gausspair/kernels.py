@@ -70,6 +70,11 @@ class GaussianKernel:
     def modes(self) -> int:
         return self.sym.modes
 
+    @property
+    def det(self) -> float:
+        """The determinant: the product of the carried eigenvalues."""
+        return float(np.prod(self.eig[0]))
+
 
 def convert(k: GaussianKernel, target: str) -> GaussianKernel:
     """Convert a kernel to the target representation.

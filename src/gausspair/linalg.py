@@ -72,9 +72,6 @@ class SymMatrix:
     def modes(self) -> int:
         return self.dim // 2
 
-    def det(self) -> float:
-        return float(np.linalg.det(self.mat).real)
-
     def __getitem__(self, idx):
         return self.mat[idx]
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotAStateError, NotPositiveError, NotPureError, NotRealBranchError
-from .kernels import GaussianKernel, convert
+from .kernels import GaussianKernel, _carrying, convert
 from .linalg import SymMatrix
 
 
@@ -72,8 +72,19 @@ class SqueezedWavefunction:
 
 
 def build_C(p: OneModeMoments) -> GaussianKernel:
-    mat = [[p.n + 0.5, p.m], [np.conj(p.m), p.n + 0.5]]
-    return GaussianKernel("C", SymMatrix._hermitian(mat))
+    """The C kernel, carrying its closed-form pair: lam = n + 1/2 -+ |m| with
+    eigenvectors (1, -+e^{-i arg m}) / sqrt 2, or the unit vectors of a diagonal C (m = 0),
+    so that its conversions stay exactly diagonal."""
+    a, u = p.n + 0.5, np.exp(-1j * np.angle(p.m))
+    v = np.array([[1.0, 1.0], [-u, u]]) * math.sqrt(0.5) if p.m else np.eye(2, dtype=complex)
+    mat = SymMatrix._hermitian([[a, p.m], [np.conj(p.m), a]])
+    return _carrying("C", mat, np.array(_eigenvalues(p)), v)
+
+
+def _eigenvalues(p: OneModeMoments) -> tuple[float, float]:
+    """C's eigenvalues n + 1/2 -+ |m|, ascending: the floats ``build_C`` carries."""
+    a, am = p.n + 0.5, abs(p.m)
+    return a - am, a + am
 
 
 def moments_from_c(k: GaussianKernel) -> OneModeMoments:
@@ -84,14 +95,15 @@ def moments_from_c(k: GaussianKernel) -> OneModeMoments:
 
 def classify(p: OneModeMoments) -> OneModeVerdict:
     """Positivity, purity, and P-representability in closed form; each margin
-    is decided against ``linalg.band`` at the scale tr C = 2n + 1."""
+    is decided against ``linalg.band`` at the scale tr C = 2n + 1.  The P margin
+    reads the eigenvalues ``build_C`` carries, with ``convert``'s rule, so the two agree."""
     mm = abs(p.m) ** 2
     det_c = (p.n + 0.5) ** 2 - mm
-    scale = 2.0 * p.n + 1.0
-    band = linalg.band(scale, 2)
+    band = linalg.band(2.0 * p.n + 1.0, 2)
     positive = p.n * (p.n + 1.0) - mm >= -band
     pure = positive and abs(det_c - 0.25) <= band
-    p_rep = p.n - abs(p.m) > linalg.band(scale, 1)  # strict: no delta-function limit
+    lo, hi = _eigenvalues(p)
+    p_rep = lo - 0.5 > linalg.band(lo + hi, 1)  # strict: no delta-function limit
     g = None
     if positive:
         s = math.sqrt(max(det_c, 0.25))
@@ -103,7 +115,7 @@ def purity_from_wigner(k: GaussianKernel) -> float:
     """Tr G^2 evaluated from the Wigner matrix: half the square root of det W."""
     if k.kind != "W":
         raise ValueError("expected a W kernel")
-    return 0.5 * math.sqrt(k.sym.det())
+    return 0.5 * math.sqrt(k.det)
 
 
 def normal_order_nu(p: OneModeMoments) -> float:

@@ -66,7 +66,7 @@ def wigner_value(k: GaussianKernel, pt: PhasePoint) -> float:
     if z.size != k.dim:
         raise ValueError("phase point does not match kernel mode count")
     quad = np.real(np.conj(z) @ k.matrix @ z)
-    return math.sqrt(k.sym.det()) * math.exp(-0.5 * quad)
+    return math.sqrt(k.det) * math.exp(-0.5 * quad)
 
 
 def characteristic_value(k: GaussianKernel, pt: PhasePoint) -> complex:
@@ -92,7 +92,7 @@ def wigner_grid(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
     z = (q + 1j * p) / math.sqrt(2.0)
     v = np.stack([z, np.conj(z)])
     quad = np.real(np.einsum("i...,ij,j...->...", np.conj(v), k.matrix, v))
-    w = math.sqrt(k.sym.det()) * np.exp(-0.5 * quad)
+    w = math.sqrt(k.det) * np.exp(-0.5 * quad)
     return np.column_stack([q.ravel(), p.ravel(), w.ravel()])
 
 

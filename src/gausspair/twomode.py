@@ -100,8 +100,7 @@ def build_C2(p: TwoModeMoments) -> GaussianKernel:
 
 
 def moments_from_c(k: GaussianKernel) -> TwoModeMoments:
-    if k.kind != "C" or k.modes != 2:
-        raise ValueError("expected a two-mode C kernel")
+    _require_c(k)
     m = k.matrix
     return TwoModeMoments(
         n1=float(m[0, 0].real) - 0.5,
@@ -116,7 +115,7 @@ def moments_from_c(k: GaussianKernel) -> TwoModeMoments:
 def trace_g2(k: GaussianKernel) -> float:
     """Tr G^2 = 1 / (4 sqrt(det C))."""
     _require_c(k)
-    det_c = k.sym.det()
+    det_c = k.det
     if det_c <= 0.0:
         return math.inf
     return 1.0 / (4.0 * math.sqrt(det_c))
@@ -140,8 +139,7 @@ def positivity_det_margins(k: GaussianKernel) -> tuple[float, float]:
     (g1+g2)(1+g1)(1+g2) >= (g1-g2)^2.
     """
     _require_c(k)
-    det_c = k.sym.det()
-    det_cbar = squared_kernel(k).sym.det()
+    det_c, det_cbar = k.det, squared_kernel(k).det
     cross = 4.0 * math.sqrt(det_c) * math.sqrt(det_cbar)
     left = (1.0 / 16.0 + 3.0 * det_c) - cross
     right = (1.0 / 8.0 + 2.0 * det_c) - cross
@@ -268,27 +266,28 @@ def invariant_verdicts(c, eig=None) -> InvariantVerdicts:
     mixed ones with a large symplectic eigenvalue.  Eigenvalues get band(tr C, 1).
     ``eig``, C's eigenvalues ascending along the last axis, defaults to ``eigvalsh``;
     callers that hold them (a kernel's carried pair, a scan family's closed form) pass them.
+    D is their product.  The stack may be of any size: a scan passes one block of rows at a time.
     """
     c = np.asarray(c)
     if eig is None:
         eig = np.linalg.eigvalsh(c)
-    lam = eig[..., 0]
-    det_c = np.linalg.det(c).real
+    e0, e1, e2, e3 = np.moveaxis(eig, -1, 0)
+    det_c = e0 * e1 * e2 * e3
     da, db, dx = _det2(c, 0, 0), _det2(c, 2, 2), _det2(c, 0, 2)
     delta = da + db + 2.0 * dx
     base = 0.25 + 4.0 * det_c - (da + db)
-    a0, a1, a2, a3 = np.moveaxis(np.abs(eig), -1, 0)
+    a0, a1, a2, a3 = np.abs(e0), np.abs(e1), np.abs(e2), np.abs(e3)
     top = np.maximum(a0, a3)
     adj = a0 * a1 * (a2 + a3) + a2 * a3 * (a0 + a1)
-    tol, tol_lam = linalg.band(np.sqrt(top * (top + adj)), 2), linalg.band(eig.sum(-1), 1)
-    positive = (lam >= -tol_lam) & (det_c - 1.0 / 16.0 >= -tol) & (base - 2.0 * dx >= -tol)
+    tol, tol_lam = linalg.band(np.sqrt(top * (top + adj)), 2), linalg.band(e0 + e1 + e2 + e3, 1)
+    positive = (e0 >= -tol_lam) & (det_c - 1.0 / 16.0 >= -tol) & (base - 2.0 * dx >= -tol)
     root = np.sqrt(np.maximum(delta * delta - 4.0 * det_c, 0.0))
     floor = np.where(positive, 0.25, 0.0)  # lower bound on nu^2
     return InvariantVerdicts(
         positive=positive,
         pure=positive & (np.abs(det_c - 1.0 / 16.0) <= tol),
         ppt_separable=positive & (base + 2.0 * dx >= -tol),
-        p_representable=lam - 0.5 > tol_lam,
+        p_representable=e0 - 0.5 > tol_lam,
         nu_plus=np.sqrt(np.maximum(0.5 * (delta + root), floor)),
         nu_minus=np.sqrt(np.maximum(0.5 * (delta - root), floor)),
     )

@@ -241,7 +241,7 @@ def test_09_pure_state_suite(rng):
             gmax = math.sqrt(alpha * beta)
             gamma = 0.0 if rng.random() < 0.3 else rng.uniform(0.05, 0.98) * gmax * rng.choice([-1, 1])
             k = states.pure_from_d(states.PureStateD(alpha, beta, gamma))
-            assert abs(k.sym.det() - 1.0 / 16.0) < 1e-10
+            assert abs(k.det - 1.0 / 16.0) < 1e-10
             det_c11 = float(np.linalg.det(k.matrix[:2, :2]).real)
             separable = twomode.ppt_separable(k)
             assert separable == (abs(gamma) < 1e-12)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,17 @@ from gausspair.kernels import convert
 from gausspair.linalg import band
 
 FIGURE_PAIRS = [("mixed_epr", 0.0), ("anti_epr", 0.5), ("anti_epr", 1.0), ("squeezed_epr", 0.5), ("squeezed_epr", 1.0)]
-# (family, ratio, mc range and steps, n range and steps): non-square grids, negative mc, 2 steps, 1e6
+# (family, ratio, mc range and steps, n range and steps): non-square grids, negative mc, 2 steps, 1e6;
+# the CLI streams blocks of BLOCK_ROWS mc rows at 37 n steps: one row short of a block, and a partial last block
+BLOCK_ROWS = cli._BLOCK_POINTS // 37
 SCAN_CASES = [
     ("mixed_epr", 0.0, -1.5, 2.0, 33, 0.0, 3.0, 7),
     ("anti_epr", 0.5, -2.0, -0.1, 17, 0.0, 2.0, 29),
     ("anti_epr", 1.0, 0.0, 1e6, 41, 0.0, 1e6, 23),
     ("squeezed_epr", 0.5, -1e6, 1e6, 2, 1e-6, 1e6, 2),
     ("squeezed_epr", 1.0, 0.0, 2.0, 21, 0.0, 2.0, 21),
+    ("anti_epr", 0.5, -1.0, 2.0, BLOCK_ROWS - 1, 0.0, 1.5, 37),
+    ("mixed_epr", 0.0, -1.5, 2.0, 2 * BLOCK_ROWS + 5, 0.0, 3.0, 37),
 ]
 
 
@@ -176,6 +181,12 @@ class TestScan:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
             cli.run_scan(cli.ScanRequest("anti_epr", 1e300, 0.0, 1e10, 3, 0.0, 1.0, 2))
 
+    def test_overflow_is_refused_before_any_output(self, capsys, tmp_path):
+        argv = ["--ratio", "1e300", "--mc-min", "0", "--mc-max", "1e10", "--mc-steps", "3",
+                "--n-min", "0", "--n-max", "1", "--n-steps", "2", "--out", str(tmp_path / "s.csv")]
+        code, _, err = run(capsys, "scan", "--family", "anti-epr", *argv)
+        assert code == 64 and "overflow" in err and not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("case", SCAN_CASES)
     def test_scan_bytes_match_per_row_formatting(self, case, capsys):
         req, mc, n, (c, _) = family_grid(case)
@@ -188,6 +199,18 @@ class TestScan:
                 f"--n-min={req.n_lo}", f"--n-max={req.n_hi}", f"--n-steps={req.n_steps}"]
         code, out, _ = run(capsys, "scan", "--family", req.family.replace("_", "-"), "--ratio", str(req.ratio), *argv)
         assert code == 0 and out == "\n".join(want) + "\n"
+
+    def test_scan_memory_is_bounded(self, tmp_path):
+        # the whole 401^2 grid is never held: neither its matrix stack (20.6 MB) nor its text
+        argv = ["scan", "--family", "squeezed-epr", "--ratio", "0.5", "--mc-min", "0", "--mc-max", "2", "--mc-steps",
+                "401", "--n-min", "0", "--n-max", "2", "--n-steps", "401", "--out", str(tmp_path / "s.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, peak
 
 
 class TestConvert:

@@ -74,7 +74,7 @@ def test_negative_c_is_not_a_state():
 def test_boundary_c_is_kept():
     # an exactly singular C still describes a (degenerate) Gaussian
     k = c_kernel([[1.0, 1.0], [1.0, 1.0]])
-    assert k.sym.det() == pytest.approx(0.0)
+    assert k.det == pytest.approx(0.0)
     with pytest.raises(SingularMatrixError):
         convert(k, "W")
 

@@ -35,6 +35,21 @@ class TestMomentsAndBuild:
         assert q.n == pytest.approx(p.n, abs=1e-12)
         assert q.m == pytest.approx(p.m, abs=1e-12)
 
+    @given(one_mode_moments())
+    def test_carries_the_closed_form_pair(self, p):
+        # lam = n + 1/2 -+ |m|, the floats classify reads, with orthonormal vectors that rebuild C
+        x, v = onemode.build_C(p).eig
+        assert x.tolist() == [p.n + 0.5 - abs(p.m), p.n + 0.5 + abs(p.m)]
+        assert_close(v.conj().T @ v, np.eye(2), tol=1e-15)
+        assert_close((v * x) @ v.conj().T, onemode.build_C(p).matrix, tol=1e-15 * (2.0 * p.n + 1.0))
+
+    @pytest.mark.parametrize("n", [1e-6, 0.5, 3.0, 1e6])
+    def test_thermal_conversions_stay_exactly_diagonal(self, n):
+        # at m = 0 the carried vectors are the unit vectors, so no round-off enters
+        k = onemode.build_C(OneModeMoments(n, 0.0))
+        for kind, s in (("W", 0.0), ("Q", 0.5), ("P", -0.5)):
+            assert np.array_equal(convert(k, kind).matrix, np.eye(2) / (n + 0.5 + s)), kind
+
 
 class TestClassify:
     def test_thermal(self):

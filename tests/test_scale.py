@@ -239,6 +239,22 @@ def test_verdict_and_convert_agree_at_the_p_edge(family):
     assert 0 < admitted < 100 * 41  # the probe straddles the edge
 
 
+@pytest.mark.parametrize("phase", [0.0, 0.7])
+def test_one_mode_verdict_and_convert_agree_at_the_p_edge(phase):
+    # the one-mode twin: +-20 ulps of n around n - |m| = band(2n + 1, 1); classify's
+    # P margin reads the eigenvalues n + 1/2 -+ |m| that build_C carries, summed as
+    # convert sums them, so C -> P -> C succeeds exactly where the verdict admits P
+    admitted = 0
+    for n in np.geomspace(1e-6, 1e6, 100):
+        m = (n - linalg.band(2.0 * n + 1.0, 1)) * np.exp(1j * phase)
+        for nk in n + np.arange(-20, 21) * np.spacing(n):
+            p = OneModeMoments(nk, m if phase else m.real)
+            back = _through_p(onemode.build_C(p))
+            assert onemode.classify(p).p_representable == (back is not None), (nk, m)
+            admitted += back is not None
+    assert 0 < admitted < 100 * 41  # the probe straddles the edge
+
+
 class TestSqueezesAtLargeN:
     def test_inverse_diagonalizing_squeeze(self):
         p = OneModeMoments(1e6, 0.3e6)

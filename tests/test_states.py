@@ -148,7 +148,7 @@ class TestPureFromD:
     @given(valid_d())
     def test_always_pure(self, d):
         k = states.pure_from_d(d)
-        assert abs(k.sym.det() - 1.0 / 16.0) <= 1e-10
+        assert abs(k.det - 1.0 / 16.0) <= 1e-10
         assert twomode.purity2(k)
 
     @given(valid_d())
