@@ -3,7 +3,8 @@ emit wave-function / Wigner grids, and compare against the Fock oracle.
 
 Exit codes: 0 ok, 2 not-a-state, 3 singular matrix, 4 not P-representable,
 5 oracle disagreement, 6 cutoff too small, 64 usage error (including a
-non-finite number, an unreadable input file or a malformed kernel file).
+non-finite number, a moment or scan past ``linalg.MAX_SCALE``, an unreadable
+input file or a malformed kernel file).
 """
 
 from __future__ import annotations
@@ -11,14 +12,16 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import json
+import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, onemode, phasespace, states, twomode
+from . import fock, linalg, onemode, phasespace, states, twomode
 from .errors import (
     CutoffTooSmallError,
     NotAStateError,
@@ -64,50 +67,52 @@ class ScanRequest:
             raise ValueError("steps must be at least 2")
 
 
-# grid commands format and write this many points at a time, in whole outer rows
+# grid commands evaluate, format and write this many points at a time, in whole outer rows
 _BLOCK_POINTS = 6144
 _SORT4 = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))  # a sorting network: compare-exchange pairs
-# C[i, j] of a scan family is the coefficient of the swap i ^ j (I, X, Y or XY); the scan
-# flags (positive, pure, separable, p_representable) are looked up by code 8p + 4u + 2s + r
-_SWAP = np.bitwise_xor.outer(np.arange(4), np.arange(4))
-_FLAGS = np.array([",".join(f"{code:04b}") for code in range(16)], dtype=object)
+# the text of the scan flags (positive, pure, separable, p_representable) of code 8p + 4u + 2s + r
+_FLAGS = [",".join(f"{code:04b}") for code in range(16)]
 
 
-def _family_matrices(family: str, n: np.ndarray, mc: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked real C matrices, one per grid point, and their eigenvalues, ascending.
+def _family_invariants(family: str, n: np.ndarray, mc: np.ndarray, ratio: float) -> tuple:
+    """A scan family's C at every (mc, n) that n and mc broadcast to, as the invariants
+    ``twomode.verdicts_from_invariants`` reads: eigenvalues ascending, dA, dB and dX.
 
     Each C is a I + m1 X + ms Y + mc XY, where X swaps z and z* within each mode and Y
     swaps the modes.  X and Y commute: the eigenvalues are a + x m1 + y ms + xy mc, x, y = +-1.
+    Both diagonal blocks are [[a, m1], [m1, a]] and the off-diagonal one [[ms, mc], [mc, ms]],
+    so dA = dB = a a - m1 m1 and dX = ms ms - mc mc: the floats ``twomode._det2`` takes from C.
     """
-    a, zero = n + 0.5, np.zeros_like(n)
-    if family == "mixed_epr":
-        m1 = ms = zero
-    elif family == "anti_epr":
-        m1, ms = zero, ratio * mc
-    else:  # squeezed_epr; ScanRequest admits no other family
-        m1, ms = ratio * mc, zero
+    a, m1, ms = n + 0.5, 0.0, 0.0
+    if family == "anti_epr":
+        ms = ratio * mc
+    elif family == "squeezed_epr":  # ScanRequest admits only these and mixed_epr
+        m1 = ratio * mc
     eig = [a + m1 + ms + mc, a + m1 - ms - mc, a - m1 + ms - mc, a - m1 - ms + mc]
     for i, j in _SORT4:
         eig[i], eig[j] = np.minimum(eig[i], eig[j]), np.maximum(eig[i], eig[j])
-    return np.stack([a, m1, ms, mc], axis=-1)[..., _SWAP], np.stack(eig, axis=-1)
+    da = a * a - m1 * m1
+    return eig, da, da, ms * ms - mc * mc
 
 
 def scan_blocks(req: ScanRequest) -> Iterator[str]:
-    """The CSV text of a family region scan, as ``grid_blocks`` yields it: each block of mc
-    rows goes through ``twomode.invariant_verdicts``, the engine ``classify2`` applies to one
-    kernel, on the families' closed-form spectra.  The grid is checked first: no |eigenvalue|
-    exceeds max|n| + 1/2 + (1 + |ratio|) max|mc|, so no block overflows where that is finite."""
+    """The CSV text of a family region scan, one block of mc rows at a time (``_grid_text``):
+    ``classify2``'s engine on the closed-form invariants, each point's text looked up by its
+    flag code in a table of 16 per n column.  The grid is checked first, before any output:
+    no |eigenvalue| exceeds max|n| + 1/2 + (1 + |ratio|) max|mc| <= ``linalg.MAX_SCALE``."""
     mcs, ns = np.linspace(req.mc_lo, req.mc_hi, req.mc_steps), np.linspace(req.n_lo, req.n_hi, req.n_steps)
     top = float(np.abs(ns).max()) + 0.5 + (1.0 + abs(req.ratio)) * float(np.abs(mcs).max())
-    if not top < 0.5 * sys.float_info.max:
-        raise ValueError("scan moments overflow")
+    if not top <= linalg.MAX_SCALE:
+        raise ValueError(f"scan moments overflow the verdict range |eigenvalue| <= {linalg.MAX_SCALE:.3g}")
+    cells = np.array([["," + y + "," + f + "\n" for f in _FLAGS] for y in _axis_texts(ns)], dtype=object).ravel()
+    column = 16 * np.arange(len(ns))
 
-    def flags(rows: slice) -> np.ndarray:
-        mc_g, n_g = np.meshgrid(mcs[rows], ns, indexing="ij")
-        v = twomode.invariant_verdicts(*_family_matrices(req.family, n_g, mc_g, req.ratio))
-        return _FLAGS[8 * v.positive + 4 * v.pure + 2 * v.ppt_separable + v.p_representable]
+    def rows_text(rows: slice, heads: list[str]) -> str:
+        v = twomode.verdicts_from_invariants(*_family_invariants(req.family, ns, mcs[rows, None], req.ratio))
+        code = 8 * v.positive + 4 * v.pure + 2 * v.ppt_separable + v.p_representable
+        return "".join(head + head.join(row) for head, row in zip(heads, cells[code + column].tolist()))
 
-    return grid_blocks("mc,n,positive,pure,separable,p_representable", mcs, ns, "%s", flags)
+    return _grid_text("mc,n,positive,pure,separable,p_representable", mcs, len(ns), rows_text)
 
 
 def run_scan(req: ScanRequest) -> list[str]:
@@ -115,21 +120,33 @@ def run_scan(req: ScanRequest) -> list[str]:
     return [line for block in scan_blocks(req) for line in block.split("\n")[:-1]]
 
 
-def grid_blocks(header: str, outer: np.ndarray, inner: np.ndarray, cell: str,
-                values: Callable[[slice], np.ndarray]) -> Iterator[str]:
-    """CSV text, one block of whole outer rows (about ``_BLOCK_POINTS`` points) at a time:
-    the header line first, then the line "outer[i],inner[j],cell % v[i, j]" for every point,
-    where ``values(rows)`` gives v on the slice ``rows`` of outer rows, row-major.  Each axis
-    value is formatted once with %.10g, and each outer row is one ``%`` on a template of the
-    whole row; no text over the whole grid is held."""
+def _axis_texts(axis: np.ndarray) -> list[str]:
+    return ["%.10g" % x for x in axis.tolist()]
+
+
+def _grid_text(header: str, outer: np.ndarray, width: int, rows_text: Callable[[slice, list[str]], str]) -> Iterator[str]:
+    """CSV text, one block of whole outer rows (about ``_BLOCK_POINTS`` points of ``width``
+    columns) at a time: the header line first, then ``rows_text(rows, heads)`` for each slice
+    ``rows`` of outer rows, with ``heads`` their values, each formatted once with %.10g."""
     yield header + "\n"
-    tails = ["," + ("%.10g" % y) + "," + cell + "\n" for y in inner.tolist()]
-    step = max(1, _BLOCK_POINTS // len(inner))
+    step = max(1, _BLOCK_POINTS // width)
     for lo in range(0, len(outer), step):
         rows = slice(lo, lo + step)
-        heads = ["%.10g" % x for x in outer[rows].tolist()]
+        yield rows_text(rows, _axis_texts(outer[rows]))
+
+
+def grid_blocks(header: str, outer: np.ndarray, inner: np.ndarray, cell: str,
+                values: Callable[[slice], np.ndarray]) -> Iterator[str]:
+    """CSV text as ``_grid_text`` yields it, the line "outer[i],inner[j],cell % v[i, j]" for
+    every point, with ``values(rows)`` the v of the slice ``rows`` of outer rows.  Each outer
+    row is one ``%`` on a template of the whole row; no text or value of the whole grid is held."""
+    tails = ["," + y + "," + cell + "\n" for y in _axis_texts(inner)]
+
+    def rows_text(rows: slice, heads: list[str]) -> str:
         block = values(rows).reshape(len(heads), -1).tolist()
-        yield "".join((head + head.join(tails)) % tuple(row) for head, row in zip(heads, block))
+        return "".join((head + head.join(tails)) % tuple(row) for head, row in zip(heads, block))
+
+    return _grid_text(header, outer, len(inner), rows_text)
 
 
 def write_blocks(blocks: Iterable[str], out: str | None):
@@ -158,8 +175,9 @@ def _report(modes: int, obj) -> dict:
     }
 
 
-def _finite(kind):
-    """argparse type that parses ``kind`` (float or complex) and rejects NaN and infinity."""
+def _finite(kind, bound: float = math.inf):
+    """argparse type that parses ``kind`` (float or complex) and rejects NaN, infinity and
+    magnitudes above ``bound``."""
 
     def parse(text: str):
         try:
@@ -168,12 +186,17 @@ def _finite(kind):
             raise argparse.ArgumentTypeError(f"not a {kind.__name__} number: {text!r}")
         if not cmath.isfinite(x):
             raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        if abs(x) > bound:
+            raise argparse.ArgumentTypeError(f"{text!r} exceeds {bound:.3g}, the largest moment the verdicts resolve")
         return x
 
     return parse
 
 
+# a moment's C has |eigenvalue| <= n + 1/2 + |m1| + |ms| + |mc|, so this keeps it within MAX_SCALE
+_MOMENT_BOUND = linalg.MAX_SCALE / 8
 _finite_float, _parse_complex = _finite(float), _finite(complex)
+_moment_float, _moment_complex = _finite(float, _MOMENT_BOUND), _finite(complex, _MOMENT_BOUND)
 
 
 def _moments_from_args(args) -> tuple[int, object]:
@@ -182,29 +205,16 @@ def _moments_from_args(args) -> tuple[int, object]:
         if args.n is None or args.m is None:
             raise SystemExit(_usage_error("one-mode input needs --n and --m"))
         return 1, onemode.OneModeMoments(n=args.n, m=args.m)
-    family = getattr(args, "family", None)
-    if family is not None:
+    if args.family is not None:  # argparse admits only the three families
         if args.n is None or args.mc is None:
             raise SystemExit(_usage_error("--family needs --n and --mc"))
-        fam = family.replace("-", "_")
-        if fam == "mixed_epr":
-            return 2, states.mixed_epr(args.n, args.mc)
-        if fam == "anti_epr":
-            return 2, states.anti_epr(args.n, args.mc, args.ms or 0.0)
-        if fam == "squeezed_epr":
-            return 2, states.squeezed_epr(args.n, args.mc, args.m.real if args.m else 0.0)
-        raise SystemExit(_usage_error(f"unknown family {family!r}"))
+        extra = {"mixed-epr": (), "anti-epr": (args.ms or 0.0,), "squeezed-epr": (args.m.real if args.m else 0.0,)}
+        return 2, getattr(states, args.family.replace("-", "_"))(args.n, args.mc, *extra[args.family])
     if args.n is None and (args.n1 is None or args.n2 is None):
         raise SystemExit(_usage_error("two-mode input needs --n or both --n1 and --n2"))
-    p = twomode.TwoModeMoments(
-        n1=args.n1 if args.n1 is not None else args.n,
-        n2=args.n2 if args.n2 is not None else args.n,
-        m1=args.m1 or 0.0,
-        m2=args.m2 or 0.0,
-        ms=args.ms or 0.0,
-        mc=args.mc or 0.0,
-    )
-    return 2, twomode.build_C2(p)
+    n1, n2 = (args.n if x is None else x for x in (args.n1, args.n2))
+    couplings = (x or 0.0 for x in (args.m1, args.m2, args.ms, args.mc))
+    return 2, twomode.build_C2(twomode.TwoModeMoments(n1, n2, *couplings))
 
 
 def _usage_error(msg: str) -> int:
@@ -214,15 +224,15 @@ def _usage_error(msg: str) -> int:
 
 def _add_moment_flags(p: _Parser):
     p.add_argument("--modes", type=int, choices=(1, 2), required=True)
-    p.add_argument("--n", type=_finite_float)
-    p.add_argument("--m", type=_parse_complex)
+    p.add_argument("--n", type=_moment_float)
+    p.add_argument("--m", type=_moment_complex)
     p.add_argument("--family", choices=("mixed-epr", "anti-epr", "squeezed-epr"))
-    p.add_argument("--n1", type=_finite_float)
-    p.add_argument("--n2", type=_finite_float)
-    p.add_argument("--m1", type=_parse_complex)
-    p.add_argument("--m2", type=_parse_complex)
-    p.add_argument("--ms", type=_parse_complex)
-    p.add_argument("--mc", type=_parse_complex)
+    p.add_argument("--n1", type=_moment_float)
+    p.add_argument("--n2", type=_moment_float)
+    p.add_argument("--m1", type=_moment_complex)
+    p.add_argument("--m2", type=_moment_complex)
+    p.add_argument("--ms", type=_moment_complex)
+    p.add_argument("--mc", type=_moment_complex)
 
 
 def kernel_to_json(k: GaussianKernel) -> dict:
@@ -275,40 +285,24 @@ def _cmd_oracle(args) -> int:
     analytic, kernel = _report(modes, obj), onemode.build_C(obj) if modes == 1 else obj
     try:
         op = fock.from_kernel(kernel, cutoff=args.cutoff)
-    except CutoffTooSmallError as exc:
+    except (CutoffTooSmallError, SingularMatrixError) as exc:  # C -> Q, with |C| past 1/eps
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CUTOFF
-    eigs = fock.spectrum(op)
-    min_eig = float(eigs[-1])
-    oracle_report = {
-        "min_eig": min_eig,
-        "trace": float(eigs.sum()),
-        "trace_g2": float(eigs @ eigs),
-    }
-    min_ppt = None
+        return EXIT_CUTOFF if isinstance(exc, CutoffTooSmallError) else EXIT_SINGULAR
+    eigs, min_ppt = fock.spectrum(op), None
+    oracle = {"min_eig": float(eigs[-1]), "trace": float(eigs.sum()), "trace_g2": float(eigs @ eigs)}
     if modes == 2:
-        min_ppt = float(fock.spectrum(fock.partial_transpose_fock(op))[-1])
-        oracle_report["min_ppt_eig"] = min_ppt
-    agree, indeterminate = fock.agreement(
-        min_eig, analytic["positive"], min_ppt, analytic["separable"]
-    )
-    report = {
-        "analytic": analytic,
-        "oracle": oracle_report,
-        "agree": bool(agree),
-        "indeterminate": bool(indeterminate),
-        "truncation_loss": op.truncation_loss,
-    }
-    print(json.dumps(report))
+        min_ppt = oracle["min_ppt_eig"] = float(fock.spectrum(fock.partial_transpose_fock(op))[-1])
+    agree, indeterminate = fock.agreement(oracle["min_eig"], analytic["positive"], min_ppt, analytic["separable"])
+    print(json.dumps({"analytic": analytic, "oracle": oracle, "agree": bool(agree),
+                      "indeterminate": bool(indeterminate), "truncation_loss": op.truncation_loss}))
     return EXIT_OK if agree else EXIT_DISAGREEMENT
 
 
 def _cmd_wavefun(args) -> int:
     grid = phasespace.GridSpec(lo=args.lo, hi=args.hi, samples=args.samples)
     p = states.SmoothedEprParam(args.nbar)
-    # the (q1, q2, psi) table is a temporary, freed before the text is written
-    psi = phasespace.scan_wavefunction(p, grid)[:, 2].reshape(grid.samples, -1).copy()
-    write_blocks(grid_blocks("q1,q2,psi", grid.axis, grid.axis, "%.12g", psi.__getitem__), args.out)
+    values = functools.partial(phasespace.scan_wavefunction, p, grid)
+    write_blocks(grid_blocks("q1,q2,psi", grid.axis, grid.axis, "%.12g", values), args.out)
     return EXIT_OK
 
 
@@ -320,9 +314,8 @@ def _cmd_wigner(args) -> int:
         return EXIT_NOT_A_STATE
     w = convert(onemode.build_C(p), "W")
     grid = phasespace.GridSpec(lo=args.lo, hi=args.hi, samples=args.samples)
-    # the (q, p, w) table is a temporary, freed before the text is written
-    values = phasespace.wigner_grid(w, grid)[:, 2].reshape(grid.samples, -1).copy()
-    write_blocks(grid_blocks("q,p,w", grid.axis, grid.axis, "%.12g", values.__getitem__), args.out)
+    values = functools.partial(phasespace.wigner_grid, w, grid)
+    write_blocks(grid_blocks("q,p,w", grid.axis, grid.axis, "%.12g", values), args.out)
     return EXIT_OK
 
 
@@ -337,12 +330,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scan", help="region scan over (mc, n) as CSV")
     p.add_argument("--family", required=True, choices=("mixed-epr", "anti-epr", "squeezed-epr"))
     p.add_argument("--ratio", type=_finite_float, default=0.0, help="ms (anti) or m (squeezed) as ratio * mc")
-    p.add_argument("--mc-min", type=_finite_float, required=True)
-    p.add_argument("--mc-max", type=_finite_float, required=True)
-    p.add_argument("--mc-steps", type=int, required=True)
-    p.add_argument("--n-min", type=_finite_float, required=True)
-    p.add_argument("--n-max", type=_finite_float, required=True)
-    p.add_argument("--n-steps", type=int, required=True)
+    for axis in ("mc", "n"):
+        p.add_argument(f"--{axis}-min", type=_finite_float, required=True)
+        p.add_argument(f"--{axis}-max", type=_finite_float, required=True)
+        p.add_argument(f"--{axis}-steps", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_scan)
 

@@ -153,9 +153,8 @@ def partial_transpose_fock(f: FockOperator) -> FockOperator:
 
 
 def trace_power(f: FockOperator, k: int) -> float:
-    """Tr G^k of the truncated matrix."""
-    powers = (np.linalg.matrix_power(b, k) for b in _blocks(f))
-    return float(sum(np.trace(p, axis1=1, axis2=2).sum() for p in powers).real)
+    """Tr G^k of the (hermitized) truncated matrix: the sum of the k-th powers of its spectrum."""
+    return float(np.sum(spectrum(f) ** k))
 
 
 def alternating_trace(f: FockOperator) -> float:

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DimensionMismatchError, SingularMatrixError
 
 K = 16  # width of the verdict band in units of eps * scale**degree
+# the largest |eigenvalue| of a kernel whose verdicts are resolved: the two-mode margins
+# hold products of up to four eigenvalues (det C, Delta^2, the band's scale), finite below it
+MAX_SCALE = 2.0**250
 
 # T as an index permutation: it exchanges z and z* of every mode
 _T_SWAP = {dim: np.ix_(np.arange(dim) ^ 1, np.arange(dim) ^ 1) for dim in (2, 4)}

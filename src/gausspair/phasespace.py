@@ -79,26 +79,20 @@ def characteristic_value(k: GaussianKernel, pt: PhasePoint) -> complex:
     return complex(np.exp(-0.5 * (np.conj(z) @ k.matrix @ z)))
 
 
-def wigner_grid(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
-    """Rows (q, p, w) for a one-mode W kernel, row-major over q then p.
-
-    The same W(z) as ``wigner_value``, evaluated on the whole grid at once.
+def wigner_grid(k: GaussianKernel, grid: GridSpec, rows: slice = slice(None)) -> np.ndarray:
+    """W(q, p) of a one-mode W kernel on the grid, indexed [q, p]; only the q rows ``rows``
+    when given.  The same W(z) as ``wigner_value``, evaluated on the whole array at once.
     """
-    if k.modes != 1:
-        raise ValueError("wigner_grid evaluates one-mode kernels")
-    if k.kind != "W":
-        raise ValueError("expected a W kernel")
-    q, p = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+    if k.modes != 1 or k.kind != "W":
+        raise ValueError("wigner_grid evaluates one-mode W kernels")
+    q, p = np.meshgrid(grid.axis[rows], grid.axis, indexing="ij")
     z = (q + 1j * p) / math.sqrt(2.0)
     v = np.stack([z, np.conj(z)])
     quad = np.real(np.einsum("i...,ij,j...->...", np.conj(v), k.matrix, v))
-    w = math.sqrt(k.det) * np.exp(-0.5 * quad)
-    return np.column_stack([q.ravel(), p.ravel(), w.ravel()])
+    return math.sqrt(k.det) * np.exp(-0.5 * quad)
 
 
-def scan_wavefunction(p: SmoothedEprParam, grid: GridSpec) -> np.ndarray:
-    """Rows (q1, q2, psi) of the smoothed EPR wave function, row-major."""
-    axis = grid.axis
-    q1, q2 = np.meshgrid(axis, axis, indexing="ij")
-    psi = epr_wavefunction(p, q1, q2)
-    return np.column_stack([q1.ravel(), q2.ravel(), psi.ravel()])
+def scan_wavefunction(p: SmoothedEprParam, grid: GridSpec, rows: slice = slice(None)) -> np.ndarray:
+    """The smoothed EPR wave function on the grid, indexed [q1, q2]; only the q1 rows
+    ``rows`` when given."""
+    return epr_wavefunction(p, *np.meshgrid(grid.axis[rows], grid.axis, indexing="ij"))

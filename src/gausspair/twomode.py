@@ -71,15 +71,27 @@ class TwoModeVerdict:
 
 @dataclass(frozen=True)
 class InvariantVerdicts:
-    """Verdicts and symplectic eigenvalues of stacked C matrices; every field
-    has the stack's shape.  ``ppt_separable`` is False where not ``positive``."""
+    """Verdicts of stacked C matrices and the invariants they were read from: D = det C,
+    dA + dB and dX.  Every field has the stack's shape (or broadcasts to it);
+    ``ppt_separable`` is False where not ``positive``."""
 
     positive: np.ndarray
     pure: np.ndarray
     ppt_separable: np.ndarray
     p_representable: np.ndarray
-    nu_plus: np.ndarray
-    nu_minus: np.ndarray
+    det_c: np.ndarray
+    d_ab: np.ndarray
+    d_x: np.ndarray
+
+    @property
+    def nu(self) -> tuple[np.ndarray, np.ndarray]:
+        """The symplectic eigenvalues (nu+, nu-), computed on each read:
+        nu+-^2 = (Delta +- sqrt(Delta^2 - 4D))/2 with Delta = dA + dB + 2dX;
+        on positive states both are held at 1/2 or above."""
+        delta = self.d_ab + 2.0 * self.d_x
+        root = np.sqrt(np.maximum(delta * delta - 4.0 * self.det_c, 0.0))
+        floor = np.where(self.positive, 0.25, 0.0)  # lower bound on nu^2
+        return np.sqrt(np.maximum(0.5 * (delta + root), floor)), np.sqrt(np.maximum(0.5 * (delta - root), floor))
 
 
 def assemble_c(p: TwoModeMoments) -> np.ndarray:
@@ -203,7 +215,7 @@ def thermal_pair(k: GaussianKernel, diagnostics: bool = False) -> ThermalPair:
 
 
 def _thermal(v: InvariantVerdicts) -> ThermalPair:
-    g1, g2 = ((2.0 * nu - 1.0) / (2.0 * nu + 1.0) for nu in (v.nu_plus, v.nu_minus))
+    g1, g2 = ((2.0 * nu - 1.0) / (2.0 * nu + 1.0) for nu in v.nu)
     return ThermalPair(g1=float(g1), g2=float(g2))
 
 
@@ -248,48 +260,48 @@ def _det2(c: np.ndarray, row: int, col: int) -> np.ndarray:
 
 
 def invariant_verdicts(c, eig=None) -> InvariantVerdicts:
-    """Two-mode verdicts for stacked (..., 4, 4) C matrices from their local
-    symplectic invariants (Simon, PRL 84, 2726 (2000); Serafini, PRL 96,
-    110402 (2006)), in the normalization where vacuum is C = I/2.
+    """Two-mode verdicts for stacked (..., 4, 4) C matrices: ``verdicts_from_invariants``
+    on their spectrum and the determinants dA, dB, dX of their diagonal and off-diagonal
+    2x2 blocks.  ``eig``, C's eigenvalues ascending along the last axis, defaults to
+    ``eigvalsh``; callers that hold them (a kernel's carried pair) pass them."""
+    c = np.asarray(c)
+    if eig is None:
+        eig = np.linalg.eigvalsh(c)
+    return verdicts_from_invariants(np.moveaxis(eig, -1, 0), _det2(c, 0, 0), _det2(c, 2, 2), _det2(c, 0, 2))
 
-    With D = det C and dA, dB, dX the determinants of the diagonal and
-    off-diagonal 2x2 blocks, an existing C is positive iff D >= 1/16 and
-    1/4 + 4D - (dA + dB + 2dX) >= 0.  Transposing one mode flips the sign of
-    dX, so the same test with -2dX decides PPT separability.  The symplectic
-    eigenvalues are nu+-^2 = (Delta +- sqrt(Delta^2 - 4D))/2 with
-    Delta = dA + dB + 2dX; on positive states both are held at 1/2 or above.
+
+def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
+    """The verdict engine: two-mode verdicts from C's local symplectic invariants (Simon,
+    PRL 84, 2726 (2000); Serafini, PRL 96, 110402 (2006)), in the normalization where
+    vacuum is C = I/2.  ``eig`` is C's four eigenvalues ascending, as a sequence of arrays;
+    they and the block determinants broadcast against each other: a single C, a stack, or
+    the closed forms of a scan family over a block of grid rows (``cli.scan_blocks``).
+
+    With D = det C, the product of the eigenvalues, an existing C is positive iff
+    D >= 1/16 and 1/4 + 4D - (dA + dB + 2dX) >= 0.  Transposing one mode flips the sign
+    of dX, so the same test with -2dX decides PPT separability.  The symplectic
+    eigenvalues (``InvariantVerdicts.nu``) are computed only when read.
 
     The margins get band(s, 2), s^2 = |C| (|C| + |adj C|) with |C| the largest
     |eigenvalue| and |adj C| the sum of the eigenvalue triple products: det C
     carries a round-off of about eps |C| |adj C|, the 2x2 block determinants
     eps |C|^2.  s is of order tr C for pure states and of order (tr C)^2 for
     mixed ones with a large symplectic eigenvalue.  Eigenvalues get band(tr C, 1).
-    ``eig``, C's eigenvalues ascending along the last axis, defaults to ``eigvalsh``;
-    callers that hold them (a kernel's carried pair, a scan family's closed form) pass them.
-    D is their product.  The stack may be of any size: a scan passes one block of rows at a time.
+    Every product stays finite while |C| <= ``linalg.MAX_SCALE``.
     """
-    c = np.asarray(c)
-    if eig is None:
-        eig = np.linalg.eigvalsh(c)
-    e0, e1, e2, e3 = np.moveaxis(eig, -1, 0)
+    e0, e1, e2, e3 = eig
     det_c = e0 * e1 * e2 * e3
-    da, db, dx = _det2(c, 0, 0), _det2(c, 2, 2), _det2(c, 0, 2)
-    delta = da + db + 2.0 * dx
-    base = 0.25 + 4.0 * det_c - (da + db)
+    d_ab = da + db
+    base = 0.25 + 4.0 * det_c - d_ab
     a0, a1, a2, a3 = np.abs(e0), np.abs(e1), np.abs(e2), np.abs(e3)
     top = np.maximum(a0, a3)
     adj = a0 * a1 * (a2 + a3) + a2 * a3 * (a0 + a1)
     tol, tol_lam = linalg.band(np.sqrt(top * (top + adj)), 2), linalg.band(e0 + e1 + e2 + e3, 1)
     positive = (e0 >= -tol_lam) & (det_c - 1.0 / 16.0 >= -tol) & (base - 2.0 * dx >= -tol)
-    root = np.sqrt(np.maximum(delta * delta - 4.0 * det_c, 0.0))
-    floor = np.where(positive, 0.25, 0.0)  # lower bound on nu^2
     return InvariantVerdicts(
-        positive=positive,
-        pure=positive & (np.abs(det_c - 1.0 / 16.0) <= tol),
-        ppt_separable=positive & (base + 2.0 * dx >= -tol),
-        p_representable=e0 - 0.5 > tol_lam,
-        nu_plus=np.sqrt(np.maximum(0.5 * (delta + root), floor)),
-        nu_minus=np.sqrt(np.maximum(0.5 * (delta - root), floor)),
+        positive=positive, pure=positive & (np.abs(det_c - 1.0 / 16.0) <= tol),
+        ppt_separable=positive & (base + 2.0 * dx >= -tol), p_representable=e0 - 0.5 > tol_lam,
+        det_c=det_c, d_ab=d_ab, d_x=dx,
     )
 
 

@@ -72,5 +72,20 @@ def rng():
     return np.random.default_rng(20260823)
 
 
+# C[i, j] of a scan family is the coefficient of the swap i ^ j: I, X (z <-> z* in each
+# mode), Y (the modes) or XY; the coefficients are a = n + 1/2, m1, ms and mc
+_SWAP = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+
+
+def family_stack(family, n, mc, ratio):
+    """The stacked real C matrices of a scan family at each (mc, n), gathered entry by entry:
+    the matrices the CLI scan decides without building."""
+    n, mc = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(mc, dtype=float))
+    zero = np.zeros_like(n)
+    m1 = ratio * mc if family == "squeezed_epr" else zero
+    ms = ratio * mc if family == "anti_epr" else zero
+    return np.stack([n + 0.5, m1, ms, mc], axis=-1)[..., _SWAP]
+
+
 def assert_close(a, b, tol=1e-10):
     assert np.allclose(a, b, atol=tol, rtol=0.0), f"\n{a}\n!=\n{b}"

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import family_stack
 
-from gausspair import cli, onemode, phasespace, states, twomode
+from gausspair import cli, linalg, onemode, phasespace, states, twomode
 from gausspair.cli import main
 from gausspair.errors import NotAStateError
 from gausspair.kernels import convert
@@ -32,10 +33,13 @@ def per_row_lines(header, row_format, table):
 
 
 def family_grid(case):
+    """The request, the mc and n grids, the gathered C stack and the scan's closed-form
+    invariants (eigenvalues ascending along the last axis, dA, dB, dX) on the grid."""
     family, ratio, mc_lo, mc_hi, mc_steps, n_lo, n_hi, n_steps = case
     mcs, ns = np.linspace(mc_lo, mc_hi, mc_steps), np.linspace(n_lo, n_hi, n_steps)
     mc, n = np.meshgrid(mcs, ns, indexing="ij")
-    return cli.ScanRequest(*case), mc, n, cli._family_matrices(family, n, mc, ratio)
+    eig, da, db, dx = cli._family_invariants(family, n, mc, ratio)
+    return cli.ScanRequest(*case), mc, n, family_stack(family, n, mc, ratio), (np.stack(eig, axis=-1), da, db, dx)
 
 
 def run(capsys, *argv):
@@ -164,15 +168,33 @@ class TestScan:
 
     @pytest.mark.parametrize("case", SCAN_CASES)
     def test_closed_form_flags_match_eigvalsh(self, case):
-        _, _, _, (c, eig) = family_grid(case)
-        closed, numeric = twomode.invariant_verdicts(c, eig), twomode.invariant_verdicts(c)
+        _, _, _, c, (eig, da, db, dx) = family_grid(case)
+        closed = twomode.verdicts_from_invariants(np.moveaxis(eig, -1, 0), da, db, dx)
+        numeric = twomode.invariant_verdicts(c)
         for field in ("positive", "pure", "ppt_separable", "p_representable"):
             assert np.array_equal(getattr(closed, field), getattr(numeric, field)), field
 
     @pytest.mark.parametrize("family, ratio", FIGURE_PAIRS)
+    @pytest.mark.parametrize(
+        "grid", [(0.0, 2.0, 201, 0.0, 2.0, 201), (-1e6, 1e6, 101, 0.0, 1e6, 77), (-2.0, -0.1, 17, 1e-6, 3.0, 29)],
+        ids=["figure", "1e6", "negative-mc"],
+    )
+    def test_closed_form_invariants_equal_the_block_determinants(self, family, ratio, grid):
+        # the scan reads dA, dB, dX as closed forms: the same floats _det2 takes from the
+        # gathered stack, so the core decides exactly as invariant_verdicts does on it
+        _, _, _, c, (eig, da, db, dx) = family_grid((family, ratio, *grid))
+        for got, (row, col) in zip((da, db, dx), ((0, 0), (2, 2), (0, 2))):
+            want = twomode._det2(c, row, col)
+            assert np.array_equal(np.broadcast_to(got, want.shape), want)
+        core = twomode.verdicts_from_invariants(np.moveaxis(eig, -1, 0), da, db, dx)
+        stack = twomode.invariant_verdicts(c, eig)
+        for field in ("positive", "pure", "ppt_separable", "p_representable"):
+            assert np.array_equal(getattr(core, field), getattr(stack, field)), field
+
+    @pytest.mark.parametrize("family, ratio", FIGURE_PAIRS)
     @pytest.mark.parametrize("top", [2.0, 1e3, 1e6])
     def test_closed_form_spectrum_matches_eigvalsh(self, family, ratio, top):
-        _, _, _, (c, eig) = family_grid((family, ratio, -top, top, 41, 0.0, top, 37))
+        _, _, _, c, (eig, _, _, _) = family_grid((family, ratio, -top, top, 41, 0.0, top, 37))
         want = np.linalg.eigvalsh(c)
         # sum |eigenvalue| is tr C wherever C is a state
         assert np.all(np.abs(eig - want) <= band(np.abs(want).sum(-1, keepdims=True), 1))
@@ -187,9 +209,16 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--family", "anti-epr", *argv)
         assert code == 64 and "overflow" in err and not (tmp_path / "s.csv").exists()
 
+    def test_grid_at_the_verdict_range_runs_without_overflow(self):
+        # the largest eigenvalue bound the scan admits: every margin stays finite, and
+        # RuntimeWarning is an error under pytest
+        t = 0.5 * (linalg.MAX_SCALE - 2e6)
+        lines = cli.run_scan(cli.ScanRequest("anti_epr", 1.0, -t, t, 3, 0.0, 1e6, 2))
+        assert len(lines) == 7 and lines[3] == "0,0,1,1,1,0"
+
     @pytest.mark.parametrize("case", SCAN_CASES)
     def test_scan_bytes_match_per_row_formatting(self, case, capsys):
-        req, mc, n, (c, _) = family_grid(case)
+        req, mc, n, c, _ = family_grid(case)
         v = twomode.invariant_verdicts(c)
         flags = (v.positive, v.pure, v.ppt_separable, v.p_representable)
         table = np.column_stack([mc.ravel(), n.ravel(), *(f.ravel() for f in flags)])
@@ -324,10 +353,12 @@ class TestGrids:
         grid = phasespace.GridSpec(lo, hi, samples)
         if command == "wigner":
             w = convert(onemode.build_C(onemode.OneModeMoments(0.7, 0.2 + 0.3j)), "W")
-            header, table, flags = "q,p,w", phasespace.wigner_grid(w, grid), ["--n", "0.7", "--m", "0.2+0.3j"]
+            header, values, flags = "q,p,w", phasespace.wigner_grid(w, grid), ["--n", "0.7", "--m", "0.2+0.3j"]
         else:
-            table = phasespace.scan_wavefunction(states.SmoothedEprParam(0.4), grid)
+            values = phasespace.scan_wavefunction(states.SmoothedEprParam(0.4), grid)
             header, flags = "q1,q2,psi", ["--nbar", "0.4"]
+        x, y = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+        table = np.column_stack([x.ravel(), y.ravel(), values.ravel()])
         want = "\n".join(per_row_lines(header, "%.10g,%.10g,%.12g", table)) + "\n"
         argv = [command, *flags, f"--lo={lo}", f"--hi={hi}", "--samples", str(samples)]
         code, out, _ = run(capsys, *argv)
@@ -338,6 +369,41 @@ class TestGrids:
     def test_wigner_not_a_state_exit_2(self, capsys):
         code, _, _ = run(capsys, "wigner", "--n", "0", "--m", "2")
         assert code == 2
+
+
+class TestVerdictRange:
+    SCAN = ["scan", "--family", "mixed-epr", "--mc-min", "0", "--mc-max", "1", "--mc-steps", "2", "--n-steps", "2"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--modes", "2", "--n", "1e100", "--mc", "0"],
+            ["classify", "--modes", "1", "--n", "1e160", "--m", "0"],
+            ["oracle", "--modes", "2", "--n1", "1", "--n2", "1", "--ms", "1e80"],
+            [*SCAN, "--n-min", "1e100", "--n-max", "1e100"],
+        ],
+        ids=["two-mode-n-1e100", "one-mode-n-1e160", "oracle-ms-1e80", "scan-n-1e100"],
+    )
+    def test_input_past_the_range_is_refused_before_any_output(self, capsys, tmp_path, argv):
+        # past it det C, the band's scale or Delta^2 overflow: the engine printed "pure": true
+        # with NaN g, the scan wrote pure = 1 for thermal states, one mode raised OverflowError
+        out_file = tmp_path / "out.csv"
+        try:
+            got = main([*argv, "--out", str(out_file)] if argv[0] == "scan" else argv)
+        except SystemExit as exc:  # argparse rejects the value itself
+            got = exc.code
+        out = capsys.readouterr()
+        assert got == 64 and out.out == "" and not out_file.exists()
+        assert "error:" in out.err and "Traceback" not in out.err
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_largest_admitted_moments_give_finite_verdicts(self, capsys, modes):
+        # a well-conditioned C with its largest |eigenvalue| near linalg.MAX_SCALE
+        top, m = str(cli._MOMENT_BOUND), str(0.25 * cli._MOMENT_BOUND)
+        extra = ["--m", m] if modes == 1 else ["--n1", top, "--n2", top, "--mc", m, "--ms", m, "--m1", m, "--m2", m]
+        code, out, _ = run(capsys, "classify", "--modes", str(modes), *extra, "--n", top)
+        rep = json.loads(out)  # RuntimeWarning is an error under pytest
+        assert code == 0 and np.all(np.isfinite(rep["g"])) and rep["trace_g2"] is not None
 
 
 class TestBadInput:
@@ -357,9 +423,11 @@ class TestBadInput:
             (["classify", "--modes", "2", "--n1", "1", "--mc", "0.5"], 64, "needs --n or both --n1 and --n2"),
             (["classify", "--modes", "2", "--family", "mixed-epr", "--n", "1"], 64, "--family needs --n and --mc"),
             (["oracle", "--modes", "2", "--ms", "0.1"], 64, "needs --n or both --n1 and --n2"),
+            # C -> Q of a C whose eigenvalues span more than 1/(16 eps) is singular within its band
+            (["oracle", "--modes", "2", "--n1", "1e17", "--n2", "0"], 3, "min|eigenvalue|"),
         ],
         ids=["n-nan", "n-inf", "mc-nan", "wigner-nan", "one-step", "no-matrix", "missing-file",
-             "not-a-state-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n"],
+             "not-a-state-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n", "oracle-singular"],
     )
     def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code, says):
         paths = {name: tmp_path / f"{name}.json" for name in ("no_matrix", "missing", "not_a_state")}

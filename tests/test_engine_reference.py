@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import family_stack
 
 from gausspair import cli, linalg, twomode
 
@@ -43,11 +44,13 @@ def lu_flags(c, eig):
 
 
 def scan_grid(family, ratio, mc_lo, mc_hi, n_hi, steps):
-    """Family stack and spectrum over mc in [mc_lo, mc_hi], n in [0, n_hi], and the
-    flags of the engine and of the LU copy, stacked in the order of ``FLAGS``."""
+    """Family stack (gathered here) and closed-form spectrum over mc in [mc_lo, mc_hi],
+    n in [0, n_hi], and the flags of the scan's engine on its closed-form invariants and of
+    the LU copy, stacked in the order of ``FLAGS``."""
     mc, n = np.meshgrid(np.linspace(mc_lo, mc_hi, steps), np.linspace(0.0, n_hi, steps), indexing="ij")
-    c, eig = cli._family_matrices(family, n, mc, ratio)
-    v = twomode.invariant_verdicts(c, eig)
+    invariants = cli._family_invariants(family, n, mc, ratio)
+    c, eig = family_stack(family, n, mc, ratio), np.stack(invariants[0], axis=-1)
+    v = twomode.verdicts_from_invariants(*invariants)
     return c, eig, np.stack([getattr(v, f) for f in FLAGS]), np.stack(lu_flags(c, eig))
 
 

@@ -286,6 +286,15 @@ class TestPartialTranspose:
 
 
 class TestTracePower:
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_matches_dense_matrix_powers(self, name):
+        # the reference: Tr G^k from powers of the whole hermitized matrix
+        op = fock.from_kernel(KERNELS[name](), cutoff=12, strict=False)
+        for m in with_partial_transpose(op):
+            for k in (1, 2, 3, 4):
+                want = np.trace(np.linalg.matrix_power(hermitized(m), k)).real
+                assert fock.trace_power(m, k) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
     def test_vacuum_all_one(self):
         op = fock.from_kernel(one_mode_kernel(0.0), cutoff=6)
         for k in (1, 2, 4):

@@ -64,8 +64,7 @@ class TestWignerValue:
             k = wigner_kernel(n)
             sigma = math.sqrt(n + 0.5)
             grid = GridSpec(-6 * sigma, 6 * sigma, 201)
-            table = phasespace.wigner_grid(k, grid)
-            total = np.sum(table[:, 2]) * grid.step**2 / (2 * math.pi)
+            total = np.sum(phasespace.wigner_grid(k, grid)) * grid.step**2 / (2 * math.pi)
             assert 0.999 <= total <= 1.001
 
     def test_requires_w_kernel(self):
@@ -77,12 +76,17 @@ class TestWignerValue:
         # complex m makes W asymmetric under q <-> p, so the row order shows
         k = wigner_kernel(0.7, 0.3 + 0.4j)
         grid = GridSpec(-3.0, 2.0, 9)
-        want = [
-            (q, p, phasespace.wigner_value(k, PhasePoint.one_mode(q, p)))
-            for q in grid.axis
-            for p in grid.axis
-        ]
+        want = [[phasespace.wigner_value(k, PhasePoint.one_mode(q, p)) for p in grid.axis] for q in grid.axis]
         np.testing.assert_allclose(phasespace.wigner_grid(k, grid), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rows", [slice(0, 7), slice(7, 14), slice(28, None)])
+    def test_row_blocks_equal_the_whole_grid(self, rows):
+        # the CLI evaluates the grid one block of q rows at a time; its bytes need the same floats
+        k = wigner_kernel(0.7, 0.2 + 0.3j)
+        grid = GridSpec(-4.0, 4.0, 33)
+        assert np.array_equal(phasespace.wigner_grid(k, grid, rows), phasespace.wigner_grid(k, grid)[rows])
+        p = states.SmoothedEprParam(0.4)
+        assert np.array_equal(phasespace.scan_wavefunction(p, grid, rows), phasespace.scan_wavefunction(p, grid)[rows])
 
     def test_grid_requires_one_mode_w_kernel(self):
         grid = GridSpec(-1.0, 1.0, 3)
@@ -115,31 +119,23 @@ class TestCharacteristicValue:
 
 class TestScanWavefunction:
     def test_ground_state_rotationally_symmetric(self):
-        table = phasespace.scan_wavefunction(
-            states.SmoothedEprParam(0.0), GridSpec(-2.0, 2.0, 21)
-        )
-        psi = dict(((round(r[0], 6), round(r[1], 6)), r[2]) for r in table)
-        for q in np.linspace(-2, 2, 21):
-            q = round(float(q), 6)
-            assert psi[(q, q)] == pytest.approx(psi[(q, -q)], abs=1e-12)
+        psi = phasespace.scan_wavefunction(states.SmoothedEprParam(0.0), GridSpec(-2.0, 2.0, 21))
+        for i in range(21):
+            assert psi[i, i] == pytest.approx(psi[i, 20 - i], abs=1e-12)
 
     def test_entangled_ridge_ratio(self):
         p = states.SmoothedEprParam(1.0)
-        table = phasespace.scan_wavefunction(p, GridSpec(-1.0, 1.0, 3))
-        psi = dict(((round(r[0], 6), round(r[1], 6)), r[2]) for r in table)
-        assert psi[(1.0, 1.0)] / psi[(1.0, -1.0)] == pytest.approx(
+        psi = phasespace.scan_wavefunction(p, GridSpec(-1.0, 1.0, 3))  # q = -1, 0, 1
+        assert psi[2, 2] / psi[2, 0] == pytest.approx(
             math.exp(4.0 * math.sqrt(2.0)), rel=1e-9
         )
 
     def test_maximum_at_origin(self):
-        table = phasespace.scan_wavefunction(
-            states.SmoothedEprParam(1.0), GridSpec(-3.0, 3.0, 31)
-        )
-        best = table[np.argmax(table[:, 2])]
-        assert best[0] == pytest.approx(0.0) and best[1] == pytest.approx(0.0)
+        psi = phasespace.scan_wavefunction(states.SmoothedEprParam(1.0), GridSpec(-3.0, 3.0, 31))
+        assert np.unravel_index(np.argmax(psi), psi.shape) == (15, 15)
 
     def test_row_major_order(self):
-        table = phasespace.scan_wavefunction(
-            states.SmoothedEprParam(0.0), GridSpec(0.0, 1.0, 2)
-        )
-        assert_close(table[:, :2], [[0, 0], [0, 1], [1, 0], [1, 1]])
+        p = states.SmoothedEprParam(0.7)
+        psi = phasespace.scan_wavefunction(p, GridSpec(0.0, 1.0, 2))  # indexed [q1, q2]
+        want = [[states.epr_wavefunction(p, q1, q2) for q2 in (0.0, 1.0)] for q1 in (0.0, 1.0)]
+        assert_close(psi, want)

@@ -374,8 +374,9 @@ class TestInvariantVerdicts:
         v = twomode.invariant_verdicts(np.stack([k.matrix for k in kernels]).reshape(5, 10, 4, 4))
         for i, k in enumerate(kernels):
             one = twomode.invariant_verdicts(k.matrix)
-            for field in ("positive", "pure", "ppt_separable", "p_representable", "nu_plus", "nu_minus"):
+            for field in ("positive", "pure", "ppt_separable", "p_representable"):
                 assert getattr(v, field)[i // 10, i % 10] == getattr(one, field)
+            assert [nu[i // 10, i % 10] for nu in v.nu] == list(one.nu)
 
     @pytest.mark.parametrize("family", ["mixed_epr", "anti_epr", "squeezed_epr"])
     def test_family_margins(self, family):
@@ -400,5 +401,45 @@ class TestInvariantVerdicts:
         assert len(seen) == 4  # both sides of both boundaries were checked
 
     def test_symplectic_eigenvalues_of_product_thermal(self):
-        v = twomode.invariant_verdicts(twomode.product_thermal_kernel(0.5, 0.2).matrix)
-        assert v.nu_plus == pytest.approx(1.5) and v.nu_minus == pytest.approx(0.75)
+        nu_plus, nu_minus = twomode.invariant_verdicts(twomode.product_thermal_kernel(0.5, 0.2).matrix).nu
+        assert nu_plus == pytest.approx(1.5) and nu_minus == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("kind", ["mixed_epr", "anti_epr", "squeezed_epr", "general", "pure_d", "smoothed"])
+    def test_thermal_pair_bitwise_as_the_single_pass_engine(self, kind, rng):
+        # nu+- are now computed only when read; classify2 must give the same floats as the
+        # engine that computed them with the verdicts, over the scales of the verdict census
+        seen = 0
+        for n in np.logspace(-6, 6, 25):
+            nn = n * (n + 1.0)
+            f, r = rng.uniform(0.0, 1.0), rng.uniform(0.1, 0.9)
+            mc = f * math.sqrt(nn)
+            try:
+                if kind == "mixed_epr":
+                    k = states.mixed_epr(n, mc)
+                elif kind == "anti_epr":
+                    k = states.anti_epr(n, mc, r * mc)
+                elif kind == "squeezed_epr":
+                    k = states.squeezed_epr(n, mc / (1.0 + r), r * mc / (1.0 + r))
+                elif kind == "general":
+                    k = random_kernels(rng, 1)[0]
+                elif kind == "pure_d":
+                    alpha, beta = n**0.25, rng.uniform(0.1, 10.0)
+                    k = states.pure_from_d(states.PureStateD(alpha, beta, r * math.sqrt(alpha * beta)))
+                else:
+                    k = states.smoothed_epr(states.SmoothedEprParam(n))
+            except NotAStateError:
+                continue
+            verdict = twomode.classify2(k)
+            if verdict.thermal is None:
+                continue
+            e0, e1, e2, e3 = np.sort(k.eig[0])
+            c, det_c = k.matrix, e0 * e1 * e2 * e3
+            da, db, dx = (twomode._det2(c, r, s) for r, s in ((0, 0), (2, 2), (0, 2)))
+            delta = da + db + 2.0 * dx
+            root = np.sqrt(np.maximum(delta * delta - 4.0 * det_c, 0.0))
+            nus = (np.sqrt(np.maximum(0.5 * (delta + root), 0.25)), np.sqrt(np.maximum(0.5 * (delta - root), 0.25)))
+            assert [float(nu) for nu in twomode._kernel_verdicts(k).nu] == [float(nu) for nu in nus], n
+            g1, g2 = ((2.0 * nu - 1.0) / (2.0 * nu + 1.0) for nu in nus)
+            assert (verdict.thermal.g1, verdict.thermal.g2) == (float(g1), float(g2)), n
+            seen += 1
+        assert seen >= 10
