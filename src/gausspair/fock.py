@@ -35,6 +35,7 @@ from .linalg import band
 DEFAULT_CUTOFF = 16
 LOSS_THRESHOLD = 1e-4
 DEAD_BAND = 1e-5  # oracle eigenvalues this close to zero decide nothing
+MAX_ENTRIES = 2**21  # largest (cutoff + 1)^(2 modes): 32 MB of complex amplitudes; two-mode cutoff 37
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,8 @@ def _amplitudes(b: np.ndarray, d: int) -> np.ndarray:
 
 def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = True) -> FockOperator:
     """Truncated Fock matrix of the Gaussian operator behind any kernel."""
-    if cutoff < 4:
-        raise ValueError("cutoff must be at least 4")
+    if cutoff < 4 or (cutoff + 1) ** (2 * k.modes) > MAX_ENTRIES:
+        raise ValueError(f"cutoff must be at least 4 and (cutoff + 1)^(2 modes) at most {MAX_ENTRIES}")
     kq = convert(k, "Q")
     q, det_q, modes = kq.matrix, kq.det, k.modes
     q_x = q[:, [1, 0, 3, 2][: 2 * modes]]

@@ -10,14 +10,14 @@ lives in.  The four forms of the same Gaussian operator are related by
 so all four share C's eigenvectors, conjugated by E, and have eigenvalues
 1/(lam + s) for s = 0, 1/2, -1/2.  Each kernel carries the pair (x, V) it was
 built from: one ``eigh`` of a given matrix, or the source's pair mapped by
-``convert``, so a chain of conversions diagonalizes once.  A kernel is singular
-when its smallest |eigenvalue| lies within ``linalg.band`` of zero, relative to
-their sum.
+``convert``, so a chain of conversions diagonalizes once and forms a matrix only
+for a kernel that is read.  A kernel is singular when its smallest |eigenvalue|
+lies within ``linalg.band`` of zero, relative to their sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
 
 import numpy as np
 
@@ -30,33 +30,45 @@ KINDS = ("C", "W", "Q", "P")
 _SHIFT = {"W": 0.0, "Q": 0.5, "P": -0.5}
 # the diagonal of E, which flips eigenvectors by a sign per row
 _E_SIGN = {dim: np.diag(linalg.structure_e(dim))[:, None] for dim in (2, 4)}
+_ENTRY_BOUND = sys.float_info.max / 4  # V diag(x) V^dag has entries <= max|x| (V unitary); forming it adds two
 
 
-@dataclass(frozen=True)
 class GaussianKernel:
-    """A representation-tagged Gaussian kernel matrix; ``eig`` is its read-only
-    pair (x, V), ``matrix`` = V diag(x) V^dag to round-off, x unsorted."""
+    """A representation-tagged Gaussian kernel; ``eig`` is its read-only pair (x, V), x unsorted,
+    and ``sym``/``matrix`` = V diag(x) V^dag to round-off: the matrix it was built from, or,
+    for a kernel that ``convert`` returns, formed from the pair when first read."""
 
-    kind: str
-    sym: SymMatrix
-    eig: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "eig", "_sym")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if "eig" not in vars(self):  # built from a matrix, not by ``convert``
-            object.__setattr__(self, "eig", tuple(np.linalg.eigh(self.sym.mat)))
-        for a in self.eig:
-            a.setflags(write=False)
-        x = self.eig[0]
+    def __init__(self, kind: str, sym: SymMatrix | None, eig: tuple | None = None):
+        """``eig`` is the pair of ``sym``, one ``eigh`` if not given; ``sym`` None is formed on read."""
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        x, v = np.linalg.eigh(sym.mat) if eig is None else eig
+        x.setflags(write=False)
+        v.setflags(write=False)
+        xs = x.tolist()
         # a negative eigenvalue of C means no Gaussian exists at all;
         # zeros within the band are kept as degenerate boundary cases
-        if self.kind == "C" and x.min() < -linalg.band(x.sum(), 1):
+        if kind == "C" and min(xs) < -linalg.band(sum(xs), 1):
             raise NotAStateError("C matrix has a negative eigenvalue")
         # a P kernel only exists when C - I/2 > 0 strictly, that is when P > 0;
         # a small eigenvalue of P belongs to a large one of C, not to that boundary
-        if self.kind == "P" and x.min() <= 0.0:
+        if kind == "P" and min(xs) <= 0.0:
             raise NotAStateError("P matrix is not positive definite")
+        for name, value in (("kind", kind), ("eig", (x, v)), ("_sym", sym)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianKernel is immutable")
+
+    @property
+    def sym(self) -> SymMatrix:
+        if self._sym is None:  # a converted kernel: V diag(x) V^dag, hermitized, on first read
+            x, v = self.eig
+            m = (v * x) @ v.conj().T
+            object.__setattr__(self, "_sym", SymMatrix._hermitian(0.5 * (m + m.conj().T)))
+        return self._sym
 
     @property
     def matrix(self) -> np.ndarray:
@@ -64,11 +76,11 @@ class GaussianKernel:
 
     @property
     def dim(self) -> int:
-        return self.sym.dim
+        return len(self.eig[0])
 
     @property
     def modes(self) -> int:
-        return self.sym.modes
+        return self.dim // 2
 
     @property
     def det(self) -> float:
@@ -82,7 +94,8 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
     The source's carried pair gives every kind: its eigenvalues x map to C's
     eigenvalues lam (lam = x, or 1/x - s for a kind E (C + s)^-1 E), and those to
     the target's 1/(lam + s); the eigenvectors are flipped by E when C is on
-    exactly one side of the conversion.  The result carries the mapped pair.
+    exactly one side of the conversion.  The result carries the mapped pair and
+    forms its matrix only when that is read; every refusal is raised here.
     """
     if target not in KINDS:
         raise ValueError(f"target must be one of {KINDS}, got {target!r}")
@@ -96,22 +109,15 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
         if target == "P":
             # the engine's rule for C - I/2 > 0, on C's eigenvalues in its ascending
             # order: the smallest clears band(tr C, 1)
-            asc = np.sort(lam)
-            if not asc[0] - 0.5 > linalg.band(asc.sum(), 1):
+            asc = sorted(lam.tolist())
+            if not asc[0] - 0.5 > linalg.band(sum(asc), 1):
                 raise NotPRepresentableError("C - I/2 has a non-positive eigenvalue")
         out = linalg.reciprocal(lam + _SHIFT[target])
+    if not all(abs(a) <= _ENTRY_BOUND for a in out.tolist()):
+        raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
     if (k.kind == "C") != (target == "C"):
         v = _E_SIGN[k.dim] * v
-    m = (v * out) @ v.conj().T
-    return _carrying(target, SymMatrix._hermitian(0.5 * (m + m.conj().T)), out, v)
-
-
-def _carrying(kind: str, sym: SymMatrix, x: np.ndarray, v: np.ndarray) -> GaussianKernel:
-    """The kernel of ``sym``, built as V diag(x) V^dag, carrying that pair."""
-    k = object.__new__(GaussianKernel)
-    object.__setattr__(k, "eig", (x, v))
-    GaussianKernel.__init__(k, kind, sym)
-    return k
+    return GaussianKernel(target, None, (out, v))
 
 
 def c_kernel(entries) -> GaussianKernel:

@@ -4,7 +4,7 @@ All covariance-style matrices in this package are Hermitian and obey the
 swap symmetry M = T M^T T, where T exchanges the (z, z*) pair of every mode.
 ``SymMatrix`` enforces that normal form on construction; ``SymMatrix._hermitian``
 builds it, checking only finiteness, from matrices Hermitian by construction:
-assembled moments, ``congruence`` and ``kernels.convert``.
+assembled moments, ``congruence`` and a converted kernel's V diag(x) V^dag.
 
 No tolerance here is absolute: the Hermiticity check, the singularity test of
 ``reciprocal`` and every verdict margin use ``band``, which scales with the
@@ -98,10 +98,10 @@ def congruence(a: np.ndarray, m: np.ndarray) -> SymMatrix:
 def reciprocal(x: np.ndarray) -> np.ndarray:
     """1/x for the eigenvalues x of one Hermitian matrix.  The matrix counts as
     singular when min|x| <= band(sum|x|, 1), the round-off of its eigenvalues."""
-    a = np.abs(x)
-    tol = band(a.sum(), 1)
-    if not a.min() > tol:
-        raise SingularMatrixError(f"min|eigenvalue| = {a.min():.3e} <= {tol:.3e}")
+    a = [abs(v) for v in x.tolist()]
+    tol = band(sum(a), 1)
+    if not min(a) > tol:
+        raise SingularMatrixError(f"min|eigenvalue| = {min(a):.3e} <= {tol:.3e}")
     return 1.0 / x
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotAStateError, NotPositiveError, NotPureError, NotRealBranchError
-from .kernels import GaussianKernel, _carrying, convert
+from .kernels import GaussianKernel, convert
 from .linalg import SymMatrix
 
 
@@ -78,7 +78,7 @@ def build_C(p: OneModeMoments) -> GaussianKernel:
     a, u = p.n + 0.5, np.exp(-1j * np.angle(p.m))
     v = np.array([[1.0, 1.0], [-u, u]]) * math.sqrt(0.5) if p.m else np.eye(2, dtype=complex)
     mat = SymMatrix._hermitian([[a, p.m], [np.conj(p.m), a]])
-    return _carrying("C", mat, np.array(_eigenvalues(p)), v)
+    return GaussianKernel("C", mat, (np.array(_eigenvalues(p)), v))
 
 
 def _eigenvalues(p: OneModeMoments) -> tuple[float, float]:

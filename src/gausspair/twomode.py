@@ -262,8 +262,7 @@ def _det2(c: np.ndarray, row: int, col: int) -> np.ndarray:
 def invariant_verdicts(c, eig=None) -> InvariantVerdicts:
     """Two-mode verdicts for stacked (..., 4, 4) C matrices: ``verdicts_from_invariants``
     on their spectrum and the determinants dA, dB, dX of their diagonal and off-diagonal
-    2x2 blocks.  ``eig``, C's eigenvalues ascending along the last axis, defaults to
-    ``eigvalsh``; callers that hold them (a kernel's carried pair) pass them."""
+    2x2 blocks.  ``eig``, C's eigenvalues ascending along the last axis, defaults to ``eigvalsh``."""
     c = np.asarray(c)
     if eig is None:
         eig = np.linalg.eigvalsh(c)
@@ -291,16 +290,19 @@ def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
     """
     e0, e1, e2, e3 = eig
     det_c = e0 * e1 * e2 * e3
-    d_ab = da + db
-    base = 0.25 + 4.0 * det_c - d_ab
+    d_ab, dx2, excess = da + db, 2.0 * dx, det_c - 1.0 / 16.0
     a0, a1, a2, a3 = np.abs(e0), np.abs(e1), np.abs(e2), np.abs(e3)
     top = np.maximum(a0, a3)
     adj = a0 * a1 * (a2 + a3) + a2 * a3 * (a0 + a1)
+    del a0, a1, a2, a3  # a lower peak of block-sized temporaries: fewer heap trims and page faults per block
     tol, tol_lam = linalg.band(np.sqrt(top * (top + adj)), 2), linalg.band(e0 + e1 + e2 + e3, 1)
-    positive = (e0 >= -tol_lam) & (det_c - 1.0 / 16.0 >= -tol) & (base - 2.0 * dx >= -tol)
+    slack = 0.25 + 4.0 * det_c - d_ab + tol  # the margins 1/4 + 4D - (dA + dB +- 2dX) >= -tol: slack >= +-2dX
+    positive = (e0 >= -tol_lam) & (excess >= -tol) & (slack >= dx2)
+    # D within tol can be a mixed state with a large nu+; Delta - 1/2 >= nu+^2 - 1/4 then exceeds band(|C|, 2)
+    pure = positive & (excess <= tol) & (d_ab + dx2 - 0.5 <= linalg.band(top, 2))
     return InvariantVerdicts(
-        positive=positive, pure=positive & (np.abs(det_c - 1.0 / 16.0) <= tol),
-        ppt_separable=positive & (base + 2.0 * dx >= -tol), p_representable=e0 - 0.5 > tol_lam,
+        positive=positive, pure=pure,
+        ppt_separable=positive & (slack >= -dx2), p_representable=e0 - 0.5 > tol_lam,
         det_c=det_c, d_ab=d_ab, d_x=dx,
     )
 
@@ -308,7 +310,8 @@ def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
 def _kernel_verdicts(k: GaussianKernel) -> InvariantVerdicts:
     """One C kernel's verdicts on the eigenvalues it carries, which ``convert`` reads."""
     _require_c(k)
-    return invariant_verdicts(k.matrix, np.sort(k.eig[0]))
+    c = k.matrix
+    return verdicts_from_invariants(sorted(k.eig[0].tolist()), _det2(c, 0, 0), _det2(c, 2, 2), _det2(c, 0, 2))
 
 
 def classify2(k: GaussianKernel) -> TwoModeVerdict:

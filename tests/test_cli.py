@@ -67,6 +67,11 @@ class TestClassify:
         rep = json.loads(out)
         assert rep["positive"] is True and rep["separable"] is False
 
+    @pytest.mark.parametrize("n1", ["1e12", "1e14", "1e15", "1e20", "1e30"])
+    def test_thermal_times_vacuum_not_pure(self, capsys, n1):
+        code, out, _ = run(capsys, "classify", "--modes", "2", "--n1", n1, "--n2", "0")
+        assert code == 0 and json.loads(out)["pure"] is False
+
     def test_not_a_state(self, capsys):
         code, out, _ = run(capsys, "classify", "--modes", "1", "--n", "0", "--m", "2")
         assert code == 2
@@ -284,6 +289,20 @@ class TestConvert:
         assert code == 0
         assert json.loads(out)["matrix"][0] == pytest.approx([1e4, 0.0], rel=1e-12)
 
+    @pytest.mark.parametrize("target", ["W", "Q", "P"])
+    def test_output_is_the_formed_matrix_bitwise(self, capsys, tmp_path, target):
+        # every entry is V diag(x) V^dag of the converted pair, hermitized and in normal form
+        for k in (states.anti_epr(1.3, 0.4, 0.2), states.squeezed_epr(0.9, 0.3, 0.2),
+                  onemode.build_C(onemode.OneModeMoments(1.1, 0.3 + 0.4j))):
+            src = self.write_kernel(tmp_path, k)
+            code, out, _ = run(capsys, "convert", "--in", src, "--to", target)
+            with open(src) as fh:
+                x, v = convert(cli.kernel_from_json(json.load(fh)), target).eig
+            m = (v * x) @ v.conj().T
+            want = linalg.SymMatrix._hermitian(0.5 * (m + m.conj().T)).mat
+            flat = [[float(z.real), float(z.imag)] for z in want.ravel()]
+            assert code == 0 and out == json.dumps({"modes": k.modes, "kind": target, "matrix": flat}) + "\n"
+
     def test_singular_exit_3(self, capsys, tmp_path):
         boundary = states.mixed_epr(0.5, 1.0)  # det C = 0 exactly
         src = self.write_kernel(tmp_path, boundary)
@@ -425,9 +444,12 @@ class TestBadInput:
             (["oracle", "--modes", "2", "--ms", "0.1"], 64, "needs --n or both --n1 and --n2"),
             # C -> Q of a C whose eigenvalues span more than 1/(16 eps) is singular within its band
             (["oracle", "--modes", "2", "--n1", "1e17", "--n2", "0"], 3, "min|eigenvalue|"),
+            # 201^4 amplitudes are refused before the oracle allocates them
+            (["oracle", "--modes", "2", "--n1", "0.5", "--n2", "0.5", "--cutoff", "200"], 64, "cutoff"),
         ],
         ids=["n-nan", "n-inf", "mc-nan", "wigner-nan", "one-step", "no-matrix", "missing-file",
-             "not-a-state-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n", "oracle-singular"],
+             "not-a-state-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n", "oracle-singular",
+             "oracle-cutoff-too-large"],
     )
     def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code, says):
         paths = {name: tmp_path / f"{name}.json" for name in ("no_matrix", "missing", "not_a_state")}

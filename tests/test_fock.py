@@ -129,11 +129,15 @@ class TestFromKernel:
         assert want.dtype == complex
         assert np.max(np.abs(got - want)) <= 1e-15
 
-    def test_cutoff_guard(self):
+    def test_cutoff_guard(self, monkeypatch):
         with pytest.raises(CutoffTooSmallError):
             fock.from_kernel(one_mode_kernel(3.0), cutoff=5)
         with pytest.raises(ValueError):
             fock.from_kernel(one_mode_kernel(0.0), cutoff=2)
+        # 201^4 amplitudes are refused before the conversion or any allocation
+        monkeypatch.setattr(fock, "convert", None)
+        with pytest.raises(ValueError, match="at most"):
+            fock.from_kernel(KERNELS["mixed_epr"](), cutoff=200)
 
 
 class TestSpectrum:

@@ -93,20 +93,42 @@ def _carried_pair_rebuilds(k, c_scale=0.0):
     return np.abs((v * x) @ v.conj().T - k.matrix).max() <= linalg.band(scale, 1)
 
 
-def test_one_eigensolve_per_chain(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
+def _formed(x, v) -> np.ndarray:
+    """V diag(x) V^dag, hermitized and put in normal form: the matrix of a converted kernel."""
+    m = (v * x) @ v.conj().T
+    return SymMatrix._hermitian(0.5 * (m + m.conj().T)).mat
+
+
+def _count_calls(monkeypatch) -> dict:
+    """Counts of eigensolver calls and of matrices formed through ``SymMatrix._hermitian``."""
+    calls = {"eigh": 0, "eigvalsh": 0, "formed": 0}
+    for name in ("eigh", "eigvalsh"):
         def counting(*args, name=name, real=getattr(np.linalg, name)):
             calls[name] += 1
             return real(*args)
 
         monkeypatch.setattr(np.linalg, name, counting)
+
+    def hermitian(cls, m, real=SymMatrix._hermitian):
+        calls["formed"] += 1
+        return real(m)
+
+    monkeypatch.setattr(SymMatrix, "_hermitian", classmethod(hermitian))
+    return calls
+
+
+def test_one_eigensolve_per_chain(monkeypatch):
+    calls = _count_calls(monkeypatch)
     k = states.anti_epr(0.9, 0.5, 0.3)
     assert twomode.classify2(k).p_representable
     chain = [k]
     for target in "WQPC":
         chain.append(convert(chain[-1], target))
-    assert calls == {"eigh": 1, "eigvalsh": 0}
+    # the built C's matrix is the only one formed until the chain's last kernel is read
+    assert calls == {"eigh": 1, "eigvalsh": 0, "formed": 1}
+    back = chain[-1].matrix
+    assert calls == {"eigh": 1, "eigvalsh": 0, "formed": 2}
+    assert chain[-1].matrix is back and not back.flags.writeable
     assert all(_carried_pair_rebuilds(c) for c in chain)
 
 
@@ -118,7 +140,32 @@ def test_carried_pair_rebuilds_every_converted_matrix(n, chain):
         c_scale = np.abs(k.eig[0]).max()
         for target in chain:
             k = convert(k, target)
+            assert np.array_equal(k.matrix, _formed(*k.eig)), (target, n)
             assert _carried_pair_rebuilds(k, 0.0 if target == "C" else c_scale), (target, n)
+
+
+@pytest.mark.parametrize(
+    "kernel, target, error, says",
+    [
+        (lambda: c_kernel([[1.0, 1.0], [1.0, 1.0]]), "W", SingularMatrixError, "min|eigenvalue|"),
+        (lambda: onemode.build_C(onemode.OneModeMoments(1.0, np.sqrt(2.0))), "P", NotPRepresentableError, "C - I/2"),
+        (lambda: GaussianKernel("W", SymMatrix([[0.5, 1.0], [1.0, 0.5]])), "C", NotAStateError, "negative"),
+        # W = 1e308 I would overflow V diag(x) V^dag + its adjoint
+        (lambda: c_kernel(1e-308 * np.eye(2)), "W", ValueError, "non-finite"),
+    ],
+    ids=["singular", "not-p-representable", "not-a-state", "overflow"],
+)
+def test_convert_refuses_at_the_call_before_forming_a_matrix(monkeypatch, kernel, target, error, says):
+    k = kernel()
+    calls = _count_calls(monkeypatch)
+    with pytest.raises(error, match=says):
+        convert(k, target)
+    assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0}
+
+
+def test_eigenvalue_near_the_bound_forms_a_finite_matrix():
+    w = convert(c_kernel(2.0 / kernels._ENTRY_BOUND * np.eye(2)), "W")
+    assert np.isfinite(w.matrix).all() and w.matrix[0, 0].real == pytest.approx(0.5 * kernels._ENTRY_BOUND)
 
 
 def test_carried_c_eigenvalue_below_band_is_not_a_state():
@@ -133,7 +180,7 @@ def test_p_kernel_not_positive_definite_is_refused():
         GaussianKernel("P", SymMatrix([[0.5, 1.0], [1.0, 0.5]]))
     c = c_kernel(np.diag([1.5, 1.5]))
     with pytest.raises(NotAStateError):
-        kernels._carrying("P", c.sym, np.array([1.0, -1.0]), c.eig[1])
+        GaussianKernel("P", c.sym, (np.array([1.0, -1.0]), c.eig[1]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

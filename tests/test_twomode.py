@@ -242,6 +242,11 @@ class TestPurity:
     def test_product_thermal_not_pure(self):
         assert not twomode.purity2(product_thermal(1.0, 1.0))
 
+    @pytest.mark.parametrize("n1", np.logspace(12, 30, 10))
+    def test_thermal_times_vacuum_not_pure_at_large_n(self, n1):
+        # |det C - 1/16| falls within the mixed-state band; Delta - 1/2 ~ n1^2 does not
+        assert not twomode.classify2(product_thermal(n1, 0.0)).pure
+
     def test_pure_consistent_with_thermal_pair(self):
         k = states.smoothed_epr(states.SmoothedEprParam(0.7))
         t = twomode.thermal_pair(k)
