@@ -21,22 +21,20 @@ from gausspair.onemode import OneModeMoments
 
 
 def check(label: str, kernel, cutoff: int) -> bool:
-    op = fock.from_kernel(kernel, cutoff=cutoff, strict=False)
-    min_eig = fock.spectrum(op)[-1]
     if kernel.modes == 1:
         pos, sep = onemode.classify(onemode.moments_from_c(kernel)).positive, None
     else:
         v = twomode.classify2(kernel)
         pos, sep = v.positive, v.ppt_separable
-    min_ppt = None if sep is None else fock.spectrum(fock.partial_transpose_fock(op))[-1]
-    ok, _ = fock.agreement(min_eig, pos, min_ppt, sep)
+    report = fock.compare(kernel, pos, sep, cutoff, strict=False)
+    oracle, ok = report["oracle"], report["agree"]
 
     sep_txt = "n/a" if sep is None else str(sep)
-    ppt_txt = "n/a" if min_ppt is None else f"{min_ppt:+.2e}"
+    ppt_txt = "n/a" if sep is None else f"{oracle['min_ppt_eig']:+.2e}"
     verdict = "ok" if ok else "DISAGREE"
     print(
         f"{label:<28s} analytic: pos={pos!s:<5} sep={sep_txt:<5} "
-        f"oracle: min_eig={min_eig:+.2e} min_ppt={ppt_txt:<9} {verdict}"
+        f"oracle: min_eig={oracle['min_eig']:+.2e} min_ppt={ppt_txt:<9} {verdict}"
     )
     return ok
 

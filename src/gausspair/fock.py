@@ -92,9 +92,7 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     mat *= math.sqrt(det_q)
     op = FockOperator(modes=modes, cutoff=cutoff, matrix=mat)
     if strict and op.truncation_loss > LOSS_THRESHOLD:
-        raise CutoffTooSmallError(
-            f"truncation loss {op.truncation_loss:.2e} exceeds {LOSS_THRESHOLD}"
-        )
+        raise CutoffTooSmallError(f"truncation loss {op.truncation_loss:.2e} exceeds {LOSS_THRESHOLD}")
     return op
 
 
@@ -144,6 +142,19 @@ def agreement(min_eig: float, positive: bool, min_ppt=None, separable=None) -> t
     return agree, any(abs(eig) <= DEAD_BAND for eig, _ in pairs)
 
 
+def compare(k: GaussianKernel, positive: bool, separable=None, cutoff: int = DEFAULT_CUTOFF, strict: bool = True) -> dict:
+    """The oracle's side of a cross-check, as the CLI reports it: build the truncated operator
+    of ``k``, take its spectrum and, for two modes, that of its partial transpose, and hold
+    their smallest eigenvalues against the closed-form verdicts with ``agreement``."""
+    op = from_kernel(k, cutoff, strict)
+    eigs = spectrum(op)
+    oracle = {"min_eig": float(eigs[-1]), "trace": float(eigs.sum()), "trace_g2": float(eigs @ eigs)}
+    if op.modes == 2:
+        oracle["min_ppt_eig"] = float(spectrum(partial_transpose_fock(op))[-1])
+    agree, indeterminate = agreement(oracle["min_eig"], positive, oracle.get("min_ppt_eig"), separable)
+    return {"oracle": oracle, "agree": agree, "indeterminate": indeterminate, "truncation_loss": op.truncation_loss}
+
+
 def partial_transpose_fock(f: FockOperator) -> FockOperator:
     """Index swap (m1 m2, n1 n2) -> (n1 m2, m1 n2) on a two-mode operator."""
     if f.modes != 2:
@@ -163,10 +174,7 @@ def alternating_trace(f: FockOperator) -> float:
     d = f.cutoff + 1
     signs = (-1.0) ** np.arange(d)
     diag = np.diagonal(f.matrix).real
-    if f.modes == 1:
-        weights = signs
-    else:
-        weights = np.outer(signs, signs).reshape(d * d)
+    weights = signs if f.modes == 1 else np.outer(signs, signs).reshape(d * d)
     return float(2**f.modes * np.dot(weights, diag))
 
 

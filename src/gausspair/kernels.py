@@ -67,7 +67,7 @@ class GaussianKernel:
         if self._sym is None:  # a converted kernel: V diag(x) V^dag, hermitized, on first read
             x, v = self.eig
             m = (v * x) @ v.conj().T
-            object.__setattr__(self, "_sym", SymMatrix._hermitian(0.5 * (m + m.conj().T)))
+            object.__setattr__(self, "_sym", SymMatrix._hermitian(linalg.normal_form(0.5 * (m + m.conj().T))))
         return self._sym
 
     @property

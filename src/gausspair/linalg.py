@@ -2,13 +2,12 @@
 
 All covariance-style matrices in this package are Hermitian and obey the
 swap symmetry M = T M^T T, where T exchanges the (z, z*) pair of every mode.
-``SymMatrix`` enforces that normal form on construction; ``SymMatrix._hermitian``
-builds it, checking only finiteness, from matrices Hermitian by construction:
-assembled moments, ``congruence`` and a converted kernel's V diag(x) V^dag.
+``SymMatrix`` puts its input in that normal form (``normal_form``), and
+``SymMatrix._hermitian`` wraps a matrix already in it, such as assembled moments.
 
-No tolerance here is absolute: the Hermiticity check, the singularity test of
-``reciprocal`` and every verdict margin use ``band``, which scales with the
-size of the matrix.
+No tolerance of the package is absolute: the Hermiticity check, the singularity
+test of ``reciprocal`` and every verdict margin, the reference routes' included,
+use ``band``, which scales with the size of the matrix.
 """
 
 from __future__ import annotations
@@ -46,21 +45,19 @@ class SymMatrix:
         # written as "not <=" so that NaN entries are rejected too
         if not np.abs(m - m.conj().T).max() <= band(np.abs(m).max(), 1):
             raise ValueError("matrix is not Hermitian within tolerance")
-        self._normalize(m)
+        self._hold(normal_form(m))
 
     @classmethod
     def _hermitian(cls, m) -> "SymMatrix":
-        """The constructor without its anti-Hermitian-part test."""
+        """The constructor for a matrix already in normal form: it only checks finiteness."""
         m = np.asarray(m, dtype=complex)
         if not np.isfinite(m).all():
             raise ValueError("matrix has non-finite entries")
         s = object.__new__(cls)
-        s._normalize(m)
+        s._hold(m)
         return s
 
-    def _normalize(self, m):
-        m = 0.5 * (m + m.T[_T_SWAP[m.shape[0]]])
-        m = 0.5 * (m + m.conj().T)
+    def _hold(self, m):
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -89,10 +86,16 @@ def identity(dim: int) -> SymMatrix:
     return SymMatrix(np.eye(dim))
 
 
+def normal_form(m: np.ndarray) -> np.ndarray:
+    """The T-symmetric Hermitian part of m: the average with T m^T T, then with m^dag."""
+    m = 0.5 * (m + m.T[_T_SWAP[m.shape[0]]])
+    return 0.5 * (m + m.conj().T)
+
+
 def congruence(a: np.ndarray, m: np.ndarray) -> SymMatrix:
     """a m a^dag for a Hermitian m."""
     out = a @ m @ a.conj().T
-    return SymMatrix._hermitian(0.5 * (out + out.conj().T))
+    return SymMatrix._hermitian(normal_form(0.5 * (out + out.conj().T)))
 
 
 def reciprocal(x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotAStateError, NotPositiveError, NotPureError, NotRealBranchError
+from .errors import DimensionMismatchError, NotAStateError, NotPositiveError, NotPureError, NotRealBranchError
 from .kernels import GaussianKernel, convert
 from .linalg import SymMatrix
 
@@ -26,9 +26,7 @@ class OneModeMoments:
 
     def __post_init__(self):
         if self.n + 0.5 <= abs(self.m):
-            raise NotAStateError(
-                f"n + 1/2 = {self.n + 0.5} must exceed |m| = {abs(self.m)}"
-            )
+            raise NotAStateError(f"n + 1/2 = {self.n + 0.5} must exceed |m| = {abs(self.m)}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def build_C(p: OneModeMoments) -> GaussianKernel:
     so that its conversions stay exactly diagonal."""
     a, u = p.n + 0.5, np.exp(-1j * np.angle(p.m))
     v = np.array([[1.0, 1.0], [-u, u]]) * math.sqrt(0.5) if p.m else np.eye(2, dtype=complex)
-    mat = SymMatrix._hermitian([[a, p.m], [np.conj(p.m), a]])
+    mat = SymMatrix._hermitian([[a, p.m], [np.conj(p.m), a]])  # in normal form as assembled
     return GaussianKernel("C", mat, (np.array(_eigenvalues(p)), v))
 
 
@@ -134,8 +132,6 @@ def apply_squeeze(k: GaussianKernel, u: SqueezeMap, direction: str = "forward") 
         raise ValueError("expected a C kernel")
     um = u.matrix
     if um.shape[0] != k.dim:
-        from .errors import DimensionMismatchError
-
         raise DimensionMismatchError("squeeze map dimension does not match kernel")
     if direction == "forward":
         a = um.conj().T

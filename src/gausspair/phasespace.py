@@ -58,25 +58,24 @@ class GridSpec:
         return (self.hi - self.lo) / (self.samples - 1)
 
 
-def wigner_value(k: GaussianKernel, pt: PhasePoint) -> float:
-    """W(z) = sqrt(det W) exp(-z^dag W z / 2); real and positive for valid kernels."""
-    if k.kind != "W":
-        raise ValueError("expected a W kernel")
+def _quadratic_form(k: GaussianKernel, pt: PhasePoint, kind: str) -> complex:
+    """z^dag M z of the kernel M, which must be of ``kind``, at the phase point."""
+    if k.kind != kind:
+        raise ValueError(f"expected a {kind} kernel")
     z = pt.zvector
     if z.size != k.dim:
         raise ValueError("phase point does not match kernel mode count")
-    quad = np.real(np.conj(z) @ k.matrix @ z)
-    return math.sqrt(k.det) * math.exp(-0.5 * quad)
+    return np.conj(z) @ k.matrix @ z
+
+
+def wigner_value(k: GaussianKernel, pt: PhasePoint) -> float:
+    """W(z) = sqrt(det W) exp(-z^dag W z / 2); real and positive for valid kernels."""
+    return math.sqrt(k.det) * math.exp(-0.5 * np.real(_quadratic_form(k, pt, "W")))
 
 
 def characteristic_value(k: GaussianKernel, pt: PhasePoint) -> complex:
     """C(z) = exp(-z^dag C z / 2); equals 1 at the origin (unit trace)."""
-    if k.kind != "C":
-        raise ValueError("expected a C kernel")
-    z = pt.zvector
-    if z.size != k.dim:
-        raise ValueError("phase point does not match kernel mode count")
-    return complex(np.exp(-0.5 * (np.conj(z) @ k.matrix @ z)))
+    return complex(np.exp(-0.5 * _quadratic_form(k, pt, "C")))
 
 
 def wigner_grid(k: GaussianKernel, grid: GridSpec, rows: slice = slice(None)) -> np.ndarray:

@@ -85,9 +85,7 @@ class PureStateD:
     gamma: float
 
     def __post_init__(self):
-        if self.alpha + self.beta <= math.sqrt(
-            (self.alpha - self.beta) ** 2 + 4.0 * self.gamma**2
-        ):
+        if self.alpha + self.beta <= math.sqrt((self.alpha - self.beta) ** 2 + 4.0 * self.gamma**2):
             raise NotAStateError("D is not positive definite: wave function not normalizable")
 
     @property
@@ -143,10 +141,7 @@ def epr_wavefunction(p: SmoothedEprParam, q1, q2):
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     nb = p.nbar
-    return (
-        math.pi ** -0.5
-        * np.exp(-(nb + 0.5) * (q1**2 + q2**2) + 2.0 * math.sqrt(nb * (nb + 1.0)) * q1 * q2)
-    )
+    return math.pi**-0.5 * np.exp(-(nb + 0.5) * (q1**2 + q2**2) + 2.0 * math.sqrt(nb * (nb + 1.0)) * q1 * q2)
 
 
 @dataclass(frozen=True)

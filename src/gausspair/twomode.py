@@ -1,6 +1,7 @@
 """Two-mode Gaussian states: positivity, partial transpose, PPT separability,
 P-representability, and thermal-pair extraction.  ``classify2`` decides through
-``invariant_verdicts``; the Q-matrix and squared-kernel routes stay as criteria.
+``invariant_verdicts``; the Q-matrix and squared-kernel routes stay as criteria.  Every
+margin, theirs too, is compared with ``linalg.band``: no tolerance is absolute.
 
 The covariance matrix is parameterized as
 
@@ -23,8 +24,6 @@ from . import linalg
 from .errors import NotPositiveError, NotPureError, WrongModeCountError
 from .kernels import GaussianKernel, convert
 from .linalg import SymMatrix
-
-POS_TOL = 1e-10  # band of the paper's reference routes; the engine uses ``linalg.band``
 
 # transposing the first mode exchanges z1 and z1*
 _PT_SWAP = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
@@ -71,9 +70,9 @@ class TwoModeVerdict:
 
 @dataclass(frozen=True)
 class InvariantVerdicts:
-    """Verdicts of stacked C matrices and the invariants they were read from: D = det C,
-    dA + dB and dX.  Every field has the stack's shape (or broadcasts to it);
-    ``ppt_separable`` is False where not ``positive``."""
+    """Verdicts of stacked C matrices, the invariants they were read from: D = det C,
+    dA + dB and dX, and the band applied to the margins that hold D.  Every field has
+    the stack's shape (or broadcasts to it); ``ppt_separable`` is False where not ``positive``."""
 
     positive: np.ndarray
     pure: np.ndarray
@@ -82,16 +81,19 @@ class InvariantVerdicts:
     det_c: np.ndarray
     d_ab: np.ndarray
     d_x: np.ndarray
+    band: np.ndarray
 
     @property
     def nu(self) -> tuple[np.ndarray, np.ndarray]:
-        """The symplectic eigenvalues (nu+, nu-), computed on each read:
-        nu+-^2 = (Delta +- sqrt(Delta^2 - 4D))/2 with Delta = dA + dB + 2dX;
-        on positive states both are held at 1/2 or above."""
+        """The symplectic eigenvalues (nu+, nu-), computed on each read: nu+^2 = (Delta +
+        sqrt(Delta^2 - 4D))/2 with Delta = dA + dB + 2dX, and nu-^2 = D/nu+^2, which does
+        not cancel when nu+ >> nu-; on positive states both are held at 1/2 or above."""
         delta = self.d_ab + 2.0 * self.d_x
         root = np.sqrt(np.maximum(delta * delta - 4.0 * self.det_c, 0.0))
         floor = np.where(self.positive, 0.25, 0.0)  # lower bound on nu^2
-        return np.sqrt(np.maximum(0.5 * (delta + root), floor)), np.sqrt(np.maximum(0.5 * (delta - root), floor))
+        plus = np.maximum(0.5 * (delta + root), floor)
+        # D / nu+^2 within [floor, nu+^2]; where nu+^2 = 0 it divides by 1 and is clamped to 0
+        return np.sqrt(plus), np.sqrt(np.minimum(np.maximum(self.det_c / (plus + (plus == 0.0)), floor), plus))
 
 
 def assemble_c(p: TwoModeMoments) -> np.ndarray:
@@ -108,7 +110,7 @@ def assemble_c(p: TwoModeMoments) -> np.ndarray:
 
 
 def build_C2(p: TwoModeMoments) -> GaussianKernel:
-    return GaussianKernel("C", SymMatrix._hermitian(assemble_c(p)))
+    return GaussianKernel("C", SymMatrix._hermitian(assemble_c(p)))  # assembled in normal form
 
 
 def moments_from_c(k: GaussianKernel) -> TwoModeMoments:
@@ -140,8 +142,13 @@ def squared_kernel(k: GaussianKernel) -> GaussianKernel:
 
 
 def positivity_by_dets(k: GaussianKernel) -> bool:
+    """Both margins within the engine's band of det C.  The squared kernel needs C^-1, so a
+    C with lam_min lam_max < 1/4, which no positive state has, is answered False without it."""
+    tol, x = _kernel_verdicts(k).band, k.eig[0].tolist()  # requires a two-mode C
+    if min(x) * max(x) < 0.25 - linalg.band(max(x), 2):
+        return False
     left, right = positivity_det_margins(k)
-    return left >= -POS_TOL and right >= -POS_TOL
+    return bool(left >= -tol and right >= -tol)
 
 
 def positivity_det_margins(k: GaussianKernel) -> tuple[float, float]:
@@ -173,8 +180,15 @@ def normal_order_params(k: GaussianKernel) -> NormalOrderParams2:
 
 def positivity_by_q(k: GaussianKernel) -> bool:
     """G >= 0 iff nu1 + nu2 >= 0 and nu1*nu2 >= |mus|^2."""
-    p = normal_order_params(k)
-    return (p.nu1 + p.nu2 >= -POS_TOL) and (p.nu1 * p.nu2 - abs(p.mus) ** 2 >= -POS_TOL)
+    return all(_q_margins_hold(k, "mus"))
+
+
+def _q_margins_hold(k: GaussianKernel, coupling: str) -> tuple[bool, bool]:
+    """(nu1 + nu2 >= 0, nu1*nu2 >= |mu|^2) for the Q entry mu = ``coupling``: the sum within band(tr C, 1),
+    the round-off of one Q entry; the product within that times its sensitivity |nu1| + |nu2| + 2|mu| + band."""
+    p, tol = normal_order_params(k), linalg.band(sum(k.eig[0].tolist()), 1)
+    mu = abs(getattr(p, coupling))
+    return p.nu1 + p.nu2 >= -tol, p.nu1 * p.nu2 - mu * mu >= -tol * (abs(p.nu1) + abs(p.nu2) + 2.0 * mu + tol)
 
 
 def partial_transpose(k: GaussianKernel) -> GaussianKernel:
@@ -186,8 +200,7 @@ def partial_transpose(k: GaussianKernel) -> GaussianKernel:
 
 def separability_inequality(k: GaussianKernel) -> bool:
     """Direct separability test nu1*nu2 >= |muc|^2 on the untransposed kernel."""
-    p = normal_order_params(k)
-    return p.nu1 * p.nu2 - abs(p.muc) ** 2 >= -POS_TOL
+    return _q_margins_hold(k, "muc")[1]
 
 
 def ppt_separable(k: GaussianKernel) -> bool:
@@ -303,7 +316,7 @@ def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
     return InvariantVerdicts(
         positive=positive, pure=pure,
         ppt_separable=positive & (slack >= -dx2), p_representable=e0 - 0.5 > tol_lam,
-        det_c=det_c, d_ab=d_ab, d_x=dx,
+        det_c=det_c, d_ab=d_ab, d_x=dx, band=tol,
     )
 
 

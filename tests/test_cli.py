@@ -299,7 +299,7 @@ class TestConvert:
             with open(src) as fh:
                 x, v = convert(cli.kernel_from_json(json.load(fh)), target).eig
             m = (v * x) @ v.conj().T
-            want = linalg.SymMatrix._hermitian(0.5 * (m + m.conj().T)).mat
+            want = linalg.normal_form(0.5 * (m + m.conj().T))
             flat = [[float(z.real), float(z.imag)] for z in want.ravel()]
             assert code == 0 and out == json.dumps({"modes": k.modes, "kind": target, "matrix": flat}) + "\n"
 

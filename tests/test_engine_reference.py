@@ -62,9 +62,45 @@ def exact_det(m):
     return sum((-1) ** j * m[0][j] * exact_det(minor) for j, minor in enumerate(minors) if m[0][j])
 
 
+def exact_inverse(m):
+    """Inverse of a square list of Fractions: the adjugate over the determinant."""
+    det = exact_det(m)
+
+    def minor(i, j):
+        return [row[:j] + row[j + 1 :] for k, row in enumerate(m) if k != i]
+
+    return [[(-1) ** (i + j) * exact_det(minor(j, i)) / det for j in range(len(m))] for i in range(len(m))]
+
+
+def exact_entries(c):
+    """One real C's float entries as Fractions."""
+    return [[Fraction(float(x.real)) for x in row] for row in c]
+
+
+def exact_q_margins(c):
+    """(nu1 + nu2, nu1 nu2 - |mus|^2) of one real C, exactly: the Q route's margins,
+    with Q = E (C + I/2)^-1 E, nu1 = 1 - Q11, nu2 = 1 - Q22 and mus = Q13."""
+    m = exact_entries(c)
+    q = exact_inverse([[x + (Fraction(1, 2) if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(m)])
+    nu1, nu2, mus = 1 - q[0][0], 1 - q[2][2], q[0][2]  # E's signs cancel on these entries
+    return nu1 + nu2, nu1 * nu2 - mus * mus
+
+
+def exact_det_margin_squares(c):
+    """The determinant route's margins a - b, b = 4 sqrt(det C det Cbar), of one real C,
+    as the pairs (a, a^2 - b^2): a is 1/16 + 3 det C and 1/8 + 2 det C, and the
+    squared kernel is Cbar = C/2 + E C^-1 E / 8."""
+    m = exact_entries(c)
+    sign = [1, -1, 1, -1]
+    w = [[sign[i] * x * sign[j] for j, x in enumerate(row)] for i, row in enumerate(exact_inverse(m))]
+    det_c = exact_det(m)
+    cross = 16 * det_c * exact_det([[x / 2 + y / 8 for x, y in zip(a, b)] for a, b in zip(m, w)])
+    return [(a, a * a - cross) for a in (Fraction(1, 16) + 3 * det_c, Fraction(1, 8) + 2 * det_c)]
+
+
 def exact_margins(c):
     """(det C - 1/16, base - 2dX, base + 2dX) of one real C, exactly, from its float entries."""
-    m = [[Fraction(float(x)) for x in row] for row in c]
+    m = exact_entries(c)
 
     def det2(r, s):
         return m[r][s] * m[r + 1][s + 1] - m[r][s + 1] * m[r + 1][s]

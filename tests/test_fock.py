@@ -416,3 +416,17 @@ class TestAgreement:
     )
     def test_sign_rule(self, args, want):
         assert fock.agreement(*args) == want
+
+    def test_compare_reads_both_spectra(self):
+        k = states.mixed_epr(0.8, 1.0)  # entangled: the partial transpose has a negative eigenvalue
+        got, op = fock.compare(k, True, False), fock.from_kernel(k)
+        eigs, oracle = fock.spectrum(op), got["oracle"]
+        assert (oracle["min_eig"], oracle["trace"], oracle["trace_g2"]) == (eigs[-1], eigs.sum(), eigs @ eigs)
+        assert oracle["min_ppt_eig"] == fock.spectrum(fock.partial_transpose_fock(op))[-1] < -1e-4
+        assert got["agree"] and got["indeterminate"] == (abs(eigs[-1]) <= fock.DEAD_BAND)
+        assert got["truncation_loss"] == op.truncation_loss
+        assert not fock.compare(k, True, True)["agree"]  # a wrong verdict is a decisive disagreement
+
+    def test_compare_one_mode_has_no_partial_transpose(self):
+        got = fock.compare(one_mode_kernel(0.5), True)
+        assert "min_ppt_eig" not in got["oracle"] and got["agree"]

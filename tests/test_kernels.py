@@ -96,7 +96,7 @@ def _carried_pair_rebuilds(k, c_scale=0.0):
 def _formed(x, v) -> np.ndarray:
     """V diag(x) V^dag, hermitized and put in normal form: the matrix of a converted kernel."""
     m = (v * x) @ v.conj().T
-    return SymMatrix._hermitian(0.5 * (m + m.conj().T)).mat
+    return linalg.normal_form(0.5 * (m + m.conj().T))
 
 
 def _count_calls(monkeypatch) -> dict:

@@ -94,6 +94,21 @@ class TestSymMatrix:
         assert m[0, 0] == pytest.approx(1.5)
         assert m[0, 1] == pytest.approx(0.2j)
 
+    def test_assembled_moments_are_in_normal_form(self, rng):
+        # build_C2 and onemode.build_C wrap the assembled matrix without a normalization
+        # pass: the pass would change no value of it (only the sign of a zero part)
+        for _ in range(500):
+            parts = rng.normal(size=10) * 10.0 ** rng.uniform(-6.0, 6.0, 10)
+            parts[rng.random(10) < 0.3] = 0.0
+            parts *= rng.choice([-1.0, 1.0], 10)  # zeros of both signs
+            m = [complex(a, b) for a, b in zip(parts[:5], parts[5:])]
+            n1, n2 = np.abs(parts[:2]) * 3.0
+            c2 = twomode.assemble_c(twomode.TwoModeMoments(n1, n2, *m[:4]))
+            assert np.array_equal(linalg.normal_form(c2), c2)
+            p = onemode.OneModeMoments(n1 + abs(m[4]), m[4])  # a state: |m| < n + 1/2
+            c1 = onemode.build_C(p).matrix
+            assert np.array_equal(linalg.normal_form(c1), c1)
+
     def test_is_immutable(self):
         m = SymMatrix(np.eye(2))
         with pytest.raises(AttributeError):

@@ -3,11 +3,13 @@ paths that must agree on the same kernel."""
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from test_engine_reference import exact_det_margin_squares, exact_margins, exact_q_margins, margins
 
 from gausspair import linalg, onemode, states, twomode
 from gausspair.errors import NotAStateError, NotPRepresentableError, NotPureError, SingularMatrixError
@@ -21,6 +23,14 @@ ratios = st.floats(min_value=0.0, max_value=1.0)
 
 def pure_m(n: float) -> float:
     return math.sqrt(n * (n + 1.0))
+
+
+# the positivity verdict of the engine and of the paper's two reference routes
+ROUTES = {
+    "classify2": lambda k: twomode.classify2(k).positive,
+    "positivity_by_q": twomode.positivity_by_q,
+    "positivity_by_dets": twomode.positivity_by_dets,
+}
 
 
 class TestOneModeAcrossScale:
@@ -54,10 +64,14 @@ class TestPureTwoModeAcrossScale:
     )
     @given(occupations)
     @example(1e3)
+    @example(10**5.25)  # smoothed_epr: the Q route's nu1 + nu2 reads -3.1e-10, inside its band of 2.5e-9
     @example(1e6)
     def test_positive_pure_and_entangled(self, build, n):
-        v = twomode.classify2(build(n))
-        assert v.positive and v.pure and not v.ppt_separable
+        k = build(n)
+        v = twomode.classify2(k)
+        assert v.pure and not v.ppt_separable
+        assert {route: positive(k) for route, positive in ROUTES.items()} == dict.fromkeys(ROUTES, True)
+        assert twomode.ppt_separable(k) is False  # the partial-transpose route does not raise
 
     @pytest.mark.parametrize("n", [1e4, 1e6])
     def test_marginal_separability_on_smoothed_epr(self, n):
@@ -106,23 +120,58 @@ def _at_margin(kind: str, n: float, r: float, delta: float):
     return states.squeezed_epr, states.squeezed_epr_positivity, (n, mc, r * mc)
 
 
-def _positive(build, args) -> bool:
+SEPARABILITY = {
+    "mixed_epr": states.mixed_epr_separability,
+    "anti_epr": states.anti_epr_separability,
+    "squeezed_epr": states.squeezed_epr_separability,
+}
+
+
+def _verdicts(build, args) -> dict:
+    """Each route's positivity verdict, and ``ppt_separable``'s where the Q route,
+    which it calls first, finds the state positive."""
     try:
-        return twomode.classify2(build(*args)).positive
+        k = build(*args)
     except NotAStateError:  # C itself is not positive semi-definite
-        return False
+        return dict.fromkeys(ROUTES, False)
+    out = {route: positive(k) for route, positive in ROUTES.items()}
+    if out["positivity_by_q"]:
+        out["ppt_separable"] = twomode.ppt_separable(k)
+    return out
+
+
+def _closed_form(kind, margin, args) -> dict:
+    """The verdicts ``_verdicts`` must give: the signs of the family's closed-form margins."""
+    positive = margin(*args) > 0.0
+    out = dict.fromkeys(ROUTES, positive)
+    if positive:
+        out["ppt_separable"] = SEPARABILITY[kind](*args) >= 0.0
+    return out
+
+
+def _assert_routes_match_closed_form(kind, n, r, delta):
+    """Every route at the point whose positivity margin is delta.  The separability
+    verdict is compared where its margin lies at least |delta| from zero: the point is
+    chosen by its positivity margin, and a separability margin of 1e-14 n^2 at n = 1e6
+    lies within the routes' bands."""
+    build, margin, args = _at_margin(kind, n, r, delta)
+    got, want = _verdicts(build, args), _closed_form(kind, margin, args)
+    if abs(SEPARABILITY[kind](*args)) < abs(delta):
+        got.pop("ppt_separable", None), want.pop("ppt_separable", None)
+    assert got == want
 
 
 class TestFamilyBoundariesAcrossScale:
+    """Every route, the engine and the paper's reference routes, against the closed forms."""
+
     @pytest.mark.parametrize("kind", ["mixed_epr", "anti_epr", "squeezed_epr"])
     @pytest.mark.parametrize("f", [0.9, 1.1])
     @given(n=occupations, r=ratios)
-    @example(n=1e-5, r=0.5)
+    @example(n=1e-5, r=0.5)  # at 1.1x the routes' deciding margins are -5e-11 (anti) and -2e-11 (squeezed)
     @example(n=1e6, r=1.0)
     def test_verdict_has_the_sign_of_the_margin(self, kind, f, n, r):
         # q = f^2 n(n+1): mixed and squeezed EPR at f times their boundary mc
-        build, margin, args = _at_margin(kind, n, r, (1.0 - f * f) * n * (n + 1.0))
-        assert _positive(build, args) == (margin(*args) > 0.0)
+        _assert_routes_match_closed_form(kind, n, r, (1.0 - f * f) * n * (n + 1.0))
 
     @pytest.mark.parametrize("kind", ["mixed_epr", "anti_epr", "squeezed_epr"])
     @pytest.mark.parametrize("delta", [-0.1, 0.1])
@@ -130,8 +179,7 @@ class TestFamilyBoundariesAcrossScale:
     @example(n=1e3, r=0.0)
     @example(n=1e4, r=1.0)
     def test_margin_of_a_tenth_at_large_n(self, kind, delta, n, r):
-        build, margin, args = _at_margin(kind, n, r, delta)
-        assert _positive(build, args) == (margin(*args) > 0.0)
+        _assert_routes_match_closed_form(kind, n, r, delta)
 
     @pytest.mark.parametrize("kind", ["mixed_epr", "anti_epr", "squeezed_epr"])
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -142,8 +190,66 @@ class TestFamilyBoundariesAcrossScale:
         # keeps off 0, where both symplectic eigenvalues near 1/2 leave the
         # invariant margins only second-order sensitive to the sign
         delta = sign * 2.0**10 * sys.float_info.epsilon * (2.0 * n + 1.0) ** 2
-        build, margin, args = _at_margin(kind, n, r, delta)
-        assert _positive(build, args) == (margin(*args) > 0.0)
+        _assert_routes_match_closed_form(kind, n, r, delta)
+
+
+def _engine_within_two_bands(k, ppt: bool) -> bool:
+    """An exact margin of the engine's positivity (or, with ``ppt``, PPT) decision
+    lies within 2 of its bands."""
+    c, eig = k.matrix.real, np.sort(k.eig[0])
+    tol = Fraction(float(margins(c, eig, np.prod(eig))[3]))
+    return any(abs(m) <= 2 * tol for m in exact_margins(c)[: 3 if ppt else 2])
+
+
+def _q_route_within_two_bands(k) -> bool:
+    """An exact margin of ``positivity_by_q`` lies within 2 of the bands it applies."""
+    p, tol = twomode.normal_order_params(k), linalg.band(sum(k.eig[0].tolist()), 1)
+    tol_product = tol * (abs(p.nu1) + abs(p.nu2) + 2.0 * abs(p.mus) + tol)
+    total, product = exact_q_margins(k.matrix)
+    return abs(total) <= 2 * Fraction(tol) or abs(product) <= 2 * Fraction(tol_product)
+
+
+def _det_route_within_two_bands(k) -> bool:
+    """An exact margin a - b of ``positivity_by_dets`` lies within 2 of its band,
+    compared as squares: |a^2 - b^2| <= 2 band (a + b)."""
+    eig = np.sort(k.eig[0])
+    tol = Fraction(float(margins(k.matrix.real, eig, np.prod(eig))[3]))
+    return any(abs(sq) <= 2 * tol * (a + Fraction(math.sqrt(float(a * a - sq))))
+               for a, sq in exact_det_margin_squares(k.matrix))
+
+
+def test_exact_route_margins_reproduce_the_floats():
+    k = states.anti_epr(0.9, 0.5, 0.3)
+    p = twomode.normal_order_params(k)
+    total, product = exact_q_margins(k.matrix)
+    assert float(total) == pytest.approx(p.nu1 + p.nu2, rel=1e-12)
+    assert float(product) == pytest.approx(p.nu1 * p.nu2 - abs(p.mus) ** 2, rel=1e-12)
+    for (a, sq), margin in zip(exact_det_margin_squares(k.matrix), twomode.positivity_det_margins(k)):
+        assert float(a) - math.sqrt(float(a * a - sq)) == pytest.approx(margin, abs=1e-12)
+
+
+def test_routes_differ_from_the_engine_only_within_two_bands():
+    # near 1/2 (small n, close to the boundary) the margins are of the order of their own
+    # round-off; where a reference route and classify2 decide differently, the exact
+    # margin of one of them must lie within 2 of its bands
+    for kind in ("mixed_epr", "anti_epr", "squeezed_epr"):
+        for n in np.logspace(-6, 6, 25):
+            for f in (0.9, 0.99, 0.999, 0.9999, 1.0001, 1.001, 1.01, 1.1):
+                for r in (0.0, 0.3, 1.0):
+                    build, _, args = _at_margin(kind, n, r, (1.0 - f * f) * n * (n + 1.0))
+                    try:
+                        k = build(*args)
+                    except NotAStateError:
+                        continue
+                    v, by_q = twomode.classify2(k), twomode.positivity_by_q(k)
+                    where = (kind, n, f, r)
+                    if by_q != v.positive:
+                        assert _engine_within_two_bands(k, False) or _q_route_within_two_bands(k), where
+                    if twomode.positivity_by_dets(k) != v.positive:
+                        assert _engine_within_two_bands(k, False) or _det_route_within_two_bands(k), where
+                    if by_q and v.positive and twomode.ppt_separable(k) != v.ppt_separable:
+                        pt = twomode.partial_transpose(k)
+                        assert _engine_within_two_bands(k, True) or _q_route_within_two_bands(pt), where
 
 
 # r in [0, 1] sets the coupling; every family is a state for all n and r

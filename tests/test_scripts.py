@@ -1,9 +1,13 @@
 """The two scripts under scripts/, run end to end as subprocesses."""
 
+import dataclasses
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
+
+from gausspair import twomode
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -24,6 +28,23 @@ def test_oracle_spotcheck_agrees():
     done = run_script("oracle_spotcheck.py")
     assert done.returncode == 0, done.stderr
     assert "all verdicts agree" in done.stdout
+
+
+def test_oracle_spotcheck_fails_on_a_decisive_disagreement(monkeypatch, capsys):
+    # the same script in process, with every positive two-mode separability verdict flipped
+    spec = importlib.util.spec_from_file_location("oracle_spotcheck", ROOT / "scripts" / "oracle_spotcheck.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real = twomode.classify2
+
+    def flipped(k):
+        v = real(k)
+        return dataclasses.replace(v, ppt_separable=None if v.ppt_separable is None else not v.ppt_separable)
+
+    monkeypatch.setattr(twomode, "classify2", flipped)
+    monkeypatch.setattr(sys, "argv", ["oracle_spotcheck.py", "--count", "0"])
+    assert script.main() == 1
+    assert "mixed EPR entangled" in next(line for line in capsys.readouterr().out.splitlines() if "DISAGREE" in line)
 
 
 def test_reproduce_figures_writes_six_csvs(tmp_path):

@@ -93,6 +93,12 @@ class TestPositivity:
         assert not twomode.positivity_by_dets(states.mixed_epr(0.55, 0.95))
         assert twomode.positivity_by_dets(states.mixed_epr(1.0, 1.2))
 
+    @pytest.mark.parametrize("n", [0.3, 1e3, 5e5])
+    def test_det_route_answers_a_singular_c(self, n):
+        # C has the eigenvalue n + 1/2 - mc = 0, so its squared kernel does not exist
+        k = states.mixed_epr(n, n + 0.5)
+        assert not twomode.classify2(k).positive and not twomode.positivity_by_dets(k)
+
     @given(two_mode_kernels())
     def test_routes_agree(self, k):
         left, right = twomode.positivity_det_margins(k)
@@ -442,7 +448,8 @@ class TestInvariantVerdicts:
             da, db, dx = (twomode._det2(c, r, s) for r, s in ((0, 0), (2, 2), (0, 2)))
             delta = da + db + 2.0 * dx
             root = np.sqrt(np.maximum(delta * delta - 4.0 * det_c, 0.0))
-            nus = (np.sqrt(np.maximum(0.5 * (delta + root), 0.25)), np.sqrt(np.maximum(0.5 * (delta - root), 0.25)))
+            plus = np.maximum(0.5 * (delta + root), 0.25)
+            nus = (np.sqrt(plus), np.sqrt(np.minimum(np.maximum(det_c / plus, 0.25), plus)))  # nu-^2 = D / nu+^2
             assert [float(nu) for nu in twomode._kernel_verdicts(k).nu] == [float(nu) for nu in nus], n
             g1, g2 = ((2.0 * nu - 1.0) / (2.0 * nu + 1.0) for nu in nus)
             assert (verdict.thermal.g1, verdict.thermal.g2) == (float(g1), float(g2)), n
