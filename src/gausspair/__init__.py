@@ -1,5 +1,7 @@
 """Gaussian one- and two-mode quantum states: representations, verdicts, oracle."""
 
+from types import ModuleType as _Module
+
 from .errors import (
     CutoffTooSmallError,
     GausspairError,
@@ -33,38 +35,7 @@ from .twomode import (
     ppt_separable,
 )
 
-__all__ = [
-    "BellShift",
-    "CutoffTooSmallError",
-    "GaussianKernel",
-    "GausspairError",
-    "NotAStateError",
-    "NotPRepresentableError",
-    "NotPositiveError",
-    "NotPureError",
-    "OneModeMoments",
-    "OneModeVerdict",
-    "PureStateD",
-    "SingularMatrixError",
-    "SmoothedEprParam",
-    "SqueezeMap",
-    "SymMatrix",
-    "ThermalPair",
-    "TwoModeMoments",
-    "TwoModeVerdict",
-    "WrongModeCountError",
-    "anti_epr",
-    "bell_parameters",
-    "build_C",
-    "build_C2",
-    "classify",
-    "classify2",
-    "convert",
-    "mixed_epr",
-    "partial_transpose",
-    "ppt_separable",
-    "pure_from_d",
-    "squeezed_epr",
-]
+# the public names are those imported above, sorted; the submodules are not among them
+__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _Module))
 
 __version__ = "0.1.0"

@@ -307,6 +307,7 @@ def _cmd_wigner(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: each parse_args starts from a fresh namespace
 def build_parser() -> _Parser:
     parser = _Parser(prog="gausspair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

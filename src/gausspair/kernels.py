@@ -11,12 +11,14 @@ so all four share C's eigenvectors, conjugated by E, and have eigenvalues
 1/(lam + s) for s = 0, 1/2, -1/2.  Each kernel carries the pair (x, V) it was
 built from: one ``eigh`` of a given matrix, or the source's pair mapped by
 ``convert``, so a chain of conversions diagonalizes once and forms a matrix only
-for a kernel that is read.  A kernel is singular when its smallest |eigenvalue|
-lies within ``linalg.band`` of zero, relative to their sum.
+for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts compute on
+x as Python floats (``eigenvalues``).  A kernel is singular when its smallest
+|eigenvalue| lies within ``linalg.band`` of zero, relative to their sum.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -35,39 +37,53 @@ _ENTRY_BOUND = sys.float_info.max / 4  # V diag(x) V^dag has entries <= max|x| (
 
 class GaussianKernel:
     """A representation-tagged Gaussian kernel; ``eig`` is its read-only pair (x, V), x unsorted,
-    and ``sym``/``matrix`` = V diag(x) V^dag to round-off: the matrix it was built from, or,
-    for a kernel that ``convert`` returns, formed from the pair when first read."""
+    ``eigenvalues`` that x as Python floats, and ``sym``/``matrix`` = V diag(x) V^dag to round-off:
+    the matrix it was built from, or, for a kernel that ``convert`` returns, formed when first
+    read.  Each kind keeps C's eigenvectors (V = E V_C otherwise), so ``convert`` copies no array."""
 
-    __slots__ = ("kind", "eig", "_sym")
+    __slots__ = ("kind", "eigenvalues", "_vc", "_eig", "_sym")
 
     def __init__(self, kind: str, sym: SymMatrix | None, eig: tuple | None = None):
         """``eig`` is the pair of ``sym``, one ``eigh`` if not given; ``sym`` None is formed on read."""
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         x, v = np.linalg.eigh(sym.mat) if eig is None else eig
-        x.setflags(write=False)
-        v.setflags(write=False)
-        xs = x.tolist()
+        vc = v if kind == "C" else _E_SIGN[len(v)] * v
+        for a in (x, v, vc):
+            a.setflags(write=False)
+        self._hold(kind, sym, x.tolist(), vc, (x, v))
+
+    def _hold(self, kind: str, sym: SymMatrix | None, x: list[float], vc: np.ndarray, eig: tuple | None):
+        """Check the eigenvalues x and hold them with C's eigenvectors vc (``convert``: on a new object)."""
         # a negative eigenvalue of C means no Gaussian exists at all;
         # zeros within the band are kept as degenerate boundary cases
-        if kind == "C" and min(xs) < -linalg.band(sum(xs), 1):
+        if kind == "C" and min(x) < -linalg.band(sum(x), 1):
             raise NotAStateError("C matrix has a negative eigenvalue")
         # a P kernel only exists when C - I/2 > 0 strictly, that is when P > 0;
         # a small eigenvalue of P belongs to a large one of C, not to that boundary
-        if kind == "P" and min(xs) <= 0.0:
+        if kind == "P" and min(x) <= 0.0:
             raise NotAStateError("P matrix is not positive definite")
-        for name, value in (("kind", kind), ("eig", (x, v)), ("_sym", sym)):
+        for name, value in (("kind", kind), ("eigenvalues", tuple(x)), ("_vc", vc), ("_eig", eig), ("_sym", sym)):
             object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianKernel is immutable")
 
     @property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._eig is None:  # a converted kernel: the carried floats, and C's eigenvectors flipped by E
+            x, v = np.array(self.eigenvalues), self._vc if self.kind == "C" else _E_SIGN[len(self._vc)] * self._vc
+            for a in (x, v):
+                a.setflags(write=False)
+            object.__setattr__(self, "_eig", (x, v))
+        return self._eig
+
+    @property
     def sym(self) -> SymMatrix:
         if self._sym is None:  # a converted kernel: V diag(x) V^dag, hermitized, on first read
             x, v = self.eig
-            m = (v * x) @ v.conj().T
-            object.__setattr__(self, "_sym", SymMatrix._hermitian(linalg.normal_form(0.5 * (m + m.conj().T))))
+            object.__setattr__(self, "_sym", linalg.hermitian_part((v * x) @ v.conj().T))
         return self._sym
 
     @property
@@ -76,7 +92,7 @@ class GaussianKernel:
 
     @property
     def dim(self) -> int:
-        return len(self.eig[0])
+        return len(self.eigenvalues)
 
     @property
     def modes(self) -> int:
@@ -84,8 +100,8 @@ class GaussianKernel:
 
     @property
     def det(self) -> float:
-        """The determinant: the product of the carried eigenvalues."""
-        return float(np.prod(self.eig[0]))
+        """The determinant: the product of the carried eigenvalues, in their order."""
+        return math.prod(self.eigenvalues)
 
 
 def convert(k: GaussianKernel, target: str) -> GaussianKernel:
@@ -93,31 +109,30 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
 
     The source's carried pair gives every kind: its eigenvalues x map to C's
     eigenvalues lam (lam = x, or 1/x - s for a kind E (C + s)^-1 E), and those to
-    the target's 1/(lam + s); the eigenvectors are flipped by E when C is on
-    exactly one side of the conversion.  The result carries the mapped pair and
-    forms its matrix only when that is read; every refusal is raised here.
+    the target's 1/(lam + s), all on Python floats; the eigenvectors are C's,
+    flipped by E for a kind other than C.  The result forms its arrays only when
+    they are read; every refusal is raised here.
     """
     if target not in KINDS:
         raise ValueError(f"target must be one of {KINDS}, got {target!r}")
     if target == k.kind:
         return k
-    x, v = k.eig
-    lam = x if k.kind == "C" else linalg.reciprocal(x) - _SHIFT[k.kind]
+    x = k.eigenvalues
+    lam = x if k.kind == "C" else [y - _SHIFT[k.kind] for y in linalg.reciprocal(x)]
     if target == "C":
         out = lam
     else:
         if target == "P":
             # the engine's rule for C - I/2 > 0, on C's eigenvalues in its ascending
             # order: the smallest clears band(tr C, 1)
-            asc = sorted(lam.tolist())
+            asc = sorted(lam)
             if not asc[0] - 0.5 > linalg.band(sum(asc), 1):
                 raise NotPRepresentableError("C - I/2 has a non-positive eigenvalue")
-        out = linalg.reciprocal(lam + _SHIFT[target])
-    if not all(abs(a) <= _ENTRY_BOUND for a in out.tolist()):
+        s = _SHIFT[target]
+        out = linalg.reciprocal([y + s for y in lam])
+    if not max(map(abs, out)) <= _ENTRY_BOUND:
         raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
-    if (k.kind == "C") != (target == "C"):
-        v = _E_SIGN[k.dim] * v
-    return GaussianKernel(target, None, (out, v))
+    return object.__new__(GaussianKernel)._hold(target, None, out, k._vc, None)
 
 
 def c_kernel(entries) -> GaussianKernel:

@@ -23,8 +23,8 @@ K = 16  # width of the verdict band in units of eps * scale**degree
 # hold products of up to four eigenvalues (det C, Delta^2, the band's scale), finite below it
 MAX_SCALE = 2.0**250
 
-# T as an index permutation: it exchanges z and z* of every mode
-_T_SWAP = {dim: np.ix_(np.arange(dim) ^ 1, np.arange(dim) ^ 1) for dim in (2, 4)}
+# T m^T T as a gather from the flattened m: T exchanges z and z* of every mode
+_T_GATHER = {dim: np.arange(dim * dim).reshape(dim, dim).T[np.ix_(np.arange(dim) ^ 1, np.arange(dim) ^ 1)] for dim in (2, 4)}
 
 
 class SymMatrix:
@@ -88,36 +88,45 @@ def identity(dim: int) -> SymMatrix:
 
 def normal_form(m: np.ndarray) -> np.ndarray:
     """The T-symmetric Hermitian part of m: the average with T m^T T, then with m^dag."""
-    m = 0.5 * (m + m.T[_T_SWAP[m.shape[0]]])
+    m = 0.5 * (m + m.take(_T_GATHER[len(m)]))
     return 0.5 * (m + m.conj().T)
+
+
+def hermitian_part(m: np.ndarray) -> SymMatrix:
+    """``normal_form`` of (m + m^dag)/2, such as V diag(x) V^dag, whose last average with m^dag is exact there."""
+    m = 0.5 * (m + m.conj().T)
+    return SymMatrix._hermitian(0.5 * (m + m.take(_T_GATHER[len(m)])))
 
 
 def congruence(a: np.ndarray, m: np.ndarray) -> SymMatrix:
     """a m a^dag for a Hermitian m."""
-    out = a @ m @ a.conj().T
-    return SymMatrix._hermitian(normal_form(0.5 * (out + out.conj().T)))
+    return hermitian_part(a @ m @ a.conj().T)
 
 
-def reciprocal(x: np.ndarray) -> np.ndarray:
-    """1/x for the eigenvalues x of one Hermitian matrix.  The matrix counts as
-    singular when min|x| <= band(sum|x|, 1), the round-off of its eigenvalues."""
-    a = [abs(v) for v in x.tolist()]
+def reciprocal(x) -> list[float]:
+    """1/x for the eigenvalues x (Python floats) of one Hermitian matrix.  The matrix counts
+    as singular when min|x| <= band(sum|x|, 1), the round-off of its eigenvalues."""
+    a = [abs(v) for v in x]
     tol = band(sum(a), 1)
     if not min(a) > tol:
         raise SingularMatrixError(f"min|eigenvalue| = {min(a):.3e} <= {tol:.3e}")
-    return 1.0 / x
+    return [1.0 / v for v in x]
 
 
 def invert(m: SymMatrix) -> SymMatrix:
     """Inverse of ``m`` from its eigendecomposition: V diag(1/x) V^dag."""
     x, v = np.linalg.eigh(m.mat)
-    return congruence(v, np.diag(reciprocal(x)))
+    return congruence(v, np.diag(reciprocal(x.tolist())))
 
 
 def band(scale, degree: int):
     """Verdict band K * eps * scale**degree, for floats or arrays: the round-off
-    of a margin that grows like the power ``degree`` of the matrix size ``scale``."""
-    return K * sys.float_info.epsilon * scale**degree
+    of a margin that grows like the power ``degree`` of the matrix size ``scale``.  The power
+    is a product: a float's ``**`` is libm's pow, which misses x * x for 1 float in 1200."""
+    power = scale
+    for _ in range(degree - 1):
+        power = power * scale
+    return K * sys.float_info.epsilon * power
 
 
 def structure_e(dim: int) -> np.ndarray:

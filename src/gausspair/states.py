@@ -133,7 +133,10 @@ class SmoothedEprParam:
 
 
 def smoothed_epr(p: SmoothedEprParam) -> GaussianKernel:
-    return pure_from_d(p.to_d())
+    """``pure_from_d(p.to_d())`` at det D = 1: n1 = n2 = nbar, mc = gamma/2 = -sqrt(nbar (nbar + 1)), m1 = m2 = ms = 0.
+    The D route loses det D = 1 by eps nbar^2 and refuses the state from nbar near 3.5e7."""
+    nb = p.nbar
+    return build_C2(TwoModeMoments(n1=nb, n2=nb, mc=-math.sqrt(nb * (nb + 1.0))))
 
 
 def epr_wavefunction(p: SmoothedEprParam, q1, q2):

@@ -1,7 +1,8 @@
 """Two-mode Gaussian states: positivity, partial transpose, PPT separability,
-P-representability, and thermal-pair extraction.  ``classify2`` decides through
-``invariant_verdicts``; the Q-matrix and squared-kernel routes stay as criteria.  Every
-margin, theirs too, is compared with ``linalg.band``: no tolerance is absolute.
+P-representability, and thermal-pair extraction.  One engine, ``verdicts_from_invariants``,
+decides on Python floats for one kernel (``classify2``) and on arrays for a stack
+(``invariant_verdicts``) or a scan block; the Q-matrix and determinant routes stay as criteria.
+Every margin, theirs too, is compared with ``linalg.band``: no tolerance is absolute.
 
 The covariance matrix is parameterized as
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,8 @@ from .linalg import SymMatrix
 
 # transposing the first mode exchanges z1 and z1*
 _PT_SWAP = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
+# the flat indices of C's 2x2 blocks A, B, X: one C's determinants in one pass, with the stacks' complex product
+_BLOCKS = np.array([[[4 * r + c, 4 * r + c + 1], [4 * r + c + 4, 4 * r + c + 5]] for r, c in ((0, 0), (2, 2), (0, 2))])
 
 
 @dataclass(frozen=True)
@@ -68,11 +72,10 @@ class TwoModeVerdict:
     thermal: ThermalPair | None
 
 
-@dataclass(frozen=True)
-class InvariantVerdicts:
-    """Verdicts of stacked C matrices, the invariants they were read from: D = det C,
-    dA + dB and dX, and the band applied to the margins that hold D.  Every field has
-    the stack's shape (or broadcasts to it); ``ppt_separable`` is False where not ``positive``."""
+class InvariantVerdicts(NamedTuple):
+    """Verdicts of stacked C matrices, the invariants they were read from: D = det C, dA + dB
+    and dX, and the band applied to the margins that hold D.  Every field has the stack's shape
+    (or broadcasts to it), or is a float or bool for one C; ``ppt_separable`` is False where not ``positive``."""
 
     positive: np.ndarray
     pure: np.ndarray
@@ -89,11 +92,19 @@ class InvariantVerdicts:
         sqrt(Delta^2 - 4D))/2 with Delta = dA + dB + 2dX, and nu-^2 = D/nu+^2, which does
         not cancel when nu+ >> nu-; on positive states both are held at 1/2 or above."""
         delta = self.d_ab + 2.0 * self.d_x
-        root = np.sqrt(np.maximum(delta * delta - 4.0 * self.det_c, 0.0))
-        floor = np.where(self.positive, 0.25, 0.0)  # lower bound on nu^2
-        plus = np.maximum(0.5 * (delta + root), floor)
+        disc = delta * delta - 4.0 * self.det_c  # an array iff any invariant is
+        maximum, minimum, sqrt = _elementwise(disc)
+        root = sqrt(maximum(disc, 0.0))
+        floor = 0.25 * self.positive  # lower bound on nu^2
+        plus = maximum(0.5 * (delta + root), floor)
         # D / nu+^2 within [floor, nu+^2]; where nu+^2 = 0 it divides by 1 and is clamped to 0
-        return np.sqrt(plus), np.sqrt(np.minimum(np.maximum(self.det_c / (plus + (plus == 0.0)), floor), plus))
+        return sqrt(plus), sqrt(minimum(maximum(self.det_c / (plus + (plus == 0.0)), floor), plus))
+
+
+def _elementwise(x) -> tuple:
+    """(maximum, minimum, sqrt): numpy's for an array x, else the builtins and ``math.sqrt`` on floats.
+    Only these primitives differ; both square roots are correctly rounded, so the bits agree."""
+    return (np.maximum, np.minimum, np.sqrt) if isinstance(x, np.ndarray) else (max, min, math.sqrt)
 
 
 def assemble_c(p: TwoModeMoments) -> np.ndarray:
@@ -102,9 +113,9 @@ def assemble_c(p: TwoModeMoments) -> np.ndarray:
     return np.array(
         [
             [n1, m1, ms, mc],
-            [np.conj(m1), n1, np.conj(mc), np.conj(ms)],
-            [np.conj(ms), mc, n2, m2],
-            [np.conj(mc), ms, np.conj(m2), n2],
+            [m1.conjugate(), n1, mc.conjugate(), ms.conjugate()],
+            [ms.conjugate(), mc, n2, m2],
+            [mc.conjugate(), ms, m2.conjugate(), n2],
         ]
     )
 
@@ -130,9 +141,7 @@ def trace_g2(k: GaussianKernel) -> float:
     """Tr G^2 = 1 / (4 sqrt(det C))."""
     _require_c(k)
     det_c = k.det
-    if det_c <= 0.0:
-        return math.inf
-    return 1.0 / (4.0 * math.sqrt(det_c))
+    return math.inf if det_c <= 0.0 else 1.0 / (4.0 * math.sqrt(det_c))
 
 
 def squared_kernel(k: GaussianKernel) -> GaussianKernel:
@@ -142,27 +151,25 @@ def squared_kernel(k: GaussianKernel) -> GaussianKernel:
 
 
 def positivity_by_dets(k: GaussianKernel) -> bool:
-    """Both margins within the engine's band of det C.  The squared kernel needs C^-1, so a
-    C with lam_min lam_max < 1/4, which no positive state has, is answered False without it."""
-    tol, x = _kernel_verdicts(k).band, k.eig[0].tolist()  # requires a two-mode C
+    """Both margins within the engine's band of det C.  They decide for g in (-1, 1) only, and both hold
+    at a singular C (nu = 0, g = -1): a C with lam_min lam_max < 1/4, as no positive state has, is not."""
+    x = k.eigenvalues
     if min(x) * max(x) < 0.25 - linalg.band(max(x), 2):
         return False
-    left, right = positivity_det_margins(k)
-    return bool(left >= -tol and right >= -tol)
+    tol = _kernel_verdicts(k).band
+    return all(margin >= -tol for margin in positivity_det_margins(k))
 
 
 def positivity_det_margins(k: GaussianKernel) -> tuple[float, float]:
     """Margins of the two determinant inequalities; both non-negative iff G >= 0.
 
-    The right inequality encodes g1*g2 >= 0, the left one
-    (g1+g2)(1+g1)(1+g2) >= (g1-g2)^2.
+    The right inequality encodes g1*g2 >= 0, the left one (g1+g2)(1+g1)(1+g2) >= (g1-g2)^2.  Their
+    cross term 4 sqrt(D det Cbar) is 1/16 + D + Delta/4 with Delta = dA + dB + 2dX, since C = S diag(nu1,
+    nu1, nu2, nu2) S^dag gives det Cbar = prod (nu/2 + 1/(8 nu))^2 = (1 + 16D + 4 Delta)^2 / (4096 D).
     """
-    _require_c(k)
-    det_c, det_cbar = k.det, squared_kernel(k).det
-    cross = 4.0 * math.sqrt(det_c) * math.sqrt(det_cbar)
-    left = (1.0 / 16.0 + 3.0 * det_c) - cross
-    right = (1.0 / 8.0 + 2.0 * det_c) - cross
-    return left, right
+    v = _kernel_verdicts(k)
+    cross = 1.0 / 16.0 + v.det_c + 0.25 * (v.d_ab + 2.0 * v.d_x)
+    return (1.0 / 16.0 + 3.0 * v.det_c) - cross, (1.0 / 8.0 + 2.0 * v.det_c) - cross
 
 
 def normal_order_params(k: GaussianKernel) -> NormalOrderParams2:
@@ -186,7 +193,7 @@ def positivity_by_q(k: GaussianKernel) -> bool:
 def _q_margins_hold(k: GaussianKernel, coupling: str) -> tuple[bool, bool]:
     """(nu1 + nu2 >= 0, nu1*nu2 >= |mu|^2) for the Q entry mu = ``coupling``: the sum within band(tr C, 1),
     the round-off of one Q entry; the product within that times its sensitivity |nu1| + |nu2| + 2|mu| + band."""
-    p, tol = normal_order_params(k), linalg.band(sum(k.eig[0].tolist()), 1)
+    p, tol = normal_order_params(k), linalg.band(sum(k.eigenvalues), 1)
     mu = abs(getattr(p, coupling))
     return p.nu1 + p.nu2 >= -tol, p.nu1 * p.nu2 - mu * mu >= -tol * (abs(p.nu1) + abs(p.nu2) + 2.0 * mu + tol)
 
@@ -212,7 +219,7 @@ def ppt_separable(k: GaussianKernel) -> bool:
 
 def p_representable(k: GaussianKernel) -> bool:
     """True iff all four eigenvalues of C - I/2 are strictly positive."""
-    return bool(_kernel_verdicts(k).p_representable)
+    return _kernel_verdicts(k).p_representable
 
 
 def thermal_pair(k: GaussianKernel, diagnostics: bool = False) -> ThermalPair:
@@ -229,12 +236,12 @@ def thermal_pair(k: GaussianKernel, diagnostics: bool = False) -> ThermalPair:
 
 def _thermal(v: InvariantVerdicts) -> ThermalPair:
     g1, g2 = ((2.0 * nu - 1.0) / (2.0 * nu + 1.0) for nu in v.nu)
-    return ThermalPair(g1=float(g1), g2=float(g2))
+    return ThermalPair(g1=g1, g2=g2)
 
 
 def purity2(k: GaussianKernel) -> bool:
     """det C = 1/16 marks a pure state (given positivity): the engine's verdict."""
-    return bool(_kernel_verdicts(k).pure)
+    return _kernel_verdicts(k).pure
 
 
 def pure_marginal_separability(k: GaussianKernel, which: int = 1) -> bool:
@@ -285,9 +292,10 @@ def invariant_verdicts(c, eig=None) -> InvariantVerdicts:
 def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
     """The verdict engine: two-mode verdicts from C's local symplectic invariants (Simon,
     PRL 84, 2726 (2000); Serafini, PRL 96, 110402 (2006)), in the normalization where
-    vacuum is C = I/2.  ``eig`` is C's four eigenvalues ascending, as a sequence of arrays;
-    they and the block determinants broadcast against each other: a single C, a stack, or
-    the closed forms of a scan family over a block of grid rows (``cli.scan_blocks``).
+    vacuum is C = I/2.  ``eig`` is C's four eigenvalues ascending, as Python floats for one C
+    or arrays that broadcast against the block determinants: a stack, or the closed forms of
+    a scan family over a block of grid rows (``cli.scan_blocks``).  The same formulas, operators
+    and ``abs`` take both; only max, min and sqrt are picked for the type (``_elementwise``).
 
     With D = det C, the product of the eigenvalues, an existing C is positive iff
     D >= 1/16 and 1/4 + 4D - (dA + dB + 2dX) >= 0.  Transposing one mode flips the sign
@@ -303,41 +311,34 @@ def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
     """
     e0, e1, e2, e3 = eig
     det_c = e0 * e1 * e2 * e3
+    maximum, _, sqrt = _elementwise(det_c)  # applied to functions of the eigenvalues only
     d_ab, dx2, excess = da + db, 2.0 * dx, det_c - 1.0 / 16.0
-    a0, a1, a2, a3 = np.abs(e0), np.abs(e1), np.abs(e2), np.abs(e3)
-    top = np.maximum(a0, a3)
+    a0, a1, a2, a3 = abs(e0), abs(e1), abs(e2), abs(e3)
+    top = maximum(a0, a3)
     adj = a0 * a1 * (a2 + a3) + a2 * a3 * (a0 + a1)
     del a0, a1, a2, a3  # a lower peak of block-sized temporaries: fewer heap trims and page faults per block
-    tol, tol_lam = linalg.band(np.sqrt(top * (top + adj)), 2), linalg.band(e0 + e1 + e2 + e3, 1)
+    tol, tol_lam = linalg.band(sqrt(top * (top + adj)), 2), linalg.band(e0 + e1 + e2 + e3, 1)
     slack = 0.25 + 4.0 * det_c - d_ab + tol  # the margins 1/4 + 4D - (dA + dB +- 2dX) >= -tol: slack >= +-2dX
     positive = (e0 >= -tol_lam) & (excess >= -tol) & (slack >= dx2)
     # D within tol can be a mixed state with a large nu+; Delta - 1/2 >= nu+^2 - 1/4 then exceeds band(|C|, 2)
     pure = positive & (excess <= tol) & (d_ab + dx2 - 0.5 <= linalg.band(top, 2))
-    return InvariantVerdicts(
-        positive=positive, pure=pure,
-        ppt_separable=positive & (slack >= -dx2), p_representable=e0 - 0.5 > tol_lam,
-        det_c=det_c, d_ab=d_ab, d_x=dx, band=tol,
-    )
+    return InvariantVerdicts(positive, pure, positive & (slack >= -dx2), e0 - 0.5 > tol_lam, det_c, d_ab, dx, tol)
 
 
 def _kernel_verdicts(k: GaussianKernel) -> InvariantVerdicts:
-    """One C kernel's verdicts on the eigenvalues it carries, which ``convert`` reads."""
+    """One C kernel's verdicts, on Python floats: the eigenvalues it carries, which ``convert``
+    reads, and the block determinants of its matrix."""
     _require_c(k)
-    c = k.matrix
-    return verdicts_from_invariants(sorted(k.eig[0].tolist()), _det2(c, 0, 0), _det2(c, 2, 2), _det2(c, 0, 2))
+    da, db, dx = _det2(k.matrix.take(_BLOCKS), 0, 0).tolist()
+    return verdicts_from_invariants(sorted(k.eigenvalues), da, db, dx)
 
 
 def classify2(k: GaussianKernel) -> TwoModeVerdict:
-    """Verdict bundle of one kernel: the batch-of-one case of ``invariant_verdicts``."""
+    """Verdict bundle of one kernel: the engine of ``invariant_verdicts`` on its floats."""
     v = _kernel_verdicts(k)
-    positive = bool(v.positive)
-    return TwoModeVerdict(
-        positive=positive,
-        pure=bool(v.pure),
-        p_representable=bool(v.p_representable),
-        ppt_separable=bool(v.ppt_separable) if positive else None,
-        thermal=_thermal(v) if positive else None,
-    )
+    if not v.positive:
+        return TwoModeVerdict(False, v.pure, v.p_representable, None, None)
+    return TwoModeVerdict(True, v.pure, v.p_representable, v.ppt_separable, _thermal(v))
 
 
 def bohr_variances(n: float, mc: float) -> tuple[float, float]:
@@ -354,8 +355,7 @@ def product_thermal_kernel(g1: float, g2: float) -> GaussianKernel:
 
     Valid for -1 < g < 1; negative g gives a non-positive (diagnostic) kernel.
     """
-    c1 = 0.5 * (1.0 + g1) / (1.0 - g1)
-    c2 = 0.5 * (1.0 + g2) / (1.0 - g2)
+    c1, c2 = (0.5 * (1.0 + g) / (1.0 - g) for g in (g1, g2))
     return GaussianKernel("C", SymMatrix(np.diag([c1, c1, c2, c2])))
 
 

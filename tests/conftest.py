@@ -1,10 +1,12 @@
 """Shared strategies and helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gausspair import onemode, twomode
+from gausspair import onemode, states, twomode
 from gausspair.errors import NotAStateError
 from gausspair.kernels import GaussianKernel
 
@@ -85,6 +87,39 @@ def family_stack(family, n, mc, ratio):
     m1 = ratio * mc if family == "squeezed_epr" else zero
     ms = ratio * mc if family == "anti_epr" else zero
     return np.stack([n + 0.5, m1, ms, mc], axis=-1)[..., _SWAP]
+
+
+def differential_kernels(rng) -> list:
+    """C kernels over n in [1e-6, 1e6] for comparing the per-kernel float path with the array
+    one: the three families at 0.9, 1 -+ 1e-9, 1 and 1.1 of their positivity and separability
+    boundary couplings, random complex two-mode kernels, pure D-states and one-mode kernels
+    near |m| = sqrt(n (n + 1)) and the P edge |m| = n."""
+    out = []
+
+    def add(build, *args):
+        try:
+            out.append(build(*args))
+        except NotAStateError:
+            pass
+
+    for n in np.logspace(-6, 6, 13).tolist():
+        nn, h = n * (n + 1.0), n + 0.5
+        for r in (0.3, 0.7):
+            sep = nn / (h + math.sqrt(h * h - (1.0 - r * r) * nn))  # anti and squeezed: mc^2 (1 - r^2) - 2 mc h + nn = 0
+            bounds = {"mixed_epr": (math.sqrt(nn), n), "anti_epr": (nn / (r * h + math.sqrt(r * r * h * h + (1.0 - r * r) * nn)), sep),
+                      "squeezed_epr": (math.sqrt(nn) / (1.0 + r), sep)}
+            for family, couplings in bounds.items():
+                for mc in (f * b for b in couplings for f in (0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1)):
+                    add(getattr(states, family), *((n, mc) if family == "mixed_epr" else (n, mc, r * mc)))
+        for _ in range(4):
+            p = random_two_mode(rng)
+            add(lambda: twomode.build_C2(twomode.TwoModeMoments(  # n times the C of p
+                n * (p.n1 + 0.5) - 0.5, n * (p.n2 + 0.5) - 0.5, *(n * x for x in (p.m1, p.m2, p.ms, p.mc)))))
+            alpha, beta = n ** rng.uniform(-0.5, 0.5), rng.uniform(0.1, 10.0)
+            add(lambda: states.pure_from_d(states.PureStateD(alpha, beta, rng.uniform(-0.9, 0.9) * math.sqrt(alpha * beta))))
+        for m in (math.sqrt(nn), 0.999 * math.sqrt(nn), n, rng.uniform(0.0, n)):
+            add(lambda: onemode.build_C(onemode.OneModeMoments(n, m * np.exp(1j * rng.uniform(0, 2 * np.pi)))))
+    return out
 
 
 def assert_close(a, b, tol=1e-10):

@@ -464,3 +464,48 @@ class TestBadInput:
         assert got == code
         assert "error:" in err and "Traceback" not in err
         assert says in err
+
+
+class TestParserCache:
+    """``build_parser`` is built once per process, and no call may see another call's flags."""
+
+    def _argvs(self, out):
+        scan = ["scan", "--family", "anti-epr", "--mc-min", "0", "--mc-max", "1", "--mc-steps", "3",
+                "--n-min", "0", "--n-max", "1", "--n-steps", "4"]
+        return [
+            [*scan, "--ratio", "0.5", "--out", out],
+            scan,  # the default ratio, to stdout
+            ["wigner", "--n", "0.3", "--m", "0.2+0.1j", "--lo", "-2", "--samples", "5", "--out", out],
+            ["wigner", "--n", "0.3", "--samples", "5"],  # the default m and lo, to stdout
+            ["wavefun", "--nbar", "0.5", "--lo", "-1", "--samples", "4"],
+            ["wavefun", "--nbar", "0.5", "--samples", "4"],
+            ["classify", "--modes", "2", "--n", "0.8", "--mc", "0.5", "--m1", "0.1j"],
+            ["classify", "--modes", "2", "--n", "0.8", "--mc", "0.5"],
+            ["classify", "--modes", "1", "--n", "0.8", "--m", "0.3"],
+            ["classify", "--modes", "2", "--n", "nan"],
+            ["oracle", "--modes", "1", "--n", "0.3", "--m", "0.1", "--cutoff", "8"],
+            ["convert", "--to", "W"],
+        ]
+
+    def _run(self, capsys, path, argv, fresh):
+        if fresh:  # a new parser, as in a new process
+            cli.build_parser.cache_clear()
+        path.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err, path.read_bytes() if path.exists() else None
+
+    def test_consecutive_calls_match_fresh_parsers(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        argvs = self._argvs(str(path))
+        fresh = [self._run(capsys, path, argv, True) for argv in argvs]
+        cached = [self._run(capsys, path, argv, False) for argv in argvs]
+        assert cli.build_parser() is cli.build_parser()
+        assert cached == fresh
+        # the defaults differ from the flags given one call before, so a carried-over flag would show
+        assert fresh[0][3].decode() != fresh[1][1] and fresh[2][3].decode() != fresh[3][1]
+        assert fresh[4][1] != fresh[5][1] and fresh[6][1] != fresh[7][1]
+        assert [r[0] for r in fresh] == [0] * 9 + [64, 0, 64]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import assert_close, one_mode_moments, two_mode_kernels
+from conftest import assert_close, differential_kernels, one_mode_moments, two_mode_kernels
 from gausspair import kernels, linalg, onemode, states, twomode
 from gausspair.errors import NotAStateError, NotPRepresentableError, SingularMatrixError
 from gausspair.kernels import GaussianKernel, c_kernel, convert
@@ -195,3 +195,36 @@ def test_carried_pair_is_read_only():
         k.eig = (np.ones(4), np.eye(4))
     with pytest.raises(ValueError):
         k.eig[0][0] = -1.0
+
+
+def test_convert_maps_eigenvalues_bitwise_as_the_array_formula(rng):
+    # convert maps Python floats; numpy's 1/(lam + s) on the carried array must give the same bits
+    shift = {"C": None, "W": 0.0, "Q": 0.5, "P": -0.5}
+    mapped = refused = 0
+    for k in differential_kernels(rng):
+        for chain in ("WQPC", "PWQC", "QPWC"):
+            cur = k
+            for target in chain:
+                x = cur.eig[0]
+                lam = x if cur.kind == "C" else 1.0 / x - shift[cur.kind]
+                try:
+                    out = convert(cur, target)
+                except (SingularMatrixError, NotPRepresentableError):
+                    refused += 1
+                    break
+                want = lam if target == "C" else 1.0 / (lam + shift[target])
+                assert np.array_equal(out.eig[0].view(np.uint64), want.view(np.uint64)), (cur.kind, target)
+                assert out.eigenvalues == tuple(out.eig[0].tolist()) and all(type(a) is float for a in out.eigenvalues)
+                mapped += 1
+                cur = out
+    assert mapped > 3000 and refused > 100
+
+
+def test_det_is_the_product_of_the_carried_floats(rng):
+    for k in differential_kernels(rng):
+        for kind in ("C", "W", "Q"):
+            try:
+                c = convert(k, kind)
+            except SingularMatrixError:
+                continue
+            assert c.det == float(np.prod(c.eig[0])) and type(c.det) is float  # both sequential: the same bits

@@ -123,6 +123,16 @@ class TestSymMatrix:
         assert m.dim == 2 and m.modes == 1
 
 
+class TestBand:
+    def test_floats_and_arrays_give_the_same_bits(self, rng):
+        # one kernel's verdicts take band on Python floats, a stack's on arrays
+        xs = (rng.random(20000) * 10.0 ** rng.uniform(-8, 8, 20000)).tolist()
+        assert sum(x**2 != x * x for x in xs) > 0  # libm's pow misses some squares
+        for degree in (1, 2, 3):
+            got = np.array([linalg.band(x, degree) for x in xs])
+            assert np.array_equal(got.view(np.uint64), linalg.band(np.array(xs), degree).view(np.uint64)), degree
+
+
 class TestInvert:
     def test_identity(self):
         assert linalg.invert(linalg.identity(2)).allclose(linalg.identity(2), atol=1e-10)

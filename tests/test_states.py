@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import assert_close
-from gausspair import states, twomode
+from gausspair import linalg, states, twomode
 from gausspair.errors import NotAStateError
 
 
@@ -203,6 +203,20 @@ class TestSmoothedEpr:
     def test_negative_nbar_rejected(self):
         with pytest.raises(NotAStateError):
             states.SmoothedEprParam(-0.1)
+
+    @pytest.mark.parametrize("nbar", np.logspace(-6, 6, 61).tolist())
+    def test_closed_form_matches_the_d_route(self, nbar):
+        # the D route loses det D = alpha^2 - gamma^2 = 1 by eps alpha^2 and divides by it:
+        # its entries carry up to eps alpha^3, alpha = 1 + 2 nbar
+        p = states.SmoothedEprParam(nbar)
+        direct, via_d = states.smoothed_epr(p), states.pure_from_d(p.to_d())
+        assert np.abs(direct.matrix - via_d.matrix).max() <= linalg.band(1.0 + 2.0 * nbar, 3)
+
+    @pytest.mark.parametrize("nbar", np.logspace(0, 9, 181).tolist())
+    def test_builds_without_refusal_up_to_1e9(self, nbar):
+        # the D route refuses 30 of these n from near 3.5e7: PureStateD loses det D = 1
+        v = twomode.classify2(states.smoothed_epr(states.SmoothedEprParam(nbar)))
+        assert v.positive and v.pure and not v.ppt_separable
 
 
 class TestEprWavefunction:

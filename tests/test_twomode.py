@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import assert_close, two_mode_kernels
+from conftest import assert_close, differential_kernels, two_mode_kernels
 from gausspair import states, twomode
 from gausspair.errors import NotAStateError, NotPositiveError, NotPureError
 from gausspair.kernels import convert
@@ -68,6 +68,13 @@ class TestSquaredKernel:
         cbar = twomode.squared_kernel(k)
         assert_close(cbar.matrix, (0.5 * 1.5 + 0.125 * 2.0 / 3.0) * np.eye(4))
 
+    def test_det_is_the_closed_form_of_the_invariants(self, rng):
+        # det Cbar = (1 + 16 D + 4 Delta)^2 / (4096 D), which positivity_det_margins reads
+        for k in random_kernels(rng, 200):
+            v = twomode._kernel_verdicts(k)
+            want = (1.0 + 16.0 * v.det_c + 4.0 * (v.d_ab + 2.0 * v.d_x)) ** 2 / (4096.0 * v.det_c)
+            assert twomode.squared_kernel(k).det == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_idempotent_on_pure_states(self):
         for nbar in (0.0, 0.5, 1.0, 2.0):
             k = states.smoothed_epr(states.SmoothedEprParam(nbar))
@@ -98,6 +105,21 @@ class TestPositivity:
         # C has the eigenvalue n + 1/2 - mc = 0, so its squared kernel does not exist
         k = states.mixed_epr(n, n + 0.5)
         assert not twomode.classify2(k).positive and not twomode.positivity_by_dets(k)
+
+    @pytest.mark.parametrize("n", np.logspace(-6, 7, 27).tolist())
+    def test_det_route_on_pure_smoothed_epr(self, n):
+        # the route needed C^-1 and raised SingularMatrixError from n near 5e6
+        assert twomode.positivity_by_dets(states.smoothed_epr(states.SmoothedEprParam(n)))
+
+    def test_det_route_answers_wherever_classify2_does(self, rng):
+        kernels = [k for k in differential_kernels(rng) if k.modes == 2]
+        for k in kernels:
+            positive = twomode.classify2(k).positive
+            left, right = twomode.positivity_det_margins(k)
+            if min(abs(left), abs(right)) > 1e3 * twomode._kernel_verdicts(k).band:
+                assert twomode.positivity_by_dets(k) == positive
+            else:
+                assert isinstance(twomode.positivity_by_dets(k), bool)
 
     @given(two_mode_kernels())
     def test_routes_agree(self, k):
@@ -455,3 +477,39 @@ class TestInvariantVerdicts:
             assert (verdict.thermal.g1, verdict.thermal.g2) == (float(g1), float(g2)), n
             seen += 1
         assert seen >= 10
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+class TestFloatPath:
+    """``classify2`` runs the engine on one kernel's Python floats; the same engine on the
+    stacked matrices and their carried eigenvalues must give the same bits."""
+
+    def test_classify2_bitwise_as_the_stacked_engine(self, rng):
+        kernels = [k for k in differential_kernels(rng) if k.modes == 2]
+        v = twomode.invariant_verdicts(np.stack([k.matrix for k in kernels]), np.stack([np.sort(k.eig[0]) for k in kernels]))
+        g1, g2 = ((2.0 * nu - 1.0) / (2.0 * nu + 1.0) for nu in v.nu)
+        seen = set()
+        for i, k in enumerate(kernels):
+            one = twomode.classify2(k)
+            flags = (one.positive, one.pure, one.p_representable, one.ppt_separable)
+            assert all(type(f) is bool for f in flags[:3]), flags  # no numpy scalar or 0-d array
+            assert flags[:3] == (v.positive[i], v.pure[i], v.p_representable[i]), i
+            if one.positive:
+                assert one.ppt_separable == v.ppt_separable[i], i
+                assert (type(one.thermal.g1), type(one.thermal.g2)) == (float, float)
+                assert (_bits(one.thermal.g1), _bits(one.thermal.g2)) == (_bits(g1[i]), _bits(g2[i])), i
+            seen.add(flags)
+        # positive and not, pure, separable and entangled, P-representable: all met
+        assert {f[0] for f in seen} == {True, False} and {f[3] for f in seen} == {True, False, None}
+        assert any(f[1] for f in seen) and any(f[2] for f in seen)
+
+    def test_engine_fields_bitwise_on_floats_and_arrays(self, rng):
+        kernels = [k for k in differential_kernels(rng) if k.modes == 2]
+        v = twomode.invariant_verdicts(np.stack([k.matrix for k in kernels]), np.stack([np.sort(k.eig[0]) for k in kernels]))
+        for i, k in enumerate(kernels):
+            one = twomode._kernel_verdicts(k)
+            assert [_bits(x) for x in one[4:]] == [_bits(x[i]) for x in v[4:]], i  # det_c, d_ab, d_x, band
+            assert [_bits(x) for x in one.nu] == [_bits(x[i]) for x in v.nu], i
