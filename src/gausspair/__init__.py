@@ -13,7 +13,6 @@ from .errors import (
     WrongModeCountError,
 )
 from .kernels import GaussianKernel, convert
-from .linalg import SymMatrix
 from .onemode import OneModeMoments, OneModeVerdict, SqueezeMap, build_C, classify
 from .states import (
     BellShift,

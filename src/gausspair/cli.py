@@ -24,12 +24,12 @@ import numpy as np
 from . import fock, linalg, onemode, phasespace, states, twomode
 from .errors import (
     CutoffTooSmallError,
+    DimensionMismatchError,
     NotAStateError,
     NotPRepresentableError,
     SingularMatrixError,
 )
 from .kernels import GaussianKernel, convert
-from .linalg import SymMatrix
 
 EXIT_OK = 0
 EXIT_NOT_A_STATE = 2
@@ -38,8 +38,8 @@ EXIT_NOT_P_REP = 4
 EXIT_DISAGREEMENT = 5
 EXIT_CUTOFF = 6
 EXIT_USAGE = 64
-_CONVERT_EXITS = {NotAStateError: EXIT_NOT_A_STATE, SingularMatrixError: EXIT_SINGULAR,
-                  NotPRepresentableError: EXIT_NOT_P_REP}
+_EXITS = {NotAStateError: EXIT_NOT_A_STATE, SingularMatrixError: EXIT_SINGULAR,
+          NotPRepresentableError: EXIT_NOT_P_REP, CutoffTooSmallError: EXIT_CUTOFF}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,7 +116,8 @@ def scan_blocks(req: ScanRequest) -> Iterator[str]:
 
 
 def run_scan(req: ScanRequest) -> list[str]:
-    """CSV lines (header included) of ``scan_blocks``, the blocks the CLI writes."""
+    """CSV lines (header included) of ``scan_blocks``.  Nothing in the package calls it; it is
+    kept for the traced probe in perfbench/workloads.py."""
     return [line for block in scan_blocks(req) for line in block.split("\n")[:-1]]
 
 
@@ -158,8 +159,10 @@ def write_blocks(blocks: Iterable[str], out: str | None):
 def _report(modes: int, obj) -> dict:
     """The closed-form verdict bundle of one-mode moments or of a two-mode C kernel."""
     if modes == 1:
-        v, tg2 = onemode.classify(obj), onemode.purity_from_wigner(convert(onemode.build_C(obj), "W"))
-        g, separable = v.g, None
+        v = onemode.classify(obj)
+        g, separable, tg2 = v.g, None, math.inf  # inf where C, at the edge |m| = n + 1/2, has no W
+        with contextlib.suppress(SingularMatrixError):
+            tg2 = onemode.purity_from_wigner(convert(onemode.build_C(obj), "W"))
     else:
         v, tg2 = twomode.classify2(obj), twomode.trace_g2(obj)
         g, separable = [v.thermal.g1, v.thermal.g2] if v.thermal is not None else None, v.ppt_separable
@@ -237,7 +240,7 @@ def kernel_to_json(k: GaussianKernel) -> dict:
 def kernel_from_json(obj: dict) -> GaussianKernel:
     dim = 2 * int(obj["modes"])
     entries = np.array([complex(re, im) for re, im in obj["matrix"]]).reshape(dim, dim)
-    return GaussianKernel(str(obj["kind"]), SymMatrix(entries))
+    return GaussianKernel(str(obj["kind"]), entries)
 
 
 def _cmd_classify(args) -> int:
@@ -259,13 +262,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    try:
-        with open(args.infile) as fh:
-            k = kernel_from_json(json.load(fh))
-        out = convert(k, args.to)
-    except tuple(_CONVERT_EXITS) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _CONVERT_EXITS[type(exc)]
+    with open(args.infile) as fh:
+        out = convert(kernel_from_json(json.load(fh)), args.to)
     write_blocks([json.dumps(kernel_to_json(out)) + "\n"], args.out)
     return EXIT_OK
 
@@ -277,11 +275,8 @@ def _cmd_oracle(args) -> int:
         print(json.dumps({"exists": False, "reason": str(exc)}))
         return EXIT_NOT_A_STATE
     analytic, kernel = _report(modes, obj), onemode.build_C(obj) if modes == 1 else obj
-    try:
-        report = fock.compare(kernel, analytic["positive"], analytic["separable"], args.cutoff)
-    except (CutoffTooSmallError, SingularMatrixError) as exc:  # C -> Q, with |C| past 1/eps
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CUTOFF if isinstance(exc, CutoffTooSmallError) else EXIT_SINGULAR
+    # SingularMatrixError (exit 3) from C -> Q where |C| is past 1/eps
+    report = fock.compare(kernel, analytic["positive"], analytic["separable"], args.cutoff)
     print(json.dumps({"analytic": analytic, **report}))
     return EXIT_OK if report["agree"] else EXIT_DISAGREEMENT
 
@@ -295,12 +290,8 @@ def _cmd_wavefun(args) -> int:
 
 
 def _cmd_wigner(args) -> int:
-    try:
-        p = onemode.OneModeMoments(n=args.n, m=args.m)
-    except NotAStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_A_STATE
-    w = convert(onemode.build_C(p), "W")
+    # SingularMatrixError (exit 3) where C, at the edge |m| = n + 1/2, has no W
+    w = convert(onemode.build_C(onemode.OneModeMoments(n=args.n, m=args.m)), "W")
     grid = phasespace.GridSpec(lo=args.lo, hi=args.hi, samples=args.samples)
     values = functools.partial(phasespace.wigner_grid, w, grid)
     write_blocks(grid_blocks("q,p,w", grid.axis, grid.axis, "%.12g", values), args.out)
@@ -338,7 +329,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("wavefun", help="smoothed EPR wave function grid as CSV")
-    p.add_argument("--nbar", type=_finite_float, required=True)
+    p.add_argument("--nbar", type=_moment_float, required=True)
     p.add_argument("--lo", type=_finite_float, default=-4.0)
     p.add_argument("--hi", type=_finite_float, default=4.0)
     p.add_argument("--samples", type=int, default=101)
@@ -361,7 +352,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+    except tuple(_EXITS) as exc:  # a refusal: the documented exit code of its kind
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXITS[type(exc)]
+    except (KeyError, ValueError, TypeError, OSError, DimensionMismatchError) as exc:
         return _usage_error(f"{type(exc).__name__}: {exc}")
 
 

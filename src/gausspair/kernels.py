@@ -1,7 +1,10 @@
 """Gaussian kernels and conversions among the C, W, Q, P representations.
 
-A kernel is a Hermitian T-symmetric matrix tagged with the representation it
-lives in.  The four forms of the same Gaussian operator are related by
+A kernel is a Hermitian T-symmetric matrix, a read-only ndarray in
+``linalg.normal_form``, tagged with the representation it lives in.  The public
+constructor checks outside input (``linalg.hermitian``); the package's own
+builders hand it matrices already in normal form, and the closed-form pair where
+they have one.  The four forms of the same Gaussian operator are related by
 
     W = E C^-1 E
     Q = E (C + I/2)^-1 E
@@ -25,7 +28,6 @@ import numpy as np
 
 from . import linalg
 from .errors import NotAStateError, NotPRepresentableError
-from .linalg import SymMatrix
 
 KINDS = ("C", "W", "Q", "P")
 # each kind other than C is E (C + s I)^-1 E with this shift s
@@ -36,24 +38,37 @@ _ENTRY_BOUND = sys.float_info.max / 4  # V diag(x) V^dag has entries <= max|x| (
 
 
 class GaussianKernel:
-    """A representation-tagged Gaussian kernel; ``eig`` is its read-only pair (x, V), x unsorted,
-    ``eigenvalues`` that x as Python floats, and ``sym``/``matrix`` = V diag(x) V^dag to round-off:
-    the matrix it was built from, or, for a kernel that ``convert`` returns, formed when first
-    read.  Each kind keeps C's eigenvectors (V = E V_C otherwise), so ``convert`` copies no array."""
+    """A representation-tagged Gaussian kernel; ``matrix`` is its read-only normal-form array,
+    ``eig`` its read-only pair (x, V), x unsorted, and ``eigenvalues`` that x as Python floats.
+    The matrix is V diag(x) V^dag to round-off: the one it was built from, or, for a kernel that
+    ``convert`` returns, formed when first read.  Each kind keeps C's eigenvectors (V = E V_C
+    otherwise), so ``convert`` copies no array."""
 
-    __slots__ = ("kind", "eigenvalues", "_vc", "_eig", "_sym")
+    __slots__ = ("kind", "eigenvalues", "_vc", "_eig", "_matrix")
 
-    def __init__(self, kind: str, sym: SymMatrix | None, eig: tuple | None = None):
-        """``eig`` is the pair of ``sym``, one ``eigh`` if not given; ``sym`` None is formed on read."""
+    def __init__(self, kind: str, entries):
+        """The kernel of outside input, which ``linalg.hermitian`` checks and copies: one ``eigh``."""
+        self._of(kind, linalg.hermitian(entries))
+
+    @classmethod
+    def _normal(cls, kind: str, m, eig: tuple | None = None) -> "GaussianKernel":
+        """The kernel of a matrix already in normal form, such as assembled moments: only finiteness
+        is checked.  ``eig`` is its pair (x, V), one ``eigh`` if not given."""
+        m = np.asarray(m, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
+        return object.__new__(cls)._of(kind, m, eig)
+
+    def _of(self, kind: str, m: np.ndarray, eig: tuple | None = None) -> "GaussianKernel":
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        x, v = np.linalg.eigh(sym.mat) if eig is None else eig
+        x, v = np.linalg.eigh(m) if eig is None else eig
         vc = v if kind == "C" else _E_SIGN[len(v)] * v
-        for a in (x, v, vc):
+        for a in (m, x, v, vc):
             a.setflags(write=False)
-        self._hold(kind, sym, x.tolist(), vc, (x, v))
+        return self._hold(kind, m, x.tolist(), vc, (x, v))
 
-    def _hold(self, kind: str, sym: SymMatrix | None, x: list[float], vc: np.ndarray, eig: tuple | None):
+    def _hold(self, kind: str, m: np.ndarray | None, x: list[float], vc: np.ndarray, eig: tuple | None):
         """Check the eigenvalues x and hold them with C's eigenvectors vc (``convert``: on a new object)."""
         # a negative eigenvalue of C means no Gaussian exists at all;
         # zeros within the band are kept as degenerate boundary cases
@@ -63,7 +78,7 @@ class GaussianKernel:
         # a small eigenvalue of P belongs to a large one of C, not to that boundary
         if kind == "P" and min(x) <= 0.0:
             raise NotAStateError("P matrix is not positive definite")
-        for name, value in (("kind", kind), ("eigenvalues", tuple(x)), ("_vc", vc), ("_eig", eig), ("_sym", sym)):
+        for name, value in (("kind", kind), ("eigenvalues", tuple(x)), ("_vc", vc), ("_eig", eig), ("_matrix", m)):
             object.__setattr__(self, name, value)
         return self
 
@@ -80,15 +95,15 @@ class GaussianKernel:
         return self._eig
 
     @property
-    def sym(self) -> SymMatrix:
-        if self._sym is None:  # a converted kernel: V diag(x) V^dag, hermitized, on first read
-            x, v = self.eig
-            object.__setattr__(self, "_sym", linalg.hermitian_part((v * x) @ v.conj().T))
-        return self._sym
-
-    @property
     def matrix(self) -> np.ndarray:
-        return self.sym.mat
+        if self._matrix is None:  # a converted kernel: V diag(x) V^dag, hermitized, on first read
+            x, v = self.eig
+            m = linalg.hermitian_part((v * x) @ v.conj().T)  # finite: convert bounds max|x|
+            m.setflags(write=False)
+            object.__setattr__(self, "_matrix", m)
+        return self._matrix
+
+    sym = matrix  # the old name, kept for the traced probe in perfbench/workloads.py
 
     @property
     def dim(self) -> int:
@@ -134,7 +149,3 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
         raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
     return object.__new__(GaussianKernel)._hold(target, None, out, k._vc, None)
 
-
-def c_kernel(entries) -> GaussianKernel:
-    """Build a C kernel straight from matrix entries."""
-    return GaussianKernel("C", SymMatrix(entries))

@@ -1,9 +1,10 @@
 """Complex 2x2 / 4x4 matrix substrate with the symplectic structure used everywhere else.
 
-All covariance-style matrices in this package are Hermitian and obey the
-swap symmetry M = T M^T T, where T exchanges the (z, z*) pair of every mode.
-``SymMatrix`` puts its input in that normal form (``normal_form``), and
-``SymMatrix._hermitian`` wraps a matrix already in it, such as assembled moments.
+All covariance-style matrices in this package are plain ndarrays (read-only
+once a kernel holds them), Hermitian and obeying the swap symmetry M = T M^T T,
+where T exchanges the (z, z*) pair of every mode.  ``hermitian`` checks outside input and puts it in
+that normal form (``normal_form``); ``hermitian_part`` and ``congruence`` return
+matrices already in it.  ``kernels.GaussianKernel`` holds the result.
 
 No tolerance of the package is absolute: the Hermiticity check, the singularity
 test of ``reciprocal`` and every verdict margin, the reference routes' included,
@@ -27,63 +28,20 @@ MAX_SCALE = 2.0**250
 _T_GATHER = {dim: np.arange(dim * dim).reshape(dim, dim).T[np.ix_(np.arange(dim) ^ 1, np.arange(dim) ^ 1)] for dim in (2, 4)}
 
 
-class SymMatrix:
-    """Hermitian matrix in the T-symmetric normal form M = T M^T T.
-
-    The constructor rejects input whose anti-Hermitian part exceeds
-    ``band(max|M|, 1)`` (or is not finite) and symmetrizes by averaging M with
-    T M^T T, which leaves the associated Gaussian characteristic function
-    unchanged.
-    """
-
-    __slots__ = ("mat",)
-
-    def __init__(self, entries):
-        m = np.array(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-            raise DimensionMismatchError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-        # written as "not <=" so that NaN entries are rejected too
-        if not np.abs(m - m.conj().T).max() <= band(np.abs(m).max(), 1):
-            raise ValueError("matrix is not Hermitian within tolerance")
-        self._hold(normal_form(m))
-
-    @classmethod
-    def _hermitian(cls, m) -> "SymMatrix":
-        """The constructor for a matrix already in normal form: it only checks finiteness."""
-        m = np.asarray(m, dtype=complex)
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has non-finite entries")
-        s = object.__new__(cls)
-        s._hold(m)
-        return s
-
-    def _hold(self, m):
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymMatrix is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def modes(self) -> int:
-        return self.dim // 2
-
-    def __getitem__(self, idx):
-        return self.mat[idx]
-
-    def __repr__(self):
-        return f"SymMatrix({self.mat.tolist()!r})"
-
-    def allclose(self, other: "SymMatrix", atol: float) -> bool:
-        return self.dim == other.dim and np.allclose(self.mat, other.mat, atol=atol, rtol=0.0)
+def hermitian(entries) -> np.ndarray:
+    """Outside input as a kernel's matrix: a copy of ``entries`` in ``normal_form``.  It must be
+    2x2 or 4x4, and its anti-Hermitian part within ``band(max|M|, 1)`` (NaN is not).  Averaging
+    M with T M^T T leaves the associated Gaussian characteristic function unchanged."""
+    m = np.array(entries, dtype=complex)
+    if m.shape not in ((2, 2), (4, 4)):
+        raise DimensionMismatchError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+    # written as "not <=" so that NaN entries are rejected too
+    if not np.abs(m - m.conj().T).max() <= band(np.abs(m).max(), 1):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return normal_form(m)
 
 
-def identity(dim: int) -> SymMatrix:
-    return SymMatrix(np.eye(dim))
+SymMatrix = hermitian  # the old name, kept for perfbench/workloads.py, which builds its general kernels through it
 
 
 def normal_form(m: np.ndarray) -> np.ndarray:
@@ -92,13 +50,13 @@ def normal_form(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def hermitian_part(m: np.ndarray) -> SymMatrix:
+def hermitian_part(m: np.ndarray) -> np.ndarray:
     """``normal_form`` of (m + m^dag)/2, such as V diag(x) V^dag, whose last average with m^dag is exact there."""
     m = 0.5 * (m + m.conj().T)
-    return SymMatrix._hermitian(0.5 * (m + m.take(_T_GATHER[len(m)])))
+    return 0.5 * (m + m.take(_T_GATHER[len(m)]))
 
 
-def congruence(a: np.ndarray, m: np.ndarray) -> SymMatrix:
+def congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """a m a^dag for a Hermitian m."""
     return hermitian_part(a @ m @ a.conj().T)
 
@@ -113,9 +71,10 @@ def reciprocal(x) -> list[float]:
     return [1.0 / v for v in x]
 
 
-def invert(m: SymMatrix) -> SymMatrix:
-    """Inverse of ``m`` from its eigendecomposition: V diag(1/x) V^dag."""
-    x, v = np.linalg.eigh(m.mat)
+def invert(m: np.ndarray) -> np.ndarray:
+    """Inverse of the Hermitian ``m`` from its eigendecomposition, V diag(1/x) V^dag.  Nothing in
+    the package calls it; it is kept for the traced probe in perfbench/workloads.py."""
+    x, v = np.linalg.eigh(m)
     return congruence(v, np.diag(reciprocal(x.tolist())))
 
 

@@ -14,7 +14,6 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError, NotAStateError, NotPositiveError, NotPureError, NotRealBranchError
 from .kernels import GaussianKernel, convert
-from .linalg import SymMatrix
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,8 @@ def build_C(p: OneModeMoments) -> GaussianKernel:
     so that its conversions stay exactly diagonal."""
     a, u = p.n + 0.5, np.exp(-1j * np.angle(p.m))
     v = np.array([[1.0, 1.0], [-u, u]]) * math.sqrt(0.5) if p.m else np.eye(2, dtype=complex)
-    mat = SymMatrix._hermitian([[a, p.m], [np.conj(p.m), a]])  # in normal form as assembled
-    return GaussianKernel("C", mat, (np.array(_eigenvalues(p)), v))
+    mat = [[a, p.m], [np.conj(p.m), a]]  # in normal form as assembled
+    return GaussianKernel._normal("C", mat, (np.array(_eigenvalues(p)), v))
 
 
 def _eigenvalues(p: OneModeMoments) -> tuple[float, float]:
@@ -140,7 +139,7 @@ def apply_squeeze(k: GaussianKernel, u: SqueezeMap, direction: str = "forward") 
         a = e @ um @ e
     else:
         raise ValueError("direction must be 'forward' or 'inverse'")
-    return GaussianKernel("C", linalg.congruence(a, k.matrix))
+    return GaussianKernel._normal("C", linalg.congruence(a, k.matrix))
 
 
 def theta_window(p: OneModeMoments) -> tuple[float, float, float]:

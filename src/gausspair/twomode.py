@@ -25,7 +25,6 @@ import numpy as np
 from . import linalg
 from .errors import NotPositiveError, NotPureError, WrongModeCountError
 from .kernels import GaussianKernel, convert
-from .linalg import SymMatrix
 
 # transposing the first mode exchanges z1 and z1*
 _PT_SWAP = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
@@ -121,7 +120,7 @@ def assemble_c(p: TwoModeMoments) -> np.ndarray:
 
 
 def build_C2(p: TwoModeMoments) -> GaussianKernel:
-    return GaussianKernel("C", SymMatrix._hermitian(assemble_c(p)))  # assembled in normal form
+    return GaussianKernel._normal("C", assemble_c(p))  # assembled in normal form
 
 
 def moments_from_c(k: GaussianKernel) -> TwoModeMoments:
@@ -147,7 +146,7 @@ def trace_g2(k: GaussianKernel) -> float:
 def squared_kernel(k: GaussianKernel) -> GaussianKernel:
     """C matrix of the normalized square G^2 / Tr G^2: Cbar = C/2 + E C^-1 E / 8."""
     _require_c(k)
-    return GaussianKernel("C", SymMatrix(0.5 * k.matrix + 0.125 * convert(k, "W").matrix))
+    return GaussianKernel("C", 0.5 * k.matrix + 0.125 * convert(k, "W").matrix)
 
 
 def positivity_by_dets(k: GaussianKernel) -> bool:
@@ -202,7 +201,7 @@ def partial_transpose(k: GaussianKernel) -> GaussianKernel:
     """Transpose the first mode only; on moments m1 -> m1*, ms -> mc*, mc -> ms*."""
     if k.modes != 2:
         raise WrongModeCountError("partial transpose needs a two-mode kernel")
-    return GaussianKernel(k.kind, SymMatrix(k.matrix[_PT_SWAP]))
+    return GaussianKernel(k.kind, k.matrix[_PT_SWAP])
 
 
 def separability_inequality(k: GaussianKernel) -> bool:
@@ -269,7 +268,7 @@ def local_squeeze_to_p_rep(k: GaussianKernel, theta: float) -> GaussianKernel:
     if not _kernel_verdicts(k).positive:
         raise NotPositiveError("local squeeze to P form requires a positive state")
     e = linalg.structure_e(4)
-    return GaussianKernel("C", linalg.congruence(e @ local_squeeze_map(theta, theta) @ e, k.matrix))
+    return GaussianKernel._normal("C", linalg.congruence(e @ local_squeeze_map(theta, theta) @ e, k.matrix))
 
 
 def _det2(c: np.ndarray, row: int, col: int) -> np.ndarray:
@@ -356,7 +355,7 @@ def product_thermal_kernel(g1: float, g2: float) -> GaussianKernel:
     Valid for -1 < g < 1; negative g gives a non-positive (diagnostic) kernel.
     """
     c1, c2 = (0.5 * (1.0 + g) / (1.0 - g) for g in (g1, g2))
-    return GaussianKernel("C", SymMatrix(np.diag([c1, c1, c2, c2])))
+    return GaussianKernel("C", np.diag([c1, c1, c2, c2]))
 
 
 def _require_c(k: GaussianKernel):

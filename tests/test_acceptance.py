@@ -13,7 +13,7 @@ import pytest
 
 from conftest import random_one_mode, random_two_mode
 from gausspair import fock, onemode, states, twomode
-from gausspair.cli import ScanRequest, run_scan
+from gausspair.cli import ScanRequest, scan_blocks
 from gausspair.kernels import convert
 from gausspair.onemode import OneModeMoments
 from gausspair.twomode import TwoModeMoments
@@ -29,7 +29,7 @@ def budget(name: str, seconds: float):
 
 
 def scan_rows(family: str, ratio: float, steps: int = 201):
-    lines = run_scan(ScanRequest(family, ratio, 0.0, 2.0, steps, 0.0, 2.0, steps))
+    lines = "".join(scan_blocks(ScanRequest(family, ratio, 0.0, 2.0, steps, 0.0, 2.0, steps))).splitlines()
     grid = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])
     mcs = np.unique(grid[:, 0])
     return grid.reshape(len(mcs), -1, 6), mcs

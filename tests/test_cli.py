@@ -159,7 +159,7 @@ class TestScan:
     )
     def test_pointwise_matches_classify2(self, family, ratio):
         # the five family/ratio pairs of scripts/reproduce_figures.py
-        lines = cli.run_scan(cli.ScanRequest(family, ratio, 0.0, 2.0, 21, 0.0, 2.0, 21))
+        lines = "".join(cli.scan_blocks(cli.ScanRequest(family, ratio, 0.0, 2.0, 21, 0.0, 2.0, 21))).splitlines()
         for row in lines[1:]:
             mc, n, *flags = row.split(",")
             mc, n = float(mc), float(n)
@@ -206,7 +206,7 @@ class TestScan:
 
     def test_overflowing_moments_are_refused(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
-            cli.run_scan(cli.ScanRequest("anti_epr", 1e300, 0.0, 1e10, 3, 0.0, 1.0, 2))
+            "".join(cli.scan_blocks(cli.ScanRequest("anti_epr", 1e300, 0.0, 1e10, 3, 0.0, 1.0, 2)))
 
     def test_overflow_is_refused_before_any_output(self, capsys, tmp_path):
         argv = ["--ratio", "1e300", "--mc-min", "0", "--mc-max", "1e10", "--mc-steps", "3",
@@ -218,7 +218,7 @@ class TestScan:
         # the largest eigenvalue bound the scan admits: every margin stays finite, and
         # RuntimeWarning is an error under pytest
         t = 0.5 * (linalg.MAX_SCALE - 2e6)
-        lines = cli.run_scan(cli.ScanRequest("anti_epr", 1.0, -t, t, 3, 0.0, 1e6, 2))
+        lines = "".join(cli.scan_blocks(cli.ScanRequest("anti_epr", 1.0, -t, t, 3, 0.0, 1e6, 2))).splitlines()
         assert len(lines) == 7 and lines[3] == "0,0,1,1,1,0"
 
     @pytest.mark.parametrize("case", SCAN_CASES)
@@ -228,7 +228,7 @@ class TestScan:
         flags = (v.positive, v.pure, v.ppt_separable, v.p_representable)
         table = np.column_stack([mc.ravel(), n.ravel(), *(f.ravel() for f in flags)])
         want = per_row_lines("mc,n,positive,pure,separable,p_representable", "%.10g,%.10g,%d,%d,%d,%d", table)
-        assert cli.run_scan(req) == want
+        assert "".join(cli.scan_blocks(req)) == "\n".join(want) + "\n"
         argv = [f"--mc-min={req.mc_lo}", f"--mc-max={req.mc_hi}", f"--mc-steps={req.mc_steps}",
                 f"--n-min={req.n_lo}", f"--n-max={req.n_hi}", f"--n-steps={req.n_steps}"]
         code, out, _ = run(capsys, "scan", "--family", req.family.replace("_", "-"), "--ratio", str(req.ratio), *argv)
@@ -446,16 +446,27 @@ class TestBadInput:
             (["oracle", "--modes", "2", "--n1", "1e17", "--n2", "0"], 3, "min|eigenvalue|"),
             # 201^4 amplitudes are refused before the oracle allocates them
             (["oracle", "--modes", "2", "--n1", "0.5", "--n2", "0.5", "--cutoff", "200"], 64, "cutoff"),
+            (["wavefun", "--nbar", "-1"], 2, "nbar must be non-negative"),
+            # nbar (nbar + 1) would overflow to inf and nan cells
+            (["wavefun", "--nbar", "1e200"], 64, "--nbar"),
+            # an admitted one-mode C at the edge |m| = n + 1/2, lam_min = 5.6e-17, has no W
+            (["wigner", "--n", "0", "--m", "0.49999999999999994"], 3, "min|eigenvalue|"),
+            (["convert", "--in", "{three_modes}", "--to", "W"], 64, "2x2 or 4x4"),
+            (["convert", "--in", "{no_modes}", "--to", "W"], 64, "2x2 or 4x4"),
         ],
         ids=["n-nan", "n-inf", "mc-nan", "wigner-nan", "one-step", "no-matrix", "missing-file",
              "not-a-state-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n", "oracle-singular",
-             "oracle-cutoff-too-large"],
+             "oracle-cutoff-too-large", "wavefun-negative-nbar", "wavefun-nbar-past-bound", "wigner-singular-edge",
+             "three-mode-file", "zero-mode-file"],
     )
     def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code, says):
-        paths = {name: tmp_path / f"{name}.json" for name in ("no_matrix", "missing", "not_a_state")}
+        names = ("no_matrix", "missing", "not_a_state", "three_modes", "no_modes")
+        paths = {name: tmp_path / f"{name}.json" for name in names}
         paths["no_matrix"].write_text(json.dumps({"modes": 1, "kind": "C"}))
         negative = {"modes": 1, "kind": "C", "matrix": [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}
         paths["not_a_state"].write_text(json.dumps(negative))
+        paths["three_modes"].write_text(json.dumps({"modes": 3, "kind": "C", "matrix": [[1.0, 0.0]] * 36}))
+        paths["no_modes"].write_text(json.dumps({"modes": 0, "kind": "C", "matrix": []}))
         try:
             got = main([a.format(**paths) for a in argv])
         except SystemExit as exc:  # argparse rejects the value itself
@@ -464,6 +475,16 @@ class TestBadInput:
         assert got == code
         assert "error:" in err and "Traceback" not in err
         assert says in err
+
+    @pytest.mark.parametrize("command", ["classify", "oracle"])
+    def test_one_mode_singular_edge_gets_a_verdict(self, capsys, command):
+        # an admitted C at the edge |m| = n + 1/2, lam_min = 5.6e-17, has no W: its Tr G^2 is
+        # not finite and prints as null, as the two-mode verdict prints it where det C <= 0
+        code, out, err = run(capsys, command, "--modes", "1", "--n", "0", "--m", "0.49999999999999994")
+        rep = json.loads(out)
+        rep = rep.get("analytic", rep)
+        assert code == 0 and err == ""
+        assert rep["exists"] is True and rep["positive"] is False and rep["trace_g2"] is None
 
 
 class TestParserCache:

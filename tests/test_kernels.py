@@ -7,12 +7,11 @@ from hypothesis import given
 from conftest import assert_close, differential_kernels, one_mode_moments, two_mode_kernels
 from gausspair import kernels, linalg, onemode, states, twomode
 from gausspair.errors import NotAStateError, NotPRepresentableError, SingularMatrixError
-from gausspair.kernels import GaussianKernel, c_kernel, convert
-from gausspair.linalg import SymMatrix
+from gausspair.kernels import GaussianKernel, convert
 
 
 def test_vacuum_conversions():
-    vac = c_kernel(0.5 * np.eye(2))
+    vac = GaussianKernel("C", 0.5 * np.eye(2))
     w = convert(vac, "W")
     q = convert(vac, "Q")
     assert_close(w.matrix, 2.0 * np.eye(2))
@@ -42,13 +41,13 @@ def test_one_mode_round_trip(p):
     k = c
     for target in ("W", "Q", "C"):
         k = convert(k, target)
-    assert k.sym.allclose(c.sym, atol=1e-9)
+    assert np.allclose(k.matrix, c.matrix, rtol=0.0, atol=1e-9)
 
 
 @given(two_mode_kernels())
 def test_two_mode_round_trip_and_wq_identity(k):
     back = convert(convert(convert(k, "W"), "Q"), "C")
-    assert back.sym.allclose(k.sym, atol=1e-9)
+    assert np.allclose(back.matrix, k.matrix, rtol=0.0, atol=1e-9)
     w = convert(k, "W").matrix
     q = convert(k, "Q").matrix
     assert_close((2 * np.eye(4) + w) @ (2 * np.eye(4) - q), 4 * np.eye(4), tol=1e-9)
@@ -57,7 +56,7 @@ def test_two_mode_round_trip_and_wq_identity(k):
 def test_p_round_trip_when_representable():
     c = onemode.build_C(onemode.OneModeMoments(n=1.5, m=0.5))
     p = convert(c, "P")
-    assert convert(p, "C").sym.allclose(c.sym, atol=1e-9)
+    assert np.allclose(convert(p, "C").matrix, c.matrix, rtol=0.0, atol=1e-9)
 
 
 def test_p_conversion_refused_for_pure_state():
@@ -68,12 +67,12 @@ def test_p_conversion_refused_for_pure_state():
 
 def test_negative_c_is_not_a_state():
     with pytest.raises(NotAStateError):
-        c_kernel([[0.5, 1.0], [1.0, 0.5]])
+        GaussianKernel("C", [[0.5, 1.0], [1.0, 0.5]])
 
 
 def test_boundary_c_is_kept():
     # an exactly singular C still describes a (degenerate) Gaussian
-    k = c_kernel([[1.0, 1.0], [1.0, 1.0]])
+    k = GaussianKernel("C", [[1.0, 1.0], [1.0, 1.0]])
     assert k.det == pytest.approx(0.0)
     with pytest.raises(SingularMatrixError):
         convert(k, "W")
@@ -81,7 +80,7 @@ def test_boundary_c_is_kept():
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        GaussianKernel("Z", SymMatrix(np.eye(2)))
+        GaussianKernel("Z", np.eye(2))
 
 
 def _carried_pair_rebuilds(k, c_scale=0.0):
@@ -100,7 +99,7 @@ def _formed(x, v) -> np.ndarray:
 
 
 def _count_calls(monkeypatch) -> dict:
-    """Counts of eigensolver calls and of matrices formed through ``SymMatrix._hermitian``."""
+    """Counts of eigensolver calls and of matrices formed through ``linalg.hermitian_part``."""
     calls = {"eigh": 0, "eigvalsh": 0, "formed": 0}
     for name in ("eigh", "eigvalsh"):
         def counting(*args, name=name, real=getattr(np.linalg, name)):
@@ -109,11 +108,11 @@ def _count_calls(monkeypatch) -> dict:
 
         monkeypatch.setattr(np.linalg, name, counting)
 
-    def hermitian(cls, m, real=SymMatrix._hermitian):
+    def hermitian_part(m, real=linalg.hermitian_part):
         calls["formed"] += 1
         return real(m)
 
-    monkeypatch.setattr(SymMatrix, "_hermitian", classmethod(hermitian))
+    monkeypatch.setattr(linalg, "hermitian_part", hermitian_part)
     return calls
 
 
@@ -124,10 +123,10 @@ def test_one_eigensolve_per_chain(monkeypatch):
     chain = [k]
     for target in "WQPC":
         chain.append(convert(chain[-1], target))
-    # the built C's matrix is the only one formed until the chain's last kernel is read
-    assert calls == {"eigh": 1, "eigvalsh": 0, "formed": 1}
+    # the built C holds its assembled matrix: none is formed until the chain's last kernel is read
+    assert calls == {"eigh": 1, "eigvalsh": 0, "formed": 0}
     back = chain[-1].matrix
-    assert calls == {"eigh": 1, "eigvalsh": 0, "formed": 2}
+    assert calls == {"eigh": 1, "eigvalsh": 0, "formed": 1}
     assert chain[-1].matrix is back and not back.flags.writeable
     assert all(_carried_pair_rebuilds(c) for c in chain)
 
@@ -147,11 +146,11 @@ def test_carried_pair_rebuilds_every_converted_matrix(n, chain):
 @pytest.mark.parametrize(
     "kernel, target, error, says",
     [
-        (lambda: c_kernel([[1.0, 1.0], [1.0, 1.0]]), "W", SingularMatrixError, "min|eigenvalue|"),
+        (lambda: GaussianKernel("C", [[1.0, 1.0], [1.0, 1.0]]), "W", SingularMatrixError, "min|eigenvalue|"),
         (lambda: onemode.build_C(onemode.OneModeMoments(1.0, np.sqrt(2.0))), "P", NotPRepresentableError, "C - I/2"),
-        (lambda: GaussianKernel("W", SymMatrix([[0.5, 1.0], [1.0, 0.5]])), "C", NotAStateError, "negative"),
+        (lambda: GaussianKernel("W", [[0.5, 1.0], [1.0, 0.5]]), "C", NotAStateError, "negative"),
         # W = 1e308 I would overflow V diag(x) V^dag + its adjoint
-        (lambda: c_kernel(1e-308 * np.eye(2)), "W", ValueError, "non-finite"),
+        (lambda: GaussianKernel("C", 1e-308 * np.eye(2)), "W", ValueError, "non-finite"),
     ],
     ids=["singular", "not-p-representable", "not-a-state", "overflow"],
 )
@@ -164,23 +163,23 @@ def test_convert_refuses_at_the_call_before_forming_a_matrix(monkeypatch, kernel
 
 
 def test_eigenvalue_near_the_bound_forms_a_finite_matrix():
-    w = convert(c_kernel(2.0 / kernels._ENTRY_BOUND * np.eye(2)), "W")
+    w = convert(GaussianKernel("C", 2.0 / kernels._ENTRY_BOUND * np.eye(2)), "W")
     assert np.isfinite(w.matrix).all() and w.matrix[0, 0].real == pytest.approx(0.5 * kernels._ENTRY_BOUND)
 
 
 def test_carried_c_eigenvalue_below_band_is_not_a_state():
     # W's eigenvalue -1/2 maps to C's eigenvalue -2 with no new eigensolve
-    w = GaussianKernel("W", SymMatrix([[0.5, 1.0], [1.0, 0.5]]))
+    w = GaussianKernel("W", [[0.5, 1.0], [1.0, 0.5]])
     with pytest.raises(NotAStateError):
         convert(w, "C")
 
 
 def test_p_kernel_not_positive_definite_is_refused():
     with pytest.raises(NotAStateError):
-        GaussianKernel("P", SymMatrix([[0.5, 1.0], [1.0, 0.5]]))
-    c = c_kernel(np.diag([1.5, 1.5]))
+        GaussianKernel("P", [[0.5, 1.0], [1.0, 0.5]])
+    c = GaussianKernel("C", np.diag([1.5, 1.5]))
     with pytest.raises(NotAStateError):
-        GaussianKernel("P", c.sym, (np.array([1.0, -1.0]), c.eig[1]))
+        GaussianKernel._normal("P", c.matrix, (np.array([1.0, -1.0]), c.eig[1]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given
 
 from conftest import assert_close, one_mode_moments, two_mode_kernels
-from gausspair import linalg, onemode, states, twomode
+from gausspair import kernels, linalg, onemode, states, twomode
 from gausspair.errors import DimensionMismatchError, SingularMatrixError, WrongModeCountError
 from gausspair.kernels import GaussianKernel
-from gausspair.linalg import SymMatrix
 
 # the fixed involutions, written out: T exchanges (z, z*) of every mode,
 # T1 of the first mode only
@@ -26,7 +25,7 @@ def hermitian(rng, dim):
 
 
 class TestStructureMatrix:
-    """E = structure_e; T is the SymMatrix normal form; T1 is the partial transpose."""
+    """E = structure_e; T is the kernel's normal form; T1 is the partial transpose."""
 
     def test_e_is_diag_plus_minus(self):
         assert_close(linalg.structure_e(2), np.diag([1.0, -1.0]))
@@ -34,7 +33,7 @@ class TestStructureMatrix:
 
     def test_t_swaps_every_mode_pair(self, rng):
         m = hermitian(rng, 4)
-        assert_close(SymMatrix(m).mat, 0.5 * (m + T4 @ m.T @ T4))
+        assert_close(linalg.hermitian(m), 0.5 * (m + T4 @ m.T @ T4))
 
     def test_t1_swaps_first_mode_only(self):
         k = twomode.build_C2(
@@ -50,9 +49,9 @@ class TestStructureMatrix:
             assert_close(e @ e, np.eye(dim))
         else:
             # the T normal form is a projection: applying it again changes nothing
-            m = SymMatrix(hermitian(rng, dim))
-            assert np.array_equal(SymMatrix(m.mat).mat, m.mat)
-            assert np.array_equal(m.mat, T_OF_DIM[dim] @ m.mat.T @ T_OF_DIM[dim])
+            m = linalg.hermitian(hermitian(rng, dim))
+            assert np.array_equal(linalg.hermitian(m), m)
+            assert np.array_equal(m, T_OF_DIM[dim] @ m.T @ T_OF_DIM[dim])
 
     def test_t1_squares_to_identity(self):
         k = states.anti_epr(n=0.9, mc=0.3, ms=0.2)
@@ -65,9 +64,18 @@ class TestStructureMatrix:
 
 
 class TestSymMatrix:
+    """The one matrix type, a kernel's read-only normal-form array: ``linalg.hermitian`` checks
+    outside input, and the public ``GaussianKernel`` runs it."""
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            SymMatrix([[1.0, 1.0], [0.0, 1.0]])
+            linalg.hermitian([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            GaussianKernel("C", [[1.0, 1.0], [0.0, 1.0]])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            GaussianKernel("C", [[1.0, np.nan], [np.nan, 1.0]])
 
     @pytest.mark.parametrize(
         "scale, skew, hermitian",
@@ -77,25 +85,28 @@ class TestSymMatrix:
         # the anti-Hermitian part may reach band(max|M|, 1) = 16 eps max|M|
         m = np.array([[scale, 0.5 * scale + skew], [0.5 * scale, scale]])
         if hermitian:
-            SymMatrix(m)
+            linalg.hermitian(m)
         else:
             with pytest.raises(ValueError):
-                SymMatrix(m)
+                linalg.hermitian(m)
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(DimensionMismatchError):
-            SymMatrix(np.eye(3))
+        for shape in [(3, 3), (4,), (2, 4), (0, 0), (6, 6)]:
+            with pytest.raises(DimensionMismatchError):
+                linalg.hermitian(np.ones(shape))
+            with pytest.raises(DimensionMismatchError):
+                GaussianKernel("C", np.ones(shape))
 
     def test_normal_form_is_exact(self):
         # hermitian but not T-symmetric input gets averaged into the normal form
-        m = SymMatrix([[1.0, 0.2j], [-0.2j, 2.0]])
-        assert np.array_equal(m.mat, T2 @ m.mat.T @ T2)
+        m = GaussianKernel("C", [[1.0, 0.2j], [-0.2j, 2.0]]).matrix
+        assert np.array_equal(m, T2 @ m.T @ T2)
         # diagonal entries averaged, off-diagonal kept
         assert m[0, 0] == pytest.approx(1.5)
         assert m[0, 1] == pytest.approx(0.2j)
 
     def test_assembled_moments_are_in_normal_form(self, rng):
-        # build_C2 and onemode.build_C wrap the assembled matrix without a normalization
+        # build_C2 and onemode.build_C hold the assembled matrix without a normalization
         # pass: the pass would change no value of it (only the sign of a zero part)
         for _ in range(500):
             parts = rng.normal(size=10) * 10.0 ** rng.uniform(-6.0, 6.0, 10)
@@ -109,18 +120,28 @@ class TestSymMatrix:
             c1 = onemode.build_C(p).matrix
             assert np.array_equal(linalg.normal_form(c1), c1)
 
+    def test_leaves_the_callers_array_alone(self):
+        entries = np.array([[1.0, 0.2j], [-0.2j, 2.0]])
+        k = GaussianKernel("C", entries)
+        assert entries.flags.writeable and np.array_equal(entries, [[1.0, 0.2j], [-0.2j, 2.0]])
+        assert k.matrix[0, 0] == 1.5
+        entries[0, 1] = 0.3  # the kernel holds a copy
+        assert k.matrix[0, 1] == 0.2j
+
     def test_is_immutable(self):
-        m = SymMatrix(np.eye(2))
-        with pytest.raises(AttributeError):
-            m.mat = np.zeros((2, 2))
-        with pytest.raises(ValueError):
-            m.mat[0, 0] = 5.0
+        # a kernel built from outside input, from assembled moments, and by convert
+        for k in (GaussianKernel("C", np.eye(2)), states.mixed_epr(1.0, 0.5), kernels.convert(states.mixed_epr(1.0, 0.5), "W")):
+            assert not k.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                k.matrix[0, 0] = 5.0
+            with pytest.raises(AttributeError):
+                k.matrix = np.zeros((2, 2))
 
     def test_det_and_indexing(self):
-        m = SymMatrix([[1.5, 0.5], [0.5, 1.5]])
-        assert GaussianKernel("C", m).det == pytest.approx(2.0)  # the product of the carried eigenvalues
-        assert m[1, 0] == pytest.approx(0.5)
-        assert m.dim == 2 and m.modes == 1
+        k = GaussianKernel("C", [[1.5, 0.5], [0.5, 1.5]])
+        assert k.det == pytest.approx(2.0)  # the product of the carried eigenvalues
+        assert k.matrix[1, 0] == pytest.approx(0.5)
+        assert k.dim == 2 and k.modes == 1
 
 
 class TestBand:
@@ -135,28 +156,28 @@ class TestBand:
 
 class TestInvert:
     def test_identity(self):
-        assert linalg.invert(linalg.identity(2)).allclose(linalg.identity(2), atol=1e-10)
+        assert np.allclose(linalg.invert(np.eye(2)), np.eye(2), rtol=0.0, atol=1e-10)
 
     def test_thermal_scalar_inverse(self):
-        inv = linalg.invert(SymMatrix(np.diag([1.5, 1.5])))
-        assert_close(inv.mat, np.diag([2.0 / 3.0, 2.0 / 3.0]))
+        inv = linalg.invert(GaussianKernel("C", np.diag([1.5, 1.5])).matrix)
+        assert_close(inv, np.diag([2.0 / 3.0, 2.0 / 3.0]))
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            linalg.invert(SymMatrix([[1.0, 1.0], [1.0, 1.0]]))
+            linalg.invert(GaussianKernel("C", [[1.0, 1.0], [1.0, 1.0]]).matrix)
 
     def test_small_scale_is_not_singular(self):
         # singularity is relative to the size of the matrix, not to an absolute det
-        inv = linalg.invert(SymMatrix(1e-8 * np.array([[2.0, 1.0], [1.0, 2.0]])))
-        assert_close(inv.mat * 1e-8, np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0, tol=1e-15)
+        inv = linalg.invert(GaussianKernel("C", 1e-8 * np.array([[2.0, 1.0], [1.0, 2.0]])).matrix)
+        assert_close(inv * 1e-8, np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0, tol=1e-15)
 
     @given(two_mode_kernels())
     def test_involution_on_random_c(self, k):
-        assert linalg.invert(linalg.invert(k.sym)).allclose(k.sym, atol=1e-10)
+        assert np.allclose(linalg.invert(linalg.invert(k.matrix)), k.matrix, rtol=0.0, atol=1e-10)
 
     @given(two_mode_kernels())
     def test_inverse_multiplies_to_identity(self, k):
-        prod = linalg.invert(k.sym).mat @ k.sym.mat
+        prod = linalg.invert(k.matrix) @ k.matrix
         assert_close(prod, np.eye(4))
 
 
@@ -168,13 +189,13 @@ class TestConjByStructure:
         k = twomode.build_C2(twomode.TwoModeMoments(n1=1.0, n2=0.5, m1=0.3j))
         out = twomode.partial_transpose(k)
         want = twomode.build_C2(twomode.TwoModeMoments(n1=1.0, n2=0.5, m1=-0.3j))
-        assert out.sym.allclose(want.sym, atol=1e-10)
+        assert np.allclose(out.matrix, want.matrix, rtol=0.0, atol=1e-10)
         assert_close(out.matrix[:2, :2], T2 @ k.matrix[:2, :2] @ T2)
 
     def test_t1_moves_mc_to_ms_slot(self):
         out = twomode.partial_transpose(states.mixed_epr(n=1.0, mc=0.7))
         want = states.anti_epr(n=1.0, mc=0.0, ms=0.7)
-        assert out.sym.allclose(want.sym, atol=1e-10)
+        assert np.allclose(out.matrix, want.matrix, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("kind", ["E", "T", "T1"])
     def test_involution(self, kind):

@@ -55,7 +55,7 @@ class TestMixedEpr:
 
 class TestAntiEpr:
     def test_ms_zero_reduces_to_mixed(self):
-        assert states.anti_epr(1.0, 0.7, 0.0).sym.allclose(states.mixed_epr(1.0, 0.7).sym, atol=1e-10)
+        assert np.allclose(states.anti_epr(1.0, 0.7, 0.0).matrix, states.mixed_epr(1.0, 0.7).matrix, rtol=0.0, atol=1e-10)
 
     def test_explicit_non_positive_point(self):
         assert states.anti_epr_positivity(1.0, 1.0, 0.5) == pytest.approx(-0.25)
@@ -85,9 +85,7 @@ class TestAntiEpr:
 
 class TestSqueezedEpr:
     def test_m_zero_reduces_to_mixed(self):
-        assert states.squeezed_epr(1.0, 0.7, 0.0).sym.allclose(
-            states.mixed_epr(1.0, 0.7).sym, atol=1e-10
-        )
+        assert np.allclose(states.squeezed_epr(1.0, 0.7, 0.0).matrix, states.mixed_epr(1.0, 0.7).matrix, rtol=0.0, atol=1e-10)
 
     def test_separable_point(self):
         n, mc, m = 1.0, 0.5, 0.5
