@@ -1,10 +1,10 @@
 """Command-line surface: classify states, convert kernel files, run region scans,
 emit wave-function / Wigner grids, and compare against the Fock oracle.
 
-Exit codes: 0 ok, 2 not-a-state, 3 singular matrix, 4 not P-representable,
-5 oracle disagreement, 6 cutoff too small, 64 usage error (including a
-non-finite number, a moment or scan past ``linalg.MAX_SCALE``, an unreadable
-input file or a malformed kernel file).
+Exit codes: 0 ok, 2 not-a-state, 3 singular matrix, 4 not P-representable, 5 oracle disagreement,
+6 cutoff too small, 64 usage error (including a non-finite number, a moment or scan past
+``linalg.MAX_SCALE``, a ``--family`` flag its family does not take or a non-real coupling, an
+unreadable input file or a malformed kernel file).
 """
 
 from __future__ import annotations
@@ -76,19 +76,13 @@ _FLAGS = [",".join(f"{code:04b}") for code in range(16)]
 
 def _family_invariants(family: str, n: np.ndarray, mc: np.ndarray, ratio: float) -> tuple:
     """A scan family's C at every (mc, n) that n and mc broadcast to, as the invariants
-    ``twomode.verdicts_from_invariants`` reads: eigenvalues ascending, dA, dB and dX.
-
-    Each C is a I + m1 X + ms Y + mc XY, where X swaps z and z* within each mode and Y
-    swaps the modes.  X and Y commute: the eigenvalues are a + x m1 + y ms + xy mc, x, y = +-1.
-    Both diagonal blocks are [[a, m1], [m1, a]] and the off-diagonal one [[ms, mc], [mc, ms]],
-    so dA = dB = a a - m1 m1 and dX = ms ms - mc mc: the floats ``twomode._det2`` takes from C.
-    """
+    ``twomode.verdicts_from_invariants`` reads: eigenvalues ascending (``twomode.family_spectrum``,
+    which ``states``' builders carry), dA, dB and dX.  Both diagonal blocks are [[a, m1], [m1, a]] and
+    the off-diagonal one [[ms, mc], [mc, ms]]: dA = dB = a a - m1 m1 and dX = ms ms - mc mc."""
     a, m1, ms = n + 0.5, 0.0, 0.0
-    if family == "anti_epr":
-        ms = ratio * mc
-    elif family == "squeezed_epr":  # ScanRequest admits only these and mixed_epr
-        m1 = ratio * mc
-    eig = [a + m1 + ms + mc, a + m1 - ms - mc, a - m1 + ms - mc, a - m1 - ms + mc]
+    if family != "mixed_epr":  # ScanRequest admits only it, anti_epr (ms = ratio mc) and squeezed_epr (m1 = ratio mc)
+        m1, ms = (0.0, ratio * mc) if family == "anti_epr" else (ratio * mc, 0.0)
+    eig = twomode.family_spectrum(a, m1, ms, mc)
     for i, j in _SORT4:
         eig[i], eig[j] = np.minimum(eig[i], eig[j]), np.maximum(eig[i], eig[j])
     da = a * a - m1 * m1
@@ -211,8 +205,13 @@ def _moments_from_args(args) -> tuple[int, object]:
     if args.family is not None:  # argparse admits only the three families
         if args.n is None or args.mc is None:
             raise SystemExit(_usage_error("--family needs --n and --mc"))
-        extra = {"mixed-epr": (), "anti-epr": (args.ms or 0.0,), "squeezed-epr": (args.m.real if args.m else 0.0,)}
-        return 2, getattr(states, args.family.replace("-", "_"))(args.n, args.mc, *extra[args.family])
+        takes = {"mixed-epr": ("mc",), "anti-epr": ("mc", "ms"), "squeezed-epr": ("mc", "m")}[args.family]
+        for name in ("n1", "n2", "m", "m1", "m2", "ms", "mc"):  # only its own couplings, and only real ones
+            x = getattr(args, name)
+            if x is not None and (name not in takes or x.imag):
+                raise SystemExit(_usage_error(f"--family {args.family} takes {'a real' if name in takes else 'no'} --{name}"))
+        couplings = ((getattr(args, name) or 0.0).real for name in takes)  # in the builder's order
+        return 2, getattr(states, args.family.replace("-", "_"))(args.n, *couplings)
     if args.n is None and (args.n1 is None or args.n2 is None):
         raise SystemExit(_usage_error("two-mode input needs --n or both --n1 and --n2"))
     n1, n2 = (args.n if x is None else x for x in (args.n1, args.n2))

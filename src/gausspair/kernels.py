@@ -1,22 +1,20 @@
 """Gaussian kernels and conversions among the C, W, Q, P representations.
 
-A kernel is a Hermitian T-symmetric matrix, a read-only ndarray in
-``linalg.normal_form``, tagged with the representation it lives in.  The public
-constructor checks outside input (``linalg.hermitian``); the package's own
-builders hand it matrices already in normal form, and the closed-form pair where
-they have one.  The four forms of the same Gaussian operator are related by
+A kernel is a Hermitian T-symmetric matrix, a read-only ndarray in ``linalg.normal_form``, tagged
+with the representation it lives in.  The four forms of the same Gaussian operator are related by
 
     W = E C^-1 E
     Q = E (C + I/2)^-1 E
     P = E (C - I/2)^-1 E        (only if C - I/2 > 0)
 
-so all four share C's eigenvectors, conjugated by E, and have eigenvalues
-1/(lam + s) for s = 0, 1/2, -1/2.  Each kernel carries the pair (x, V) it was
-built from: one ``eigh`` of a given matrix, or the source's pair mapped by
-``convert``, so a chain of conversions diagonalizes once and forms a matrix only
-for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts compute on
-x as Python floats (``eigenvalues``).  A kernel is singular when its smallest
-|eigenvalue| lies within ``linalg.band`` of zero, relative to their sum.
+so all four share C's eigenvectors, conjugated by E, and have eigenvalues 1/(lam + s) for
+s = 0, 1/2, -1/2.  Each kernel carries a pair (x, V): one ``eigh`` of outside input, which the public
+constructor checks (``linalg.hermitian``), or of assembled moments; the closed-form pair of a
+one-mode or EPR-family C, with no eigensolver (``_closed``); or the source's pair mapped by
+``convert``.  So a chain of conversions diagonalizes at most once and forms a matrix only for a
+kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts compute on x as Python floats
+(``eigenvalues``).  A kernel is singular when its smallest |eigenvalue| lies within ``linalg.band``
+of zero, relative to their sum.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ class GaussianKernel:
     """A representation-tagged Gaussian kernel; ``matrix`` is its read-only normal-form array,
     ``eig`` its read-only pair (x, V), x unsorted, and ``eigenvalues`` that x as Python floats.
     The matrix is V diag(x) V^dag to round-off: the one it was built from, or, for a kernel that
-    ``convert`` returns, formed when first read.  Each kind keeps C's eigenvectors (V = E V_C
-    otherwise), so ``convert`` copies no array."""
+    ``convert`` returns, formed when first read, as ``eig`` is where no ``eigh`` ran.  Each kind keeps
+    C's eigenvectors (V = E V_C otherwise), so ``convert`` copies no array."""
 
     __slots__ = ("kind", "eigenvalues", "_vc", "_eig", "_matrix")
 
@@ -51,18 +49,29 @@ class GaussianKernel:
         self._of(kind, linalg.hermitian(entries))
 
     @classmethod
-    def _normal(cls, kind: str, m, eig: tuple | None = None) -> "GaussianKernel":
+    def _normal(cls, kind: str, m) -> "GaussianKernel":
         """The kernel of a matrix already in normal form, such as assembled moments: only finiteness
-        is checked.  ``eig`` is its pair (x, V), one ``eigh`` if not given."""
+        is checked, and one ``eigh`` gives its pair."""
         m = np.asarray(m, dtype=complex)
         if not np.isfinite(m).all():
             raise ValueError("matrix has non-finite entries")
-        return object.__new__(cls)._of(kind, m, eig)
+        return object.__new__(cls)._of(kind, m)
 
-    def _of(self, kind: str, m: np.ndarray, eig: tuple | None = None) -> "GaussianKernel":
+    @classmethod
+    def _closed(cls, m, x, v: np.ndarray) -> "GaussianKernel":
+        """The C kernel of a matrix m in normal form with its closed-form pair (x, v), x held as Python
+        floats: no eigensolver runs.  Finite eigenvalues bound every entry of m, so only x is checked."""
+        x, m = list(map(float, x)), np.asarray(m, dtype=complex)
+        if not all(map(math.isfinite, x)):
+            raise ValueError("matrix has non-finite entries")
+        for a in (m, v):
+            a.setflags(write=False)
+        return object.__new__(cls)._hold("C", m, x, v, None)
+
+    def _of(self, kind: str, m: np.ndarray) -> "GaussianKernel":
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        x, v = np.linalg.eigh(m) if eig is None else eig
+        x, v = np.linalg.eigh(m)
         vc = v if kind == "C" else _E_SIGN[len(v)] * v
         for a in (m, x, v, vc):
             a.setflags(write=False)

@@ -74,8 +74,7 @@ def build_C(p: OneModeMoments) -> GaussianKernel:
     so that its conversions stay exactly diagonal."""
     a, u = p.n + 0.5, np.exp(-1j * np.angle(p.m))
     v = np.array([[1.0, 1.0], [-u, u]]) * math.sqrt(0.5) if p.m else np.eye(2, dtype=complex)
-    mat = [[a, p.m], [np.conj(p.m), a]]  # in normal form as assembled
-    return GaussianKernel._normal("C", mat, (np.array(_eigenvalues(p)), v))
+    return GaussianKernel._closed([[a, p.m], [np.conj(p.m), a]], _eigenvalues(p), v)  # in normal form as assembled
 
 
 def _eigenvalues(p: OneModeMoments) -> tuple[float, float]:

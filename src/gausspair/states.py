@@ -1,4 +1,4 @@
-"""Constructors for the example state families (EPR variants, pure D-states, Bell record)."""
+"""Constructors for the example state families: EPR variants with their closed-form eigenpair, pure D-states, Bell record."""
 
 from __future__ import annotations
 
@@ -9,22 +9,22 @@ import numpy as np
 
 from .errors import NotAStateError
 from .kernels import GaussianKernel
-from .twomode import TwoModeMoments, build_C2
+from .twomode import TwoModeMoments, build_C2, build_family
 
 
 def mixed_epr(n: float, mc: float) -> GaussianKernel:
     """EPR-correlated mixed state: only n1 = n2 = n and real mc are non-zero."""
-    return build_C2(TwoModeMoments(n1=n, n2=n, mc=mc))
+    return build_family(n, 0.0, 0.0, mc)
 
 
 def anti_epr(n: float, mc: float, ms: float) -> GaussianKernel:
     """Mixed EPR state with an additional real anti-EPR coupling ms."""
-    return build_C2(TwoModeMoments(n1=n, n2=n, mc=mc, ms=ms))
+    return build_family(n, 0.0, ms, mc)
 
 
 def squeezed_epr(n: float, mc: float, m: float) -> GaussianKernel:
     """Mixed EPR state with equal real single-mode squeezing m on both modes."""
-    return build_C2(TwoModeMoments(n1=n, n2=n, m1=m, m2=m, mc=mc))
+    return build_family(n, m, 0.0, mc)
 
 
 # closed-form positivity / separability margins for the three families;
@@ -136,15 +136,17 @@ def smoothed_epr(p: SmoothedEprParam) -> GaussianKernel:
     """``pure_from_d(p.to_d())`` at det D = 1: n1 = n2 = nbar, mc = gamma/2 = -sqrt(nbar (nbar + 1)), m1 = m2 = ms = 0.
     The D route loses det D = 1 by eps nbar^2 and refuses the state from nbar near 3.5e7."""
     nb = p.nbar
-    return build_C2(TwoModeMoments(n1=nb, n2=nb, mc=-math.sqrt(nb * (nb + 1.0))))
+    return build_family(nb, 0.0, 0.0, -math.sqrt(nb * (nb + 1.0)))
 
 
 def epr_wavefunction(p: SmoothedEprParam, q1, q2):
-    """Normalized smoothed EPR wave function on position space."""
+    """Normalized smoothed EPR wave function on position space.  The exponent -(nbar + 1/2)(q1^2 + q2^2) + 2s q1 q2,
+    s = sqrt(nbar (nbar + 1)), is taken as -(nbar + 1/2)(q1 - q2)^2 - q1 q2 / (2 nbar + 1 + 2s): never positive, no cancellation."""
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     nb = p.nbar
-    return math.pi**-0.5 * np.exp(-(nb + 0.5) * (q1**2 + q2**2) + 2.0 * math.sqrt(nb * (nb + 1.0)) * q1 * q2)
+    den = 2.0 * nb + 1.0 + 2.0 * math.sqrt(nb * (nb + 1.0))
+    return math.pi**-0.5 * np.exp(-(nb + 0.5) * (q1 - q2) ** 2 - q1 * q2 / den)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ from .kernels import GaussianKernel, convert
 _PT_SWAP = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
 # the flat indices of C's 2x2 blocks A, B, X: one C's determinants in one pass, with the stacks' complex product
 _BLOCKS = np.array([[[4 * r + c, 4 * r + c + 1], [4 * r + c + 4, 4 * r + c + 5]] for r, c in ((0, 0), (2, 2), (0, 2))])
+# C[i, j] of an EPR-family C is the coefficient of the swap i ^ j: I, X, Y or XY (``family_spectrum``)
+_SWAP = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+_FAMILY_V = 0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,19 @@ def assemble_c(p: TwoModeMoments) -> np.ndarray:
 
 def build_C2(p: TwoModeMoments) -> GaussianKernel:
     return GaussianKernel._normal("C", assemble_c(p))  # assembled in normal form
+
+
+def family_spectrum(a, m1, ms, mc) -> list:
+    """The eigenvalues a + x m1 + y ms + xy mc, (x, y) = (1, 1), (1, -1), (-1, 1), (-1, -1), of an EPR-family
+    C = a I + m1 X + ms Y + mc XY, on floats or arrays.  X swaps z and z* within each mode and Y swaps the
+    modes; they commute, and ``_FAMILY_V``'s columns (1, x, y, xy)/2 are the eigenvectors in this order."""
+    return [a + m1 + ms + mc, a + m1 - ms - mc, a - m1 + ms - mc, a - m1 - ms + mc]
+
+
+def build_family(n: float, m1: float, ms: float, mc: float) -> GaussianKernel:
+    """The EPR-family C kernel (n1 = n2 = n, m1 = m2) and its closed-form pair, from its moments cast to float64 by numpy."""
+    c = np.array([n + 0.5, m1, ms, mc], dtype=float)
+    return GaussianKernel._closed(c[_SWAP], family_spectrum(*c.tolist()), _FAMILY_V)
 
 
 def moments_from_c(k: GaussianKernel) -> TwoModeMoments:

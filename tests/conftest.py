@@ -89,6 +89,15 @@ def family_stack(family, n, mc, ratio):
     return np.stack([n + 0.5, m1, ms, mc], axis=-1)[..., _SWAP]
 
 
+def family_bounds(n: float, r: float) -> dict:
+    """Each scan family's (positivity, separability) boundary couplings mc at n, with ms or
+    m = r mc; for anti and squeezed the separability one solves mc^2 (1 - r^2) - 2 mc h + nn = 0."""
+    nn, h = n * (n + 1.0), n + 0.5
+    sep = nn / (h + math.sqrt(h * h - (1.0 - r * r) * nn))
+    return {"mixed_epr": (math.sqrt(nn), n), "anti_epr": (nn / (r * h + math.sqrt(r * r * h * h + (1.0 - r * r) * nn)), sep),
+            "squeezed_epr": (math.sqrt(nn) / (1.0 + r), sep)}
+
+
 def differential_kernels(rng) -> list:
     """C kernels over n in [1e-6, 1e6] for comparing the per-kernel float path with the array
     one: the three families at 0.9, 1 -+ 1e-9, 1 and 1.1 of their positivity and separability
@@ -103,12 +112,9 @@ def differential_kernels(rng) -> list:
             pass
 
     for n in np.logspace(-6, 6, 13).tolist():
-        nn, h = n * (n + 1.0), n + 0.5
+        nn = n * (n + 1.0)
         for r in (0.3, 0.7):
-            sep = nn / (h + math.sqrt(h * h - (1.0 - r * r) * nn))  # anti and squeezed: mc^2 (1 - r^2) - 2 mc h + nn = 0
-            bounds = {"mixed_epr": (math.sqrt(nn), n), "anti_epr": (nn / (r * h + math.sqrt(r * r * h * h + (1.0 - r * r) * nn)), sep),
-                      "squeezed_epr": (math.sqrt(nn) / (1.0 + r), sep)}
-            for family, couplings in bounds.items():
+            for family, couplings in family_bounds(n, r).items():
                 for mc in (f * b for b in couplings for f in (0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1)):
                     add(getattr(states, family), *((n, mc) if family == "mixed_epr" else (n, mc, r * mc)))
         for _ in range(4):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import family_stack
+from conftest import family_bounds, family_stack
 
 from gausspair import cli, linalg, onemode, phasespace, states, twomode
 from gausspair.cli import main
@@ -170,6 +170,25 @@ class TestScan:
             except NotAStateError:
                 want = [False] * 4
             assert [int(f) for f in flags] == [int(w) for w in want], row
+
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.7, 0.95])
+    def test_family_kernels_decide_as_the_scan_at_the_boundaries(self, r):
+        # each family kernel carries the scan's spectrum and block determinants, so at 1 and
+        # 1 -+ 1e-15, 1e-12, 1e-9 times each boundary coupling both give the same four flags
+        factors = (1.0, 1.0 - 1e-15, 1.0 + 1e-15, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9)
+        for family in ("mixed_epr", "anti_epr", "squeezed_epr"):
+            ratio = 0.0 if family == "mixed_epr" else r
+            points = [(n, f * b) for n in np.logspace(-6, 6, 61).tolist() for b in family_bounds(n, r)[family] for f in factors]
+            ns, mcs = np.array(points).T
+            scan = twomode.verdicts_from_invariants(*cli._family_invariants(family, ns, mcs, ratio))
+            for i, (n, mc) in enumerate(points):
+                try:
+                    v = twomode.classify2(getattr(states, family)(*((n, mc) if family == "mixed_epr" else (n, mc, ratio * mc))))
+                    got = [v.positive, v.pure, bool(v.ppt_separable), v.p_representable]
+                except NotAStateError:  # past C > 0 at large n
+                    got = [False] * 4
+                want = [bool(scan.positive[i]), bool(scan.pure[i]), bool(scan.ppt_separable[i]), bool(scan.p_representable[i])]
+                assert got == want, (family, r, n, mc)
 
     @pytest.mark.parametrize("case", SCAN_CASES)
     def test_closed_form_flags_match_eigvalsh(self, case):
@@ -453,11 +472,20 @@ class TestBadInput:
             (["wigner", "--n", "0", "--m", "0.49999999999999994"], 3, "min|eigenvalue|"),
             (["convert", "--in", "{three_modes}", "--to", "W"], 64, "2x2 or 4x4"),
             (["convert", "--in", "{no_modes}", "--to", "W"], 64, "2x2 or 4x4"),
+            # --family takes only its own couplings, and only real ones
+            (["classify", "--modes", "2", "--family", "squeezed-epr", "--n", "1", "--mc", "0.5", "--m", "0.3+0.9j"], 64, "takes a real --m"),
+            (["classify", "--modes", "2", "--family", "mixed-epr", "--n", "1", "--mc", "0.5+1.2j"], 64, "takes a real --mc"),
+            (["classify", "--modes", "2", "--family", "mixed-epr", "--n", "0.8", "--mc", "1", "--ms", "0.5"], 64, "takes no --ms"),
+            (["classify", "--modes", "2", "--family", "mixed-epr", "--n", "0.8", "--mc", "1", "--n1", "3"], 64, "takes no --n1"),
+            (["oracle", "--modes", "2", "--family", "squeezed-epr", "--n", "1", "--mc", "0.5", "--m", "0.3+0.9j"], 64, "takes a real --m"),
+            (["oracle", "--modes", "2", "--family", "mixed-epr", "--n", "1", "--mc", "0.5+1.2j"], 64, "takes a real --mc"),
+            (["oracle", "--modes", "2", "--family", "anti-epr", "--n", "0.8", "--mc", "1", "--m", "0.5"], 64, "takes no --m"),
         ],
         ids=["n-nan", "n-inf", "mc-nan", "wigner-nan", "one-step", "no-matrix", "missing-file",
              "not-a-state-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n", "oracle-singular",
              "oracle-cutoff-too-large", "wavefun-negative-nbar", "wavefun-nbar-past-bound", "wigner-singular-edge",
-             "three-mode-file", "zero-mode-file"],
+             "three-mode-file", "zero-mode-file", "family-complex-m", "family-complex-mc", "family-foreign-ms",
+             "family-foreign-n1", "oracle-family-complex-m", "oracle-family-complex-mc", "oracle-family-foreign-m"],
     )
     def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code, says):
         names = ("no_matrix", "missing", "not_a_state", "three_modes", "no_modes")

@@ -85,7 +85,7 @@ def test_unknown_kind_rejected():
 
 def _carried_pair_rebuilds(k, c_scale=0.0):
     """V diag(x) V^dag matches the stored matrix within band(max|x|, 1), widened for
-    a kind other than C by the error of V, eps |C| / gap, that x = 1/(lam + s)
+    a kind other than C by the error of an eigensolver's V, eps |C| / gap, that x = 1/(lam + s)
     carries into the kernel as eps |C| max|x|^2 and its normal form halves."""
     x, v = k.eig
     scale = np.abs(x).max() * max(1.0, c_scale * np.abs(x).max())
@@ -118,17 +118,37 @@ def _count_calls(monkeypatch) -> dict:
 
 def test_one_eigensolve_per_chain(monkeypatch):
     calls = _count_calls(monkeypatch)
-    k = states.anti_epr(0.9, 0.5, 0.3)
-    assert twomode.classify2(k).p_representable
-    chain = [k]
-    for target in "WQPC":
-        chain.append(convert(chain[-1], target))
-    # the built C holds its assembled matrix: none is formed until the chain's last kernel is read
-    assert calls == {"eigh": 1, "eigvalsh": 0, "formed": 0}
-    back = chain[-1].matrix
-    assert calls == {"eigh": 1, "eigvalsh": 0, "formed": 1}
-    assert chain[-1].matrix is back and not back.flags.writeable
-    assert all(_carried_pair_rebuilds(c) for c in chain)
+    # a family kernel carries its closed-form pair; a kernel of complex moments diagonalizes once
+    complex_moments = twomode.TwoModeMoments(0.9, 0.8, 0.1j, 0.05, 0.1 + 0.05j, 0.3 - 0.1j)
+    for build, eighs in ((lambda: states.anti_epr(0.9, 0.5, 0.3), 0), (lambda: twomode.build_C2(complex_moments), 1)):
+        calls.update(eigh=0, formed=0)
+        k = build()
+        assert twomode.classify2(k).p_representable
+        chain = [k]
+        for target in "WQPC":
+            chain.append(convert(chain[-1], target))
+        # the built C holds its assembled matrix: none is formed until the chain's last kernel is read
+        assert calls == {"eigh": eighs, "eigvalsh": 0, "formed": 0}
+        back = chain[-1].matrix
+        assert calls == {"eigh": eighs, "eigvalsh": 0, "formed": 1}
+        assert chain[-1].matrix is back and not back.flags.writeable
+        assert all(_carried_pair_rebuilds(c) for c in chain)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: states.mixed_epr(0.8, 1.0), lambda: states.anti_epr(0.9, 0.5, 0.3), lambda: states.squeezed_epr(0.9, 0.5, 0.3),
+     lambda: states.smoothed_epr(states.SmoothedEprParam(0.7))],
+    ids=["mixed_epr", "anti_epr", "squeezed_epr", "smoothed_epr"],
+)
+def test_family_kernels_run_no_eigensolver(monkeypatch, build):
+    calls = _count_calls(monkeypatch)
+    k = build()
+    twomode.classify2(k)
+    assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0} and k._eig is None  # no eig array yet
+    x, v = k.eig
+    assert x.tolist() == list(k.eigenvalues) and v is twomode._FAMILY_V and not x.flags.writeable
+    assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0} and _carried_pair_rebuilds(k)
 
 
 @pytest.mark.parametrize("n", [1e-6, 1e-2, 1.0, 1e3, 1e6])
@@ -136,7 +156,8 @@ def test_one_eigensolve_per_chain(monkeypatch):
 def test_carried_pair_rebuilds_every_converted_matrix(n, chain):
     for k in (states.anti_epr(n, 0.2 * n, 0.1 * n), states.squeezed_epr(n, 0.3 * n, 0.2 * n),
               onemode.build_C(onemode.OneModeMoments(n, 0.4 * n * np.exp(1j)))):
-        c_scale = np.abs(k.eig[0]).max()
+        # a family kernel's V is exact, so every kind rebuilds within band(max|x|, 1)
+        c_scale = np.abs(k.eig[0]).max() if k.modes == 1 else 0.0
         for target in chain:
             k = convert(k, target)
             assert np.array_equal(k.matrix, _formed(*k.eig)), (target, n)
@@ -177,15 +198,16 @@ def test_carried_c_eigenvalue_below_band_is_not_a_state():
 def test_p_kernel_not_positive_definite_is_refused():
     with pytest.raises(NotAStateError):
         GaussianKernel("P", [[0.5, 1.0], [1.0, 0.5]])
-    c = GaussianKernel("C", np.diag([1.5, 1.5]))
-    with pytest.raises(NotAStateError):
-        GaussianKernel._normal("P", c.matrix, (np.array([1.0, -1.0]), c.eig[1]))
+    with pytest.raises(NotAStateError):  # a matrix in normal form with eigenvalues -1 and 1
+        GaussianKernel._normal("P", [[0.0, 1.0], [1.0, 0.0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_moment_is_rejected(bad):
     with pytest.raises(ValueError, match="non-finite"):
         twomode.build_C2(twomode.TwoModeMoments(n1=1.0, n2=1.0, mc=bad))
+    with pytest.raises(ValueError, match="non-finite"):  # a family kernel checks its closed-form eigenvalues
+        states.mixed_epr(1.0, bad)
 
 
 def test_carried_pair_is_read_only():

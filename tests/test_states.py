@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import assert_close
-from gausspair import linalg, states, twomode
+from gausspair import cli, linalg, states, twomode
 from gausspair.errors import NotAStateError
 
 
@@ -247,6 +248,22 @@ class TestEprWavefunction:
             psi = states.epr_wavefunction(states.SmoothedEprParam(nbar), q1, q2)
             step = q[1] - q[0]
             assert np.sum(psi**2) * step**2 == pytest.approx(1.0, abs=1e-6)
+
+
+    @pytest.mark.parametrize("nbar", [0.0, 1.0, 1e12, 1e15, 1e30, 2e74, cli._MOMENT_BOUND])
+    def test_grid_is_finite_and_at_most_the_maximum(self, nbar):
+        # the exponent is never positive: no cell above pi^(-1/2) and no overflow up to --nbar's bound
+        q = np.linspace(-4.0, 4.0, 101)
+        psi = states.epr_wavefunction(states.SmoothedEprParam(nbar), *np.meshgrid(q, q, indexing="ij"))
+        assert np.isfinite(psi).all() and psi.max() <= math.pi**-0.5 * (1.0 + 4.0 * sys.float_info.epsilon)
+
+    def test_matches_the_paper_exponent_up_to_nbar_10(self):
+        q1, q2 = np.meshgrid(np.linspace(-4.0, 4.0, 101), np.linspace(-4.0, 4.0, 101), indexing="ij")
+        for nbar in np.linspace(0.0, 10.0, 41).tolist():
+            exponent = -(nbar + 0.5) * (q1**2 + q2**2) + 2.0 * math.sqrt(nbar * (nbar + 1.0)) * q1 * q2
+            paper = math.pi**-0.5 * np.exp(exponent)
+            got = states.epr_wavefunction(states.SmoothedEprParam(nbar), q1, q2)
+            assert np.all(np.abs(got - paper) <= 1e-12 * paper), nbar
 
 
 class TestBell:
