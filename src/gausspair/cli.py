@@ -15,6 +15,7 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -43,6 +44,11 @@ _EXITS = {NotAStateError: EXIT_NOT_A_STATE, SingularMatrixError: EXIT_SINGULAR,
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1e-10 or -0.2+0.1j is a number, not a flag: no flag starts with "-" and a digit or "."
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

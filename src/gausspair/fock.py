@@ -5,20 +5,22 @@ The generating function of G = sqrt(det Q) :exp(-a^dag Q a / 2): is
 
     sum_jk G_jk alpha*^j beta^k / sqrt(j! k!) = sqrt(det Q) exp(x^T B x / 2)
 
-over x = (alpha1*, beta1, alpha2*, beta2): the exponent alpha*.beta - s^dag Q s / 2,
-s = (beta1, alpha1*, beta2, alpha2*), is x^T B x / 2 with B = S - (Q~ + Q~^T) / 2,
-where Q~ = Q[:, (1, 0, 3, 2)] and S holds [[0, 1], [1, 0]] per mode.  So G_jk / sqrt(det Q)
-is the amplitude A_k = sqrt(k!) [x^k] exp(x^T B x / 2), k = (j1, k1, j2, k2), and the
-Gaussian Fock-amplitude recurrence (Miatto & Quesada, Quantum 4, 366 (2020)) builds each
-one from lower orders: sqrt(k_0 + 1) A_{k+e_0} = sum_j B_0j sqrt(k_j) A_{k-e_j}.
+over x = (alpha1*, alpha2*, beta1, beta2), the matrix's own index order: the exponent
+alpha*.beta - s^dag Q s / 2, s = (beta1, alpha1*, beta2, alpha2*), is x^T B x / 2 with
+B = S - (Q~ + Q~^T) / 2, where Q~ holds rows (0, 2, 1, 3) and columns (1, 3, 0, 2) of Q (rows
+(0, 1) and columns (1, 0) for one mode), the entries of s^dag and s in x's order, and
+S = [[0, I], [I, 0]].  So G_jk is the amplitude A_k = sqrt(det Q) sqrt(k!) [x^k] exp(x^T B x / 2),
+k = (j1, j2, k1, k2), and the Gaussian Fock-amplitude recurrence (Miatto & Quesada, Quantum 4,
+366 (2020)) builds each one from lower orders: sqrt(k_0 + 1) A_{k+e_0} = sum_j B_0j sqrt(k_j) A_{k-e_j}.
+Seeded with A_0 = sqrt(det Q), it fills a C-ordered (j1, j2, k1, k2) tensor that is the matrix itself.
 Every exponent term has degree 2, so entries with odd total index are exactly zero, and the
 zeros of B that come from a conserved quantity (n1 - n2 for `mixed_epr`, n1 + n2 for its
 partial transpose) zero many more; entries of B within band(max|B|, 1) are the round-off of
-the conversion to Q and are set to zero, so that these zeros survive it.  Spectra and traces of powers are taken over the connected
-components of the exact nonzero pattern, blocks of one size in one batched solve: a
-permutation makes the matrix block-diagonal, so nothing is dropped or rounded away.  A real B
-is kept real, so real kernels give real matrices and real eigenproblems.  Moments are
-diagonal sums.
+the conversion to Q and are set to zero, so that these zeros survive it.  Spectra and traces
+of powers are taken over the connected components of the exact nonzero pattern, blocks of one
+size in one batched solve: a permutation makes the matrix block-diagonal, so nothing is
+dropped or rounded away.  A real B is kept real, so real kernels give real matrices and real
+eigenproblems.  Moments are diagonal sums.
 """
 
 from __future__ import annotations
@@ -55,22 +57,24 @@ class FockOperator:
         return 1.0 - float(np.trace(self.matrix).real)
 
 
-def _amplitudes(b: np.ndarray, d: int) -> np.ndarray:
-    """A_k = sqrt(k!) [x^k] exp(x^T b x / 2) for every k with entries < d, filled
-    along the first index; the k_0 = 0 slab is the same problem over the other variables."""
+def _amplitudes(b: np.ndarray, d: int, seed: float) -> np.ndarray:
+    """seed * A_k, A_k = sqrt(k!) [x^k] exp(x^T b x / 2), for every k with entries < d, filled in
+    place along the first index, each slab from the two below it; the k_0 = 0 slab is the same
+    problem over the other variables."""
     if len(b) == 0:
-        return np.ones((), dtype=b.dtype)
+        return np.full((), seed, dtype=b.dtype)
     root = np.sqrt(np.arange(d))
     a = np.zeros((d,) * len(b), dtype=b.dtype)
-    a[0] = _amplitudes(b[1:, 1:], d)
+    a[0] = _amplitudes(b[1:, 1:], d, seed)
+    # b_0j sqrt(k_j) A_{k-e_j}: a shift one step up axis j, for each j that b couples (a zero adds nothing)
+    shifts = [((slice(None),) * j + (slice(1, None),), (slice(None),) * j + (slice(None, -1),),
+               b[0, j + 1] * root[1:].reshape((-1,) + (1,) * (len(b) - 2 - j))) for j in np.flatnonzero(b[0, 1:])]
     for k in range(d - 1):
-        a[k + 1] = b[0, 0] * root[k] * a[k - 1]  # zero at k = 0
-        for ax in np.flatnonzero(b[0, 1:]):  # a zero of b adds nothing
-            lead = (slice(None),) * ax
-            scale = root[1:].reshape((-1,) + (1,) * (len(b) - 2 - ax))
-            dst, src = lead + (slice(1, None),), lead + (slice(None, -1),)
-            a[k + 1][dst] += b[0, ax + 1] * scale * a[k][src]
-        a[k + 1] /= root[k + 1]
+        lo, hi = a[k, ...], a[k + 1, ...]  # views, also where a slab is one entry
+        if b[0, 0] and k:
+            np.multiply(a[k - 1], b[0, 0] * root[k] / root[k + 1], out=hi)
+        for dst, src, coef in shifts:
+            hi[dst] += coef / root[k + 1] * lo[src]
     return a
 
 
@@ -80,16 +84,14 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
         raise ValueError(f"cutoff must be at least 4 and (cutoff + 1)^(2 modes) at most {MAX_ENTRIES}")
     kq = convert(k, "Q")
     q, det_q, modes = kq.matrix, kq.det, k.modes
-    q_x = q[:, [1, 0, 3, 2][: 2 * modes]]
-    b = np.kron(np.eye(modes), [[0.0, 1.0], [1.0, 0.0]]) - 0.5 * (q_x + q_x.T)
+    axes = [*range(0, 2 * modes, 2), *range(1, 2 * modes, 2)]  # x = (alpha1*, alpha2*, beta1, beta2)
+    q_x = q[np.ix_(axes, axes[modes:] + axes[:modes])]
+    b = np.roll(np.eye(2 * modes), modes, axis=1) - 0.5 * (q_x + q_x.T)
     b[np.abs(b) <= band(np.abs(b).max(), 1)] = 0.0
     if not b.imag.any():
         b = b.real
-    # amplitude axes are (j1, k1, j2, k2); reorder to (j1, j2, k1, k2) and flatten
-    axes = [*range(0, 2 * modes, 2), *range(1, 2 * modes, 2)]
     dim = (cutoff + 1) ** modes
-    mat = _amplitudes(b, cutoff + 1).transpose(axes).reshape(dim, dim)
-    mat *= math.sqrt(det_q)
+    mat = _amplitudes(b, cutoff + 1, math.sqrt(det_q)).reshape(dim, dim)  # (j1, j2, k1, k2) is matrix order
     op = FockOperator(modes=modes, cutoff=cutoff, matrix=mat)
     if strict and op.truncation_loss > LOSS_THRESHOLD:
         raise CutoffTooSmallError(f"truncation loss {op.truncation_loss:.2e} exceeds {LOSS_THRESHOLD}")

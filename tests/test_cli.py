@@ -515,6 +515,29 @@ class TestBadInput:
         assert rep["exists"] is True and rep["positive"] is False and rep["trace_g2"] is None
 
 
+class TestNegativeValues:
+    """A value that starts with "-" and a digit or "." is a value with or without "=": argparse
+    alone reads only -N and -N.N as numbers, and took -1e-10 or -0.2+0.1j for a flag."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--modes", "2", "--n1", "1e-6", "--n2", "-1e-10"],
+            ["classify", "--modes", "2", "--n", "0.8", "--mc", "-0.2+0.1j"],
+            ["classify", "--modes", "1", "--n", "1", "--m", "-.3"],
+            ["oracle", "--modes", "2", "--n1", "0.5", "--n2", "0.4", "--mc", "-0.2+0.1j"],
+            ["scan", "--family", "mixed-epr", "--mc-min", "-1e-3", "--mc-max", "1", "--mc-steps", "3",
+             "--n-min", "0", "--n-max", "1", "--n-steps", "3"],
+        ],
+        ids=["classify-exponent", "classify-complex", "classify-leading-dot", "oracle-complex", "scan-exponent"],
+    )
+    def test_space_form_reads_as_the_equals_form(self, capsys, argv):
+        at = next(i for i, a in enumerate(argv) if a[0] == "-" and (a[1].isdigit() or a[1] == "."))
+        joined = [*argv[: at - 1], f"{argv[at - 1]}={argv[at]}", *argv[at + 1 :]]
+        got, want = run(capsys, *argv), run(capsys, *joined)
+        assert got == want and got[0] == 0 and got[1]
+
+
 class TestParserCache:
     """``build_parser`` is built once per process, and no call may see another call's flags."""
 

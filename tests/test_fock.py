@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,10 +125,32 @@ class TestFromKernel:
             return
         assert got.dtype == float
         recurrence = fock._amplitudes
-        monkeypatch.setattr(fock, "_amplitudes", lambda b, d: recurrence(b.astype(complex), d))
+        monkeypatch.setattr(fock, "_amplitudes", lambda b, d, seed: recurrence(b.astype(complex), d, seed))
         want = fock.from_kernel(k, cutoff=cutoff, strict=False).matrix
         assert want.dtype == complex
         assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_a_larger_cutoff_only_adds_entries(self, name):
+        # each amplitude is built from lower indices alone, by the same operations at every cutoff:
+        # the cutoff-16 matrix is the leading (j1, j2, k1, k2) box of the cutoff-24 one, bit for bit
+        k = KERNELS[name]()
+        axes = 2 * k.modes
+        small = fock.from_kernel(k, cutoff=16, strict=False).matrix.reshape((17,) * axes)
+        big = fock.from_kernel(k, cutoff=24, strict=False).matrix.reshape((25,) * axes)
+        assert np.array_equal(small, big[(slice(17),) * axes])
+
+    def test_build_peak_memory_is_about_the_matrix(self):
+        # the amplitude tensor is the matrix: no reordered copy and no scaling pass, and the
+        # k_0 = 0 slab and the slab-sized temporaries add under 2/33 at cutoff 32, a slab being 1/33
+        k = twomode.build_C2(COMPLEX_TWO_MODE)
+        tracemalloc.start()
+        try:
+            op = fock.from_kernel(k, cutoff=32, strict=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * op.matrix.nbytes, peak / op.matrix.nbytes
 
     def test_cutoff_guard(self, monkeypatch):
         with pytest.raises(CutoffTooSmallError):
@@ -167,6 +190,32 @@ class TestSpectrum:
             assert np.max(np.abs(fock.spectrum(m) - full)) <= 1e-14 * scale
             for k in (2, 3):
                 assert fock.trace_power(m, k) == pytest.approx(np.sum(full**k), abs=1e-14)
+
+    def test_top_of_random_complex_states_matches_williamson(self, rng):
+        # A state G is unitarily equivalent to two thermal factors: eigenvalues
+        # lam = (1 - g1)(1 - g2) g1^j g2^k.  The oracle's matrix is the compression P G P onto the
+        # Fock box, with eps = truncation_loss = Tr G - Tr P G P = Tr Q G Q (Q = 1 - P), and its
+        # sorted eigenvalues mu obey mu_i <= lam_i (Poincare separation), and, as
+        # G <= (1 + t) P G P + (1 + 1/t) Q G Q for every t > 0 and ||Q G Q|| <= eps, also
+        # lam_i <= (sqrt(mu_i) + sqrt(eps))^2.  Both hold up to round-off: the eigensolver's backward
+        # error of about dim * eps_machine * ||G||, with dim = 25^2 and ||G|| <= Tr G = 1.
+        round_off = 25**2 * np.finfo(float).eps
+        checked = 0
+        while checked < 5:
+            k = twomode.build_C2(random_two_mode(rng, coupling=0.3, n_hi=1.0))
+            verdict = twomode.classify2(k)
+            # non-degenerate: g1 > g2 > 0, so the factors differ and neither is pure
+            if not verdict.positive or min(verdict.thermal.g2, verdict.thermal.g1 - verdict.thermal.g2) < 0.05:
+                continue
+            g1, g2 = verdict.thermal.g1, verdict.thermal.g2
+            op = fock.from_kernel(k, cutoff=24, strict=False)
+            assert op.matrix.dtype == complex
+            loss = max(op.truncation_loss, 0.0)
+            lam = np.sort(np.outer((1 - g1) * g1 ** np.arange(25), (1 - g2) * g2 ** np.arange(25)).ravel())[::-1][:20]
+            mu = fock.spectrum(op)[:20]
+            assert np.all(mu <= lam + round_off)
+            assert np.all(lam <= (np.sqrt(mu) + math.sqrt(loss)) ** 2 + round_off)
+            checked += 1
 
     def test_merged_spectrum_descends_to_the_minimum_of_both_blocks(self):
         # g2 = -1/3 puts the most negative eigenvalue (1 - g1)(1 - g2) g2 = -8/27 at
