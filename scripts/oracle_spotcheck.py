@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Cross-check closed-form verdicts against the truncated Fock-space oracle.
 
-Runs a batch of random one- and two-mode kernels (the two-mode ones with complex
-couplings) plus a few hand-picked boundary cases through both routes and prints
-one line per kernel:
+Runs a batch of random one-mode moments and two-mode kernels (with complex
+couplings) plus a few hand-picked boundary cases through ``cli.oracle_report``,
+the report of ``gausspair oracle``, and prints one line per input:
 
     <label>  analytic: pos=… sep=…  oracle: min_eig=… min_ppt=…  <verdict>
 
@@ -16,17 +16,14 @@ import sys
 
 import numpy as np
 
-from gausspair import fock, onemode, states, twomode
+from gausspair import cli, states, twomode
 from gausspair.onemode import OneModeMoments
 
 
-def check(label: str, kernel, cutoff: int) -> bool:
-    if kernel.modes == 1:
-        pos, sep = onemode.classify(onemode.moments_from_c(kernel)).positive, None
-    else:
-        v = twomode.classify2(kernel)
-        pos, sep = v.positive, v.ppt_separable
-    report = fock.compare(kernel, pos, sep, cutoff, strict=False)
+def check(label: str, obj, cutoff: int) -> bool:
+    """``gausspair oracle``'s report on one-mode moments or a two-mode C kernel, as one line."""
+    report = cli.oracle_report(obj, cutoff, strict=False)
+    pos, sep = report["analytic"]["positive"], report["analytic"]["separable"]
     oracle, ok = report["oracle"], report["agree"]
 
     sep_txt = "n/a" if sep is None else str(sep)
@@ -49,22 +46,21 @@ def main() -> int:
 
     all_ok = True
     fixed = [
-        ("thermal n=0.5", onemode.build_C(OneModeMoments(0.5, 0.0))),
-        ("pure squeezed n=1", onemode.build_C(OneModeMoments(1.0, math.sqrt(2.0)))),
+        ("thermal n=0.5", OneModeMoments(0.5, 0.0)),
+        ("pure squeezed n=1", OneModeMoments(1.0, math.sqrt(2.0))),
         ("mixed EPR entangled", states.mixed_epr(0.8, 1.0)),
         ("mixed EPR separable", states.mixed_epr(1.2, 1.0)),
         ("footnote counterexample", twomode.product_thermal_kernel(1.0 / 3.0, -1.0 / 3.0)),
     ]
-    for label, k in fixed:
-        all_ok &= check(label, k, args.cutoff)
+    for label, obj in fixed:
+        all_ok &= check(label, obj, args.cutoff)
 
     for i in range(args.count):
         n = rng.uniform(0.1, 1.2)
         r = rng.uniform(0.0, 1.3)  # past 1.0 crosses the positivity border
         mag = min(r * math.sqrt(n * (n + 1.0)), 0.98 * (n + 0.5))  # keep the state existent
         m = mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        k = onemode.build_C(OneModeMoments(n=n, m=m))
-        all_ok &= check(f"random one-mode #{i}", k, args.cutoff)
+        all_ok &= check(f"random one-mode #{i}", OneModeMoments(n=n, m=m), args.cutoff)
 
     for i in range(args.count):
         while True:  # complex couplings, redrawn until C is positive definite

@@ -2,9 +2,9 @@
 emit wave-function / Wigner grids, and compare against the Fock oracle.
 
 Exit codes: 0 ok, 2 not-a-state, 3 singular matrix, 4 not P-representable, 5 oracle disagreement,
-6 cutoff too small, 64 usage error (including a non-finite number, a moment or scan past
-``linalg.MAX_SCALE``, a ``--family`` flag its family does not take or a non-real coupling, an
-unreadable input file or a malformed kernel file).
+6 cutoff too small, 64 usage error (including a non-finite number, a moment or grid window past
+``linalg.MAX_SCALE`` / 8 or a scan past ``linalg.MAX_SCALE``, a moment flag its input does not take,
+a non-real ``--family`` coupling, a nonzero mixed-epr ``--ratio``, an unreadable or malformed file).
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class ScanRequest:
-    family: str  # mixed_epr | anti_epr | squeezed_epr
-    ratio: float  # ms = ratio * mc (anti) or m = ratio * mc (squeezed)
+    family: str  # a key of states.FAMILIES
+    ratio: float  # the family's second coupling, ms (anti) or m (squeezed), as ratio * mc
     mc_lo: float
     mc_hi: float
     mc_steps: int
@@ -67,8 +67,10 @@ class ScanRequest:
     n_steps: int
 
     def __post_init__(self):
-        if self.family not in ("mixed_epr", "anti_epr", "squeezed_epr"):
+        if self.family not in states.FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.ratio and len(states.FAMILIES[self.family]) == 1:
+            raise ValueError(f"{self.family} has no second coupling, so its ratio must be 0")
         if self.mc_steps < 2 or self.n_steps < 2:
             raise ValueError("steps must be at least 2")
 
@@ -84,10 +86,10 @@ def _family_invariants(family: str, n: np.ndarray, mc: np.ndarray, ratio: float)
     """A scan family's C at every (mc, n) that n and mc broadcast to, as the invariants
     ``twomode.verdicts_from_invariants`` reads: eigenvalues ascending (``twomode.family_spectrum``,
     which ``states``' builders carry), dA, dB and dX.  Both diagonal blocks are [[a, m1], [m1, a]] and
-    the off-diagonal one [[ms, mc], [mc, ms]]: dA = dB = a a - m1 m1 and dX = ms ms - mc mc."""
-    a, m1, ms = n + 0.5, 0.0, 0.0
-    if family != "mixed_epr":  # ScanRequest admits only it, anti_epr (ms = ratio mc) and squeezed_epr (m1 = ratio mc)
-        m1, ms = (0.0, ratio * mc) if family == "anti_epr" else (ratio * mc, 0.0)
+    the off-diagonal one [[ms, mc], [mc, ms]]: dA = dB = a a - m1 m1 and dX = ms ms - mc mc.  The family's
+    second coupling in ``states.FAMILIES``, ms or m1, is ratio * mc; a coupling it does not take is 0."""
+    couplings = dict(zip(states.FAMILIES[family], (mc, ratio * mc)))
+    a, m1, ms = n + 0.5, couplings.get("m", 0.0), couplings.get("ms", 0.0)
     eig = twomode.family_spectrum(a, m1, ms, mc)
     for i, j in _SORT4:
         eig[i], eig[j] = np.minimum(eig[i], eig[j]), np.maximum(eig[i], eig[j])
@@ -156,26 +158,26 @@ def write_blocks(blocks: Iterable[str], out: str | None):
         fh.writelines(blocks)
 
 
-def _report(modes: int, obj) -> dict:
-    """The closed-form verdict bundle of one-mode moments or of a two-mode C kernel."""
-    if modes == 1:
-        v = onemode.classify(obj)
+def verdict_report(obj) -> tuple[dict, GaussianKernel]:
+    """The closed-form verdict bundle of one-mode moments or of a two-mode C kernel, as ``classify``
+    prints it, and the C kernel it describes."""
+    if isinstance(obj, onemode.OneModeMoments):
+        k, v = onemode.build_C(obj), onemode.classify(obj)
         g, separable, tg2 = v.g, None, math.inf  # inf where C, at the edge |m| = n + 1/2, has no W
         with contextlib.suppress(SingularMatrixError):
-            tg2 = onemode.purity_from_wigner(convert(onemode.build_C(obj), "W"))
+            tg2 = onemode.purity_from_wigner(convert(k, "W"))
     else:
-        v, tg2 = twomode.classify2(obj), twomode.trace_g2(obj)
+        k, v, tg2 = obj, twomode.classify2(obj), twomode.trace_g2(obj)
         g, separable = [v.thermal.g1, v.thermal.g2] if v.thermal is not None else None, v.ppt_separable
-    return {
-        "exists": True,
-        "modes": modes,
-        "positive": v.positive,
-        "pure": v.pure,
-        "p_representable": v.p_representable,
-        "separable": separable,
-        "g": g,
-        "trace_g2": tg2 if np.isfinite(tg2) else None,
-    }
+    return {"exists": True, "modes": k.modes, "positive": v.positive, "pure": v.pure, "p_representable": v.p_representable,
+            "separable": separable, "g": g, "trace_g2": tg2 if np.isfinite(tg2) else None}, k
+
+
+def oracle_report(obj, cutoff: int = fock.DEFAULT_CUTOFF, strict: bool = True) -> dict:
+    """``verdict_report`` as "analytic", and ``fock.compare`` of its kernel against its verdicts, as
+    ``oracle`` prints them.  ``SingularMatrixError`` (exit 3) from C -> Q where |C| is past 1/eps."""
+    analytic, k = verdict_report(obj)
+    return {"analytic": analytic, **fock.compare(k, analytic["positive"], analytic["separable"], cutoff, strict)}
 
 
 def _finite(kind, bound: float = math.inf):
@@ -190,39 +192,49 @@ def _finite(kind, bound: float = math.inf):
         if not cmath.isfinite(x):
             raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
         if abs(x) > bound:
-            raise argparse.ArgumentTypeError(f"{text!r} exceeds {bound:.3g}, the largest moment the verdicts resolve")
+            raise argparse.ArgumentTypeError(f"{text!r} exceeds {bound:.3g}, the largest moment or window the CLI resolves")
         return x
 
     return parse
 
 
-# a moment's C has |eigenvalue| <= n + 1/2 + |m1| + |ms| + |mc|, so this keeps it within MAX_SCALE
+# a moment's C has |eigenvalue| <= n + 1/2 + |m1| + |ms| + |mc|, so this keeps it within MAX_SCALE;
+# grid windows take it too, so that the Wigner and wave-function exponents stay finite
 _MOMENT_BOUND = linalg.MAX_SCALE / 8
-_finite_float, _parse_complex = _finite(float), _finite(complex)
+_finite_float = _finite(float)
 _moment_float, _moment_complex = _finite(float, _MOMENT_BOUND), _finite(complex, _MOMENT_BOUND)
+_MOMENT_FLAGS = ("n", "m", "n1", "n2", "m1", "m2", "ms", "mc")  # occupations real, couplings complex
+_FAMILY_CHOICES = [family.replace("_", "-") for family in states.FAMILIES]
 
 
-def _moments_from_args(args) -> tuple[int, object]:
-    """Returns (modes, OneModeMoments | GaussianKernel)."""
+def _moments_from_args(args):
+    """``OneModeMoments`` or a two-mode C kernel from the moment flags, each input taking only its own:
+    one mode --n and --m; two modes --n (for a missing --n1 or --n2), --n1, --n2, --m1, --m2, --ms and
+    --mc; a --family --n and its real couplings in ``states.FAMILIES``.  Any other flag exits 64."""
+    family = args.family and args.family.replace("-", "_")
     if args.modes == 1:
+        source, takes = "one-mode input", ("n", "m")
         if args.n is None or args.m is None:
             raise SystemExit(_usage_error("one-mode input needs --n and --m"))
-        return 1, onemode.OneModeMoments(n=args.n, m=args.m)
-    if args.family is not None:  # argparse admits only the three families
+    elif family:
+        source, takes = f"--family {args.family}", ("family", "n", *states.FAMILIES[family])
         if args.n is None or args.mc is None:
             raise SystemExit(_usage_error("--family needs --n and --mc"))
-        takes = {"mixed-epr": ("mc",), "anti-epr": ("mc", "ms"), "squeezed-epr": ("mc", "m")}[args.family]
-        for name in ("n1", "n2", "m", "m1", "m2", "ms", "mc"):  # only its own couplings, and only real ones
-            x = getattr(args, name)
-            if x is not None and (name not in takes or x.imag):
-                raise SystemExit(_usage_error(f"--family {args.family} takes {'a real' if name in takes else 'no'} --{name}"))
-        couplings = ((getattr(args, name) or 0.0).real for name in takes)  # in the builder's order
-        return 2, getattr(states, args.family.replace("-", "_"))(args.n, *couplings)
-    if args.n is None and (args.n1 is None or args.n2 is None):
-        raise SystemExit(_usage_error("two-mode input needs --n or both --n1 and --n2"))
+    else:
+        source, takes = "two-mode input", _MOMENT_FLAGS[:1] + _MOMENT_FLAGS[2:]
+        if args.n is None and (args.n1 is None or args.n2 is None):
+            raise SystemExit(_usage_error("two-mode input needs --n or both --n1 and --n2"))
+    for name in ("family", *_MOMENT_FLAGS):  # only its own flags, and for a family only real couplings
+        x = getattr(args, name)
+        if x is not None and (name not in takes or family and name != "family" and x.imag):
+            raise SystemExit(_usage_error(f"{source} takes {'a real' if name in takes else 'no'} --{name}"))
+    if args.modes == 1:
+        return onemode.OneModeMoments(n=args.n, m=args.m)
+    if family:  # the couplings in the builder's order
+        return getattr(states, family)(args.n, *((getattr(args, name) or 0.0).real for name in takes[2:]))
     n1, n2 = (args.n if x is None else x for x in (args.n1, args.n2))
     couplings = (x or 0.0 for x in (args.m1, args.m2, args.ms, args.mc))
-    return 2, twomode.build_C2(twomode.TwoModeMoments(n1, n2, *couplings))
+    return twomode.build_C2(twomode.TwoModeMoments(n1, n2, *couplings))
 
 
 def _usage_error(msg: str) -> int:
@@ -232,8 +244,8 @@ def _usage_error(msg: str) -> int:
 
 def _add_moment_flags(p: _Parser):
     p.add_argument("--modes", type=int, choices=(1, 2), required=True)
-    p.add_argument("--family", choices=("mixed-epr", "anti-epr", "squeezed-epr"))
-    for name in ("n", "m", "n1", "n2", "m1", "m2", "ms", "mc"):  # occupations real, couplings complex
+    p.add_argument("--family", choices=_FAMILY_CHOICES)
+    for name in _MOMENT_FLAGS:
         p.add_argument(f"--{name}", type=_moment_float if name[0] == "n" else _moment_complex)
 
 
@@ -249,13 +261,7 @@ def kernel_from_json(obj: dict) -> GaussianKernel:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        modes, obj = _moments_from_args(args)
-        report = _report(modes, obj)
-    except NotAStateError as exc:
-        print(json.dumps({"exists": False, "reason": str(exc)}))
-        return EXIT_NOT_A_STATE
-    print(json.dumps(report))
+    print(json.dumps(verdict_report(_moments_from_args(args))[0]))
     return EXIT_OK
 
 
@@ -274,15 +280,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        modes, obj = _moments_from_args(args)
-    except NotAStateError as exc:
-        print(json.dumps({"exists": False, "reason": str(exc)}))
-        return EXIT_NOT_A_STATE
-    analytic, kernel = _report(modes, obj), onemode.build_C(obj) if modes == 1 else obj
-    # SingularMatrixError (exit 3) from C -> Q where |C| is past 1/eps
-    report = fock.compare(kernel, analytic["positive"], analytic["separable"], args.cutoff)
-    print(json.dumps({"analytic": analytic, **report}))
+    report = oracle_report(_moments_from_args(args), args.cutoff)
+    print(json.dumps(report))
     return EXIT_OK if report["agree"] else EXIT_DISAGREEMENT
 
 
@@ -313,7 +312,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("scan", help="region scan over (mc, n) as CSV")
-    p.add_argument("--family", required=True, choices=("mixed-epr", "anti-epr", "squeezed-epr"))
+    p.add_argument("--family", required=True, choices=_FAMILY_CHOICES)
     p.add_argument("--ratio", type=_finite_float, default=0.0, help="ms (anti) or m (squeezed) as ratio * mc")
     for axis in ("mc", "n"):
         p.add_argument(f"--{axis}-min", type=_finite_float, required=True)
@@ -335,17 +334,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("wavefun", help="smoothed EPR wave function grid as CSV")
     p.add_argument("--nbar", type=_moment_float, required=True)
-    p.add_argument("--lo", type=_finite_float, default=-4.0)
-    p.add_argument("--hi", type=_finite_float, default=4.0)
+    p.add_argument("--lo", type=_moment_float, default=-4.0)
+    p.add_argument("--hi", type=_moment_float, default=4.0)
     p.add_argument("--samples", type=int, default=101)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_wavefun)
 
     p = sub.add_parser("wigner", help="one-mode Wigner function grid as CSV")
-    p.add_argument("--n", type=_finite_float, required=True)
-    p.add_argument("--m", type=_parse_complex, default=0j)
-    p.add_argument("--lo", type=_finite_float, default=-4.0)
-    p.add_argument("--hi", type=_finite_float, default=4.0)
+    p.add_argument("--n", type=_moment_float, required=True)
+    p.add_argument("--m", type=_moment_complex, default=0j)
+    p.add_argument("--lo", type=_moment_float, default=-4.0)
+    p.add_argument("--hi", type=_moment_float, default=4.0)
     p.add_argument("--samples", type=int, default=101)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_wigner)
@@ -358,7 +357,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(_EXITS) as exc:  # a refusal: the documented exit code of its kind
-        print(f"error: {exc}", file=sys.stderr)
+        if type(exc) is NotAStateError and args.command in ("classify", "oracle"):  # moments of no state
+            print(json.dumps({"exists": False, "reason": str(exc)}))
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return _EXITS[type(exc)]
     except (KeyError, ValueError, TypeError, OSError, DimensionMismatchError) as exc:
         return _usage_error(f"{type(exc).__name__}: {exc}")

@@ -49,10 +49,6 @@ class FockOperator:
     matrix: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** self.modes
-
-    @property
     def truncation_loss(self) -> float:
         return 1.0 - float(np.trace(self.matrix).real)
 

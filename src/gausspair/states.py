@@ -11,6 +11,9 @@ from .errors import NotAStateError
 from .kernels import GaussianKernel
 from .twomode import TwoModeMoments, build_C2, build_family
 
+# each EPR family's real couplings after n, in its builder's order: the families of the CLI's --family and scan
+FAMILIES = {"mixed_epr": ("mc",), "anti_epr": ("mc", "ms"), "squeezed_epr": ("mc", "m")}
+
 
 def mixed_epr(n: float, mc: float) -> GaussianKernel:
     """EPR-correlated mixed state: only n1 = n2 = n and real mc are non-zero."""

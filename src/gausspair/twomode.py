@@ -25,6 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import NotPositiveError, NotPureError, WrongModeCountError
 from .kernels import GaussianKernel, convert
+from .onemode import SqueezeMap
 
 # transposing the first mode exchanges z1 and z1*
 _PT_SWAP = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
@@ -271,11 +272,9 @@ def pure_marginal_separability(k: GaussianKernel, which: int = 1) -> bool:
 
 
 def local_squeeze_map(theta1: float, theta2: float) -> np.ndarray:
-    """Block matrix of two real-phase one-mode squeezes."""
-    u = np.eye(4, dtype=complex)
-    for i, th in enumerate((theta1, theta2)):
-        ch, sh = math.cosh(th), math.sinh(th)
-        u[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[ch, sh], [sh, ch]]
+    """Block matrix of two real-phase one-mode squeezes, ``SqueezeMap(theta1)`` and ``SqueezeMap(theta2)``."""
+    u = np.zeros((4, 4), dtype=complex)
+    u[:2, :2], u[2:, 2:] = SqueezeMap(theta1).matrix, SqueezeMap(theta2).matrix
     return u
 
 

@@ -443,6 +443,21 @@ class TestVerdictRange:
         rep = json.loads(out)  # RuntimeWarning is an error under pytest
         assert code == 0 and np.all(np.isfinite(rep["g"])) and rep["trace_g2"] is not None
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["wavefun", "--nbar", "0"], ["wavefun", "--nbar", "{top}"], ["wigner", "--n", "0"],
+         ["wigner", "--n", "0", "--m", repr(0.5 - 1e-13)], ["wigner", "--n", "{top}", "--m", "{half}j"]],
+        ids=["wavefun-vacuum", "wavefun-top", "wigner-vacuum", "wigner-lam-min-1e-13", "wigner-top"],
+    )
+    def test_largest_admitted_window_gives_finite_cells(self, capsys, flags):
+        # a window of +-2.3e74 squares to 5e148; past the bound the cells were nan, with
+        # RuntimeWarnings, which are errors under pytest
+        top = cli._MOMENT_BOUND
+        argv = [f.format(top=repr(top), half=repr(0.5 * top)) for f in flags]
+        code, out, _ = run(capsys, *argv, f"--lo={-top!r}", f"--hi={top!r}", "--samples", "9")
+        cells = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        assert code == 0 and len(cells) == 81 and all(map(math.isfinite, cells))
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -480,12 +495,31 @@ class TestBadInput:
             (["oracle", "--modes", "2", "--family", "squeezed-epr", "--n", "1", "--mc", "0.5", "--m", "0.3+0.9j"], 64, "takes a real --m"),
             (["oracle", "--modes", "2", "--family", "mixed-epr", "--n", "1", "--mc", "0.5+1.2j"], 64, "takes a real --mc"),
             (["oracle", "--modes", "2", "--family", "anti-epr", "--n", "0.8", "--mc", "1", "--m", "0.5"], 64, "takes no --m"),
+            # every input takes only its own moment flags: these printed a verdict without them
+            (["classify", "--modes", "2", "--n", "1", "--m", "0.3"], 64, "two-mode input takes no --m"),
+            (["classify", "--modes", "1", "--n", "1", "--m", "0.3", "--mc", "5"], 64, "one-mode input takes no --mc"),
+            (["classify", "--modes", "1", "--n", "1", "--m", "0.3", "--family", "mixed-epr"], 64,
+             "one-mode input takes no --family"),
+            (["oracle", "--modes", "2", "--n", "1", "--m", "0.3"], 64, "two-mode input takes no --m"),
+            (["oracle", "--modes", "1", "--n", "1", "--m", "0.3", "--mc", "5"], 64, "one-mode input takes no --mc"),
+            (["oracle", "--modes", "1", "--n", "1", "--m", "0.3", "--family", "mixed-epr"], 64,
+             "one-mode input takes no --family"),
+            # mixed-epr has no second coupling for the ratio to set
+            (["scan", "--family", "mixed-epr", "--ratio", "7", "--mc-min", "0", "--mc-max", "2", "--mc-steps", "3",
+              "--n-min", "0", "--n-max", "2", "--n-steps", "3"], 64, "ratio must be 0"),
+            # grid moments and windows take the moment bound: det W underflowed to a zero peak, and
+            # the window's squares to nan cells
+            (["wigner", "--n", "1e300"], 64, "--n"),
+            (["wavefun", "--nbar", "1", "--lo", "-1e300"], 64, "--lo"),
         ],
         ids=["n-nan", "n-inf", "mc-nan", "wigner-nan", "one-step", "no-matrix", "missing-file",
              "not-a-state-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n", "oracle-singular",
              "oracle-cutoff-too-large", "wavefun-negative-nbar", "wavefun-nbar-past-bound", "wigner-singular-edge",
              "three-mode-file", "zero-mode-file", "family-complex-m", "family-complex-mc", "family-foreign-ms",
-             "family-foreign-n1", "oracle-family-complex-m", "oracle-family-complex-mc", "oracle-family-foreign-m"],
+             "family-foreign-n1", "oracle-family-complex-m", "oracle-family-complex-mc", "oracle-family-foreign-m",
+             "two-mode-foreign-m", "one-mode-foreign-mc", "one-mode-family", "oracle-two-mode-foreign-m",
+             "oracle-one-mode-foreign-mc", "oracle-one-mode-family", "scan-mixed-ratio", "wigner-n-past-bound",
+             "wavefun-lo-past-bound"],
     )
     def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code, says):
         names = ("no_matrix", "missing", "not_a_state", "three_modes", "no_modes")
