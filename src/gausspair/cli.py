@@ -3,8 +3,10 @@ emit wave-function / Wigner grids, and compare against the Fock oracle.
 
 Exit codes: 0 ok, 2 not-a-state, 3 singular matrix, 4 not P-representable, 5 oracle disagreement,
 6 cutoff too small, 64 usage error (including a non-finite number, a moment or grid window past
-``linalg.MAX_SCALE`` / 8 or a scan past ``linalg.MAX_SCALE``, a moment flag its input does not take,
-a non-real ``--family`` coupling, a nonzero mixed-epr ``--ratio``, an unreadable or malformed file).
+``linalg.MAX_SCALE`` / 8 or a scan past ``linalg.MAX_SCALE``, a grid or scan axis of more than
+``phasespace.MAX_SAMPLES`` points, a moment flag its input does not take, two-mode --n beside both
+--n1 and --n2, a non-real ``--family`` coupling, a nonzero mixed-epr ``--ratio``, an unreadable or
+malformed file).
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ class ScanRequest:
             raise ValueError(f"{self.family} has no second coupling, so its ratio must be 0")
         if self.mc_steps < 2 or self.n_steps < 2:
             raise ValueError("steps must be at least 2")
+        if max(self.mc_steps, self.n_steps) > phasespace.MAX_SAMPLES:
+            raise ValueError(f"steps must be at most {phasespace.MAX_SAMPLES}")
 
 
 # grid commands evaluate, format and write this many points at a time, in whole outer rows
@@ -222,8 +226,10 @@ def _moments_from_args(args):
             raise SystemExit(_usage_error("--family needs --n and --mc"))
     else:
         source, takes = "two-mode input", _MOMENT_FLAGS[:1] + _MOMENT_FLAGS[2:]
-        if args.n is None and (args.n1 is None or args.n2 is None):
-            raise SystemExit(_usage_error("two-mode input needs --n or both --n1 and --n2"))
+        missing = args.n1 is None or args.n2 is None
+        if missing == (args.n is None):  # --n stands for a missing --n1 or --n2, and only for one
+            raise SystemExit(_usage_error("two-mode input needs --n or both --n1 and --n2" if missing
+                                          else "two-mode input takes --n only for a missing --n1 or --n2"))
     for name in ("family", *_MOMENT_FLAGS):  # only its own flags, and for a family only real couplings
         x = getattr(args, name)
         if x is not None and (name not in takes or family and name != "family" and x.imag):

@@ -8,13 +8,15 @@ with the representation it lives in.  The four forms of the same Gaussian operat
     P = E (C - I/2)^-1 E        (only if C - I/2 > 0)
 
 so all four share C's eigenvectors, conjugated by E, and have eigenvalues 1/(lam + s) for
-s = 0, 1/2, -1/2.  Each kernel carries a pair (x, V): one ``eigh`` of outside input, which the public
-constructor checks (``linalg.hermitian``), or of assembled moments; the closed-form pair of a
-one-mode or EPR-family C, with no eigensolver (``_closed``); or the source's pair mapped by
-``convert``.  So a chain of conversions diagonalizes at most once and forms a matrix only for a
-kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts compute on x as Python floats
-(``eigenvalues``).  A kernel is singular when its smallest |eigenvalue| lies within ``linalg.band``
-of zero, relative to their sum.
+s = 0, 1/2, -1/2.  Every kernel holds C's eigenvalues lam as Python floats beside C's eigenvectors:
+from one ``eigh`` of outside input, which the public constructor checks (``linalg.hermitian``), or
+of assembled moments; from the closed-form pair of a one-mode or EPR-family C, with no eigensolver
+(``_closed``); or, for a kernel ``convert`` returns, its source's lam unchanged.  A W, Q or P built
+from a matrix derives lam = 1/x - s from its own eigenvalues x on its first conversion.  So a chain
+of conversions diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and
+forms a matrix only for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts
+compute on Python floats (``eigenvalues``).  C + sI is singular when its smallest |eigenvalue|
+lies within ``linalg.band`` of zero, relative to their sum.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 import numpy as np
 
 from . import linalg
-from .errors import NotAStateError, NotPRepresentableError
+from .errors import NotAStateError, NotPRepresentableError, SingularMatrixError
 
 KINDS = ("C", "W", "Q", "P")
 # each kind other than C is E (C + s I)^-1 E with this shift s
@@ -39,10 +41,12 @@ class GaussianKernel:
     """A representation-tagged Gaussian kernel; ``matrix`` is its read-only normal-form array,
     ``eig`` its read-only pair (x, V), x unsorted, and ``eigenvalues`` that x as Python floats.
     The matrix is V diag(x) V^dag to round-off: the one it was built from, or, for a kernel that
-    ``convert`` returns, formed when first read, as ``eig`` is where no ``eigh`` ran.  Each kind keeps
-    C's eigenvectors (V = E V_C otherwise), so ``convert`` copies no array."""
+    ``convert`` returns, formed when first read, as ``eig`` and, for W, Q and P, x = 1/(lam + s)
+    are where no ``eigh`` ran.  Each kind keeps C's eigenvalues lam and eigenvectors (V = E V_C
+    otherwise), so ``convert`` copies no array and maps no eigenvalue."""
 
-    __slots__ = ("kind", "eigenvalues", "_vc", "_eig", "_matrix")
+    # private slots behind read-only properties: the public surface cannot be assigned
+    __slots__ = ("_kind", "_lam", "_x", "_vc", "_eig", "_matrix")
 
     def __init__(self, kind: str, entries):
         """The kernel of outside input, which ``linalg.hermitian`` checks and copies: one ``eigh``."""
@@ -61,12 +65,13 @@ class GaussianKernel:
     def _closed(cls, m, x, v: np.ndarray) -> "GaussianKernel":
         """The C kernel of a matrix m in normal form with its closed-form pair (x, v), x held as Python
         floats: no eigensolver runs.  Finite eigenvalues bound every entry of m, so only x is checked."""
-        x, m = list(map(float, x)), np.asarray(m, dtype=complex)
+        x, m = tuple(map(float, x)), np.asarray(m, dtype=complex)
         if not all(map(math.isfinite, x)):
             raise ValueError("matrix has non-finite entries")
+        _check("C", x)
         for a in (m, v):
             a.setflags(write=False)
-        return object.__new__(cls)._hold("C", m, x, v, None)
+        return object.__new__(cls)._hold("C", x, x, v, None, m)
 
     def _of(self, kind: str, m: np.ndarray) -> "GaussianKernel":
         if kind not in KINDS:
@@ -75,32 +80,34 @@ class GaussianKernel:
         vc = v if kind == "C" else _E_SIGN[len(v)] * v
         for a in (m, x, v, vc):
             a.setflags(write=False)
-        return self._hold(kind, m, x.tolist(), vc, (x, v))
+        xs = tuple(x.tolist())
+        _check(kind, xs)
+        return self._hold(kind, xs if kind == "C" else None, xs, vc, (x, v), m)
 
-    def _hold(self, kind: str, m: np.ndarray | None, x: list[float], vc: np.ndarray, eig: tuple | None):
-        """Check the eigenvalues x and hold them with C's eigenvectors vc (``convert``: on a new object)."""
-        # a negative eigenvalue of C means no Gaussian exists at all;
-        # zeros within the band are kept as degenerate boundary cases
-        if kind == "C" and min(x) < -linalg.band(sum(x), 1):
-            raise NotAStateError("C matrix has a negative eigenvalue")
-        # a P kernel only exists when C - I/2 > 0 strictly, that is when P > 0;
-        # a small eigenvalue of P belongs to a large one of C, not to that boundary
-        if kind == "P" and min(x) <= 0.0:
-            raise NotAStateError("P matrix is not positive definite")
-        for name, value in (("kind", kind), ("eigenvalues", tuple(x)), ("_vc", vc), ("_eig", eig), ("_matrix", m)):
-            object.__setattr__(self, name, value)
+    def _hold(self, kind: str, lam: tuple | None, x: tuple | None, vc: np.ndarray, eig: tuple | None, m: np.ndarray | None):
+        """Set the slots, unchecked: C's eigenvalues lam (None until derived), the kernel's own x
+        (None until mapped), C's eigenvectors vc, the ``eig`` pair and the matrix (None until formed)."""
+        self._kind, self._lam, self._x, self._vc, self._eig, self._matrix = kind, lam, x, vc, eig, m
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianKernel is immutable")
+    @property
+    def kind(self) -> str:
+        return self._kind
+
+    @property
+    def eigenvalues(self) -> tuple[float, ...]:
+        if self._x is None:  # a converted W, Q or P: 1/(lam + s) on C's eigenvalues, on first read
+            s = _SHIFT[self._kind]
+            self._x = tuple([1.0 / (y + s) for y in self._lam])
+        return self._x
 
     @property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:  # a converted kernel: the carried floats, and C's eigenvectors flipped by E
-            x, v = np.array(self.eigenvalues), self._vc if self.kind == "C" else _E_SIGN[len(self._vc)] * self._vc
+        if self._eig is None:  # no eigh ran: the floats, and C's eigenvectors flipped by E
+            x, v = np.array(self.eigenvalues), self._vc if self._kind == "C" else _E_SIGN[len(self._vc)] * self._vc
             for a in (x, v):
                 a.setflags(write=False)
-            object.__setattr__(self, "_eig", (x, v))
+            self._eig = x, v
         return self._eig
 
     @property
@@ -109,42 +116,57 @@ class GaussianKernel:
             x, v = self.eig
             m = linalg.hermitian_part((v * x) @ v.conj().T)  # finite: convert bounds max|x|
             m.setflags(write=False)
-            object.__setattr__(self, "_matrix", m)
+            self._matrix = m
         return self._matrix
 
     sym = matrix  # the old name, kept for the traced probe in perfbench/workloads.py
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
+        return len(self._vc)
 
     @property
     def modes(self) -> int:
-        return self.dim // 2
+        return len(self._vc) // 2
 
     @property
     def det(self) -> float:
-        """The determinant: the product of the carried eigenvalues, in their order."""
+        """The determinant: the product of the eigenvalues, in their order."""
         return math.prod(self.eigenvalues)
+
+
+def _check(kind: str, x: tuple) -> None:
+    """The rules of a C or P kernel on its own eigenvalues x."""
+    # a negative eigenvalue of C means no Gaussian exists at all;
+    # zeros within the band are kept as degenerate boundary cases
+    if kind == "C" and min(x) < -linalg.band(sum(x), 1):
+        raise NotAStateError("C matrix has a negative eigenvalue")
+    # a P kernel only exists when C - I/2 > 0 strictly, that is when P > 0;
+    # a small eigenvalue of P belongs to a large one of C, not to that boundary
+    if kind == "P" and min(x) <= 0.0:
+        raise NotAStateError("P matrix is not positive definite")
 
 
 def convert(k: GaussianKernel, target: str) -> GaussianKernel:
     """Convert a kernel to the target representation.
 
-    The source's carried pair gives every kind: its eigenvalues x map to C's
-    eigenvalues lam (lam = x, or 1/x - s for a kind E (C + s)^-1 E), and those to
-    the target's 1/(lam + s), all on Python floats; the eigenvectors are C's,
-    flipped by E for a kind other than C.  The result forms its arrays only when
-    they are read; every refusal is raised here.
+    The result holds the source's C eigenvalues lam and eigenvectors unchanged;
+    only the target's rules run, on lam as Python floats: C's non-negativity for
+    C, the engine's P rule for P, and for W, Q and P the singularity of C + sI,
+    min|lam + s| <= band(sum|lam + s|, 1).  The target's eigenvalues, 1/(lam + s)
+    for a kind other than C, must stay within ``_ENTRY_BOUND``.  The result forms
+    those eigenvalues and its arrays only when they are read; every refusal is
+    raised here.
     """
     if target not in KINDS:
         raise ValueError(f"target must be one of {KINDS}, got {target!r}")
-    if target == k.kind:
+    if target == k._kind:
         return k
-    x = k.eigenvalues
-    lam = x if k.kind == "C" else [y - _SHIFT[k.kind] for y in linalg.reciprocal(x)]
+    if k._lam is None:  # a W, Q or P built from a matrix derives lam = 1/x - s once, under reciprocal's rule
+        k._lam = tuple([y - _SHIFT[k._kind] for y in linalg.reciprocal(k._x)])
+    lam = k._lam
     if target == "C":
-        out = lam
+        top = max(map(abs, lam))
     else:
         if target == "P":
             # the engine's rule for C - I/2 > 0, on C's eigenvalues in its ascending
@@ -153,8 +175,13 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
             if not asc[0] - 0.5 > linalg.band(sum(asc), 1):
                 raise NotPRepresentableError("C - I/2 has a non-positive eigenvalue")
         s = _SHIFT[target]
-        out = linalg.reciprocal([y + s for y in lam])
-    if not max(map(abs, out)) <= _ENTRY_BOUND:
+        a = [abs(y + s) for y in lam]
+        low, tol = min(a), linalg.band(sum(a), 1)
+        if not low > tol:
+            raise SingularMatrixError(f"min|eigenvalue| = {low:.3e} <= {tol:.3e}")
+        top = 1.0 / low  # max|1/(lam + s)|
+    if not top <= _ENTRY_BOUND:
         raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
-    return object.__new__(GaussianKernel)._hold(target, None, out, k._vc, None)
-
+    if target == "C":
+        _check("C", lam)
+    return object.__new__(GaussianKernel)._hold(target, lam, lam if target == "C" else None, k._vc, None, None)

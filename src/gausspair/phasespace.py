@@ -35,9 +35,14 @@ class PhasePoint:
         return np.array(out)
 
 
+# the most points one grid axis takes, here and in ``cli``'s scans, checked before any axis is built:
+# a scan holds 16 cell texts per n value, 2**18 at this bound, and peaks near 60 MB RSS
+MAX_SAMPLES = 2**14
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform per-axis sampling [lo, hi] with ``samples`` points."""
+    """Uniform per-axis sampling [lo, hi] with ``samples`` points, 2 to ``MAX_SAMPLES``."""
 
     lo: float
     hi: float
@@ -48,6 +53,8 @@ class GridSpec:
             raise ValueError("grid requires lo < hi")
         if self.samples < 2:
             raise ValueError("grid requires at least 2 samples")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"grid requires at most {MAX_SAMPLES} samples")
 
     @property
     def axis(self) -> np.ndarray:

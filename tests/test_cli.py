@@ -438,8 +438,8 @@ class TestVerdictRange:
     def test_largest_admitted_moments_give_finite_verdicts(self, capsys, modes):
         # a well-conditioned C with its largest |eigenvalue| near linalg.MAX_SCALE
         top, m = str(cli._MOMENT_BOUND), str(0.25 * cli._MOMENT_BOUND)
-        extra = ["--m", m] if modes == 1 else ["--n1", top, "--n2", top, "--mc", m, "--ms", m, "--m1", m, "--m2", m]
-        code, out, _ = run(capsys, "classify", "--modes", str(modes), *extra, "--n", top)
+        extra = ["--n", top, "--m", m] if modes == 1 else ["--n1", top, "--n2", top, "--mc", m, "--ms", m, "--m1", m, "--m2", m]
+        code, out, _ = run(capsys, "classify", "--modes", str(modes), *extra)
         rep = json.loads(out)  # RuntimeWarning is an error under pytest
         assert code == 0 and np.all(np.isfinite(rep["g"])) and rep["trace_g2"] is not None
 
@@ -511,6 +511,19 @@ class TestBadInput:
             # the window's squares to nan cells
             (["wigner", "--n", "1e300"], 64, "--n"),
             (["wavefun", "--nbar", "1", "--lo", "-1e300"], 64, "--lo"),
+            # an axis past phasespace.MAX_SAMPLES is refused before it is built: numpy raised
+            # _ArrayMemoryError from linspace, a traceback with exit 1
+            (["scan", "--family", "anti-epr", "--mc-min", "0", "--mc-max", "1", "--mc-steps", "100000000000",
+              "--n-min", "0", "--n-max", "1", "--n-steps", "2"], 64, "steps must be at most 16384"),
+            (["scan", "--family", "anti-epr", "--mc-min", "0", "--mc-max", "1", "--mc-steps", "2",
+              "--n-min", "0", "--n-max", "1", "--n-steps", "16385"], 64, "steps must be at most 16384"),
+            (["wigner", "--n", "1", "--samples", "100000000000"], 64, "at most 16384 samples"),
+            (["wavefun", "--nbar", "1", "--samples", "16385"], 64, "at most 16384 samples"),
+            # --n fills only a missing --n1 or --n2: beside both it was dropped without a word
+            (["classify", "--modes", "2", "--n", "0.8", "--n1", "1", "--n2", "1"], 64,
+             "two-mode input takes --n only for a missing --n1 or --n2"),
+            (["oracle", "--modes", "2", "--n", "0.8", "--n1", "1", "--n2", "1"], 64,
+             "two-mode input takes --n only for a missing --n1 or --n2"),
         ],
         ids=["n-nan", "n-inf", "mc-nan", "wigner-nan", "one-step", "no-matrix", "missing-file",
              "not-a-state-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n", "oracle-singular",
@@ -519,7 +532,8 @@ class TestBadInput:
              "family-foreign-n1", "oracle-family-complex-m", "oracle-family-complex-mc", "oracle-family-foreign-m",
              "two-mode-foreign-m", "one-mode-foreign-mc", "one-mode-family", "oracle-two-mode-foreign-m",
              "oracle-one-mode-foreign-mc", "oracle-one-mode-family", "scan-mixed-ratio", "wigner-n-past-bound",
-             "wavefun-lo-past-bound"],
+             "wavefun-lo-past-bound", "scan-mc-steps-past-bound", "scan-n-steps-past-bound", "wigner-samples-past-bound",
+             "wavefun-samples-past-bound", "two-mode-n-beside-n1-n2", "oracle-two-mode-n-beside-n1-n2"],
     )
     def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code, says):
         names = ("no_matrix", "missing", "not_a_state", "three_modes", "no_modes")

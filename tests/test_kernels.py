@@ -219,26 +219,73 @@ def test_carried_pair_is_read_only():
 
 
 def test_convert_maps_eigenvalues_bitwise_as_the_array_formula(rng):
-    # convert maps Python floats; numpy's 1/(lam + s) on the carried array must give the same bits
-    shift = {"C": None, "W": 0.0, "Q": 0.5, "P": -0.5}
+    # every kernel of a chain holds its root C's eigenvalues lam0 unchanged, so each step's
+    # eigenvalues are numpy's 1/(lam0 + s) on the root's array: no step adds round-off
     mapped = refused = 0
     for k in differential_kernels(rng):
+        lam0 = k.eig[0]
         for chain in ("WQPC", "PWQC", "QPWC"):
             cur = k
             for target in chain:
-                x = cur.eig[0]
-                lam = x if cur.kind == "C" else 1.0 / x - shift[cur.kind]
                 try:
-                    out = convert(cur, target)
+                    cur = convert(cur, target)
                 except (SingularMatrixError, NotPRepresentableError):
                     refused += 1
                     break
-                want = lam if target == "C" else 1.0 / (lam + shift[target])
-                assert np.array_equal(out.eig[0].view(np.uint64), want.view(np.uint64)), (cur.kind, target)
-                assert out.eigenvalues == tuple(out.eig[0].tolist()) and all(type(a) is float for a in out.eigenvalues)
+                want = lam0 if target == "C" else 1.0 / (lam0 + kernels._SHIFT[target])
+                assert np.array_equal(cur.eig[0].view(np.uint64), want.view(np.uint64)), (chain, target)
+                assert cur.eigenvalues == tuple(cur.eig[0].tolist()) and all(type(a) is float for a in cur.eigenvalues)
                 mapped += 1
-                cur = out
     assert mapped > 3000 and refused > 100
+
+
+def _convert_from_own_eigenvalues(k, target):
+    """``convert`` on floats as a function of the source's own eigenvalues, deriving C's from them
+    at every call: the target's eigenvalues, or the type of its refusal."""
+    try:
+        lam = list(k.eigenvalues) if k.kind == "C" else [y - kernels._SHIFT[k.kind] for y in linalg.reciprocal(k.eigenvalues)]
+        out = lam
+        if target != "C":
+            asc = sorted(lam)
+            if target == "P" and not asc[0] - 0.5 > linalg.band(sum(asc), 1):
+                raise NotPRepresentableError
+            out = linalg.reciprocal([y + kernels._SHIFT[target] for y in lam])
+        if not max(map(abs, out)) <= kernels._ENTRY_BOUND:
+            raise ValueError
+        if target == "C" and min(out) < -linalg.band(sum(out), 1):
+            raise NotAStateError
+        return out
+    except (SingularMatrixError, NotPRepresentableError, NotAStateError, ValueError) as exc:
+        return type(exc)
+
+
+def test_kernel_built_from_a_matrix_converts_as_from_its_own_eigenvalues(rng):
+    # a W, Q or P built from a matrix derives lam = 1/x - s once; every conversion of it, the
+    # first and those reading the cached lam, gives the bits of deriving lam at each call
+    built = 0
+    for k in differential_kernels(rng)[::3]:
+        for kind in ("W", "Q", "P"):
+            try:
+                source = GaussianKernel(kind, convert(k, kind).matrix)
+            except (SingularMatrixError, NotPRepresentableError, NotAStateError):
+                continue
+            built += 1
+            for target in [t for t in ("C", "W", "Q", "P", "C") if t != kind]:
+                want = _convert_from_own_eigenvalues(source, target)
+                if isinstance(want, type):
+                    with pytest.raises(want):
+                        convert(source, target)
+                else:
+                    got = convert(source, target).eigenvalues
+                    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64)), (kind, target)
+    assert built > 500
+
+
+def test_reading_modes_and_dim_forms_no_eigenvalues():
+    k = convert(convert(states.anti_epr(0.9, 0.5, 0.3), "W"), "Q")
+    assert (k.modes, k.dim) == (2, 4)
+    assert k._x is None and k._eig is None and k._matrix is None
+    assert k.eigenvalues == tuple(1.0 / (y + 0.5) for y in states.anti_epr(0.9, 0.5, 0.3).eigenvalues)
 
 
 def test_det_is_the_product_of_the_carried_floats(rng):

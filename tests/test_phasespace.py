@@ -33,6 +33,9 @@ class TestGridSpec:
             GridSpec(1.0, 0.0, 10)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="16384"):
+            GridSpec(0.0, 1.0, phasespace.MAX_SAMPLES + 1)
+        assert GridSpec(0.0, 1.0, phasespace.MAX_SAMPLES).step == 1.0 / (phasespace.MAX_SAMPLES - 1)
 
     def test_axis_and_step(self):
         g = GridSpec(-1.0, 1.0, 5)

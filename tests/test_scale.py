@@ -349,7 +349,8 @@ def test_verdict_and_convert_agree_at_the_p_edge(family):
 def test_one_mode_verdict_and_convert_agree_at_the_p_edge(phase):
     # the one-mode twin: +-20 ulps of n around n - |m| = band(2n + 1, 1); classify's
     # P margin reads the eigenvalues n + 1/2 -+ |m| that build_C carries, summed as
-    # convert sums them, so C -> P -> C succeeds exactly where the verdict admits P
+    # convert sums them, so C -> P -> C succeeds exactly where the verdict admits P; the
+    # C it returns holds those eigenvalues unchanged, so it converts through P again
     admitted = 0
     for n in np.geomspace(1e-6, 1e6, 100):
         m = (n - linalg.band(2.0 * n + 1.0, 1)) * np.exp(1j * phase)
@@ -357,7 +358,9 @@ def test_one_mode_verdict_and_convert_agree_at_the_p_edge(phase):
             p = OneModeMoments(nk, m if phase else m.real)
             back = _through_p(onemode.build_C(p))
             assert onemode.classify(p).p_representable == (back is not None), (nk, m)
-            admitted += back is not None
+            if back is not None:
+                admitted += 1
+                assert back.eigenvalues == onemode.build_C(p).eigenvalues and _through_p(back) is not None, (nk, m)
     assert 0 < admitted < 100 * 41  # the probe straddles the edge
 
 
