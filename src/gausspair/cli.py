@@ -81,29 +81,13 @@ class ScanRequest:
 
 # grid commands evaluate, format and write this many points at a time, in whole outer rows
 _BLOCK_POINTS = 6144
-_SORT4 = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))  # a sorting network: compare-exchange pairs
 # the text of the scan flags (positive, pure, separable, p_representable) of code 8p + 4u + 2s + r
 _FLAGS = [",".join(f"{code:04b}") for code in range(16)]
 
 
-def _family_invariants(family: str, n: np.ndarray, mc: np.ndarray, ratio: float) -> tuple:
-    """A scan family's C at every (mc, n) that n and mc broadcast to, as the invariants
-    ``twomode.verdicts_from_invariants`` reads: eigenvalues ascending (``twomode.family_spectrum``,
-    which ``states``' builders carry), dA, dB and dX.  Both diagonal blocks are [[a, m1], [m1, a]] and
-    the off-diagonal one [[ms, mc], [mc, ms]]: dA = dB = a a - m1 m1 and dX = ms ms - mc mc.  The family's
-    second coupling in ``states.FAMILIES``, ms or m1, is ratio * mc; a coupling it does not take is 0."""
-    couplings = dict(zip(states.FAMILIES[family], (mc, ratio * mc)))
-    a, m1, ms = n + 0.5, couplings.get("m", 0.0), couplings.get("ms", 0.0)
-    eig = twomode.family_spectrum(a, m1, ms, mc)
-    for i, j in _SORT4:
-        eig[i], eig[j] = np.minimum(eig[i], eig[j]), np.maximum(eig[i], eig[j])
-    da = a * a - m1 * m1
-    return eig, da, da, ms * ms - mc * mc
-
-
 def scan_blocks(req: ScanRequest) -> Iterator[str]:
     """The CSV text of a family region scan, one block of mc rows at a time (``_grid_text``):
-    ``classify2``'s engine on the closed-form invariants, each point's text looked up by its
+    ``classify2``'s engine on ``states.family_invariants``, each point's text looked up by its
     flag code in a table of 16 per n column.  The grid is checked first, before any output:
     no |eigenvalue| exceeds max|n| + 1/2 + (1 + |ratio|) max|mc| <= ``linalg.MAX_SCALE``."""
     mcs, ns = np.linspace(req.mc_lo, req.mc_hi, req.mc_steps), np.linspace(req.n_lo, req.n_hi, req.n_steps)
@@ -114,7 +98,7 @@ def scan_blocks(req: ScanRequest) -> Iterator[str]:
     column = 16 * np.arange(len(ns))
 
     def rows_text(rows: slice, heads: list[str]) -> str:
-        v = twomode.verdicts_from_invariants(*_family_invariants(req.family, ns, mcs[rows, None], req.ratio))
+        v = twomode.verdicts_from_invariants(*states.family_invariants(req.family, ns, mcs[rows, None], req.ratio))
         code = 8 * v.positive + 4 * v.pure + 2 * v.ppt_separable + v.p_representable
         return "".join(head + head.join(row) for head, row in zip(heads, cells[code + column].tolist()))
 

@@ -15,8 +15,8 @@ of assembled moments; from the closed-form pair of a one-mode or EPR-family C, w
 from a matrix derives lam = 1/x - s from its own eigenvalues x on its first conversion.  So a chain
 of conversions diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and
 forms a matrix only for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts
-compute on Python floats (``eigenvalues``).  C + sI is singular when its smallest |eigenvalue|
-lies within ``linalg.band`` of zero, relative to their sum.
+compute on Python floats (``eigenvalues``).  C's existence and P rules and the singularity of
+C + sI are ``linalg``'s (``c_rules``, ``nonsingular``); this module holds no copy of them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import linalg
-from .errors import NotAStateError, NotPRepresentableError, SingularMatrixError
+from .errors import NotAStateError, NotPRepresentableError
 
 KINDS = ("C", "W", "Q", "P")
 # each kind other than C is E (C + s I)^-1 E with this shift s
@@ -137,9 +137,7 @@ class GaussianKernel:
 
 def _check(kind: str, x: tuple) -> None:
     """The rules of a C or P kernel on its own eigenvalues x."""
-    # a negative eigenvalue of C means no Gaussian exists at all;
-    # zeros within the band are kept as degenerate boundary cases
-    if kind == "C" and min(x) < -linalg.band(sum(x), 1):
+    if kind == "C" and not linalg.c_rules(min(x), sum(x))[0]:
         raise NotAStateError("C matrix has a negative eigenvalue")
     # a P kernel only exists when C - I/2 > 0 strictly, that is when P > 0;
     # a small eigenvalue of P belongs to a large one of C, not to that boundary
@@ -151,12 +149,11 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
     """Convert a kernel to the target representation.
 
     The result holds the source's C eigenvalues lam and eigenvectors unchanged;
-    only the target's rules run, on lam as Python floats: C's non-negativity for
-    C, the engine's P rule for P, and for W, Q and P the singularity of C + sI,
-    min|lam + s| <= band(sum|lam + s|, 1).  The target's eigenvalues, 1/(lam + s)
-    for a kind other than C, must stay within ``_ENTRY_BOUND``.  The result forms
-    those eigenvalues and its arrays only when they are read; every refusal is
-    raised here.
+    only the target's rules run, on lam as Python floats: ``linalg.c_rules`` for
+    C and P, and for W, Q and P ``linalg.nonsingular`` on |lam + s|.  The target's
+    eigenvalues, 1/(lam + s) for a kind other than C, must stay within
+    ``_ENTRY_BOUND``.  The result forms those eigenvalues and its arrays only when
+    they are read; every refusal is raised here.
     """
     if target not in KINDS:
         raise ValueError(f"target must be one of {KINDS}, got {target!r}")
@@ -168,18 +165,10 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
     if target == "C":
         top = max(map(abs, lam))
     else:
-        if target == "P":
-            # the engine's rule for C - I/2 > 0, on C's eigenvalues in its ascending
-            # order: the smallest clears band(tr C, 1)
-            asc = sorted(lam)
-            if not asc[0] - 0.5 > linalg.band(sum(asc), 1):
-                raise NotPRepresentableError("C - I/2 has a non-positive eigenvalue")
+        if target == "P" and not linalg.c_rules(min(lam), sum(sorted(lam)))[1]:  # summed as the engine sums
+            raise NotPRepresentableError("C - I/2 has a non-positive eigenvalue")
         s = _SHIFT[target]
-        a = [abs(y + s) for y in lam]
-        low, tol = min(a), linalg.band(sum(a), 1)
-        if not low > tol:
-            raise SingularMatrixError(f"min|eigenvalue| = {low:.3e} <= {tol:.3e}")
-        top = 1.0 / low  # max|1/(lam + s)|
+        top = 1.0 / linalg.nonsingular([abs(y + s) for y in lam])  # max|1/(lam + s)|
     if not top <= _ENTRY_BOUND:
         raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
     if target == "C":

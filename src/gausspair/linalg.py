@@ -6,9 +6,9 @@ where T exchanges the (z, z*) pair of every mode.  ``hermitian`` checks outside 
 that normal form (``normal_form``); ``hermitian_part`` and ``congruence`` return
 matrices already in it.  ``kernels.GaussianKernel`` holds the result.
 
-No tolerance of the package is absolute: the Hermiticity check, the singularity
-test of ``reciprocal`` and every verdict margin, the reference routes' included,
-use ``band``, which scales with the size of the matrix.
+No tolerance of the package is absolute: the Hermiticity check, every verdict margin and the
+rules written only here, the singularity test ``nonsingular`` and C's existence and P rules
+``c_rules``, use ``band``, which scales with the size of the matrix.
 """
 
 from __future__ import annotations
@@ -62,13 +62,24 @@ def congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def reciprocal(x) -> list[float]:
-    """1/x for the eigenvalues x (Python floats) of one Hermitian matrix.  The matrix counts
-    as singular when min|x| <= band(sum|x|, 1), the round-off of its eigenvalues."""
-    a = [abs(v) for v in x]
-    tol = band(sum(a), 1)
-    if not min(a) > tol:
-        raise SingularMatrixError(f"min|eigenvalue| = {min(a):.3e} <= {tol:.3e}")
+    """1/x for the eigenvalues x (Python floats) of one ``nonsingular`` Hermitian matrix."""
+    nonsingular([abs(v) for v in x])
     return [1.0 / v for v in x]
+
+
+def nonsingular(a) -> float:
+    """min(a) of the |eigenvalues| a of one matrix; ``SingularMatrixError`` where it is at most band(sum(a), 1)."""
+    low, tol = min(a), band(sum(a), 1)
+    if not low > tol:
+        raise SingularMatrixError(f"min|eigenvalue| = {low:.3e} <= {tol:.3e}")
+    return low
+
+
+def c_rules(low, trace):
+    """(exists, P-representable) of a C of smallest eigenvalue ``low`` and trace ``trace``, floats or arrays:
+    low >= -band(trace, 1), zeros within it kept as boundary cases, and strictly low - 1/2 > band(trace, 1)."""
+    tol = band(trace, 1)
+    return low >= -tol, low - 0.5 > tol
 
 
 def invert(m: np.ndarray) -> np.ndarray:

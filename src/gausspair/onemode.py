@@ -18,13 +18,14 @@ from .kernels import GaussianKernel, convert
 
 @dataclass(frozen=True)
 class OneModeMoments:
-    """Second moments (n, m) of a one-mode Gaussian kernel."""
+    """Second moments (n, m) of a one-mode Gaussian kernel, accepted as ``build_C`` accepts its C."""
 
     n: float
     m: complex
 
     def __post_init__(self):
-        if self.n + 0.5 <= abs(self.m):
+        lo, hi = _eigenvalues(self)
+        if not linalg.c_rules(lo, lo + hi)[0]:
             raise NotAStateError(f"n + 1/2 = {self.n + 0.5} must exceed |m| = {abs(self.m)}")
 
 
@@ -91,15 +92,15 @@ def moments_from_c(k: GaussianKernel) -> OneModeMoments:
 
 def classify(p: OneModeMoments) -> OneModeVerdict:
     """Positivity, purity, and P-representability in closed form; each margin
-    is decided against ``linalg.band`` at the scale tr C = 2n + 1.  The P margin
-    reads the eigenvalues ``build_C`` carries, with ``convert``'s rule, so the two agree."""
+    is decided against ``linalg.band`` at the scale tr C = 2n + 1.  The P rule is
+    ``linalg.c_rules`` on the eigenvalues ``build_C`` carries, as ``convert`` applies it."""
     mm = abs(p.m) ** 2
     det_c = (p.n + 0.5) ** 2 - mm
     band = linalg.band(2.0 * p.n + 1.0, 2)
     positive = p.n * (p.n + 1.0) - mm >= -band
     pure = positive and abs(det_c - 0.25) <= band
     lo, hi = _eigenvalues(p)
-    p_rep = lo - 0.5 > linalg.band(lo + hi, 1)  # strict: no delta-function limit
+    p_rep = linalg.c_rules(lo, lo + hi)[1]  # strict: no delta-function limit
     g = None
     if positive:
         s = math.sqrt(max(det_c, 0.25))

@@ -1,8 +1,8 @@
 """Two-mode Gaussian states: positivity, partial transpose, PPT separability,
 P-representability, and thermal-pair extraction.  One engine, ``verdicts_from_invariants``,
-decides on Python floats for one kernel (``classify2``) and on arrays for a stack
-(``invariant_verdicts``) or a scan block; the Q-matrix and determinant routes stay as criteria.
-Every margin, theirs too, is compared with ``linalg.band``: no tolerance is absolute.
+decides on Python floats for one kernel (``classify2``) and on arrays for a stack (``invariant_verdicts``)
+or a scan block (``states.family_invariants``); the Q-matrix and determinant routes stay as criteria.
+Every margin, theirs too, is compared with ``linalg.band``; C's rules are ``linalg.c_rules``.
 
 The covariance matrix is parameterized as
 
@@ -31,9 +31,6 @@ from .onemode import SqueezeMap
 _PT_SWAP = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
 # the flat indices of C's 2x2 blocks A, B, X: one C's determinants in one pass, with the stacks' complex product
 _BLOCKS = np.array([[[4 * r + c, 4 * r + c + 1], [4 * r + c + 4, 4 * r + c + 5]] for r, c in ((0, 0), (2, 2), (0, 2))])
-# C[i, j] of an EPR-family C is the coefficient of the swap i ^ j: I, X, Y or XY (``family_spectrum``)
-_SWAP = np.bitwise_xor.outer(np.arange(4), np.arange(4))
-_FAMILY_V = 0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -127,19 +124,6 @@ def build_C2(p: TwoModeMoments) -> GaussianKernel:
     return GaussianKernel._normal("C", assemble_c(p))  # assembled in normal form
 
 
-def family_spectrum(a, m1, ms, mc) -> list:
-    """The eigenvalues a + x m1 + y ms + xy mc, (x, y) = (1, 1), (1, -1), (-1, 1), (-1, -1), of an EPR-family
-    C = a I + m1 X + ms Y + mc XY, on floats or arrays.  X swaps z and z* within each mode and Y swaps the
-    modes; they commute, and ``_FAMILY_V``'s columns (1, x, y, xy)/2 are the eigenvectors in this order."""
-    return [a + m1 + ms + mc, a + m1 - ms - mc, a - m1 + ms - mc, a - m1 - ms + mc]
-
-
-def build_family(n: float, m1: float, ms: float, mc: float) -> GaussianKernel:
-    """The EPR-family C kernel (n1 = n2 = n, m1 = m2) and its closed-form pair, from its moments cast to float64 by numpy."""
-    c = np.array([n + 0.5, m1, ms, mc], dtype=float)
-    return GaussianKernel._closed(c[_SWAP], family_spectrum(*c.tolist()), _FAMILY_V)
-
-
 def moments_from_c(k: GaussianKernel) -> TwoModeMoments:
     _require_c(k)
     m = k.matrix
@@ -163,7 +147,7 @@ def trace_g2(k: GaussianKernel) -> float:
 def squared_kernel(k: GaussianKernel) -> GaussianKernel:
     """C matrix of the normalized square G^2 / Tr G^2: Cbar = C/2 + E C^-1 E / 8."""
     _require_c(k)
-    return GaussianKernel("C", 0.5 * k.matrix + 0.125 * convert(k, "W").matrix)
+    return GaussianKernel._normal("C", 0.5 * k.matrix + 0.125 * convert(k, "W").matrix)  # a sum in normal form
 
 
 def positivity_by_dets(k: GaussianKernel) -> bool:
@@ -218,7 +202,7 @@ def partial_transpose(k: GaussianKernel) -> GaussianKernel:
     """Transpose the first mode only; on moments m1 -> m1*, ms -> mc*, mc -> ms*."""
     if k.modes != 2:
         raise WrongModeCountError("partial transpose needs a two-mode kernel")
-    return GaussianKernel(k.kind, k.matrix[_PT_SWAP])
+    return GaussianKernel._normal(k.kind, k.matrix[_PT_SWAP])  # a permutation of normal form
 
 
 def separability_inequality(k: GaussianKernel) -> bool:
@@ -308,7 +292,7 @@ def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
     PRL 84, 2726 (2000); Serafini, PRL 96, 110402 (2006)), in the normalization where
     vacuum is C = I/2.  ``eig`` is C's four eigenvalues ascending, as Python floats for one C
     or arrays that broadcast against the block determinants: a stack, or the closed forms of
-    a scan family over a block of grid rows (``cli.scan_blocks``).  The same formulas, operators
+    a scan family over a block of grid rows (``states.family_invariants``).  The same formulas, operators
     and ``abs`` take both; only max, min and sqrt are picked for the type (``_elementwise``).
 
     With D = det C, the product of the eigenvalues, an existing C is positive iff
@@ -320,7 +304,7 @@ def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
     |eigenvalue| and |adj C| the sum of the eigenvalue triple products: det C
     carries a round-off of about eps |C| |adj C|, the 2x2 block determinants
     eps |C|^2.  s is of order tr C for pure states and of order (tr C)^2 for
-    mixed ones with a large symplectic eigenvalue.  Eigenvalues get band(tr C, 1).
+    mixed ones with a large symplectic eigenvalue.  C's existence and P rules are ``linalg.c_rules``.
     Every product stays finite while |C| <= ``linalg.MAX_SCALE``.
     """
     e0, e1, e2, e3 = eig
@@ -331,12 +315,12 @@ def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
     top = maximum(a0, a3)
     adj = a0 * a1 * (a2 + a3) + a2 * a3 * (a0 + a1)
     del a0, a1, a2, a3  # a lower peak of block-sized temporaries: fewer heap trims and page faults per block
-    tol, tol_lam = linalg.band(sqrt(top * (top + adj)), 2), linalg.band(e0 + e1 + e2 + e3, 1)
+    tol, (exists, p_rep) = linalg.band(sqrt(top * (top + adj)), 2), linalg.c_rules(e0, e0 + e1 + e2 + e3)
     slack = 0.25 + 4.0 * det_c - d_ab + tol  # the margins 1/4 + 4D - (dA + dB +- 2dX) >= -tol: slack >= +-2dX
-    positive = (e0 >= -tol_lam) & (excess >= -tol) & (slack >= dx2)
+    positive = exists & (excess >= -tol) & (slack >= dx2)
     # D within tol can be a mixed state with a large nu+; Delta - 1/2 >= nu+^2 - 1/4 then exceeds band(|C|, 2)
     pure = positive & (excess <= tol) & (d_ab + dx2 - 0.5 <= linalg.band(top, 2))
-    return InvariantVerdicts(positive, pure, positive & (slack >= -dx2), e0 - 0.5 > tol_lam, det_c, d_ab, dx, tol)
+    return InvariantVerdicts(positive, pure, positive & (slack >= -dx2), p_rep, det_c, d_ab, dx, tol)
 
 
 def _kernel_verdicts(k: GaussianKernel) -> InvariantVerdicts:
@@ -370,7 +354,7 @@ def product_thermal_kernel(g1: float, g2: float) -> GaussianKernel:
     Valid for -1 < g < 1; negative g gives a non-positive (diagnostic) kernel.
     """
     c1, c2 = (0.5 * (1.0 + g) / (1.0 - g) for g in (g1, g2))
-    return GaussianKernel("C", np.diag([c1, c1, c2, c2]))
+    return GaussianKernel._normal("C", np.diag([c1, c1, c2, c2]))
 
 
 def _require_c(k: GaussianKernel):

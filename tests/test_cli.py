@@ -38,7 +38,7 @@ def family_grid(case):
     family, ratio, mc_lo, mc_hi, mc_steps, n_lo, n_hi, n_steps = case
     mcs, ns = np.linspace(mc_lo, mc_hi, mc_steps), np.linspace(n_lo, n_hi, n_steps)
     mc, n = np.meshgrid(mcs, ns, indexing="ij")
-    eig, da, db, dx = cli._family_invariants(family, n, mc, ratio)
+    eig, da, db, dx = states.family_invariants(family, n, mc, ratio)
     return cli.ScanRequest(*case), mc, n, family_stack(family, n, mc, ratio), (np.stack(eig, axis=-1), da, db, dx)
 
 
@@ -180,7 +180,7 @@ class TestScan:
             ratio = 0.0 if family == "mixed_epr" else r
             points = [(n, f * b) for n in np.logspace(-6, 6, 61).tolist() for b in family_bounds(n, r)[family] for f in factors]
             ns, mcs = np.array(points).T
-            scan = twomode.verdicts_from_invariants(*cli._family_invariants(family, ns, mcs, ratio))
+            scan = twomode.verdicts_from_invariants(*states.family_invariants(family, ns, mcs, ratio))
             for i, (n, mc) in enumerate(points):
                 try:
                     v = twomode.classify2(getattr(states, family)(*((n, mc) if family == "mixed_epr" else (n, mc, ratio * mc))))
@@ -561,6 +561,18 @@ class TestBadInput:
         rep = rep.get("analytic", rep)
         assert code == 0 and err == ""
         assert rep["exists"] is True and rep["positive"] is False and rep["trace_g2"] is None
+
+    def test_one_mode_edge_at_lam_zero_gets_a_verdict(self, capsys):
+        # lam = n + 1/2 -+ |m| = 0 and 2: the kernel rule admits it, so classify and oracle answer
+        # (they printed {"exists": false} with exit 2) and wigner finds no W (it exited 2)
+        code, out, err = run(capsys, "classify", "--modes", "1", "--n", "0.5", "--m", "1")
+        rep = json.loads(out)
+        assert code == 0 and err == ""
+        assert rep["exists"] is True and rep["positive"] is False and rep["trace_g2"] is None
+        code, out, err = run(capsys, "oracle", "--modes", "1", "--n", "0.5", "--m", "1")
+        assert code == 0 and err == "" and json.loads(out)["analytic"] == rep
+        code, _, err = run(capsys, "wigner", "--n", "0.5", "--m", "1")
+        assert code == 3 and "min|eigenvalue|" in err and "Traceback" not in err
 
 
 class TestNegativeValues:

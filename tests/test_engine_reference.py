@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import family_stack
 
-from gausspair import cli, linalg, twomode
+from gausspair import linalg, states, twomode
 
 FIGURE_PAIRS = [("mixed_epr", 0.0), ("anti_epr", 0.5), ("anti_epr", 1.0), ("squeezed_epr", 0.5), ("squeezed_epr", 1.0)]
 FLAGS = ("positive", "pure", "ppt_separable", "p_representable")
@@ -48,7 +48,7 @@ def scan_grid(family, ratio, mc_lo, mc_hi, n_hi, steps):
     n in [0, n_hi], and the flags of the scan's engine on its closed-form invariants and of
     the LU copy, stacked in the order of ``FLAGS``."""
     mc, n = np.meshgrid(np.linspace(mc_lo, mc_hi, steps), np.linspace(0.0, n_hi, steps), indexing="ij")
-    invariants = cli._family_invariants(family, n, mc, ratio)
+    invariants = states.family_invariants(family, n, mc, ratio)
     c, eig = family_stack(family, n, mc, ratio), np.stack(invariants[0], axis=-1)
     v = twomode.verdicts_from_invariants(*invariants)
     return c, eig, np.stack([getattr(v, f) for f in FLAGS]), np.stack(lu_flags(c, eig))

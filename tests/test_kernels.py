@@ -147,7 +147,7 @@ def test_family_kernels_run_no_eigensolver(monkeypatch, build):
     twomode.classify2(k)
     assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0} and k._eig is None  # no eig array yet
     x, v = k.eig
-    assert x.tolist() == list(k.eigenvalues) and v is twomode._FAMILY_V and not x.flags.writeable
+    assert x.tolist() == list(k.eigenvalues) and v is states._FAMILY_V and not x.flags.writeable
     assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0} and _carried_pair_rebuilds(k)
 
 

@@ -1,11 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 
 from conftest import assert_close, one_mode_moments, two_mode_kernels
-from gausspair import kernels, linalg, onemode, states, twomode
+from gausspair import cli, kernels, linalg, onemode, states, twomode
 from gausspair.errors import DimensionMismatchError, SingularMatrixError, WrongModeCountError
-from gausspair.kernels import GaussianKernel
+from gausspair.kernels import GaussianKernel, convert
 
 # the fixed involutions, written out: T exchanges (z, z*) of every mode,
 # T1 of the first mode only
@@ -152,6 +154,46 @@ class TestBand:
         for degree in (1, 2, 3):
             got = np.array([linalg.band(x, degree) for x in xs])
             assert np.array_equal(got.view(np.uint64), linalg.band(np.array(xs), degree).view(np.uint64)), degree
+
+
+def _scan_text():
+    return "".join(cli.scan_blocks(cli.ScanRequest("anti_epr", 0.5, 0.0, 2.0, 9, 0.0, 2.0, 9)))
+
+
+class TestOneHomePerRule:
+    """C's existence and P rules (``c_rules``) and the singularity rule (``nonsingular``) are written
+    once, here: each caller goes through them, seen by counting wrappers on the module attributes."""
+
+    @pytest.mark.parametrize(
+        "action, callers",
+        [
+            (lambda: GaussianKernel("C", [[1.0, 0.2], [0.2, 1.0]]), {("_check", "c_rules")}),
+            (lambda: convert(states.mixed_epr(1.0, 0.3), "P"), {("convert", "c_rules"), ("convert", "nonsingular")}),
+            (lambda: convert(GaussianKernel("W", [[1.0, 0.2], [0.2, 1.0]]), "C"), {("reciprocal", "nonsingular"), ("_check", "c_rules")}),
+            (lambda: twomode.classify2(states.anti_epr(0.9, 0.5, 0.3)), {("verdicts_from_invariants", "c_rules")}),
+            (lambda: onemode.OneModeMoments(1.0, 0.3), {("__post_init__", "c_rules")}),
+            (lambda: onemode.classify(onemode.OneModeMoments(1.0, 0.3)), {("classify", "c_rules")}),
+            (_scan_text, {("verdicts_from_invariants", "c_rules")}),
+        ],
+        ids=["kernel-check", "convert", "reciprocal", "classify2", "one-mode-moments", "one-mode-classify", "scan-blocks"],
+    )
+    def test_each_caller_goes_through_the_rules(self, monkeypatch, action, callers):
+        seen = set()
+        for name in ("c_rules", "nonsingular"):
+            def counted(*args, rule=name, real=getattr(linalg, name)):
+                seen.add((sys._getframe(1).f_code.co_name, rule))
+                return real(*args)
+
+            monkeypatch.setattr(linalg, name, counted)
+        action()
+        assert callers <= seen, seen
+
+    def test_the_scan_decides_its_blocks_through_them(self, monkeypatch):
+        shapes = []
+        real = linalg.c_rules
+        monkeypatch.setattr(linalg, "c_rules", lambda low, trace: shapes.append(np.shape(low)) or real(low, trace))
+        _scan_text()
+        assert shapes == [(9, 9)]
 
 
 class TestInvert:

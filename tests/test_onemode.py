@@ -6,14 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import assert_close, one_mode_moments
-from gausspair import onemode
+from gausspair import linalg, onemode
 from gausspair.errors import (
     NotAStateError,
     NotPositiveError,
     NotPureError,
     NotRealBranchError,
 )
-from gausspair.kernels import convert
+from gausspair.kernels import GaussianKernel, convert
 from gausspair.onemode import OneModeMoments, SqueezeMap
 
 
@@ -49,6 +49,67 @@ class TestMomentsAndBuild:
         k = onemode.build_C(OneModeMoments(n, 0.0))
         for kind, s in (("W", 0.0), ("Q", 0.5), ("P", -0.5)):
             assert np.array_equal(convert(k, kind).matrix, np.eye(2) / (n + 0.5 + s)), kind
+
+
+class TestExistenceFollowsTheKernelRule:
+    """``OneModeMoments`` admits moments by ``linalg.c_rules`` on the eigenvalues ``build_C`` carries,
+    band and all, so no path refuses a kernel that another path accepted.  At the parent it refused
+    lam_min <= 0 with no band, and ``moments_from_c`` raised on accepted kernels at the edge."""
+
+    BANDS = (-2.0, -0.5, 0.0, 0.5)  # lam_min = n + 1/2 - |m| in units of band(2n + 1, 1)
+
+    @staticmethod
+    def edge(n: float, bands: float, phase: float) -> tuple[float, complex]:
+        a = n + 0.5
+        return a, (a - bands * linalg.band(2.0 * n + 1.0, 1)) * np.exp(1j * phase)
+
+    @staticmethod
+    def unchecked(n: float, m: complex) -> OneModeMoments:
+        p = object.__new__(OneModeMoments)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "m", m)
+        return p
+
+    @pytest.mark.parametrize("bands", BANDS)
+    @pytest.mark.parametrize("phase", [0.0, 0.7])
+    def test_moments_are_admitted_where_build_c_is(self, bands, phase):
+        for n in np.logspace(-6, 6, 25).tolist():
+            _, m = self.edge(n, bands, phase)
+            try:
+                onemode.build_C(self.unchecked(n, m))
+                built = True
+            except NotAStateError:
+                built = False
+            try:
+                OneModeMoments(n, m)
+                admitted = True
+            except NotAStateError:
+                admitted = False
+            assert admitted == built == (bands > -1.0), (n, bands)
+
+    @pytest.mark.parametrize("bands", BANDS)
+    @pytest.mark.parametrize("phase", [0.0, 0.7])
+    def test_moments_from_c_takes_every_accepted_kernel(self, bands, phase):
+        accepted = 0
+        for n in np.logspace(-6, 6, 25).tolist():
+            a, m = self.edge(n, bands, phase)
+            try:
+                k = GaussianKernel("C", [[a, m], [np.conj(m), a]])
+            except NotAStateError:
+                continue
+            accepted += 1
+            onemode.build_C(onemode.moments_from_c(k))
+        assert accepted == (0 if bands < -1.0 else 25)
+
+    def test_moments_of_the_singular_edge_kernel(self):
+        # lam = 0 and 2: the constructor accepts it, and it converts to Q
+        k = GaussianKernel("C", [[1.0, 1.0], [1.0, 1.0]])
+        assert onemode.moments_from_c(k) == OneModeMoments(0.5, 1.0)
+        assert convert(k, "Q").eigenvalues == pytest.approx((2.0, 0.4), rel=1e-15)
+
+    def test_the_refusal_message_is_kept(self):
+        with pytest.raises(NotAStateError, match=r"^n \+ 1/2 = 0.5 must exceed \|m\| = 1.0$"):
+            OneModeMoments(0.0, 1.0)
 
 
 class TestClassify:

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given
 
 from conftest import assert_close, differential_kernels, two_mode_kernels
-from gausspair import states, twomode
-from gausspair.errors import NotAStateError, NotPositiveError, NotPureError
-from gausspair.kernels import convert
+from gausspair import linalg, states, twomode
+from gausspair.errors import NotAStateError, NotPositiveError, NotPureError, SingularMatrixError
+from gausspair.kernels import GaussianKernel, convert
 from gausspair.twomode import TwoModeMoments, build_C2
 
 
@@ -184,6 +185,33 @@ class TestPartialTranspose:
         assert q.m2 == pytest.approx(p.m2)
         assert q.ms == pytest.approx(np.conj(p.mc))
         assert q.mc == pytest.approx(np.conj(p.ms))
+
+
+class TestInternalKernels:
+    """``partial_transpose``, ``squared_kernel`` and ``product_thermal_kernel`` build matrices already
+    in normal form (a permutation, a sum of two, a diagonal) through ``GaussianKernel._normal``, which
+    skips the check of outside input.  The public constructor gives the same pair bit for bit, and the
+    same matrix up to the sign of zero imaginary parts: a real kernel's assembled m* is m - 0j, which
+    the public normal form averages with an m + 0j to +0j."""
+
+    def test_bitwise_as_the_public_constructor(self, rng, monkeypatch):
+        built, checks = [], []
+        for k in differential_kernels(rng):
+            if k.modes != 2:
+                continue
+            v = twomode.classify2(k)
+            monkeypatch.setattr(linalg, "hermitian", lambda m, real=linalg.hermitian: checks.append(m) or real(m))
+            built += [twomode.partial_transpose(k), twomode.partial_transpose(convert(k, "W"))]
+            with contextlib.suppress(SingularMatrixError):  # no W at a singular C
+                built.append(twomode.squared_kernel(k))
+            if v.positive:
+                built.append(twomode.product_thermal_kernel(v.thermal.g1, v.thermal.g2))
+            monkeypatch.undo()
+        assert checks == [] and len(built) > 400
+        for k in built:
+            public = GaussianKernel(k.kind, k.matrix)
+            assert np.array_equal(public.matrix, k.matrix)
+            assert [a.tobytes() for a in public.eig] == [a.tobytes() for a in k.eig]
 
 
 class TestSeparability:
