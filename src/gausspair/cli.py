@@ -6,7 +6,8 @@ Exit codes: 0 ok, 2 not-a-state, 3 singular matrix, 4 not P-representable, 5 ora
 ``linalg.MAX_SCALE`` / 8 or a scan past ``linalg.MAX_SCALE``, a grid or scan axis of more than
 ``phasespace.MAX_SAMPLES`` points, a moment flag its input does not take, two-mode --n beside both
 --n1 and --n2, a non-real ``--family`` coupling, a nonzero mixed-epr ``--ratio``, an unreadable or
-malformed file).
+malformed file).  A kernel file refused where its kernel is built exits with one code for every
+``convert --to``; only what a target adds (3 singular for W, Q, P; 4 for P) depends on ``--to``.
 """
 
 from __future__ import annotations

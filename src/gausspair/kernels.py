@@ -8,15 +8,15 @@ with the representation it lives in.  The four forms of the same Gaussian operat
     P = E (C - I/2)^-1 E        (only if C - I/2 > 0)
 
 so all four share C's eigenvectors, conjugated by E, and have eigenvalues 1/(lam + s) for
-s = 0, 1/2, -1/2.  Every kernel holds C's eigenvalues lam as Python floats beside C's eigenvectors:
-from one ``eigh`` of outside input, which the public constructor checks (``linalg.hermitian``), or
-of assembled moments; from the closed-form pair of a one-mode or EPR-family C, with no eigensolver
-(``_closed``); or, for a kernel ``convert`` returns, its source's lam unchanged.  A W, Q or P built
-from a matrix derives lam = 1/x - s from its own eigenvalues x on its first conversion.  So a chain
-of conversions diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and
-forms a matrix only for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts
-compute on Python floats (``eigenvalues``).  C's existence and P rules and the singularity of
-C + sI are ``linalg``'s (``c_rules``, ``nonsingular``); this module holds no copy of them.
+s = 0, 1/2, -1/2.  Every kernel holds C's eigenvalues lam as Python floats beside C's eigenvectors
+from the moment it is made: from one ``eigh`` of outside input (checked by ``linalg.hermitian``) or
+of assembled moments, lam = 1/x - s of its own eigenvalues x for a W, Q or P; from the closed-form
+pair of a one-mode or EPR-family C, with no eigensolver (``_closed``); or, for a kernel ``convert``
+returns, its source's lam unchanged.  Every constructor checks lam once (``_check``), so ``convert``
+checks only what its target adds.  A chain of conversions diagonalizes at most once, maps lam once
+per kernel whose eigenvalues are read, and forms a matrix only for a kernel that is read.  ``convert``,
+``det`` and ``twomode``'s verdicts compute on Python floats (``eigenvalues``).  C's existence and P
+rules and the singularity of C + sI are ``linalg``'s (``c_rules``, ``nonsingular``), not this module's.
 """
 
 from __future__ import annotations
@@ -64,10 +64,8 @@ class GaussianKernel:
     @classmethod
     def _closed(cls, m, x, v: np.ndarray) -> "GaussianKernel":
         """The C kernel of a matrix m in normal form with its closed-form pair (x, v), x held as Python
-        floats: no eigensolver runs.  Finite eigenvalues bound every entry of m, so only x is checked."""
+        floats: no eigensolver runs.  Bounded eigenvalues bound every entry of m, so only x is checked."""
         x, m = tuple(map(float, x)), np.asarray(m, dtype=complex)
-        if not all(map(math.isfinite, x)):
-            raise ValueError("matrix has non-finite entries")
         _check("C", x)
         for a in (m, v):
             a.setflags(write=False)
@@ -81,12 +79,13 @@ class GaussianKernel:
         for a in (m, x, v, vc):
             a.setflags(write=False)
         xs = tuple(x.tolist())
-        _check(kind, xs)
-        return self._hold(kind, xs if kind == "C" else None, xs, vc, (x, v), m)
+        lam = xs if kind == "C" else tuple([y - _SHIFT[kind] for y in linalg.reciprocal(xs)])
+        _check(kind, lam)
+        return self._hold(kind, lam, xs, vc, (x, v), m)
 
-    def _hold(self, kind: str, lam: tuple | None, x: tuple | None, vc: np.ndarray, eig: tuple | None, m: np.ndarray | None):
-        """Set the slots, unchecked: C's eigenvalues lam (None until derived), the kernel's own x
-        (None until mapped), C's eigenvectors vc, the ``eig`` pair and the matrix (None until formed)."""
+    def _hold(self, kind: str, lam: tuple, x: tuple | None, vc: np.ndarray, eig: tuple | None, m: np.ndarray | None):
+        """Set the slots, unchecked: C's checked eigenvalues lam, the kernel's own x (None until
+        mapped), C's eigenvectors vc, the ``eig`` pair and the matrix (None until formed)."""
         self._kind, self._lam, self._x, self._vc, self._eig, self._matrix = kind, lam, x, vc, eig, m
         return self
 
@@ -135,42 +134,36 @@ class GaussianKernel:
         return math.prod(self.eigenvalues)
 
 
-def _check(kind: str, x: tuple) -> None:
-    """The rules of a C or P kernel on its own eigenvalues x."""
-    if kind == "C" and not linalg.c_rules(min(x), sum(x))[0]:
+def _check(kind: str, lam: tuple) -> None:
+    """The rules on C's eigenvalues lam that every kernel obeys from construction: each finite and at
+    most ``_ENTRY_BOUND`` in size, so that any C formed from them is; C exists (``linalg.c_rules``,
+    summed in ascending order as the engine sums); and a P kernel's C is P-representable."""
+    if not all(abs(y) <= _ENTRY_BOUND for y in lam):
+        raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
+    exists, p_representable = linalg.c_rules(min(lam), sum(sorted(lam)))
+    if not exists:
         raise NotAStateError("C matrix has a negative eigenvalue")
-    # a P kernel only exists when C - I/2 > 0 strictly, that is when P > 0;
-    # a small eigenvalue of P belongs to a large one of C, not to that boundary
-    if kind == "P" and min(x) <= 0.0:
-        raise NotAStateError("P matrix is not positive definite")
+    if kind == "P" and not p_representable:
+        raise NotPRepresentableError("C - I/2 has a non-positive eigenvalue")
 
 
 def convert(k: GaussianKernel, target: str) -> GaussianKernel:
     """Convert a kernel to the target representation.
 
-    The result holds the source's C eigenvalues lam and eigenvectors unchanged;
-    only the target's rules run, on lam as Python floats: ``linalg.c_rules`` for
-    C and P, and for W, Q and P ``linalg.nonsingular`` on |lam + s|.  The target's
-    eigenvalues, 1/(lam + s) for a kind other than C, must stay within
-    ``_ENTRY_BOUND``.  The result forms those eigenvalues and its arrays only when
-    they are read; every refusal is raised here.
+    The result holds the source's C eigenvalues lam and eigenvectors unchanged.
+    Its constructor checked lam, so only what the target adds runs, on lam as
+    Python floats: for C no rule; for P, ``_check``'s P rule; for W, Q and P,
+    ``linalg.nonsingular`` on |lam + s|, and the bound ``_ENTRY_BOUND`` on the
+    target's eigenvalues 1/(lam + s).  The result forms those eigenvalues and its
+    arrays only when they are read; every refusal of a conversion is raised here.
     """
     if target not in KINDS:
         raise ValueError(f"target must be one of {KINDS}, got {target!r}")
     if target == k._kind:
         return k
-    if k._lam is None:  # a W, Q or P built from a matrix derives lam = 1/x - s once, under reciprocal's rule
-        k._lam = tuple([y - _SHIFT[k._kind] for y in linalg.reciprocal(k._x)])
     lam = k._lam
-    if target == "C":
-        top = max(map(abs, lam))
-    else:
-        if target == "P" and not linalg.c_rules(min(lam), sum(sorted(lam)))[1]:  # summed as the engine sums
-            raise NotPRepresentableError("C - I/2 has a non-positive eigenvalue")
-        s = _SHIFT[target]
-        top = 1.0 / linalg.nonsingular([abs(y + s) for y in lam])  # max|1/(lam + s)|
-    if not top <= _ENTRY_BOUND:
-        raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
-    if target == "C":
-        _check("C", lam)
+    if target == "P":
+        _check("P", lam)
+    if target != "C" and not 1.0 / linalg.nonsingular([abs(y + _SHIFT[target]) for y in lam]) <= _ENTRY_BOUND:
+        raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")  # 1/min|lam + s| = max|1/(lam + s)|
     return object.__new__(GaussianKernel)._hold(target, lam, lam if target == "C" else None, k._vc, None, None)

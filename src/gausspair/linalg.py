@@ -30,13 +30,14 @@ _T_GATHER = {dim: np.arange(dim * dim).reshape(dim, dim).T[np.ix_(np.arange(dim)
 
 def hermitian(entries) -> np.ndarray:
     """Outside input as a kernel's matrix: a copy of ``entries`` in ``normal_form``.  It must be
-    2x2 or 4x4, and its anti-Hermitian part within ``band(max|M|, 1)`` (NaN is not).  Averaging
+    2x2 or 4x4, finite, and its anti-Hermitian part within ``band(max|M|, 1)``.  Averaging
     M with T M^T T leaves the associated Gaussian characteristic function unchanged."""
     m = np.array(entries, dtype=complex)
     if m.shape not in ((2, 2), (4, 4)):
         raise DimensionMismatchError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-    # written as "not <=" so that NaN entries are rejected too
-    if not np.abs(m - m.conj().T).max() <= band(np.abs(m).max(), 1):
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    if np.abs(m - m.conj().T).max() > band(np.abs(m).max(), 1):
         raise ValueError("matrix is not Hermitian within tolerance")
     return normal_form(m)
 

@@ -16,6 +16,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -31,6 +32,11 @@ FILES = {
     "not_a_state.json": {"modes": 1, "kind": "C", "matrix": [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]},
     "three_modes.json": {"modes": 3, "kind": "C", "matrix": [[1.0, 0.0]] * 36},
     "no_modes.json": {"modes": 0, "kind": "C", "matrix": []},
+    # refused where the kernel is built, so with one exit code for every --to: a W of no operator
+    # (lam = -2, 2/3), a P whose C is inside the P band (lam - 1/2 = 1e-15) and an all-NaN W
+    "no_operator_w.json": {"modes": 1, "kind": "W", "matrix": [[0.5, 0.0], [1.0, 0.0], [1.0, 0.0], [0.5, 0.0]]},
+    "p_band.json": {"modes": 2, "kind": "P", "matrix": [[1e15 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]},
+    "nan_w.json": {"modes": 1, "kind": "W", "matrix": [[math.nan, math.nan]] * 4},
 }
 
 

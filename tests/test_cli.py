@@ -329,6 +329,36 @@ class TestConvert:
         assert code == 3
 
 
+def _kernel_file(kind: str, rows) -> dict:
+    """The JSON of a kernel file of ``kind`` holding the matrix ``rows``."""
+    m = np.asarray(rows, dtype=complex)
+    return {"modes": len(m) // 2, "kind": kind, "matrix": [[x.real, x.imag] for x in m.ravel().tolist()]}
+
+
+class TestConvertExitDependsOnTheFile:
+    """A kernel file is refused where its kernel is built, so ``convert`` exits with one code for
+    every ``--to``: it exited 0 for some targets on each of these files."""
+
+    @pytest.mark.parametrize("target", ["W", "Q", "C", "P"])
+    @pytest.mark.parametrize(
+        "obj, code, says",
+        [
+            # lam = -2 and 2/3: no operator
+            (_kernel_file("W", [[0.5, 1.0], [1.0, 0.5]]), 2, "negative eigenvalue"),
+            (_kernel_file("W", np.diag([0.0, 0.0, 1.0, 1.0])), 3, "min|eigenvalue|"),
+            # lam - 1/2 = 1e-15, well within band(tr C, 1) = 7e-15
+            (_kernel_file("P", 1e15 * np.eye(4)), 4, "C - I/2"),
+            (_kernel_file("W", np.full((2, 2), math.nan)), 64, "non-finite"),
+        ],
+        ids=["no-operator-w", "singular-w", "p-band", "nan-w"],
+    )
+    def test_one_exit_code_for_every_target(self, capsys, tmp_path, obj, code, says, target):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(obj))
+        got, out, err = run(capsys, "convert", "--in", str(path), "--to", target)
+        assert (got, out) == (code, "") and says in err and "Traceback" not in err
+
+
 class TestOracle:
     def test_thermal_agreement(self, capsys):
         code, out, _ = run(capsys, "oracle", "--modes", "1", "--n", "0.5", "--m", "0")

@@ -2,8 +2,10 @@
 process through ``cli.main`` (or ``reproduce_figures.py --steps 201``) gives its recorded digest.
 
 The lines cover ``classify`` on the three EPR families and on one-mode moments, the edge
-|m| = n + 1/2 included; every refusal of ``test_cli.TestBadInput``; input past the verdict range;
-scans of the five figure pairs and of other grids; and the scan CSVs of ``reproduce_figures.py``.
+|m| = n + 1/2 included; every refusal of ``test_cli.TestBadInput``; the kernel files of
+``test_cli.TestConvertExitDependsOnTheFile`` but the singular W, whose message prints an eigenvalue
+from LAPACK; input past the verdict range; scans of the five figure pairs and of other grids; and
+the scan CSVs of ``reproduce_figures.py``.
 Each of these computes on closed forms and Python floats, so its bytes do not depend on the CPU.
 
 Left out are the outputs that pass through LAPACK or numpy's ``exp``, whose last bits can differ

@@ -1,10 +1,11 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import assert_close, differential_kernels, one_mode_moments, two_mode_kernels
+from conftest import assert_close, differential_kernels, one_mode_moments, random_one_mode, random_two_mode, two_mode_kernels
 from gausspair import kernels, linalg, onemode, states, twomode
 from gausspair.errors import NotAStateError, NotPRepresentableError, SingularMatrixError
 from gausspair.kernels import GaussianKernel, convert
@@ -169,7 +170,8 @@ def test_carried_pair_rebuilds_every_converted_matrix(n, chain):
     [
         (lambda: GaussianKernel("C", [[1.0, 1.0], [1.0, 1.0]]), "W", SingularMatrixError, "min|eigenvalue|"),
         (lambda: onemode.build_C(onemode.OneModeMoments(1.0, np.sqrt(2.0))), "P", NotPRepresentableError, "C - I/2"),
-        (lambda: GaussianKernel("W", [[0.5, 1.0], [1.0, 0.5]]), "C", NotAStateError, "negative"),
+        # the entries of a W of no operator: refused where the W is built, after its one eigh
+        (lambda: [[0.5, 1.0], [1.0, 0.5]], "W", NotAStateError, "negative"),
         # W = 1e308 I would overflow V diag(x) V^dag + its adjoint
         (lambda: GaussianKernel("C", 1e-308 * np.eye(2)), "W", ValueError, "non-finite"),
     ],
@@ -177,10 +179,11 @@ def test_carried_pair_rebuilds_every_converted_matrix(n, chain):
 )
 def test_convert_refuses_at_the_call_before_forming_a_matrix(monkeypatch, kernel, target, error, says):
     k = kernel()
+    built = isinstance(k, GaussianKernel)
     calls = _count_calls(monkeypatch)
     with pytest.raises(error, match=says):
-        convert(k, target)
-    assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0}
+        convert(k, target) if built else GaussianKernel(target, k)
+    assert calls == {"eigh": 0 if built else 1, "eigvalsh": 0, "formed": 0}
 
 
 def test_eigenvalue_near_the_bound_forms_a_finite_matrix():
@@ -189,10 +192,78 @@ def test_eigenvalue_near_the_bound_forms_a_finite_matrix():
 
 
 def test_carried_c_eigenvalue_below_band_is_not_a_state():
-    # W's eigenvalue -1/2 maps to C's eigenvalue -2 with no new eigensolve
-    w = GaussianKernel("W", [[0.5, 1.0], [1.0, 0.5]])
+    # W's eigenvalue -1/2 maps to C's eigenvalue -2 where the W is built, so no conversion of it exists
     with pytest.raises(NotAStateError):
-        convert(w, "C")
+        GaussianKernel("W", [[0.5, 1.0], [1.0, 0.5]])
+
+
+def test_conversion_to_c_runs_no_rule(monkeypatch):
+    # every kernel's C eigenvalues were checked where it was made, so C adds no rule
+    sources = [GaussianKernel(kind, [[1.0, 0.2], [0.2, 1.0]]) for kind in "WQP"] + [convert(states.mixed_epr(1.0, 0.3), "P")]
+
+    def refuse(*args):
+        raise AssertionError("a rule ran")
+
+    for name in ("c_rules", "nonsingular", "reciprocal"):
+        monkeypatch.setattr(linalg, name, refuse)
+    monkeypatch.setattr(kernels, "_check", refuse)
+    for k in sources:
+        assert convert(k, "C").eigenvalues == k._lam
+
+
+def _kind_matrix(c, kind, low):
+    """The normal-form matrix of ``kind`` whose C has the eigenvectors of the kernel c and its
+    eigenvalues shifted so that their least is low: E V diag(1/(lam + s)) V^dag E."""
+    x, v = c.eig
+    lam = x - x.min() + low
+    ev = kernels._E_SIGN[len(v)] * v
+    return linalg.hermitian((ev / (lam + kernels._SHIFT[kind])) @ ev.conj().T)
+
+
+def _rule_refusal(kind, m):
+    """The error of the first of C's rules that the matrix m of ``kind`` breaks, or None: m's
+    eigenvalues x nonsingular, lam = 1/x - s bounded, C existing and, for P, P-representable."""
+    try:
+        lam = [y - kernels._SHIFT[kind] for y in linalg.reciprocal(np.linalg.eigh(m)[0].tolist())]
+    except SingularMatrixError:
+        return SingularMatrixError
+    if not max(map(abs, lam)) <= kernels._ENTRY_BOUND:
+        return ValueError
+    exists, p_representable = linalg.c_rules(min(lam), sum(sorted(lam)))
+    return None if exists and (kind != "P" or p_representable) else NotPRepresentableError if exists else NotAStateError
+
+
+def test_construction_decides_every_conversion(rng):
+    # W, Q and P whose C has lam_min at -2, 0 and +2 bands (each moved by 0.1 to 1 band) around
+    # 0 and 1/2: the constructor refuses exactly where a rule fails, and no accepted kernel is
+    # refused as no state by any chain of conversions; an accepted P converts to every kind
+    outcomes = collections.Counter()
+    for i in range(170):
+        c = twomode.build_C2(random_two_mode(rng)) if i % 2 else onemode.build_C(random_one_mode(rng))
+        trace = float(np.sum(c.eig[0] - min(c.eigenvalues)))
+        for kind in "WQP":
+            for center in (0.0, 0.5):
+                for bands in (-2, 0, 2):
+                    jitter = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0)  # lam_min + s is never 0
+                    low = center + (bands + jitter) * linalg.band(trace + c.dim * center, 1)
+                    m = _kind_matrix(c, kind, low)
+                    want = _rule_refusal(kind, m)
+                    outcomes[kind, want] += 1
+                    if want is not None:
+                        with pytest.raises(want):
+                            GaussianKernel(kind, m)
+                        continue
+                    k = GaussianKernel(kind, m)
+                    for chain in ("CWQPC", "WPQCW", "QCPWQ", "PCWQP"):
+                        cur = k
+                        for target in chain:
+                            try:
+                                cur = convert(cur, target)
+                            except (SingularMatrixError, NotPRepresentableError):
+                                assert kind != "P"
+                                break
+    assert all(outcomes[kind, None] > 100 and outcomes[kind, NotAStateError] > 100 for kind in "WQP"), outcomes
+    assert outcomes["W", SingularMatrixError] > 10 and outcomes["P", NotPRepresentableError] > 100, outcomes
 
 
 def test_p_kernel_not_positive_definite_is_refused():
