@@ -11,12 +11,13 @@ so all four share C's eigenvectors, conjugated by E, and have eigenvalues 1/(lam
 s = 0, 1/2, -1/2.  Every kernel holds C's eigenvalues lam as Python floats beside C's eigenvectors
 from the moment it is made: from one ``eigh`` of outside input (checked by ``linalg.hermitian``) or
 of assembled moments, lam = 1/x - s of its own eigenvalues x for a W, Q or P; from the closed-form
-pair of a one-mode or EPR-family C, with no eigensolver (``_closed``); or, for a kernel ``convert``
-returns, its source's lam unchanged.  Every constructor checks lam once (``_check``), so ``convert``
-checks only what its target adds.  A chain of conversions diagonalizes at most once, maps lam once
-per kernel whose eigenvalues are read, and forms a matrix only for a kernel that is read.  ``convert``,
-``det`` and ``twomode``'s verdicts compute on Python floats (``eigenvalues``).  C's existence and P
-rules and the singularity of C + sI are ``linalg``'s (``c_rules``, ``nonsingular``), not this module's.
+pair of a one-mode or EPR-family C, with no eigensolver (``_closed``), which forms its matrix only
+when it is read and, for two modes, carries C's block determinants (dA, dB, dX) as well; or, for a
+kernel ``convert`` returns, its source's lam and (dA, dB, dX) unchanged.  Every constructor checks
+lam once (``_check``), so ``convert`` checks only what its target adds.  A chain of conversions
+diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and forms a matrix
+only for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts compute on Python
+floats.  C's existence and P rules and the singularity of C + sI are ``linalg``'s (``c_rules``, ``nonsingular``).
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ _ENTRY_BOUND = sys.float_info.max / 4  # V diag(x) V^dag has entries <= max|x| (
 class GaussianKernel:
     """A representation-tagged Gaussian kernel; ``matrix`` is its read-only normal-form array,
     ``eig`` its read-only pair (x, V), x unsorted, and ``eigenvalues`` that x as Python floats.
-    The matrix is V diag(x) V^dag to round-off: the one it was built from, or, for a kernel that
-    ``convert`` returns, formed when first read, as ``eig`` and, for W, Q and P, x = 1/(lam + s)
-    are where no ``eigh`` ran.  Each kind keeps C's eigenvalues lam and eigenvectors (V = E V_C
-    otherwise), so ``convert`` copies no array and maps no eigenvalue."""
+    The matrix is V diag(x) V^dag to round-off: the one it was built from, or formed when first
+    read, by a closed-form C's closed form or, for a kernel that ``convert`` returns, from ``eig``;
+    ``eig`` and, for W, Q and P, x = 1/(lam + s) are formed where no ``eigh`` ran.  Each kind keeps
+    C's eigenvalues lam and eigenvectors (V = E V_C otherwise), and C's block determinants once
+    known, so ``convert`` copies no array and maps no eigenvalue."""
 
     # private slots behind read-only properties: the public surface cannot be assigned
-    __slots__ = ("_kind", "_lam", "_x", "_vc", "_eig", "_matrix")
+    __slots__ = ("_kind", "_lam", "_x", "_vc", "_eig", "_matrix", "_dets")
 
     def __init__(self, kind: str, entries):
         """The kernel of outside input, which ``linalg.hermitian`` checks and copies: one ``eigh``."""
@@ -62,14 +64,12 @@ class GaussianKernel:
         return object.__new__(cls)._of(kind, m)
 
     @classmethod
-    def _closed(cls, m, x, v: np.ndarray) -> "GaussianKernel":
-        """The C kernel of a matrix m in normal form with its closed-form pair (x, v), x held as Python
-        floats: no eigensolver runs.  Bounded eigenvalues bound every entry of m, so only x is checked."""
-        x, m = tuple(map(float, x)), np.asarray(m, dtype=complex)
+    def _closed(cls, form, x, v: np.ndarray, dets: tuple | None = None) -> "GaussianKernel":
+        """The C kernel with its closed-form pair (x, read-only v) and block determinants ``dets``: no eigensolver
+        runs, and ``form()`` makes its matrix in normal form when read.  Bounded x bound every entry, so only x is checked."""
+        x = tuple(map(float, x))
         _check("C", x)
-        for a in (m, v):
-            a.setflags(write=False)
-        return object.__new__(cls)._hold("C", x, x, v, None, m)
+        return object.__new__(cls)._hold("C", x, x, v, None, form, dets)
 
     def _of(self, kind: str, m: np.ndarray) -> "GaussianKernel":
         if kind not in KINDS:
@@ -81,12 +81,12 @@ class GaussianKernel:
         xs = tuple(x.tolist())
         lam = xs if kind == "C" else tuple([y - _SHIFT[kind] for y in linalg.reciprocal(xs)])
         _check(kind, lam)
-        return self._hold(kind, lam, xs, vc, (x, v), m)
+        return self._hold(kind, lam, xs, vc, (x, v), m, None)
 
-    def _hold(self, kind: str, lam: tuple, x: tuple | None, vc: np.ndarray, eig: tuple | None, m: np.ndarray | None):
-        """Set the slots, unchecked: C's checked eigenvalues lam, the kernel's own x (None until
-        mapped), C's eigenvectors vc, the ``eig`` pair and the matrix (None until formed)."""
-        self._kind, self._lam, self._x, self._vc, self._eig, self._matrix = kind, lam, x, vc, eig, m
+    def _hold(self, kind: str, lam: tuple, x: tuple | None, vc: np.ndarray, eig: tuple | None, m, dets: tuple | None):
+        """Set the slots, unchecked: C's checked eigenvalues lam, the kernel's own x (None until mapped), C's eigenvectors
+        vc, the ``eig`` pair, the matrix (until formed, its closed form or None) and C's (dA, dB, dX) (or None)."""
+        self._kind, self._lam, self._x, self._vc, self._eig, self._matrix, self._dets = kind, lam, x, vc, eig, m, dets
         return self
 
     @property
@@ -111,12 +111,16 @@ class GaussianKernel:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:  # a converted kernel: V diag(x) V^dag, hermitized, on first read
-            x, v = self.eig
-            m = linalg.hermitian_part((v * x) @ v.conj().T)  # finite: convert bounds max|x|
+        m = self._matrix
+        if not isinstance(m, np.ndarray):  # formed on first read: a closed form, or V diag(x) V^dag, hermitized
+            if m is None:
+                x, v = self.eig
+                m = linalg.hermitian_part((v * x) @ v.conj().T)  # finite: convert bounds max|x|
+            else:
+                m = np.asarray(m(), dtype=complex)
             m.setflags(write=False)
             self._matrix = m
-        return self._matrix
+        return m
 
     sym = matrix  # the old name, kept for the traced probe in perfbench/workloads.py
 
@@ -150,8 +154,8 @@ def _check(kind: str, lam: tuple) -> None:
 def convert(k: GaussianKernel, target: str) -> GaussianKernel:
     """Convert a kernel to the target representation.
 
-    The result holds the source's C eigenvalues lam and eigenvectors unchanged.
-    Its constructor checked lam, so only what the target adds runs, on lam as
+    The result holds the source's C eigenvalues lam, eigenvectors and block determinants
+    unchanged.  Its constructor checked lam, so only what the target adds runs, on lam as
     Python floats: for C no rule; for P, ``_check``'s P rule; for W, Q and P,
     ``linalg.nonsingular`` on |lam + s|, and the bound ``_ENTRY_BOUND`` on the
     target's eigenvalues 1/(lam + s).  The result forms those eigenvalues and its
@@ -166,4 +170,4 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
         _check("P", lam)
     if target != "C" and not 1.0 / linalg.nonsingular([abs(y + _SHIFT[target]) for y in lam]) <= _ENTRY_BOUND:
         raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")  # 1/min|lam + s| = max|1/(lam + s)|
-    return object.__new__(GaussianKernel)._hold(target, lam, lam if target == "C" else None, k._vc, None, None)
+    return object.__new__(GaussianKernel)._hold(target, lam, lam if target == "C" else None, k._vc, None, None, k._dets)

@@ -37,18 +37,23 @@ def hermitian(entries) -> np.ndarray:
         raise DimensionMismatchError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    if np.abs(m - m.conj().T).max() > band(np.abs(m).max(), 1):
+    h = 0.5 * m  # halved before any sum, exactly, so no sum of finite entries overflows
+    if np.abs(h - h.conj().T).max() > band(np.abs(h).max(), 1):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return normal_form(m)
+    return _normal_form_of_half(h)
 
 
 SymMatrix = hermitian  # the old name, kept for perfbench/workloads.py, which builds its general kernels through it
 
 
 def normal_form(m: np.ndarray) -> np.ndarray:
-    """The T-symmetric Hermitian part of m: the average with T m^T T, then with m^dag."""
-    m = 0.5 * (m + m.take(_T_GATHER[len(m)]))
-    return 0.5 * (m + m.conj().T)
+    """The T-symmetric Hermitian part of m: its average with T m^T T, then with m^dag, each halving first so no sum overflows."""
+    return _normal_form_of_half(0.5 * m)
+
+
+def _normal_form_of_half(h: np.ndarray) -> np.ndarray:  # normal_form(2h)
+    h = 0.5 * (h + h.take(_T_GATHER[len(h)]))
+    return h + h.conj().T
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ m = -<a^2>; the covariance matrix is C = [[n+1/2, m], [m*, n+1/2]].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,10 +73,11 @@ class SqueezedWavefunction:
 def build_C(p: OneModeMoments) -> GaussianKernel:
     """The C kernel, carrying its closed-form pair: lam = n + 1/2 -+ |m| with
     eigenvectors (1, -+e^{-i arg m}) / sqrt 2, or the unit vectors of a diagonal C (m = 0),
-    so that its conversions stay exactly diagonal."""
+    so that its conversions stay exactly diagonal.  Its matrix is formed when first read."""
     a, u = p.n + 0.5, np.exp(-1j * np.angle(p.m))
     v = np.array([[1.0, 1.0], [-u, u]]) * math.sqrt(0.5) if p.m else np.eye(2, dtype=complex)
-    return GaussianKernel._closed([[a, p.m], [np.conj(p.m), a]], _eigenvalues(p), v)  # in normal form as assembled
+    v.setflags(write=False)
+    return GaussianKernel._closed(functools.partial(np.array, [[a, p.m], [np.conj(p.m), a]]), _eigenvalues(p), v)  # in normal form
 
 
 def _eigenvalues(p: OneModeMoments) -> tuple[float, float]:

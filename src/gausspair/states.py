@@ -1,9 +1,10 @@
 """Constructors for the example state families: EPR variants with their closed-form eigenpair, pure D-states, Bell record.
-An EPR-family C is a I + m1 X + ms Y + mc XY (X swaps z and z* in each mode, Y the modes); its constructors and a scan's
-``family_invariants`` read the same ``family_spectrum``, so a family kernel and its scan point decide alike."""
+An EPR-family C is a I + m1 X + ms Y + mc XY (X swaps z and z* in each mode, Y the modes); its builders, on Python floats,
+and a scan's ``family_invariants`` read the same ``family_spectrum`` and ``family_dets``, so the two decide alike."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ FAMILIES = {"mixed_epr": ("mc",), "anti_epr": ("mc", "ms"), "squeezed_epr": ("mc
 # C[i, j] of an EPR-family C is the coefficient of the swap i ^ j: I, X, Y or XY
 _SWAP = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 _FAMILY_V = 0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=complex)
+_FAMILY_V.setflags(write=False)  # every family kernel holds it as its eigenvectors
 
 
 def family_spectrum(a, m1, ms, mc) -> list:
@@ -26,23 +28,27 @@ def family_spectrum(a, m1, ms, mc) -> list:
     return [a + m1 + ms + mc, a + m1 - ms - mc, a - m1 + ms - mc, a - m1 - ms + mc]
 
 
+def family_dets(a, m1, ms, mc) -> tuple:
+    """(dA, dB, dX) of a I + m1 X + ms Y + mc XY: its blocks [[a, m1], [m1, a]] and [[ms, mc], [mc, ms]]'s determinants."""
+    da = a * a - m1 * m1
+    return da, da, ms * ms - mc * mc
+
+
 def build_family(n: float, m1: float, ms: float, mc: float) -> GaussianKernel:
-    """The EPR-family C kernel and its closed-form pair, from its moments cast to float64 by numpy."""
-    c = np.array([n + 0.5, m1, ms, mc], dtype=float)
-    return GaussianKernel._closed(c[_SWAP], family_spectrum(*c.tolist()), _FAMILY_V)
+    """The EPR-family C kernel, its closed-form pair and block determinants, on its moments as Python floats."""
+    c = float(n + 0.5), float(m1), float(ms), float(mc)
+    return GaussianKernel._closed(functools.partial(np.take, c, _SWAP), family_spectrum(*c), _FAMILY_V, family_dets(*c))
 
 
 def family_invariants(family: str, n: np.ndarray, mc: np.ndarray, ratio: float) -> tuple:
     """The invariants ``twomode.verdicts_from_invariants`` reads of ``family``'s C at every (mc, n) they
-    broadcast to, its second coupling ratio * mc: ``family_spectrum`` ascending, dA = dB = a a - m1 m1
-    and dX = ms ms - mc mc, the determinants of the blocks [[a, m1], [m1, a]] and [[ms, mc], [mc, ms]]."""
+    broadcast to, its second coupling ratio * mc: ``family_spectrum`` ascending and ``family_dets``."""
     couplings = dict(zip(FAMILIES[family], (mc, ratio * mc)))
     a, m1, ms = n + 0.5, couplings.get("m", 0.0), couplings.get("ms", 0.0)
     eig = family_spectrum(a, m1, ms, mc)
     for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):  # a sorting network of compare-exchange pairs
         eig[i], eig[j] = np.minimum(eig[i], eig[j]), np.maximum(eig[i], eig[j])
-    da = a * a - m1 * m1
-    return eig, da, da, ms * ms - mc * mc
+    return (eig, *family_dets(a, m1, ms, mc))
 
 
 def mixed_epr(n: float, mc: float) -> GaussianKernel:

@@ -250,9 +250,7 @@ def pure_marginal_separability(k: GaussianKernel, which: int = 1) -> bool:
         raise ValueError("which must be 1 or 2")
     if not purity2(k):
         raise NotPureError("marginal criterion only applies to pure states")
-    at = 2 * (which - 1)
-    margin = _det2(k.matrix, at, at) - 0.25
-    return bool(abs(margin) <= linalg.band(np.trace(k.matrix).real, 2))
+    return bool(abs(_block_dets(k)[which - 1] - 0.25) <= linalg.band(np.trace(k.matrix).real, 2))
 
 
 def local_squeeze_map(theta1: float, theta2: float) -> np.ndarray:
@@ -323,12 +321,17 @@ def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
     return InvariantVerdicts(positive, pure, positive & (slack >= -dx2), p_rep, det_c, d_ab, dx, tol)
 
 
+def _block_dets(k: GaussianKernel) -> tuple:
+    """A C kernel's carried (dA, dB, dX), else its matrix's, once, with the stacks' complex products: kept on it."""
+    if k._dets is None:
+        k._dets = tuple(_det2(k.matrix.take(_BLOCKS), 0, 0).tolist())
+    return k._dets
+
+
 def _kernel_verdicts(k: GaussianKernel) -> InvariantVerdicts:
-    """One C kernel's verdicts, on Python floats: the eigenvalues it carries, which ``convert``
-    reads, and the block determinants of its matrix."""
+    """One C kernel's verdicts, on Python floats: the eigenvalues and block determinants it carries."""
     _require_c(k)
-    da, db, dx = _det2(k.matrix.take(_BLOCKS), 0, 0).tolist()
-    return verdicts_from_invariants(sorted(k.eigenvalues), da, db, dx)
+    return verdicts_from_invariants(sorted(k.eigenvalues), *_block_dets(k))
 
 
 def classify2(k: GaussianKernel) -> TwoModeVerdict:

@@ -502,6 +502,8 @@ class TestBadInput:
             (["convert", "--in", "{no_matrix}", "--to", "W"], 64, "matrix"),
             (["convert", "--in", "{missing}", "--to", "W"], 64, "No such file"),
             (["convert", "--in", "{not_a_state}", "--to", "W"], 2, "negative eigenvalue"),
+            # entries past half the largest float: the normal form overflowed to nan, with RuntimeWarnings
+            (["convert", "--in", "{huge_c}", "--to", "C"], 64, "an eigenvalue overflows it"),
             (["classify", "--modes", "2", "--mc", "1"], 64, "needs --n or both --n1 and --n2"),
             (["classify", "--modes", "2", "--n1", "1", "--mc", "0.5"], 64, "needs --n or both --n1 and --n2"),
             (["classify", "--modes", "2", "--family", "mixed-epr", "--n", "1"], 64, "--family needs --n and --mc"),
@@ -556,7 +558,7 @@ class TestBadInput:
              "two-mode input takes --n only for a missing --n1 or --n2"),
         ],
         ids=["n-nan", "n-inf", "mc-nan", "wigner-nan", "one-step", "no-matrix", "missing-file",
-             "not-a-state-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n", "oracle-singular",
+             "not-a-state-file", "huge-c-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n", "oracle-singular",
              "oracle-cutoff-too-large", "wavefun-negative-nbar", "wavefun-nbar-past-bound", "wigner-singular-edge",
              "three-mode-file", "zero-mode-file", "family-complex-m", "family-complex-mc", "family-foreign-ms",
              "family-foreign-n1", "oracle-family-complex-m", "oracle-family-complex-mc", "oracle-family-foreign-m",
@@ -566,13 +568,15 @@ class TestBadInput:
              "wavefun-samples-past-bound", "two-mode-n-beside-n1-n2", "oracle-two-mode-n-beside-n1-n2"],
     )
     def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code, says):
-        names = ("no_matrix", "missing", "not_a_state", "three_modes", "no_modes")
+        names = ("no_matrix", "missing", "not_a_state", "three_modes", "no_modes", "huge_c")
         paths = {name: tmp_path / f"{name}.json" for name in names}
         paths["no_matrix"].write_text(json.dumps({"modes": 1, "kind": "C"}))
         negative = {"modes": 1, "kind": "C", "matrix": [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}
         paths["not_a_state"].write_text(json.dumps(negative))
         paths["three_modes"].write_text(json.dumps({"modes": 3, "kind": "C", "matrix": [[1.0, 0.0]] * 36}))
         paths["no_modes"].write_text(json.dumps({"modes": 0, "kind": "C", "matrix": []}))
+        huge = {"modes": 1, "kind": "C", "matrix": [[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [1e308, 0.0]]}
+        paths["huge_c"].write_text(json.dumps(huge))
         try:
             got = main([a.format(**paths) for a in argv])
         except SystemExit as exc:  # argparse rejects the value itself

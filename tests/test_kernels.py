@@ -1,9 +1,11 @@
 import collections
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import assert_close, differential_kernels, one_mode_moments, random_one_mode, random_two_mode, two_mode_kernels
 from gausspair import kernels, linalg, onemode, states, twomode
@@ -128,7 +130,8 @@ def test_one_eigensolve_per_chain(monkeypatch):
         chain = [k]
         for target in "WQPC":
             chain.append(convert(chain[-1], target))
-        # the built C holds its assembled matrix: none is formed until the chain's last kernel is read
+        # the family C forms its matrix only when read and the built C2 holds its assembled one:
+        # none is formed from a pair until the chain's last kernel is read
         assert calls == {"eigh": eighs, "eigvalsh": 0, "formed": 0}
         back = chain[-1].matrix
         assert calls == {"eigh": eighs, "eigvalsh": 0, "formed": 1}
@@ -144,12 +147,72 @@ def test_one_eigensolve_per_chain(monkeypatch):
 )
 def test_family_kernels_run_no_eigensolver(monkeypatch, build):
     calls = _count_calls(monkeypatch)
+    det2 = collections.Counter()
+    monkeypatch.setattr(twomode, "_det2", lambda *args, real=twomode._det2: det2.update(["calls"]) or real(*args))
     k = build()
     twomode.classify2(k)
-    assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0} and k._eig is None  # no eig array yet
+    twomode.trace_g2(k)
+    convert(convert(convert(k, "W"), "Q"), "C")
+    # the verdict reads the carried eigenvalues and block determinants: no array is made or read
+    assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0} and not det2 and k._eig is None
+    assert not isinstance(k._matrix, np.ndarray)
     x, v = k.eig
     assert x.tolist() == list(k.eigenvalues) and v is states._FAMILY_V and not x.flags.writeable
     assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0} and _carried_pair_rebuilds(k)
+    assert not states._FAMILY_V.flags.writeable
+
+
+@pytest.mark.parametrize("m", [0.0, 0.3, 0.2 - 0.4j], ids=["diagonal", "real", "complex"])
+def test_one_mode_kernels_form_their_matrix_only_when_read(monkeypatch, m):
+    calls = _count_calls(monkeypatch)
+    p = onemode.OneModeMoments(0.7, m)
+    k = onemode.build_C(p)
+    onemode.classify(p)
+    onemode.purity_from_wigner(convert(k, "W"))
+    convert(convert(convert(k, "W"), "Q"), "C")
+    assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0} and not isinstance(k._matrix, np.ndarray)
+    a = p.n + 0.5
+    want = np.array([[a, m], [np.conj(m), a]], dtype=complex)
+    assert k.matrix.tobytes() == want.tobytes() and k.matrix is k.matrix and not k.matrix.flags.writeable
+    assert not k.eig[1].flags.writeable and calls["formed"] == 0
+
+
+_FAMILY_BUILDS = {
+    "mixed_epr": (lambda n, f, g: states.mixed_epr(n, f * (n + 0.5)), lambda n, f, g: (0.0, 0.0, f * (n + 0.5))),
+    "anti_epr": (lambda n, f, g: states.anti_epr(n, f * (n + 0.5), g * (n + 0.5)),
+                 lambda n, f, g: (0.0, g * (n + 0.5), f * (n + 0.5))),
+    "squeezed_epr": (lambda n, f, g: states.squeezed_epr(n, f * (n + 0.5), g * (n + 0.5)),
+                     lambda n, f, g: (g * (n + 0.5), 0.0, f * (n + 0.5))),
+    "smoothed_epr": (lambda n, f, g: states.smoothed_epr(states.SmoothedEprParam(n)),
+                     lambda n, f, g: (0.0, 0.0, -math.sqrt(n * (n + 1.0)))),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_BUILDS))
+@given(n=st.floats(1e-6, 1e6), f=st.floats(-0.45, 0.45), g=st.floats(-0.45, 0.45))
+def test_carried_block_determinants_are_those_of_the_formed_matrix(family, n, f, g):
+    build, couplings = _FAMILY_BUILDS[family]
+    k = build(n, f, g)
+    # a I + m1 X + ms Y + mc XY assembled from the moments cast to float64 by numpy
+    want = np.asarray(np.array([n + 0.5, *couplings(n, f, g)], dtype=float)[states._SWAP], dtype=complex)
+    assert k.matrix.tobytes() == want.tobytes()
+    assert np.array(k._dets).tobytes() == twomode._det2(k.matrix.take(twomode._BLOCKS), 0, 0).tobytes()
+
+
+def test_unread_closed_form_kernels_pickle():
+    # an unformed matrix is held as its closed form, which pickles as a module-level function and its floats
+    for k in (states.anti_epr(0.9, 0.5, 0.3), onemode.build_C(onemode.OneModeMoments(0.7, 0.2 - 0.4j))):
+        back = pickle.loads(pickle.dumps(k))
+        assert back.matrix.tobytes() == k.matrix.tobytes() and back._dets == k._dets
+
+
+@pytest.mark.parametrize("n", [1e-6, 1e-3, 0.7, 1e3, 1e6])
+@pytest.mark.parametrize("family", list(_FAMILY_BUILDS))
+def test_classify2_is_kept_through_a_round_trip(family, n):
+    # the round trip carries C's eigenvalues and block determinants, so the engine reads the same floats
+    k = _FAMILY_BUILDS[family][0](n, 0.3, -0.2)
+    back = convert(convert(k, "W"), "C")
+    assert back is not k and twomode.classify2(back) == twomode.classify2(k)
 
 
 @pytest.mark.parametrize("n", [1e-6, 1e-2, 1.0, 1e3, 1e6])

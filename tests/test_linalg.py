@@ -123,6 +123,30 @@ class TestSymMatrix:
             c1 = onemode.build_C(p).matrix
             assert np.array_equal(linalg.normal_form(c1), c1)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_entries_past_half_the_largest_float_do_not_overflow(self, dim):
+        # the averages added before they halved: diag(1e308, 1e308) overflowed to inf and nan,
+        # with RuntimeWarnings, which are errors under pytest
+        huge = np.diag([1e308] * dim).astype(complex)
+        assert linalg.hermitian(huge).tobytes() == huge.tobytes()
+        assert linalg.normal_form(huge).tobytes() == huge.tobytes()
+        skew = huge.copy()
+        skew[0, 1], skew[1, 0] = 1e308, -1e308
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.hermitian(skew)
+        with pytest.raises(ValueError, match="an eigenvalue overflows it"):
+            GaussianKernel("C", huge)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_halving_first_keeps_the_bits_of_halving_the_sum(self, rng, dim):
+        # for entries of at least 2^-1021 in size, where halving is exact
+        for _ in range(300):
+            m = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * 10.0 ** rng.uniform(-300, 300)
+            m[rng.random((dim, dim)) < 0.2] = 0.0
+            summed = 0.5 * (m + T_OF_DIM[dim] @ m.T @ T_OF_DIM[dim])
+            summed = 0.5 * (summed + summed.conj().T)
+            assert linalg.normal_form(m).tobytes() == summed.tobytes()
+
     def test_leaves_the_callers_array_alone(self):
         entries = np.array([[1.0, 0.2j], [-0.2j, 2.0]])
         k = GaussianKernel("C", entries)
