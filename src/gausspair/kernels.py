@@ -18,7 +18,7 @@ lam once (``_check``), so ``convert`` checks only what its target adds.  A chain
 diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and forms a matrix
 only for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts compute on Python
 floats.  C's existence and P rules and the singularity of C + sI are ``linalg``'s (``c_rules``, ``nonsingular``).
-"""
+Only this module touches a kernel's slots; ``block_dets`` serves C's block determinants."""
 
 from __future__ import annotations
 
@@ -36,19 +36,22 @@ _SHIFT = {"W": 0.0, "Q": 0.5, "P": -0.5}
 # the diagonal of E, which flips eigenvectors by a sign per row
 _E_SIGN = {dim: np.diag(linalg.structure_e(dim))[:, None] for dim in (2, 4)}
 _ENTRY_BOUND = sys.float_info.max / 4  # V diag(x) V^dag has entries <= max|x| (V unitary); forming it adds two
+# the flat indices of a two-mode C's 2x2 blocks A, B, X: its determinants in one ``linalg.block_det`` pass
+_BLOCKS = np.array([[[4 * r + c, 4 * r + c + 1], [4 * r + c + 4, 4 * r + c + 5]] for r, c in ((0, 0), (2, 2), (0, 2))])
 
 
 class GaussianKernel:
     """A representation-tagged Gaussian kernel; ``matrix`` is its read-only normal-form array,
-    ``eig`` its read-only pair (x, V), x unsorted, and ``eigenvalues`` that x as Python floats.
+    ``eigenvalues`` its own x, unsorted, as Python floats, and ``eig`` the read-only pair (x, V),
+    formed on each read from those floats and C's eigenvectors (V = E V_C for W, Q and P).
     The matrix is V diag(x) V^dag to round-off: the one it was built from, or formed when first
     read, by a closed-form C's closed form or, for a kernel that ``convert`` returns, from ``eig``;
-    ``eig`` and, for W, Q and P, x = 1/(lam + s) are formed where no ``eigh`` ran.  Each kind keeps
-    C's eigenvalues lam and eigenvectors (V = E V_C otherwise), and C's block determinants once
-    known, so ``convert`` copies no array and maps no eigenvalue."""
+    for W, Q and P, x = 1/(lam + s) is formed where no ``eigh`` ran.  Each kind keeps C's
+    eigenvalues lam and eigenvectors, and C's block determinants once known (``block_dets``),
+    so ``convert`` copies no array and maps no eigenvalue."""
 
     # private slots behind read-only properties: the public surface cannot be assigned
-    __slots__ = ("_kind", "_lam", "_x", "_vc", "_eig", "_matrix", "_dets")
+    __slots__ = ("_kind", "_lam", "_x", "_vc", "_matrix", "_dets")
 
     def __init__(self, kind: str, entries):
         """The kernel of outside input, which ``linalg.hermitian`` checks and copies: one ``eigh``."""
@@ -69,24 +72,24 @@ class GaussianKernel:
         runs, and ``form()`` makes its matrix in normal form when read.  Bounded x bound every entry, so only x is checked."""
         x = tuple(map(float, x))
         _check("C", x)
-        return object.__new__(cls)._hold("C", x, x, v, None, form, dets)
+        return object.__new__(cls)._hold("C", x, x, v, form, dets)
 
     def _of(self, kind: str, m: np.ndarray) -> "GaussianKernel":
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         x, v = np.linalg.eigh(m)
         vc = v if kind == "C" else _E_SIGN[len(v)] * v
-        for a in (m, x, v, vc):
+        for a in (m, vc):
             a.setflags(write=False)
         xs = tuple(x.tolist())
         lam = xs if kind == "C" else tuple([y - _SHIFT[kind] for y in linalg.reciprocal(xs)])
         _check(kind, lam)
-        return self._hold(kind, lam, xs, vc, (x, v), m, None)
+        return self._hold(kind, lam, xs, vc, m, None)
 
-    def _hold(self, kind: str, lam: tuple, x: tuple | None, vc: np.ndarray, eig: tuple | None, m, dets: tuple | None):
+    def _hold(self, kind: str, lam: tuple, x: tuple | None, vc: np.ndarray, m, dets: tuple | None):
         """Set the slots, unchecked: C's checked eigenvalues lam, the kernel's own x (None until mapped), C's eigenvectors
-        vc, the ``eig`` pair, the matrix (until formed, its closed form or None) and C's (dA, dB, dX) (or None)."""
-        self._kind, self._lam, self._x, self._vc, self._eig, self._matrix, self._dets = kind, lam, x, vc, eig, m, dets
+        vc, the matrix (until formed, its closed form or None) and C's (dA, dB, dX) (or None)."""
+        self._kind, self._lam, self._x, self._vc, self._matrix, self._dets = kind, lam, x, vc, m, dets
         return self
 
     @property
@@ -102,12 +105,19 @@ class GaussianKernel:
 
     @property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:  # no eigh ran: the floats, and C's eigenvectors flipped by E
-            x, v = np.array(self.eigenvalues), self._vc if self._kind == "C" else _E_SIGN[len(self._vc)] * self._vc
-            for a in (x, v):
-                a.setflags(write=False)
-            self._eig = x, v
-        return self._eig
+        x, v = np.array(self.eigenvalues), self._vc if self._kind == "C" else _E_SIGN[len(self._vc)] * self._vc
+        for a in (x, v):
+            a.setflags(write=False)
+        return x, v
+
+    @property
+    def block_dets(self) -> tuple[float, float, float]:
+        """A two-mode C's (dA, dB, dX), carried or taken once and kept; only C's, as ``convert`` passes them on."""
+        if self._kind != "C" or len(self._vc) != 4:
+            raise ValueError("expected a two-mode C kernel")
+        if self._dets is None:
+            self._dets = tuple(linalg.block_det(self.matrix.take(_BLOCKS), 0, 0).tolist())
+        return self._dets
 
     @property
     def matrix(self) -> np.ndarray:
@@ -170,4 +180,4 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
         _check("P", lam)
     if target != "C" and not 1.0 / linalg.nonsingular([abs(y + _SHIFT[target]) for y in lam]) <= _ENTRY_BOUND:
         raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")  # 1/min|lam + s| = max|1/(lam + s)|
-    return object.__new__(GaussianKernel)._hold(target, lam, lam if target == "C" else None, k._vc, None, None, k._dets)
+    return object.__new__(GaussianKernel)._hold(target, lam, lam if target == "C" else None, k._vc, None, k._dets)

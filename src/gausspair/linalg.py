@@ -4,7 +4,7 @@ All covariance-style matrices in this package are plain ndarrays (read-only
 once a kernel holds them), Hermitian and obeying the swap symmetry M = T M^T T,
 where T exchanges the (z, z*) pair of every mode.  ``hermitian`` checks outside input and puts it in
 that normal form (``normal_form``); ``hermitian_part`` and ``congruence`` return
-matrices already in it.  ``kernels.GaussianKernel`` holds the result.
+matrices already in it.  ``kernels.GaussianKernel`` holds the result.  ``block_det`` is C's 2x2 block determinant.
 
 No tolerance of the package is absolute: the Hermiticity check, every verdict margin and the
 rules written only here, the singularity test ``nonsingular`` and C's existence and P rules
@@ -86,6 +86,11 @@ def c_rules(low, trace):
     low >= -band(trace, 1), zeros within it kept as boundary cases, and strictly low - 1/2 > band(trace, 1)."""
     tol = band(trace, 1)
     return low >= -tol, low - 0.5 > tol
+
+
+def block_det(c, row: int, col: int):
+    """Re(a e - b d) of the 2x2 block [[a, b], [d, e]] at (row, col) of one matrix or a stack: every dA, dB and dX."""
+    return (c[..., row, col] * c[..., row + 1, col + 1] - c[..., row, col + 1] * c[..., row + 1, col]).real
 
 
 def invert(m: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Numeric evaluation of Gaussian phase-space functions on grids."""
+"""Numeric evaluation of Gaussian phase-space functions at points and on grids, from one z^dag M z."""
 
 from __future__ import annotations
 
@@ -65,36 +65,31 @@ class GridSpec:
         return (self.hi - self.lo) / (self.samples - 1)
 
 
-def _quadratic_form(k: GaussianKernel, pt: PhasePoint, kind: str) -> complex:
-    """z^dag M z of the kernel M, which must be of ``kind``, at the phase point."""
+def _quadratic_form(k: GaussianKernel, z: np.ndarray, kind: str):
+    """z^dag M z of the kernel M, which must be of ``kind``, for a ``zvector`` or a grid of them stacked on axis 0."""
     if k.kind != kind:
         raise ValueError(f"expected a {kind} kernel")
-    z = pt.zvector
-    if z.size != k.dim:
+    if len(z) != k.dim:
         raise ValueError("phase point does not match kernel mode count")
-    return np.conj(z) @ k.matrix @ z
+    return np.einsum("i...,ij,j...->...", np.conj(z), k.matrix, z)
 
 
 def wigner_value(k: GaussianKernel, pt: PhasePoint) -> float:
     """W(z) = sqrt(det W) exp(-z^dag W z / 2); real and positive for valid kernels."""
-    return math.sqrt(k.det) * math.exp(-0.5 * np.real(_quadratic_form(k, pt, "W")))
+    return math.sqrt(k.det) * math.exp(-0.5 * np.real(_quadratic_form(k, pt.zvector, "W")))
 
 
 def characteristic_value(k: GaussianKernel, pt: PhasePoint) -> complex:
     """C(z) = exp(-z^dag C z / 2); equals 1 at the origin (unit trace)."""
-    return complex(np.exp(-0.5 * _quadratic_form(k, pt, "C")))
+    return complex(np.exp(-0.5 * _quadratic_form(k, pt.zvector, "C")))
 
 
 def wigner_grid(k: GaussianKernel, grid: GridSpec, rows: slice = slice(None)) -> np.ndarray:
-    """W(q, p) of a one-mode W kernel on the grid, indexed [q, p]; only the q rows ``rows``
-    when given.  The same W(z) as ``wigner_value``, evaluated on the whole array at once.
-    """
-    if k.modes != 1 or k.kind != "W":
-        raise ValueError("wigner_grid evaluates one-mode W kernels")
+    """W(q, p) of a one-mode W kernel on the grid, indexed [q, p]; only the q rows ``rows`` when
+    given.  The same W(z) as ``wigner_value``, evaluated on the whole array at once."""
     q, p = np.meshgrid(grid.axis[rows], grid.axis, indexing="ij")
     z = (q + 1j * p) / math.sqrt(2.0)
-    v = np.stack([z, np.conj(z)])
-    quad = np.real(np.einsum("i...,ij,j...->...", np.conj(v), k.matrix, v))
+    quad = np.real(_quadratic_form(k, np.stack([z, np.conj(z)]), "W"))  # refuses all but a one-mode W
     return math.sqrt(k.det) * np.exp(-0.5 * quad)
 
 

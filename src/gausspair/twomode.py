@@ -1,8 +1,8 @@
 """Two-mode Gaussian states: positivity, partial transpose, PPT separability,
 P-representability, and thermal-pair extraction.  One engine, ``verdicts_from_invariants``,
 decides on Python floats for one kernel (``classify2``) and on arrays for a stack (``invariant_verdicts``)
-or a scan block (``states.family_invariants``); the Q-matrix and determinant routes stay as criteria.
-Every margin, theirs too, is compared with ``linalg.band``; C's rules are ``linalg.c_rules``.
+or a scan block (``states.family_invariants``); the Q-matrix route (one Q for positivity and PPT) and the
+determinant route stay as criteria.  Every margin is compared with ``linalg.band``; C's rules are ``linalg.c_rules``.
 
 The covariance matrix is parameterized as
 
@@ -29,8 +29,6 @@ from .onemode import SqueezeMap
 
 # transposing the first mode exchanges z1 and z1*
 _PT_SWAP = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
-# the flat indices of C's 2x2 blocks A, B, X: one C's determinants in one pass, with the stacks' complex product
-_BLOCKS = np.array([[[4 * r + c, 4 * r + c + 1], [4 * r + c + 4, 4 * r + c + 5]] for r, c in ((0, 0), (2, 2), (0, 2))])
 
 
 @dataclass(frozen=True)
@@ -187,15 +185,15 @@ def normal_order_params(k: GaussianKernel) -> NormalOrderParams2:
 
 def positivity_by_q(k: GaussianKernel) -> bool:
     """G >= 0 iff nu1 + nu2 >= 0 and nu1*nu2 >= |mus|^2."""
-    return all(_q_margins_hold(k, "mus"))
+    return all(_q_margins_hold(k)[:2])
 
 
-def _q_margins_hold(k: GaussianKernel, coupling: str) -> tuple[bool, bool]:
-    """(nu1 + nu2 >= 0, nu1*nu2 >= |mu|^2) for the Q entry mu = ``coupling``: the sum within band(tr C, 1),
-    the round-off of one Q entry; the product within that times its sensitivity |nu1| + |nu2| + 2|mu| + band."""
+def _q_margins_hold(k: GaussianKernel) -> tuple[bool, bool, bool]:
+    """(nu1 + nu2 >= 0, nu1*nu2 >= |mus|^2, nu1*nu2 >= |muc|^2) from one read of the Q entries: the sum within
+    band(tr C, 1), the round-off of one Q entry; each product within that times its sensitivity |nu1| + |nu2| + 2|mu| + band."""
     p, tol = normal_order_params(k), linalg.band(sum(k.eigenvalues), 1)
-    mu = abs(getattr(p, coupling))
-    return p.nu1 + p.nu2 >= -tol, p.nu1 * p.nu2 - mu * mu >= -tol * (abs(p.nu1) + abs(p.nu2) + 2.0 * mu + tol)
+    holds = [p.nu1 * p.nu2 - mu * mu >= -tol * (abs(p.nu1) + abs(p.nu2) + 2.0 * mu + tol) for mu in (abs(p.mus), abs(p.muc))]
+    return p.nu1 + p.nu2 >= -tol, *holds
 
 
 def partial_transpose(k: GaussianKernel) -> GaussianKernel:
@@ -207,14 +205,16 @@ def partial_transpose(k: GaussianKernel) -> GaussianKernel:
 
 def separability_inequality(k: GaussianKernel) -> bool:
     """Direct separability test nu1*nu2 >= |muc|^2 on the untransposed kernel."""
-    return _q_margins_hold(k, "muc")[1]
+    return _q_margins_hold(k)[2]
 
 
 def ppt_separable(k: GaussianKernel) -> bool:
-    """Peres criterion: positivity of the partial transpose (sufficient for Gaussians)."""
-    if not positivity_by_q(k):
+    """Peres criterion: positivity of the partial transpose (sufficient for Gaussians).  Its Q is S Pi Q Pi S, Pi
+    swapping z1 and z1*, S = diag(-1, -1, 1, 1): k's nu, with |mus| and |muc| exchanged, so k's own Q decides."""
+    total, positive, separable = _q_margins_hold(k)
+    if not (total and positive):
         raise NotPositiveError("separability is only defined for positive states")
-    return positivity_by_q(partial_transpose(k))
+    return separable
 
 
 def p_representable(k: GaussianKernel) -> bool:
@@ -250,7 +250,7 @@ def pure_marginal_separability(k: GaussianKernel, which: int = 1) -> bool:
         raise ValueError("which must be 1 or 2")
     if not purity2(k):
         raise NotPureError("marginal criterion only applies to pure states")
-    return bool(abs(_block_dets(k)[which - 1] - 0.25) <= linalg.band(np.trace(k.matrix).real, 2))
+    return bool(abs(k.block_dets[which - 1] - 0.25) <= linalg.band(sum(k.eigenvalues), 2))
 
 
 def local_squeeze_map(theta1: float, theta2: float) -> np.ndarray:
@@ -268,13 +268,6 @@ def local_squeeze_to_p_rep(k: GaussianKernel, theta: float) -> GaussianKernel:
     return GaussianKernel._normal("C", linalg.congruence(e @ local_squeeze_map(theta, theta) @ e, k.matrix))
 
 
-def _det2(c: np.ndarray, row: int, col: int) -> np.ndarray:
-    """Determinant of the 2x2 block of stacked matrices at (row, col)."""
-    a, b = c[..., row, col], c[..., row, col + 1]
-    d, e = c[..., row + 1, col], c[..., row + 1, col + 1]
-    return (a * e - b * d).real
-
-
 def invariant_verdicts(c, eig=None) -> InvariantVerdicts:
     """Two-mode verdicts for stacked (..., 4, 4) C matrices: ``verdicts_from_invariants``
     on their spectrum and the determinants dA, dB, dX of their diagonal and off-diagonal
@@ -282,7 +275,7 @@ def invariant_verdicts(c, eig=None) -> InvariantVerdicts:
     c = np.asarray(c)
     if eig is None:
         eig = np.linalg.eigvalsh(c)
-    return verdicts_from_invariants(np.moveaxis(eig, -1, 0), _det2(c, 0, 0), _det2(c, 2, 2), _det2(c, 0, 2))
+    return verdicts_from_invariants(np.moveaxis(eig, -1, 0), *(linalg.block_det(c, r, s) for r, s in ((0, 0), (2, 2), (0, 2))))
 
 
 def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
@@ -321,17 +314,9 @@ def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:
     return InvariantVerdicts(positive, pure, positive & (slack >= -dx2), p_rep, det_c, d_ab, dx, tol)
 
 
-def _block_dets(k: GaussianKernel) -> tuple:
-    """A C kernel's carried (dA, dB, dX), else its matrix's, once, with the stacks' complex products: kept on it."""
-    if k._dets is None:
-        k._dets = tuple(_det2(k.matrix.take(_BLOCKS), 0, 0).tolist())
-    return k._dets
-
-
 def _kernel_verdicts(k: GaussianKernel) -> InvariantVerdicts:
-    """One C kernel's verdicts, on Python floats: the eigenvalues and block determinants it carries."""
-    _require_c(k)
-    return verdicts_from_invariants(sorted(k.eigenvalues), *_block_dets(k))
+    """One two-mode C kernel's verdicts, on Python floats: the eigenvalues and block determinants it carries."""
+    return verdicts_from_invariants(sorted(k.eigenvalues), *k.block_dets)
 
 
 def classify2(k: GaussianKernel) -> TwoModeVerdict:

@@ -204,11 +204,11 @@ class TestScan:
         ids=["figure", "1e6", "negative-mc"],
     )
     def test_closed_form_invariants_equal_the_block_determinants(self, family, ratio, grid):
-        # the scan reads dA, dB, dX as closed forms: the same floats _det2 takes from the
+        # the scan reads dA, dB, dX as closed forms: the same floats block_det takes from the
         # gathered stack, so the core decides exactly as invariant_verdicts does on it
         _, _, _, c, (eig, da, db, dx) = family_grid((family, ratio, *grid))
         for got, (row, col) in zip((da, db, dx), ((0, 0), (2, 2), (0, 2))):
-            want = twomode._det2(c, row, col)
+            want = linalg.block_det(c, row, col)
             assert np.array_equal(np.broadcast_to(got, want.shape), want)
         core = twomode.verdicts_from_invariants(np.moveaxis(eig, -1, 0), da, db, dx)
         stack = twomode.invariant_verdicts(c, eig)

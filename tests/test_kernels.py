@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import pickle
 
@@ -148,13 +149,13 @@ def test_one_eigensolve_per_chain(monkeypatch):
 def test_family_kernels_run_no_eigensolver(monkeypatch, build):
     calls = _count_calls(monkeypatch)
     det2 = collections.Counter()
-    monkeypatch.setattr(twomode, "_det2", lambda *args, real=twomode._det2: det2.update(["calls"]) or real(*args))
+    monkeypatch.setattr(linalg, "block_det", lambda *args, real=linalg.block_det: det2.update(["calls"]) or real(*args))
     k = build()
     twomode.classify2(k)
     twomode.trace_g2(k)
     convert(convert(convert(k, "W"), "Q"), "C")
     # the verdict reads the carried eigenvalues and block determinants: no array is made or read
-    assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0} and not det2 and k._eig is None
+    assert calls == {"eigh": 0, "eigvalsh": 0, "formed": 0} and not det2
     assert not isinstance(k._matrix, np.ndarray)
     x, v = k.eig
     assert x.tolist() == list(k.eigenvalues) and v is states._FAMILY_V and not x.flags.writeable
@@ -196,7 +197,43 @@ def test_carried_block_determinants_are_those_of_the_formed_matrix(family, n, f,
     # a I + m1 X + ms Y + mc XY assembled from the moments cast to float64 by numpy
     want = np.asarray(np.array([n + 0.5, *couplings(n, f, g)], dtype=float)[states._SWAP], dtype=complex)
     assert k.matrix.tobytes() == want.tobytes()
-    assert np.array(k._dets).tobytes() == twomode._det2(k.matrix.take(twomode._BLOCKS), 0, 0).tobytes()
+    assert np.array(k._dets).tobytes() == linalg.block_det(k.matrix.take(kernels._BLOCKS), 0, 0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: states.anti_epr(0.9, 0.5, 0.3), lambda: twomode.build_C2(twomode.TwoModeMoments(0.9, 0.8, 0.1j, 0.05, 0.1 + 0.05j, 0.3 - 0.1j))],
+    ids=["family", "from-matrix"],
+)
+def test_block_dets_are_only_a_two_mode_cs(build):
+    # convert passes a kernel's kept (dA, dB, dX) on as C's, so no W, Q or P may keep its own
+    k = build()
+    want = twomode.classify2(k)
+    w = GaussianKernel("W", convert(k, "W").matrix)  # built from its matrix: no determinants carried
+    for other in (w, convert(k, "Q"), convert(k, "P"), onemode.build_C(onemode.OneModeMoments(0.7, 0.2))):
+        for read in (lambda: other.block_dets, lambda: twomode.classify2(other)):
+            with pytest.raises(ValueError, match="two-mode C"):
+                read()
+    assert twomode.classify2(convert(convert(k, "W"), "C")) == want
+    got = twomode.classify2(convert(w, "C"))  # its C takes them from its own formed matrix
+    assert got.thermal.g1 == pytest.approx(want.thermal.g1, rel=1e-12) and got == dataclasses.replace(want, thermal=got.thermal)
+
+
+def test_eig_of_a_kernel_built_from_a_matrix_is_eigh_of_it(rng):
+    # eig is formed on each read from the floats and C's eigenvectors; for W, Q and P that is E (E V)
+    built = 0
+    for k in differential_kernels(rng)[::2]:
+        for kind in kernels.KINDS:
+            try:
+                source = GaussianKernel(kind, convert(k, kind).matrix)
+            except (SingularMatrixError, NotPRepresentableError, NotAStateError):
+                continue
+            built += 1
+            x, v = np.linalg.eigh(source.matrix)
+            got = source.eig
+            assert got[0].tobytes() == x.tobytes() and np.array_equal(got[1], v), kind
+            assert not (got[0].flags.writeable or got[1].flags.writeable)
+    assert built > 1000
 
 
 def test_unread_closed_form_kernels_pickle():
@@ -418,7 +455,7 @@ def test_kernel_built_from_a_matrix_converts_as_from_its_own_eigenvalues(rng):
 def test_reading_modes_and_dim_forms_no_eigenvalues():
     k = convert(convert(states.anti_epr(0.9, 0.5, 0.3), "W"), "Q")
     assert (k.modes, k.dim) == (2, 4)
-    assert k._x is None and k._eig is None and k._matrix is None
+    assert k._x is None and k._matrix is None
     assert k.eigenvalues == tuple(1.0 / (y + 0.5) for y in states.anti_epr(0.9, 0.5, 0.3).eigenvalues)
 
 

@@ -239,6 +239,29 @@ class TestSeparability:
         if twomode.positivity_by_q(k):
             assert twomode.ppt_separable(k) == twomode.separability_inequality(k)
 
+    @pytest.mark.parametrize("build", [lambda: states.anti_epr(0.9, 0.5, 0.3), lambda: build_C2(K_STAR)], ids=["anti_epr", "K*"])
+    def test_ppt_reads_one_q_and_runs_no_eigensolver(self, monkeypatch, build):
+        from test_kernels import _count_calls
+
+        k = build()
+        calls, reads = _count_calls(monkeypatch), []
+        monkeypatch.setattr(twomode, "normal_order_params", lambda k, real=twomode.normal_order_params: reads.append(k) or real(k))
+        assert twomode.ppt_separable(k) == twomode.classify2(k).ppt_separable
+        assert calls["eigh"] == calls["eigvalsh"] == 0 and reads == [k]
+
+    def test_ppt_is_the_positivity_of_the_partial_transpose(self, rng):
+        # the transpose's Q has k's nu and |mus|, |muc| exchanged: the two routes differ only by
+        # round-off, so they agree wherever both margins lie outside 2 bands
+        compared = 0
+        for k in differential_kernels(rng):
+            if k.modes != 2 or not twomode.positivity_by_q(k):
+                continue
+            pt = twomode.partial_transpose(k)
+            if min(_q_margin_in_bands(k, "muc"), _q_margin_in_bands(pt, "mus")) > 2.0:
+                compared += 1
+                assert twomode.ppt_separable(k) == twomode.positivity_by_q(pt)
+        assert compared > 500
+
 
 class TestPRepresentable:
     def test_two_vacua_excluded(self):
@@ -322,6 +345,16 @@ class TestMarginalSeparability:
     def test_requires_purity(self):
         with pytest.raises(NotPureError):
             twomode.pure_marginal_separability(product_thermal(1.0, 1.0), 1)
+
+    @pytest.mark.parametrize("n", [1e-6, 0.7, 1e3, 1e6])
+    def test_closed_form_kernels_form_no_matrix(self, n):
+        # tr C for the band is the sum of the carried eigenvalues, as for the Q route
+        r = math.sqrt(n * (n + 1.0))
+        pure = {states.smoothed_epr(states.SmoothedEprParam(n)): False, states.mixed_epr(n, r): False,
+                states.anti_epr(n, r, 0.0): False, states.squeezed_epr(n, 0.0, r): True}
+        for k, separable in pure.items():
+            assert twomode.pure_marginal_separability(k, 1) == twomode.pure_marginal_separability(k, 2) == separable
+            assert not isinstance(k._matrix, np.ndarray)
 
 
 class TestLocalSqueeze:
@@ -495,7 +528,7 @@ class TestInvariantVerdicts:
                 continue
             e0, e1, e2, e3 = np.sort(k.eig[0])
             c, det_c = k.matrix, e0 * e1 * e2 * e3
-            da, db, dx = (twomode._det2(c, r, s) for r, s in ((0, 0), (2, 2), (0, 2)))
+            da, db, dx = (linalg.block_det(c, r, s) for r, s in ((0, 0), (2, 2), (0, 2)))
             delta = da + db + 2.0 * dx
             root = np.sqrt(np.maximum(delta * delta - 4.0 * det_c, 0.0))
             plus = np.maximum(0.5 * (delta + root), 0.25)
@@ -541,3 +574,13 @@ class TestFloatPath:
             one = twomode._kernel_verdicts(k)
             assert [_bits(x) for x in one[4:]] == [_bits(x[i]) for x in v[4:]], i  # det_c, d_ab, d_x, band
             assert [_bits(x) for x in one.nu] == [_bits(x[i]) for x in v.nu], i
+
+
+K_STAR = TwoModeMoments(0.7, 0.4, 0.1 + 0.05j, 0.08 - 0.03j, 0.05 + 0.02j, 0.2 + 0.1j)
+
+
+def _q_margin_in_bands(k, coupling: str) -> float:
+    """|nu1 nu2 - |mu|^2| of the Q entry ``coupling`` in units of the band the Q route holds it to."""
+    p, tol = twomode.normal_order_params(k), linalg.band(sum(k.eigenvalues), 1)
+    mu = abs(getattr(p, coupling))
+    return abs(p.nu1 * p.nu2 - mu * mu) / (tol * (abs(p.nu1) + abs(p.nu2) + 2.0 * mu + tol))
