@@ -17,14 +17,17 @@ Every exponent term has degree 2, so entries with odd total index are exactly ze
 zeros of B that come from a conserved quantity (n1 - n2 for `mixed_epr`, n1 + n2 for its
 partial transpose) zero many more; entries of B within band(max|B|, 1) are the round-off of
 the conversion to Q and are set to zero, so that these zeros survive it.  Spectra and traces
-of powers are taken over the connected components of the exact nonzero pattern, blocks of one
-size in one batched solve: a permutation makes the matrix block-diagonal, so nothing is
-dropped or rounded away.  A real B is kept real, so real kernels give real matrices and real
-eigenproblems.  Moments are diagonal sums.
+of powers are taken over the connected components of the exact nonzero pattern, packed into
+bins the size of the largest block, one batched solve per bin size: entries between two blocks
+are exact zeros and a permutation makes the matrix block-diagonal, so a bin's eigenvalues are its
+blocks' and nothing is dropped or rounded away.  A real B is kept real, so real kernels give real
+matrices and real eigenproblems.  Moments are diagonal sums.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,15 +65,17 @@ def _amplitudes(b: np.ndarray, d: int, seed: float) -> np.ndarray:
     root = np.sqrt(np.arange(d))
     a = np.zeros((d,) * len(b), dtype=b.dtype)
     a[0] = _amplitudes(b[1:, 1:], d, seed)
-    # b_0j sqrt(k_j) A_{k-e_j}: a shift one step up axis j, for each j that b couples (a zero adds nothing)
+    # b_0j sqrt(k_j) A_{k-e_j} / sqrt(k_0 + 1): a shift up axis j for each j that b couples, with a row per level k_0
     shifts = [((slice(None),) * j + (slice(1, None),), (slice(None),) * j + (slice(None, -1),),
-               b[0, j + 1] * root[1:].reshape((-1,) + (1,) * (len(b) - 2 - j))) for j in np.flatnonzero(b[0, 1:])]
+               (b[0, j + 1] * root[1:] / root[1:, None]).reshape((d - 1, -1) + (1,) * (len(b) - 2 - j)))
+              for j in np.flatnonzero(b[0, 1:])]
+    diag = (b[0, 0] * root[:-1] / root[1:]).tolist()
     for k in range(d - 1):
         lo, hi = a[k, ...], a[k + 1, ...]  # views, also where a slab is one entry
-        if b[0, 0] and k:
-            np.multiply(a[k - 1], b[0, 0] * root[k] / root[k + 1], out=hi)
+        if diag[k]:
+            np.multiply(a[k - 1], diag[k], out=hi)
         for dst, src, coef in shifts:
-            hi[dst] += coef / root[k + 1] * lo[src]
+            hi[dst] += coef[k] * lo[src]
     return a
 
 
@@ -84,8 +89,7 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     q_x = q[np.ix_(axes, axes[modes:] + axes[:modes])]
     b = np.roll(np.eye(2 * modes), modes, axis=1) - 0.5 * (q_x + q_x.T)
     b[np.abs(b) <= band(np.abs(b).max(), 1)] = 0.0
-    if not b.imag.any():
-        b = b.real
+    b = b if b.imag.any() else b.real
     dim = (cutoff + 1) ** modes
     mat = _amplitudes(b, cutoff + 1, math.sqrt(det_q)).reshape(dim, dim)  # (j1, j2, k1, k2) is matrix order
     op = FockOperator(modes=modes, cutoff=cutoff, matrix=mat)
@@ -94,31 +98,51 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     return op
 
 
-def _blocks(f: FockOperator) -> list[np.ndarray]:
-    """The hermitized diagonal blocks of the matrix, one stack per block size.
+def _bins(lab: np.ndarray) -> tuple[list[np.ndarray], bool]:
+    """The blocks labelled ``lab`` packed into bins the size of the largest block, as index arrays, one (bins, size)
+    array per bin size, and whether a bin holds several blocks.  Each bin holds the largest block left, then the
+    smallest blocks left while they still fit; blocks of size 1 (a diagonal matrix) cannot pair and form one stack."""
+    count = np.bincount(lab, minlength=len(lab))  # count[r]: size of the block labelled r
+    blocks = np.argsort(count)[: -np.count_nonzero(count) - 1 : -1]  # largest first
+    sizes = count[blocks].tolist()
+    if sizes[0] == 1:
+        return [np.arange(len(lab))[:, None]], False
+    n, acc = len(sizes), [0, *itertools.accumulate(reversed(sizes))]  # acc[t]: total size of the t smallest blocks
+    key, hi, lo = [0] * n, 0, n  # blocks [hi, lo) are left; a bin's key is its size * n + its number
+    while hi < lo:  # bin hi: block hi, then the smallest blocks left, [n - t, lo), while they fit
+        t = min(bisect.bisect_right(acc, acc[n - lo] + sizes[0] - sizes[hi]) - 1, n - hi - 1)
+        key[hi] = (sizes[hi] + acc[t] - acc[n - lo]) * n + hi
+        key[n - t : lo] = [key[hi]] * (lo - n + t)
+        hi, lo = hi + 1, n - t
+    key_of = np.empty(len(lab), dtype=np.intp)
+    key_of[blocks] = key
+    order, stacks, start = np.argsort(key_of[lab], kind="stable"), [], 0  # bins of one size side by side
+    for size, run in itertools.groupby(sorted(k // n for k in key[:hi])):  # the bin sizes, ascending
+        stacks.append(order[start : (start := start + size * len(list(run)))].reshape(-1, size))
+    return stacks, hi < n
 
-    Blocks are the connected components of the exact nonzero pattern of G and G^T; every
-    entry between two of them is zero.  Each index is labelled with the lowest index its row
-    touches; while a nonzero entry still joins two labels, every index takes the lowest
-    label among its neighbours in its row and in its column."""
-    m = f.matrix
+
+def _components(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The labels of the connected components of the exact nonzero pattern of m and m^T, and m gathered into their bins
+    (``_bins``).  Each index is labelled with the lowest index its row touches; while a nonzero entry is not held in a
+    bin between two indices of one label, every index takes the lowest label among its neighbours in row and column."""
     touch = m != 0
     nonzero = np.count_nonzero(touch)
     np.fill_diagonal(touch, True)
     lab = touch.argmax(axis=1)
     while True:
-        count = np.bincount(lab, minlength=len(m))  # count[r]: size of the block labelled r
-        by_block = np.argsort(lab, kind="stable")
-        block_size = count[lab[by_block]]
-        stacks = []
-        for size in np.flatnonzero(np.bincount(count)[1:]) + 1:
-            idx = by_block[block_size == size].reshape(-1, size)
-            stacks.append(m[idx[:, :, None], idx[:, None, :]])
-        if sum(np.count_nonzero(b) for b in stacks) == nonzero:
-            break
+        bins, paired = _bins(lab)
+        stacks = [m.take(idx[:, :, None] * len(m) + idx[:, None, :]) for idx in bins]
+        if nonzero == sum(np.count_nonzero((s != 0) & ((w := lab[idx])[:, :, None] == w[:, None, :]) if paired else s)
+                          for s, idx in zip(stacks, bins)):
+            return lab, stacks
         touch |= touch.T
         lab = np.where(touch, lab, len(m)).min(axis=1)
-    herm = [0.5 * (b + b.conj().swapaxes(1, 2)) for b in stacks]
+
+
+def _blocks(f: FockOperator) -> list[np.ndarray]:
+    """The hermitized bins of the matrix's exact blocks (``_components``), one stack per bin size."""
+    herm = [0.5 * (b + b.conj().swapaxes(1, 2)) for b in _components(f.matrix)[1]]
     return [b if b.imag.any() else b.real for b in herm]
 
 

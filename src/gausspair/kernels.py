@@ -74,6 +74,14 @@ class GaussianKernel:
         _check("C", x)
         return object.__new__(cls)._hold("C", x, x, v, form, dets)
 
+    def _permuted(self, perm: list, det_signs: tuple) -> "GaussianKernel":
+        """Pi K Pi^T for an index permutation Pi that keeps normal form, with no eigensolver: the same x and lam, C's
+        eigenvectors Pi V_C (E Pi E V_C for W, Q and P) and C's carried (dA, dB, dX) times ``det_signs``."""
+        vc = self._vc[perm] if self._kind == "C" else (e := _E_SIGN[len(perm)]) * e[perm] * self._vc[perm]
+        vc.setflags(write=False)
+        dets = self._dets and tuple(s * d for s, d in zip(det_signs, self._dets))
+        return object.__new__(GaussianKernel)._hold(self._kind, self._lam, self._x, vc, None, dets)
+
     def _of(self, kind: str, m: np.ndarray) -> "GaussianKernel":
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")

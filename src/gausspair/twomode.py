@@ -27,9 +27,6 @@ from .errors import NotPositiveError, NotPureError, WrongModeCountError
 from .kernels import GaussianKernel, convert
 from .onemode import SqueezeMap
 
-# transposing the first mode exchanges z1 and z1*
-_PT_SWAP = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
-
 
 @dataclass(frozen=True)
 class TwoModeMoments:
@@ -197,10 +194,11 @@ def _q_margins_hold(k: GaussianKernel) -> tuple[bool, bool, bool]:
 
 
 def partial_transpose(k: GaussianKernel) -> GaussianKernel:
-    """Transpose the first mode only; on moments m1 -> m1*, ms -> mc*, mc -> ms*."""
+    """Transpose the first mode only; on moments m1 -> m1*, ms -> mc*, mc -> ms*.  Pi K Pi, Pi swapping z1 and z1*,
+    from k's eigenpair and no eigensolver; Pi swaps X's rows, so dX changes sign."""
     if k.modes != 2:
         raise WrongModeCountError("partial transpose needs a two-mode kernel")
-    return GaussianKernel._normal(k.kind, k.matrix[_PT_SWAP])  # a permutation of normal form
+    return k._permuted([1, 0, 2, 3], (1.0, 1.0, -1.0))
 
 
 def separability_inequality(k: GaussianKernel) -> bool:

@@ -29,7 +29,7 @@ def ppt_split_kernels(seed: int = 5, count: int = 4000) -> list:
 
 
 def ppt_split(seed: int = 5, count: int = 4000) -> tuple[int, int]:
-    """Kernels of ``ppt_split_kernels`` where ``classify2`` of the partial transpose (a fresh ``eigh``)
+    """Kernels of ``ppt_split_kernels`` where ``classify2`` of the partial transpose (the kernel's mapped pair)
     calls it positive and ``classify2`` of the kernel calls it not PPT-separable, or the reverse."""
     kernels = ppt_split_kernels(seed, count)
     split = sum(twomode.classify2(twomode.partial_transpose(k)).positive != twomode.classify2(k).ppt_separable for k in kernels)

@@ -234,18 +234,31 @@ class TestSpectrum:
 class TestBlocks:
     @staticmethod
     def count(op):
-        return sum(len(stack) for stack in fock._blocks(op))
+        return len(np.unique(fock._components(op.matrix)[0]))
 
     def test_conserved_quantities_split_beyond_parity(self):
         # mixed_epr conserves n1 - n2 and its partial transpose n1 + n2: 33 blocks of
         # size <= 17 each; the product thermal matrix is diagonal
         op = fock.from_kernel(KERNELS["mixed_epr"](), cutoff=16)
         for m in with_partial_transpose(op):
-            stacks = fock._blocks(m)
-            assert sum(len(stack) for stack in stacks) == 33
-            assert max(stack.shape[-1] for stack in stacks) == 17
+            assert self.count(m) == 33
+            assert max(stack.shape[-1] for stack in fock._blocks(m)) == 17
         thermal = fock.from_kernel(KERNELS["product_thermal"](), cutoff=16, strict=False)
         assert self.count(thermal) == 289
+
+    def test_an_epr_operator_is_one_batched_solve(self, monkeypatch):
+        # 33 blocks of sizes 1 to 17 pack into 17 bins of 17, for the matrix and for its partial transpose alike
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        op = fock.from_kernel(KERNELS["mixed_epr"](), cutoff=16)
+        for m in with_partial_transpose(op):
+            calls.clear()
+            fock.spectrum(m)
+            assert calls == [(17, 17, 17)]
+
+    def test_a_diagonal_matrix_is_one_stack_of_its_entries(self):
+        thermal = fock.from_kernel(KERNELS["product_thermal"](), cutoff=16, strict=False)
+        assert [stack.shape for stack in fock._blocks(thermal)] == [(289, 1, 1)]
 
     @pytest.mark.parametrize(
         "n, mc", [(0.6735727653444255, 0.967023070269148), (0.7594238572792352, 0.92208927381045),

@@ -186,10 +186,26 @@ class TestPartialTranspose:
         assert q.ms == pytest.approx(np.conj(p.mc))
         assert q.mc == pytest.approx(np.conj(p.ms))
 
+    @pytest.mark.parametrize("kind", ["C", "W", "Q", "P"])
+    def test_maps_the_carried_pair(self, kind, rng, monkeypatch):
+        # Pi K Pi from k's own pair, Pi swapping z1 and z1*: the same eigenvalues, C's (dA, dB, -dX), no eigh
+        swap = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
+        sources = [states.mixed_epr(0.8, 1.0), states.anti_epr(0.9, 0.5, 0.3), states.squeezed_epr(0.7, 0.4, 0.3),
+                   *(build_C2(TwoModeMoments(1.0 + x, 0.8, 0.1 + 0.1j, 0.05j, 0.2, 0.15j)) for x in rng.uniform(0, 1, 4))]
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        for c in (c for c in sources if kind != "P" or twomode.p_representable(c)):
+            da, db, dx = c.block_dets  # taken before the conversion, which carries them
+            k = convert(c, kind)
+            pt = twomode.partial_transpose(k)
+            assert pt.kind == kind and pt.eigenvalues == k.eigenvalues
+            assert convert(pt, "C").block_dets == (da, db, -dx)
+            x, v = pt.eig
+            assert np.max(np.abs((v * x) @ v.conj().T - k.matrix[swap])) <= linalg.band(np.max(np.abs(x)), 1)
+
 
 class TestInternalKernels:
-    """``partial_transpose``, ``squared_kernel`` and ``product_thermal_kernel`` build matrices already
-    in normal form (a permutation, a sum of two, a diagonal) through ``GaussianKernel._normal``, which
+    """``squared_kernel`` and ``product_thermal_kernel`` build matrices already
+    in normal form (a sum of two, a diagonal) through ``GaussianKernel._normal``, which
     skips the check of outside input.  The public constructor gives the same pair bit for bit, and the
     same matrix up to the sign of zero imaginary parts: a real kernel's assembled m* is m - 0j, which
     the public normal form averages with an m + 0j to +0j."""
@@ -201,7 +217,6 @@ class TestInternalKernels:
                 continue
             v = twomode.classify2(k)
             monkeypatch.setattr(linalg, "hermitian", lambda m, real=linalg.hermitian: checks.append(m) or real(m))
-            built += [twomode.partial_transpose(k), twomode.partial_transpose(convert(k, "W"))]
             with contextlib.suppress(SingularMatrixError):  # no W at a singular C
                 built.append(twomode.squared_kernel(k))
             if v.positive:
