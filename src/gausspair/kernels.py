@@ -14,11 +14,13 @@ of assembled moments, lam = 1/x - s of its own eigenvalues x for a W, Q or P; fr
 pair of a one-mode or EPR-family C, with no eigensolver (``_closed``), which forms its matrix only
 when it is read and, for two modes, carries C's block determinants (dA, dB, dX) as well; or, for a
 kernel ``convert`` returns, its source's lam and (dA, dB, dX) unchanged.  Every constructor checks
-lam once (``_check``), so ``convert`` checks only what its target adds.  A chain of conversions
-diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and forms a matrix
-only for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts compute on Python
-floats.  C's existence and P rules and the singularity of C + sI are ``linalg``'s (``c_rules``, ``nonsingular``).
-Only this module touches a kernel's slots; ``block_dets`` serves C's block determinants."""
+lam once (``_check``), so ``convert`` checks only what its target adds (``_invertible``).  Only this
+module decides which kernels exist, by one rule per kind on lam: a W, Q or P built from a matrix is
+admitted where ``convert`` admits that kind of its lam, so a file ``convert`` writes reads back except
+within ``eigh``'s round-off; the rules' primitives are ``linalg``'s (``c_rules``, ``nonsingular``).  A
+chain of conversions diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and
+forms a matrix only for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts compute on
+Python floats.  Only this module touches a kernel's slots; ``block_dets`` serves C's block determinants."""
 
 from __future__ import annotations
 
@@ -90,7 +92,10 @@ class GaussianKernel:
         for a in (m, vc):
             a.setflags(write=False)
         xs = tuple(x.tolist())
-        lam = xs if kind == "C" else tuple([y - _SHIFT[kind] for y in linalg.reciprocal(xs)])
+        lam = xs
+        if kind != "C":  # C's eigenvalues 1/x - s (infinite at x = 0), admitted by convert's rule for this kind
+            lam = tuple([(1.0 / y if y else math.inf) - _SHIFT[kind] for y in xs])
+            _invertible(lam, _SHIFT[kind])
         _check(kind, lam)
         return self._hold(kind, lam, xs, vc, m, None)
 
@@ -169,15 +174,21 @@ def _check(kind: str, lam: tuple) -> None:
         raise NotPRepresentableError("C - I/2 has a non-positive eigenvalue")
 
 
+def _invertible(lam: tuple, s: float) -> None:
+    """The rules a kind E (C + sI)^-1 E adds to C's eigenvalues lam: C + sI nonsingular (``linalg.nonsingular``
+    on |lam + s|), and its eigenvalues 1/(lam + s) at most ``_ENTRY_BOUND`` in size."""
+    if not 1.0 / linalg.nonsingular([abs(y + s) for y in lam]) <= _ENTRY_BOUND:  # 1/min|lam + s| = max|1/(lam + s)|
+        raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
+
+
 def convert(k: GaussianKernel, target: str) -> GaussianKernel:
     """Convert a kernel to the target representation.
 
     The result holds the source's C eigenvalues lam, eigenvectors and block determinants
     unchanged.  Its constructor checked lam, so only what the target adds runs, on lam as
-    Python floats: for C no rule; for P, ``_check``'s P rule; for W, Q and P,
-    ``linalg.nonsingular`` on |lam + s|, and the bound ``_ENTRY_BOUND`` on the
-    target's eigenvalues 1/(lam + s).  The result forms those eigenvalues and its
-    arrays only when they are read; every refusal of a conversion is raised here.
+    Python floats: for C no rule; for P, ``_check``'s P rule; for W, Q and P, ``_invertible``,
+    which a W, Q or P built from a matrix obeys too.  The result forms its eigenvalues
+    1/(lam + s) and its arrays only when they are read; every refusal of a conversion is raised here.
     """
     if target not in KINDS:
         raise ValueError(f"target must be one of {KINDS}, got {target!r}")
@@ -186,6 +197,6 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
     lam = k._lam
     if target == "P":
         _check("P", lam)
-    if target != "C" and not 1.0 / linalg.nonsingular([abs(y + _SHIFT[target]) for y in lam]) <= _ENTRY_BOUND:
-        raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")  # 1/min|lam + s| = max|1/(lam + s)|
+    if target != "C":
+        _invertible(lam, _SHIFT[target])
     return object.__new__(GaussianKernel)._hold(target, lam, lam if target == "C" else None, k._vc, None, k._dets)

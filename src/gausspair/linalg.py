@@ -7,8 +7,9 @@ that normal form (``normal_form``); ``hermitian_part`` and ``congruence`` return
 matrices already in it.  ``kernels.GaussianKernel`` holds the result.  ``block_det`` is C's 2x2 block determinant.
 
 No tolerance of the package is absolute: the Hermiticity check, every verdict margin and the
-rules written only here, the singularity test ``nonsingular`` and C's existence and P rules
-``c_rules``, use ``band``, which scales with the size of the matrix.
+primitives written only here, the singularity test ``nonsingular`` and C's existence and P rules
+``c_rules``, use ``band``, which scales with the size of the matrix.  Which kernels exist is
+``kernels``' decision, on C's eigenvalues, through these primitives.
 """
 
 from __future__ import annotations
@@ -67,12 +68,6 @@ def congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return hermitian_part(a @ m @ a.conj().T)
 
 
-def reciprocal(x) -> list[float]:
-    """1/x for the eigenvalues x (Python floats) of one ``nonsingular`` Hermitian matrix."""
-    nonsingular([abs(v) for v in x])
-    return [1.0 / v for v in x]
-
-
 def nonsingular(a) -> float:
     """min(a) of the |eigenvalues| a of one matrix; ``SingularMatrixError`` where it is at most band(sum(a), 1)."""
     low, tol = min(a), band(sum(a), 1)
@@ -94,10 +89,11 @@ def block_det(c, row: int, col: int):
 
 
 def invert(m: np.ndarray) -> np.ndarray:
-    """Inverse of the Hermitian ``m`` from its eigendecomposition, V diag(1/x) V^dag.  Nothing in
-    the package calls it; it is kept for the traced probe in perfbench/workloads.py."""
+    """Inverse of the Hermitian ``m`` from its eigendecomposition, V diag(1/x) V^dag, for ``nonsingular``
+    eigenvalues x.  Nothing in the package calls it; it is kept for the traced probe in perfbench/workloads.py."""
     x, v = np.linalg.eigh(m)
-    return congruence(v, np.diag(reciprocal(x.tolist())))
+    nonsingular(np.abs(x).tolist())
+    return congruence(v, np.diag(1.0 / x))
 
 
 def band(scale, degree: int):

@@ -119,17 +119,15 @@ def build_C2(p: TwoModeMoments) -> GaussianKernel:
     return GaussianKernel._normal("C", assemble_c(p))  # assembled in normal form
 
 
-def moments_from_c(k: GaussianKernel) -> TwoModeMoments:
+def _layout(k: GaussianKernel, kind: str) -> list[complex]:
+    """Entries M00, M22, M01, M23, M02, M03 of the ``kind`` matrix of the two-mode C kernel k, laid out as C above."""
     _require_c(k)
-    m = k.matrix
-    return TwoModeMoments(
-        n1=float(m[0, 0].real) - 0.5,
-        n2=float(m[2, 2].real) - 0.5,
-        m1=complex(m[0, 1]),
-        m2=complex(m[2, 3]),
-        ms=complex(m[0, 2]),
-        mc=complex(m[0, 3]),
-    )
+    return convert(k, kind).matrix.take([0, 10, 1, 11, 2, 3]).tolist()
+
+
+def moments_from_c(k: GaussianKernel) -> TwoModeMoments:
+    a, b, m1, m2, ms, mc = _layout(k, "C")
+    return TwoModeMoments(a.real - 0.5, b.real - 0.5, m1, m2, ms, mc)
 
 
 def trace_g2(k: GaussianKernel) -> float:
@@ -168,16 +166,8 @@ def positivity_det_margins(k: GaussianKernel) -> tuple[float, float]:
 
 
 def normal_order_params(k: GaussianKernel) -> NormalOrderParams2:
-    _require_c(k)
-    q = convert(k, "Q").matrix
-    return NormalOrderParams2(
-        nu1=1.0 - float(q[0, 0].real),
-        nu2=1.0 - float(q[2, 2].real),
-        mu1=complex(q[0, 1]),
-        mu2=complex(q[2, 3]),
-        mus=complex(q[0, 2]),
-        muc=complex(q[0, 3]),
-    )
+    a, b, mu1, mu2, mus, muc = _layout(k, "Q")
+    return NormalOrderParams2(1.0 - a.real, 1.0 - b.real, mu1, mu2, mus, muc)
 
 
 def positivity_by_q(k: GaussianKernel) -> bool:

@@ -10,7 +10,7 @@ from test_engine_reference import exact_margins, margins
 
 from gausspair import cli, linalg, onemode, states, twomode
 from gausspair.errors import NotAStateError, NotPRepresentableError, SingularMatrixError
-from gausspair.kernels import convert
+from gausspair.kernels import GaussianKernel, convert
 
 
 def ppt_split_kernels(seed: int = 5, count: int = 4000) -> list:
@@ -53,6 +53,40 @@ def p_file_round_trip(seed: int = 65, count: int = 3000) -> tuple[int, int]:
         except (NotAStateError, NotPRepresentableError, SingularMatrixError):
             refused += 1
     return refused, written
+
+
+def wq_file_round_trip(seed: int = 7, count: int = 3000) -> dict:
+    """Two-mode C near singular: ``count`` states of n1, n2 in U(0.1, 1) and four couplings U(0, 0.3) e^(2 pi i U),
+    whose eigenvectors V keep 1 to 3 eigenvalues set to one top eps U(10, 80) and the rest to top = 10^U(-3, 3).
+    Per kind, W and Q: (the files that ``cli.kernel_from_json`` refuses, those that ``convert`` writes)."""
+    rng, eps, counts = np.random.default_rng(seed), np.finfo(float).eps, {"W": [0, 0], "Q": [0, 0]}
+    drawn = 0
+    while drawn < count:
+        n1, n2 = rng.uniform(0.1, 1.0, 2).tolist()
+        m1, m2, ms, mc = (rng.uniform(0.0, 0.3, 4) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 4))).tolist()
+        try:
+            v = twomode.build_C2(twomode.TwoModeMoments(n1, n2, m1, m2, ms, mc)).eig[1]
+        except NotAStateError:
+            continue
+        drawn += 1
+        small, top = int(rng.integers(1, 4)), 10.0 ** rng.uniform(-3.0, 3.0)
+        lam = np.full(4, top)
+        lam[:small] = top * eps * rng.uniform(10.0, 80.0)
+        try:
+            c = GaussianKernel("C", linalg.hermitian((v * lam) @ v.conj().T))
+        except NotAStateError:
+            continue
+        for kind, tally in counts.items():
+            try:
+                text = json.dumps(cli.kernel_to_json(convert(c, kind)))
+            except SingularMatrixError:
+                continue
+            tally[1] += 1
+            try:
+                cli.kernel_from_json(json.loads(text))
+            except (NotAStateError, NotPRepresentableError, SingularMatrixError):
+                tally[0] += 1
+    return {kind: tuple(pair) for kind, pair in counts.items()}
 
 
 def near_half_product_signs() -> tuple[int, int]:

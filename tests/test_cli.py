@@ -359,6 +359,22 @@ class TestConvertExitDependsOnTheFile:
         assert (got, out) == (code, "") and says in err and "Traceback" not in err
 
 
+class TestConvertedFileReadsBack:
+    """A W file that ``convert`` writes is read back by the rule ``convert`` applied: the singularity of
+    C, on the lam the file implies.  C = a I + m (X + Y + XY) has eigenvalues 1, e, e, e, e = 30 eps; read
+    on the W's own eigenvalues 1, 1/e, 1/e, 1/e, the W file was refused as singular (exit 3) for every ``--to``."""
+
+    @pytest.mark.parametrize("target, code", [("C", 0), ("W", 0), ("Q", 0), ("P", 4)])
+    def test_triple_cluster_w(self, capsys, tmp_path, target, code):
+        e = 30.0 * np.finfo(float).eps
+        a, m = (1.0 + 3.0 * e) / 4.0, (1.0 - e) / 4.0
+        c_path, w_path = tmp_path / "c.json", tmp_path / "w.json"
+        c_path.write_text(json.dumps(_kernel_file("C", [[(a, m, m, m)[i ^ j] for j in range(4)] for i in range(4)])))
+        assert run(capsys, "convert", "--in", str(c_path), "--to", "W", "--out", str(w_path))[0] == 0
+        got, _, err = run(capsys, "convert", "--in", str(w_path), "--to", target)
+        assert got == code and "Traceback" not in err
+
+
 class TestOracle:
     def test_thermal_agreement(self, capsys):
         code, out, _ = run(capsys, "oracle", "--modes", "1", "--n", "0.5", "--m", "0")

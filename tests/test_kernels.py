@@ -304,9 +304,10 @@ def test_conversion_to_c_runs_no_rule(monkeypatch):
     def refuse(*args):
         raise AssertionError("a rule ran")
 
-    for name in ("c_rules", "nonsingular", "reciprocal"):
+    for name in ("c_rules", "nonsingular"):
         monkeypatch.setattr(linalg, name, refuse)
-    monkeypatch.setattr(kernels, "_check", refuse)
+    for name in ("_check", "_invertible"):
+        monkeypatch.setattr(kernels, name, refuse)
     for k in sources:
         assert convert(k, "C").eigenvalues == k._lam
 
@@ -321,13 +322,16 @@ def _kind_matrix(c, kind, low):
 
 
 def _rule_refusal(kind, m):
-    """The error of the first of C's rules that the matrix m of ``kind`` breaks, or None: m's
-    eigenvalues x nonsingular, lam = 1/x - s bounded, C existing and, for P, P-representable."""
+    """The error of the first of C's rules that the matrix m of ``kind`` breaks, or None: with
+    lam = 1/x - s of m's eigenvalues x (infinite at x = 0), C + sI nonsingular on |lam + s|,
+    1/(lam + s) and lam bounded, C existing and, for P, P-representable."""
+    s = kernels._SHIFT[kind]
+    lam = [(1.0 / y if y else math.inf) - s for y in np.linalg.eigh(m)[0].tolist()]
     try:
-        lam = [y - kernels._SHIFT[kind] for y in linalg.reciprocal(np.linalg.eigh(m)[0].tolist())]
+        low = linalg.nonsingular([abs(y + s) for y in lam])
     except SingularMatrixError:
         return SingularMatrixError
-    if not max(map(abs, lam)) <= kernels._ENTRY_BOUND:
+    if not (1.0 / low <= kernels._ENTRY_BOUND and max(map(abs, lam)) <= kernels._ENTRY_BOUND):
         return ValueError
     exists, p_representable = linalg.c_rules(min(lam), sum(sorted(lam)))
     return None if exists and (kind != "P" or p_representable) else NotPRepresentableError if exists else NotAStateError
@@ -414,13 +418,14 @@ def _convert_from_own_eigenvalues(k, target):
     """``convert`` on floats as a function of the source's own eigenvalues, deriving C's from them
     at every call: the target's eigenvalues, or the type of its refusal."""
     try:
-        lam = list(k.eigenvalues) if k.kind == "C" else [y - kernels._SHIFT[k.kind] for y in linalg.reciprocal(k.eigenvalues)]
+        lam = list(k.eigenvalues) if k.kind == "C" else [1.0 / y - kernels._SHIFT[k.kind] for y in k.eigenvalues]
         out = lam
         if target != "C":
-            asc = sorted(lam)
+            asc, s = sorted(lam), kernels._SHIFT[target]
             if target == "P" and not asc[0] - 0.5 > linalg.band(sum(asc), 1):
                 raise NotPRepresentableError
-            out = linalg.reciprocal([y + kernels._SHIFT[target] for y in lam])
+            linalg.nonsingular([abs(y + s) for y in lam])
+            out = [1.0 / (y + s) for y in lam]
         if not max(map(abs, out)) <= kernels._ENTRY_BOUND:
             raise ValueError
         if target == "C" and min(out) < -linalg.band(sum(out), 1):

@@ -193,16 +193,16 @@ class TestOneHomePerRule:
         "action, callers",
         [
             (lambda: GaussianKernel("C", [[1.0, 0.2], [0.2, 1.0]]), {("_check", "c_rules")}),
-            (functools.partial(convert, states.mixed_epr(1.0, 0.3), "P"), {("_check", "c_rules"), ("convert", "nonsingular")}),
-            (lambda: convert(GaussianKernel("W", [[1.0, 0.2], [0.2, 1.0]]), "C"), {("reciprocal", "nonsingular"), ("_check", "c_rules")}),
+            (functools.partial(convert, states.mixed_epr(1.0, 0.3), "P"), {("_check", "c_rules"), ("_invertible", "nonsingular")}),
+            (lambda: convert(GaussianKernel("W", [[1.0, 0.2], [0.2, 1.0]]), "C"), {("_invertible", "nonsingular"), ("_check", "c_rules")}),
             *((functools.partial(GaussianKernel, kind, [[1.0, 0.2], [0.2, 1.0]]),
-               {("reciprocal", "nonsingular"), ("_check", "c_rules")}) for kind in "WQP"),
+               {("_invertible", "nonsingular"), ("_check", "c_rules")}) for kind in "WQP"),
             (lambda: twomode.classify2(states.anti_epr(0.9, 0.5, 0.3)), {("verdicts_from_invariants", "c_rules")}),
             (lambda: onemode.OneModeMoments(1.0, 0.3), {("__post_init__", "c_rules")}),
             (lambda: onemode.classify(onemode.OneModeMoments(1.0, 0.3)), {("classify", "c_rules")}),
             (_scan_text, {("verdicts_from_invariants", "c_rules")}),
         ],
-        ids=["kernel-check", "convert", "reciprocal", "build-w", "build-q", "build-p", "classify2", "one-mode-moments",
+        ids=["kernel-check", "convert", "built-w-to-c", "build-w", "build-q", "build-p", "classify2", "one-mode-moments",
              "one-mode-classify", "scan-blocks"],
     )
     def test_each_caller_goes_through_the_rules(self, monkeypatch, action, callers):
