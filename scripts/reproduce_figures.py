@@ -27,7 +27,7 @@ def write_scan(path: pathlib.Path, family: str, ratio: float, steps: int) -> Non
 def write_wavefunction(path: pathlib.Path, nbar: float, steps: int) -> None:
     grid = GridSpec(-3.0, 3.0, steps)
     p = states.SmoothedEprParam(nbar)
-    density = grid_blocks("q1,q2,density", grid.axis, grid.axis, "%.10g", lambda r: scan_wavefunction(p, grid, r) ** 2)
+    density = grid_blocks("q1,q2,density", grid.axis, "%.10g", lambda r: scan_wavefunction(p, grid, r) ** 2)
     write_blocks(density, str(path))
     print(f"wrote {path} ({steps}x{steps})")
 

@@ -127,18 +127,17 @@ def _grid_text(header: str, outer: np.ndarray, width: int, rows_text: Callable[[
         yield rows_text(rows, _axis_texts(outer[rows]))
 
 
-def grid_blocks(header: str, outer: np.ndarray, inner: np.ndarray, cell: str,
-                values: Callable[[slice], np.ndarray]) -> Iterator[str]:
-    """CSV text as ``_grid_text`` yields it, the line "outer[i],inner[j],cell % v[i, j]" for
-    every point, with ``values(rows)`` the v of the slice ``rows`` of outer rows.  Each outer
-    row is one ``%`` on a template of the whole row; no text or value of the whole grid is held."""
-    tails = ["," + y + "," + cell + "\n" for y in _axis_texts(inner)]
+def grid_blocks(header: str, axis: np.ndarray, cell: str, values: Callable[[slice], np.ndarray]) -> Iterator[str]:
+    """CSV text as ``_grid_text`` yields it, the line "axis[i],axis[j],cell % v[i, j]" for
+    every point of the square grid, with ``values(rows)`` the v of the slice ``rows`` of outer rows.  Each
+    outer row is one ``%`` on a template of the whole row; no text or value of the whole grid is held."""
+    tails = ["," + y + "," + cell + "\n" for y in _axis_texts(axis)]
 
     def rows_text(rows: slice, heads: list[str]) -> str:
         block = values(rows).reshape(len(heads), -1).tolist()
         return "".join((head + head.join(tails)) % tuple(row) for head, row in zip(heads, block))
 
-    return _grid_text(header, outer, len(inner), rows_text)
+    return _grid_text(header, axis, len(axis), rows_text)
 
 
 def write_blocks(blocks: Iterable[str], out: str | None):
@@ -280,7 +279,7 @@ def _cmd_wavefun(args) -> int:
     grid = phasespace.GridSpec(lo=args.lo, hi=args.hi, samples=args.samples)
     p = states.SmoothedEprParam(args.nbar)
     values = functools.partial(phasespace.scan_wavefunction, p, grid)
-    write_blocks(grid_blocks("q1,q2,psi", grid.axis, grid.axis, "%.12g", values), args.out)
+    write_blocks(grid_blocks("q1,q2,psi", grid.axis, "%.12g", values), args.out)
     return EXIT_OK
 
 
@@ -289,7 +288,7 @@ def _cmd_wigner(args) -> int:
     w = convert(onemode.build_C(onemode.OneModeMoments(n=args.n, m=args.m)), "W")
     grid = phasespace.GridSpec(lo=args.lo, hi=args.hi, samples=args.samples)
     values = functools.partial(phasespace.wigner_grid, w, grid)
-    write_blocks(grid_blocks("q,p,w", grid.axis, grid.axis, "%.12g", values), args.out)
+    write_blocks(grid_blocks("q,p,w", grid.axis, "%.12g", values), args.out)
     return EXIT_OK
 
 

@@ -17,10 +17,10 @@ kernel ``convert`` returns, its source's lam and (dA, dB, dX) unchanged.  Every 
 lam once (``_check``), so ``convert`` checks only what its target adds (``_invertible``).  Only this
 module decides which kernels exist, by one rule per kind on lam: a W, Q or P built from a matrix is
 admitted where ``convert`` admits that kind of its lam, so a file ``convert`` writes reads back except
-within ``eigh``'s round-off; the rules' primitives are ``linalg``'s (``c_rules``, ``nonsingular``).  A
-chain of conversions diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and
-forms a matrix only for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts compute on
-Python floats.  Only this module touches a kernel's slots; ``block_dets`` serves C's block determinants."""
+within ``eigh``'s round-off; the rules' primitives are ``linalg``'s (``c_rules``, ``nonsingular``).  A chain of
+conversions diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and forms a matrix only
+for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts compute on Python floats.  Only this module
+touches a kernel's slots; ``block_dets`` serves C's block determinants; ``require`` is the one kernel-argument check."""
 
 from __future__ import annotations
 
@@ -126,8 +126,7 @@ class GaussianKernel:
     @property
     def block_dets(self) -> tuple[float, float, float]:
         """A two-mode C's (dA, dB, dX), carried or taken once and kept; only C's, as ``convert`` passes them on."""
-        if self._kind != "C" or len(self._vc) != 4:
-            raise ValueError("expected a two-mode C kernel")
+        require(self, "C", 2)
         if self._dets is None:
             self._dets = tuple(linalg.block_det(self.matrix.take(_BLOCKS), 0, 0).tolist())
         return self._dets
@@ -159,6 +158,12 @@ class GaussianKernel:
     def det(self) -> float:
         """The determinant: the product of the eigenvalues, in their order."""
         return math.prod(self.eigenvalues)
+
+
+def require(k: GaussianKernel, kind: str, modes: int | None = None) -> None:
+    """The one check of a kernel argument: ``ValueError`` unless k is of ``kind`` and, when given, of ``modes`` modes."""
+    if k.kind != kind or modes not in (None, k.modes):
+        raise ValueError(f"expected a {('', 'one-mode ', 'two-mode ')[modes or 0]}{kind} kernel")
 
 
 def _check(kind: str, lam: tuple) -> None:

@@ -2,8 +2,8 @@
 
 All covariance-style matrices in this package are plain ndarrays (read-only
 once a kernel holds them), Hermitian and obeying the swap symmetry M = T M^T T,
-where T exchanges the (z, z*) pair of every mode.  ``hermitian`` checks outside input and puts it in
-that normal form (``normal_form``); ``hermitian_part`` and ``congruence`` return
+where T exchanges the (z, z*) pair of every mode.  ``normal_form`` puts a matrix in it, halving before it adds;
+``hermitian`` checks outside input and returns its ``normal_form``; ``hermitian_part`` and ``congruence`` return
 matrices already in it.  ``kernels.GaussianKernel`` holds the result.  ``block_det`` is C's 2x2 block determinant.
 
 No tolerance of the package is absolute: the Hermiticity check, every verdict margin and the
@@ -41,7 +41,7 @@ def hermitian(entries) -> np.ndarray:
     h = 0.5 * m  # halved before any sum, exactly, so no sum of finite entries overflows
     if np.abs(h - h.conj().T).max() > band(np.abs(h).max(), 1):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return _normal_form_of_half(h)
+    return normal_form(m)
 
 
 SymMatrix = hermitian  # the old name, kept for perfbench/workloads.py, which builds its general kernels through it
@@ -49,10 +49,7 @@ SymMatrix = hermitian  # the old name, kept for perfbench/workloads.py, which bu
 
 def normal_form(m: np.ndarray) -> np.ndarray:
     """The T-symmetric Hermitian part of m: its average with T m^T T, then with m^dag, each halving first so no sum overflows."""
-    return _normal_form_of_half(0.5 * m)
-
-
-def _normal_form_of_half(h: np.ndarray) -> np.ndarray:  # normal_form(2h)
+    h = 0.5 * m
     h = 0.5 * (h + h.take(_T_GATHER[len(h)]))
     return h + h.conj().T
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, NotAStateError, NotPositiveError, NotPureError, NotRealBranchError
-from .kernels import GaussianKernel, convert
+from .kernels import GaussianKernel, convert, require
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ def _eigenvalues(p: OneModeMoments) -> tuple[float, float]:
 
 
 def moments_from_c(k: GaussianKernel) -> OneModeMoments:
-    if k.kind != "C" or k.modes != 1:
-        raise ValueError("expected a one-mode C kernel")
+    require(k, "C", 1)
     return OneModeMoments(n=float(k.matrix[0, 0].real) - 0.5, m=complex(k.matrix[0, 1]))
 
 
@@ -112,8 +111,7 @@ def classify(p: OneModeMoments) -> OneModeVerdict:
 
 def purity_from_wigner(k: GaussianKernel) -> float:
     """Tr G^2 evaluated from the Wigner matrix: half the square root of det W."""
-    if k.kind != "W":
-        raise ValueError("expected a W kernel")
+    require(k, "W")
     return 0.5 * math.sqrt(k.det)
 
 
@@ -129,8 +127,7 @@ def apply_squeeze(k: GaussianKernel, u: SqueezeMap, direction: str = "forward") 
     forward:  C -> U^dag C U        (basic Gaussian to squeezed one)
     inverse:  C -> E U E C E U^dag E  (undoes the forward map)
     """
-    if k.kind != "C":
-        raise ValueError("expected a C kernel")
+    require(k, "C")
     um = u.matrix
     if um.shape[0] != k.dim:
         raise DimensionMismatchError("squeeze map dimension does not match kernel")

@@ -1,4 +1,5 @@
-"""Numeric evaluation of Gaussian phase-space functions at points and on grids, from one z^dag M z."""
+"""Gaussian phase-space functions from one z^dag M z, at a point of float coordinates or on a grid taken as one point
+of array coordinates: ``wigner_grid`` is ``wigner_value`` on arrays.  ``kernels.require`` checks each kernel's kind."""
 
 from __future__ import annotations
 
@@ -7,13 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GaussianKernel
+from .kernels import GaussianKernel, require
 from .states import SmoothedEprParam, epr_wavefunction
 
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Phase-space point, one (q, p) pair per mode."""
+    """Phase-space point, one (q, p) pair per mode: floats, or arrays of one shape for a grid of points."""
 
     coords: tuple[tuple[float, float], ...]
 
@@ -27,10 +28,10 @@ class PhasePoint:
 
     @property
     def zvector(self) -> np.ndarray:
-        """Column (z, z*) per mode with z = (q + i p) / sqrt(2)."""
+        """(z, z*) per mode on axis 0, z = (q + i p) / sqrt(2) in numpy's arithmetic for floats as for arrays."""
         out = []
         for q, p in self.coords:
-            z = (q + 1j * p) / math.sqrt(2.0)
+            z = (np.asarray(q) + 1j * np.asarray(p)) / math.sqrt(2.0)
             out.extend([z, np.conj(z)])
         return np.array(out)
 
@@ -66,17 +67,16 @@ class GridSpec:
 
 
 def _quadratic_form(k: GaussianKernel, z: np.ndarray, kind: str):
-    """z^dag M z of the kernel M, which must be of ``kind``, for a ``zvector`` or a grid of them stacked on axis 0."""
-    if k.kind != kind:
-        raise ValueError(f"expected a {kind} kernel")
+    """z^dag M z of the kernel M, which must be of ``kind``, for a ``zvector`` (of a point or of a grid)."""
+    require(k, kind)
     if len(z) != k.dim:
         raise ValueError("phase point does not match kernel mode count")
     return np.einsum("i...,ij,j...->...", np.conj(z), k.matrix, z)
 
 
-def wigner_value(k: GaussianKernel, pt: PhasePoint) -> float:
-    """W(z) = sqrt(det W) exp(-z^dag W z / 2); real and positive for valid kernels."""
-    return math.sqrt(k.det) * math.exp(-0.5 * np.real(_quadratic_form(k, pt.zvector, "W")))
+def wigner_value(k: GaussianKernel, pt: PhasePoint) -> float | np.ndarray:
+    """W(z) = sqrt(det W) exp(-z^dag W z / 2); real and positive for valid kernels, an array for a grid of points."""
+    return math.sqrt(k.det) * np.exp(-0.5 * np.real(_quadratic_form(k, pt.zvector, "W")))
 
 
 def characteristic_value(k: GaussianKernel, pt: PhasePoint) -> complex:
@@ -86,11 +86,8 @@ def characteristic_value(k: GaussianKernel, pt: PhasePoint) -> complex:
 
 def wigner_grid(k: GaussianKernel, grid: GridSpec, rows: slice = slice(None)) -> np.ndarray:
     """W(q, p) of a one-mode W kernel on the grid, indexed [q, p]; only the q rows ``rows`` when
-    given.  The same W(z) as ``wigner_value``, evaluated on the whole array at once."""
-    q, p = np.meshgrid(grid.axis[rows], grid.axis, indexing="ij")
-    z = (q + 1j * p) / math.sqrt(2.0)
-    quad = np.real(_quadratic_form(k, np.stack([z, np.conj(z)]), "W"))  # refuses all but a one-mode W
-    return math.sqrt(k.det) * np.exp(-0.5 * quad)
+    given.  ``wigner_value`` on arrays: numpy's vector loops may round a lone point differently."""
+    return wigner_value(k, PhasePoint.one_mode(*np.meshgrid(grid.axis[rows], grid.axis, indexing="ij")))
 
 
 def scan_wavefunction(p: SmoothedEprParam, grid: GridSpec, rows: slice = slice(None)) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotPositiveError, NotPureError, WrongModeCountError
-from .kernels import GaussianKernel, convert
+from .kernels import GaussianKernel, convert, require
 from .onemode import SqueezeMap
 
 
@@ -121,7 +121,7 @@ def build_C2(p: TwoModeMoments) -> GaussianKernel:
 
 def _layout(k: GaussianKernel, kind: str) -> list[complex]:
     """Entries M00, M22, M01, M23, M02, M03 of the ``kind`` matrix of the two-mode C kernel k, laid out as C above."""
-    _require_c(k)
+    require(k, "C", 2)
     return convert(k, kind).matrix.take([0, 10, 1, 11, 2, 3]).tolist()
 
 
@@ -132,14 +132,14 @@ def moments_from_c(k: GaussianKernel) -> TwoModeMoments:
 
 def trace_g2(k: GaussianKernel) -> float:
     """Tr G^2 = 1 / (4 sqrt(det C))."""
-    _require_c(k)
+    require(k, "C", 2)
     det_c = k.det
     return math.inf if det_c <= 0.0 else 1.0 / (4.0 * math.sqrt(det_c))
 
 
 def squared_kernel(k: GaussianKernel) -> GaussianKernel:
     """C matrix of the normalized square G^2 / Tr G^2: Cbar = C/2 + E C^-1 E / 8."""
-    _require_c(k)
+    require(k, "C", 2)
     return GaussianKernel._normal("C", 0.5 * k.matrix + 0.125 * convert(k, "W").matrix)  # a sum in normal form
 
 
@@ -331,8 +331,3 @@ def product_thermal_kernel(g1: float, g2: float) -> GaussianKernel:
     """
     c1, c2 = (0.5 * (1.0 + g) / (1.0 - g) for g in (g1, g2))
     return GaussianKernel._normal("C", np.diag([c1, c1, c2, c2]))
-
-
-def _require_c(k: GaussianKernel):
-    if k.kind != "C" or k.modes != 2:
-        raise ValueError("expected a two-mode C kernel")

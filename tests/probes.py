@@ -1,6 +1,6 @@
-"""Seeded probes of known defects.  Each returns (defects, sample size) on a fixed sample, so a
-test can hold a defect's count at the figure it had when the probe was written
-(``test_known_defects``), and a change that fixes it shows as a lower count."""
+"""Seeded probes of known defects.  Each public function returns (defects, sample size) on a fixed sample, or one
+such pair per kind, so a test can hold a defect's count at the figure it had when the probe was written
+(``test_known_defects``), and a change that fixes it shows as a lower count.  CI prints every count."""
 
 import json
 import math
@@ -8,12 +8,12 @@ import math
 import numpy as np
 from test_engine_reference import exact_margins, margins
 
-from gausspair import cli, linalg, onemode, states, twomode
+from gausspair import cli, linalg, onemode, phasespace, states, twomode
 from gausspair.errors import NotAStateError, NotPRepresentableError, SingularMatrixError
 from gausspair.kernels import GaussianKernel, convert
 
 
-def ppt_split_kernels(seed: int = 5, count: int = 4000) -> list:
+def _ppt_split_kernels(seed: int = 5, count: int = 4000) -> list:
     """``count`` positive ``anti_epr(n, mc, r mc)`` kernels within 1e-16 to 1e-10 relative of the
     separability boundary: mc is the root of (1 - r^2) mc^2 - (2n + 1) mc + n (n + 1) = 0 nearer 0,
     scaled by 1 +- 10^U(-16, -10), with n = 10^U(-6, 3) and r in U(0.1, 0.9)."""
@@ -29,9 +29,9 @@ def ppt_split_kernels(seed: int = 5, count: int = 4000) -> list:
 
 
 def ppt_split(seed: int = 5, count: int = 4000) -> tuple[int, int]:
-    """Kernels of ``ppt_split_kernels`` where ``classify2`` of the partial transpose (the kernel's mapped pair)
+    """Kernels of ``_ppt_split_kernels`` where ``classify2`` of the partial transpose (the kernel's mapped pair)
     calls it positive and ``classify2`` of the kernel calls it not PPT-separable, or the reverse."""
-    kernels = ppt_split_kernels(seed, count)
+    kernels = _ppt_split_kernels(seed, count)
     split = sum(twomode.classify2(twomode.partial_transpose(k)).positive != twomode.classify2(k).ppt_separable for k in kernels)
     return split, len(kernels)
 
@@ -103,3 +103,39 @@ def near_half_product_signs() -> tuple[int, int]:
                 wrong += bool(got >= -tol) != (exact >= 0)
                 total += 1
     return wrong, total
+
+
+def wigner_point_grid_split() -> tuple[int, int]:
+    """The W of four one-mode kernels, (n, m) from (1e-5, 3e-6) to (1e4, 5e3), each on ``GridSpec(-4, 4, 23)``: the
+    points where ``phasespace.wigner_value`` differs from ``wigner_grid`` in any bit, of all points."""
+    grid, split = phasespace.GridSpec(-4.0, 4.0, 23), 0
+    axis = grid.axis.tolist()
+    for n, m in ((1e-5, 3e-6), (0.7, 0.2 + 0.3j), (30.0, 12.0 - 4.0j), (1e4, 5e3)):
+        k = convert(onemode.build_C(onemode.OneModeMoments(n, m)), "W")
+        for row, q in zip(phasespace.wigner_grid(k, grid).tolist(), axis):
+            split += sum(bool(phasespace.wigner_value(k, phasespace.PhasePoint.one_mode(q, p)) != w) for w, p in zip(row, axis))
+    return split, 4 * len(axis) ** 2
+
+
+def family_boundary_signs(seed: int = 10, count: int = 600) -> tuple[int, int]:
+    """``count`` points alternating ``squeezed_epr(n, mc, r mc)`` and ``anti_epr(n, mc, r mc)``, n = 10^U(-6, 2) and
+    r = 10^U(-12, -1), with mc placed so that the closed-form positivity margin is +-2^U(0, 20) eps (2n + 1)^2: the
+    engine's decisions on det C - 1/16 and the positivity margin (each >= -band) that differ from the exact sign of
+    ``test_engine_reference.exact_margins``."""
+    rng, wrong = np.random.default_rng(seed), 0
+    for i in range(count):
+        n, r = 10.0 ** rng.uniform(-6.0, 2.0), 10.0 ** rng.uniform(-12.0, -1.0)
+        margin = rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(0.0, 20.0) * np.finfo(float).eps * (2.0 * n + 1.0) ** 2
+        rest = n * (n + 1.0) - margin  # squeezed: (1 + r)^2 mc^2; anti: (1 - r^2) mc^2 + 2 r (n + 1/2) mc
+        if i % 2 == 0:
+            mc = math.sqrt(rest) / (1.0 + r)
+            k = states.squeezed_epr(n, mc, r * mc)
+        else:
+            h = r * (n + 0.5)
+            mc = rest / (h + math.sqrt(h * h + (1.0 - r * r) * rest))
+            k = states.anti_epr(n, mc, r * mc)
+        eig = np.sort(k.eig[0])
+        *engine, tol = margins(k.matrix, eig, eig[0] * eig[1] * eig[2] * eig[3])
+        for got, exact in zip(engine[:2], exact_margins(k.matrix)):
+            wrong += bool(got >= -tol) != (exact >= 0)
+    return wrong, 2 * count

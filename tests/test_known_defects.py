@@ -28,3 +28,16 @@ def test_near_half_product_signs():
     # the engine cannot resolve second-order margins where both symplectic eigenvalues lie near 1/2
     wrong, margins = probes.near_half_product_signs()
     assert margins == 195 and wrong <= 40
+
+
+def test_wigner_point_grid_split():
+    # wigner_value at one point and wigner_grid on arrays share z, z^dag W z and np.exp; einsum reduces a (2,)
+    # operand in another order than a (2, R, C) one, so a lone point can still differ in the last bit
+    split, points = probes.wigner_point_grid_split()
+    assert points == 2116 and split <= 5
+
+
+def test_family_boundary_signs():
+    # the engine cannot resolve det C - 1/16 or the positivity margin within its band of the boundary
+    wrong, margins = probes.family_boundary_signs()
+    assert margins == 1200 and wrong <= 201
