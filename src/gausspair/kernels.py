@@ -9,12 +9,12 @@ with the representation it lives in.  The four forms of the same Gaussian operat
 
 so all four share C's eigenvectors, conjugated by E, and have eigenvalues 1/(lam + s) for
 s = 0, 1/2, -1/2.  Every kernel holds C's eigenvalues lam as Python floats beside C's eigenvectors
-from the moment it is made: from one ``eigh`` of outside input (checked by ``linalg.hermitian``) or
-of assembled moments, lam = 1/x - s of its own eigenvalues x for a W, Q or P; from the closed-form
-pair of a one-mode or EPR-family C, with no eigensolver (``_closed``), which forms its matrix only
-when it is read and, for two modes, carries C's block determinants (dA, dB, dX) as well; or, for a
-kernel ``convert`` returns, its source's lam and (dA, dB, dX) unchanged.  Every constructor checks
-lam once (``_check``), so ``convert`` checks only what its target adds (``_invertible``).  Only this
+from the moment it is made: from one ``eigh`` of a matrix, outside input or assembled, checked by ``linalg.hermitian``
+in the public constructor, the one way in for a matrix, lam = 1/x - s of its own eigenvalues x for a W, Q or P; from
+the closed-form pair of a one-mode or EPR-family C, with no eigensolver (``_closed``), which forms its matrix only when
+read and, for two modes, carries C's block determinants (dA, dB, dX) too; or, for a kernel ``convert`` returns, its
+source's lam and (dA, dB, dX) unchanged.  Every constructor checks lam once (``_check``), within ``linalg.MAX_SCALE``,
+where every verdict is finite, so ``convert`` checks only what its target adds (``_invertible``, 1/(lam + s) in range).  Only this
 module decides which kernels exist, by one rule per kind on lam: a W, Q or P built from a matrix is
 admitted where ``convert`` admits that kind of its lam, so a file ``convert`` writes reads back except
 within ``eigh``'s round-off; the rules' primitives are ``linalg``'s (``c_rules``, ``nonsingular``).  A chain of
@@ -25,7 +25,6 @@ touches a kernel's slots; ``block_dets`` serves C's block determinants; ``requir
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -37,7 +36,6 @@ KINDS = ("C", "W", "Q", "P")
 _SHIFT = {"W": 0.0, "Q": 0.5, "P": -0.5}
 # the diagonal of E, which flips eigenvectors by a sign per row
 _E_SIGN = {dim: np.diag(linalg.structure_e(dim))[:, None] for dim in (2, 4)}
-_ENTRY_BOUND = sys.float_info.max / 4  # V diag(x) V^dag has entries <= max|x| (V unitary); forming it adds two
 # the flat indices of a two-mode C's 2x2 blocks A, B, X: its determinants in one ``linalg.block_det`` pass
 _BLOCKS = np.array([[[4 * r + c, 4 * r + c + 1], [4 * r + c + 4, 4 * r + c + 5]] for r, c in ((0, 0), (2, 2), (0, 2))])
 
@@ -56,17 +54,21 @@ class GaussianKernel:
     __slots__ = ("_kind", "_lam", "_x", "_vc", "_matrix", "_dets")
 
     def __init__(self, kind: str, entries):
-        """The kernel of outside input, which ``linalg.hermitian`` checks and copies: one ``eigh``."""
-        self._of(kind, linalg.hermitian(entries))
-
-    @classmethod
-    def _normal(cls, kind: str, m) -> "GaussianKernel":
-        """The kernel of a matrix already in normal form, such as assembled moments: only finiteness
-        is checked, and one ``eigh`` gives its pair."""
-        m = np.asarray(m, dtype=complex)
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has non-finite entries")
-        return object.__new__(cls)._of(kind, m)
+        """The kernel of a matrix, outside input or assembled, which ``linalg.hermitian`` checks and copies: one ``eigh``."""
+        m = linalg.hermitian(entries)
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        x, v = np.linalg.eigh(m)
+        vc = v if kind == "C" else _E_SIGN[len(v)] * v
+        for a in (m, vc):
+            a.setflags(write=False)
+        xs = tuple(x.tolist())
+        lam = xs
+        if kind != "C":  # C's eigenvalues 1/x - s (infinite at x = 0), admitted by convert's rule for this kind
+            lam = tuple([(1.0 / y if y else math.inf) - _SHIFT[kind] for y in xs])
+            _invertible(lam, _SHIFT[kind])
+        _check(kind, lam)
+        self._hold(kind, lam, xs, vc, m, None)
 
     @classmethod
     def _closed(cls, form, x, v: np.ndarray, dets: tuple | None = None) -> "GaussianKernel":
@@ -83,21 +85,6 @@ class GaussianKernel:
         vc.setflags(write=False)
         dets = self._dets and tuple(s * d for s, d in zip(det_signs, self._dets))
         return object.__new__(GaussianKernel)._hold(self._kind, self._lam, self._x, vc, None, dets)
-
-    def _of(self, kind: str, m: np.ndarray) -> "GaussianKernel":
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        x, v = np.linalg.eigh(m)
-        vc = v if kind == "C" else _E_SIGN[len(v)] * v
-        for a in (m, vc):
-            a.setflags(write=False)
-        xs = tuple(x.tolist())
-        lam = xs
-        if kind != "C":  # C's eigenvalues 1/x - s (infinite at x = 0), admitted by convert's rule for this kind
-            lam = tuple([(1.0 / y if y else math.inf) - _SHIFT[kind] for y in xs])
-            _invertible(lam, _SHIFT[kind])
-        _check(kind, lam)
-        return self._hold(kind, lam, xs, vc, m, None)
 
     def _hold(self, kind: str, lam: tuple, x: tuple | None, vc: np.ndarray, m, dets: tuple | None):
         """Set the slots, unchecked: C's checked eigenvalues lam, the kernel's own x (None until mapped), C's eigenvectors
@@ -168,9 +155,9 @@ def require(k: GaussianKernel, kind: str, modes: int | None = None) -> None:
 
 def _check(kind: str, lam: tuple) -> None:
     """The rules on C's eigenvalues lam that every kernel obeys from construction: each finite and at
-    most ``_ENTRY_BOUND`` in size, so that any C formed from them is; C exists (``linalg.c_rules``,
-    summed in ascending order as the engine sums); and a P kernel's C is P-representable."""
-    if not all(abs(y) <= _ENTRY_BOUND for y in lam):
+    most ``linalg.MAX_SCALE`` in size, the verdict range, so that every verdict on the kernel is finite; C exists
+    (``linalg.c_rules``, summed in ascending order as the engine sums); and a P kernel's C is P-representable."""
+    if not all(abs(y) <= linalg.MAX_SCALE for y in lam):
         raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
     exists, p_representable = linalg.c_rules(min(lam), sum(sorted(lam)))
     if not exists:
@@ -181,8 +168,8 @@ def _check(kind: str, lam: tuple) -> None:
 
 def _invertible(lam: tuple, s: float) -> None:
     """The rules a kind E (C + sI)^-1 E adds to C's eigenvalues lam: C + sI nonsingular (``linalg.nonsingular``
-    on |lam + s|), and its eigenvalues 1/(lam + s) at most ``_ENTRY_BOUND`` in size."""
-    if not 1.0 / linalg.nonsingular([abs(y + s) for y in lam]) <= _ENTRY_BOUND:  # 1/min|lam + s| = max|1/(lam + s)|
+    on |lam + s|), and its eigenvalues 1/(lam + s) at most ``linalg.MAX_SCALE`` in size."""
+    if not 1.0 / linalg.nonsingular([abs(y + s) for y in lam]) <= linalg.MAX_SCALE:  # 1/min|lam + s| = max|1/(lam + s)|
         raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
 
 

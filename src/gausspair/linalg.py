@@ -3,8 +3,9 @@
 All covariance-style matrices in this package are plain ndarrays (read-only
 once a kernel holds them), Hermitian and obeying the swap symmetry M = T M^T T,
 where T exchanges the (z, z*) pair of every mode.  ``normal_form`` puts a matrix in it, halving before it adds;
-``hermitian`` checks outside input and returns its ``normal_form``; ``hermitian_part`` and ``congruence`` return
-matrices already in it.  ``kernels.GaussianKernel`` holds the result.  ``block_det`` is C's 2x2 block determinant.
+``hermitian`` checks each matrix a kernel is built from and returns its ``normal_form``; ``hermitian_part`` and
+``congruence`` return matrices already in it.  ``kernels.GaussianKernel`` holds the result.  ``block_det`` is C's
+2x2 block determinant.
 
 No tolerance of the package is absolute: the Hermiticity check, every verdict margin and the
 primitives written only here, the singularity test ``nonsingular`` and C's existence and P rules
@@ -21,8 +22,8 @@ import numpy as np
 from .errors import DimensionMismatchError, SingularMatrixError
 
 K = 16  # width of the verdict band in units of eps * scale**degree
-# the largest |eigenvalue| of a kernel whose verdicts are resolved: the two-mode margins
-# hold products of up to four eigenvalues (det C, Delta^2, the band's scale), finite below it
+# the verdict range, the largest |eigenvalue| a kernel holds (``kernels._check``): the two-mode
+# margins hold products of up to four eigenvalues (det C, Delta^2, the band's scale), finite below it
 MAX_SCALE = 2.0**250
 
 # T m^T T as a gather from the flattened m: T exchanges z and z* of every mode
@@ -30,7 +31,7 @@ _T_GATHER = {dim: np.arange(dim * dim).reshape(dim, dim).T[np.ix_(np.arange(dim)
 
 
 def hermitian(entries) -> np.ndarray:
-    """Outside input as a kernel's matrix: a copy of ``entries`` in ``normal_form``.  It must be
+    """A kernel's matrix, from outside input or built in the package: a copy of ``entries`` in ``normal_form``.  It must be
     2x2 or 4x4, finite, and its anti-Hermitian part within ``band(max|M|, 1)``.  Averaging
     M with T M^T T leaves the associated Gaussian characteristic function unchanged."""
     m = np.array(entries, dtype=complex)

@@ -1,7 +1,8 @@
 """One-mode Gaussian states: moments, verdicts, squeezing, and the pure-state wave function.
 
 Parameters are the mean occupation n = <a^dag a> and the anomalous moment
-m = -<a^2>; the covariance matrix is C = [[n+1/2, m], [m*, n+1/2]].
+m = -<a^2>; the covariance matrix is C = [[n+1/2, m], [m*, n+1/2]].  Moments are admitted as
+``build_C`` admits their C: its eigenvalues n + 1/2 -+ |m| within ``linalg.MAX_SCALE``, and C a state.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ class OneModeMoments:
 
     def __post_init__(self):
         lo, hi = _eigenvalues(self)
+        if hi > linalg.MAX_SCALE:  # past the verdict range, as ``kernels._check`` refuses lam; then |lo| <= hi if C exists
+            raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
         if not linalg.c_rules(lo, lo + hi)[0]:
             raise NotAStateError(f"n + 1/2 = {self.n + 0.5} must exceed |m| = {abs(self.m)}")
 
@@ -138,7 +141,7 @@ def apply_squeeze(k: GaussianKernel, u: SqueezeMap, direction: str = "forward") 
         a = e @ um @ e
     else:
         raise ValueError("direction must be 'forward' or 'inverse'")
-    return GaussianKernel._normal("C", linalg.congruence(a, k.matrix))
+    return GaussianKernel("C", linalg.congruence(a, k.matrix))
 
 
 def theta_window(p: OneModeMoments) -> tuple[float, float, float]:

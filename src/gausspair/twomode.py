@@ -116,7 +116,7 @@ def assemble_c(p: TwoModeMoments) -> np.ndarray:
 
 
 def build_C2(p: TwoModeMoments) -> GaussianKernel:
-    return GaussianKernel._normal("C", assemble_c(p))  # assembled in normal form
+    return GaussianKernel("C", assemble_c(p))
 
 
 def _layout(k: GaussianKernel, kind: str) -> list[complex]:
@@ -140,7 +140,7 @@ def trace_g2(k: GaussianKernel) -> float:
 def squared_kernel(k: GaussianKernel) -> GaussianKernel:
     """C matrix of the normalized square G^2 / Tr G^2: Cbar = C/2 + E C^-1 E / 8."""
     require(k, "C", 2)
-    return GaussianKernel._normal("C", 0.5 * k.matrix + 0.125 * convert(k, "W").matrix)  # a sum in normal form
+    return GaussianKernel("C", 0.5 * k.matrix + 0.125 * convert(k, "W").matrix)
 
 
 def positivity_by_dets(k: GaussianKernel) -> bool:
@@ -253,7 +253,7 @@ def local_squeeze_to_p_rep(k: GaussianKernel, theta: float) -> GaussianKernel:
     if not _kernel_verdicts(k).positive:
         raise NotPositiveError("local squeeze to P form requires a positive state")
     e = linalg.structure_e(4)
-    return GaussianKernel._normal("C", linalg.congruence(e @ local_squeeze_map(theta, theta) @ e, k.matrix))
+    return GaussianKernel("C", linalg.congruence(e @ local_squeeze_map(theta, theta) @ e, k.matrix))
 
 
 def invariant_verdicts(c, eig=None) -> InvariantVerdicts:
@@ -330,4 +330,4 @@ def product_thermal_kernel(g1: float, g2: float) -> GaussianKernel:
     Valid for -1 < g < 1; negative g gives a non-positive (diagnostic) kernel.
     """
     c1, c2 = (0.5 * (1.0 + g) / (1.0 - g) for g in (g1, g2))
-    return GaussianKernel._normal("C", np.diag([c1, c1, c2, c2]))
+    return GaussianKernel("C", np.diag([c1, c1, c2, c2]))

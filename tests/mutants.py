@@ -1,0 +1,84 @@
+"""Mutation census: each listed mutant of a verdict, band, admission or oracle rule must fail a named test.
+
+Each row of ``MUTANTS`` breaks one rule by replacing one exact text in a file of ``src/gausspair``, and
+names the tests that pin the rule.  For each row the runner copies ``src/`` to a temporary directory,
+checks that the old text occurs there exactly once, applies the change and runs only the named tests,
+importing the package from the copy.  A mutant is killed when a named test fails, and survives when
+all of them pass.  The named tests are first run on the unchanged copy, where every one must pass.
+
+Run from anywhere, with numpy, pytest and hypothesis installed: ``python3 tests/mutants.py``.  It prints
+one line per row and exits 1 if any mutant survives.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# (file in src/gausspair, exact old text, new text, the rule it breaks, the test ids that kill it)
+MUTANTS = [
+    (
+        "fock.py",
+        "LOSS_THRESHOLD = 1e-4",
+        "LOSS_THRESHOLD = 1e-2",
+        "the oracle refuses a truncation loss past 1e-4",
+        ["tests/test_fock.py::TestFromKernel::test_loss_threshold"],
+    ),
+    (
+        "fock.py",
+        "DEAD_BAND = 1e-5",
+        "DEAD_BAND = 1e-2",
+        "an oracle eigenvalue farther than 1e-5 from zero decides",
+        ["tests/test_fock.py::TestAgreement::test_dead_band"],
+    ),
+    (
+        "kernels.py",
+        "if not all(abs(y) <= linalg.MAX_SCALE for y in lam):",
+        "if not all(abs(y) <= __import__('sys').float_info.max / 4 for y in lam):",
+        "a kernel's C eigenvalues lie in the verdict range linalg.MAX_SCALE",
+        ["tests/test_kernels.py::test_every_kernel_that_exists_gets_finite_verdicts"],
+    ),
+]
+
+
+def _passes(src: pathlib.Path, tests: list[str]) -> bool:
+    """Whether every test in ``tests`` passes with the package imported from ``src``."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", *tests]
+    return subprocess.run(argv, cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0
+
+
+def _copy(src: pathlib.Path) -> None:
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def main() -> int:
+    survivors = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = pathlib.Path(tmp) / "src"
+        _copy(src)
+        named = sorted({test for *_, tests in MUTANTS for test in tests})
+        if not _passes(src, named):
+            print("the named tests do not all pass on the unchanged source")
+            return 1
+        for file, old, new, rule, tests in MUTANTS:
+            _copy(src)
+            path = src / "gausspair" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"{file}: {old!r} occurs {text.count(old)} times, not once")
+                return 1
+            path.write_text(text.replace(old, new))
+            killed = not _passes(src, tests)
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED'}: {file}: {old} -> {new} ({rule})")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,7 @@ import numpy as np
 from test_engine_reference import exact_margins, margins
 
 from gausspair import cli, linalg, onemode, phasespace, states, twomode
-from gausspair.errors import NotAStateError, NotPRepresentableError, SingularMatrixError
+from gausspair.errors import NotAStateError, NotPositiveError, NotPRepresentableError, SingularMatrixError
 from gausspair.kernels import GaussianKernel, convert
 
 
@@ -139,3 +139,35 @@ def family_boundary_signs(seed: int = 10, count: int = 600) -> tuple[int, int]:
         for got, exact in zip(engine[:2], exact_margins(k.matrix)):
             wrong += bool(got >= -tol) != (exact >= 0)
     return wrong, 2 * count
+
+
+def q_route_boundary_split(seed: int = 31, count: int = 500) -> tuple[int, int]:
+    """``count`` complex two-mode C that exist and are not positive, n1, n2 in U(0, s) and four couplings
+    U(0, s) e^(2 pi i U) with s = 10^U(-4, 4), each moved to the positivity boundary: C(t) = I/2 + t (C - I/2) at
+    the last t, of 60 bisection steps, at which ``classify2`` calls it positive.  The boundary kernels on which
+    ``ppt_separable``, whose Q route has its own band, raises ``NotPositiveError``, of all of them."""
+    rng, half, refused, drawn = np.random.default_rng(seed), 0.5 * np.eye(4), 0, 0
+    while drawn < count:
+        s = 10.0 ** rng.uniform(-4.0, 4.0)
+        n1, n2 = rng.uniform(0.0, s, 2).tolist()
+        m1, m2, ms, mc = (rng.uniform(0.0, s, 4) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 4))).tolist()
+        try:
+            c = twomode.build_C2(twomode.TwoModeMoments(n1, n2, m1, m2, ms, mc))
+        except NotAStateError:
+            continue
+        if twomode.classify2(c).positive:
+            continue
+        drawn += 1
+        lo, hi, k = 0.0, 1.0, GaussianKernel("C", half)
+        for _ in range(60):
+            t = 0.5 * (lo + hi)
+            mid = GaussianKernel("C", half + t * (c.matrix - half))
+            if twomode.classify2(mid).positive:
+                lo, k = t, mid
+            else:
+                hi = t
+        try:
+            twomode.ppt_separable(k)
+        except NotPositiveError:
+            refused += 1
+    return refused, count

@@ -162,6 +162,14 @@ class TestFromKernel:
         with pytest.raises(ValueError, match="at most"):
             fock.from_kernel(KERNELS["mixed_epr"](), cutoff=200)
 
+    def test_loss_threshold(self):
+        # thermal n = 2 loses 1.01e-3 of its trace at cutoff 16 and 1.5e-6 at 32: the rule is
+        # loss <= fock.LOSS_THRESHOLD = 1e-4, so the first is refused and the second builds
+        k = one_mode_kernel(2.0)
+        with pytest.raises(CutoffTooSmallError, match="1.01e-03"):
+            fock.from_kernel(k, 16)
+        assert fock.from_kernel(k, 32).truncation_loss == pytest.approx(1.5e-6, rel=0.05)
+
 
 class TestSpectrum:
     def test_vacuum(self):
@@ -488,6 +496,14 @@ class TestAgreement:
         assert got["agree"] and got["indeterminate"] == (abs(eigs[-1]) <= fock.DEAD_BAND)
         assert got["truncation_loss"] == op.truncation_loss
         assert not fock.compare(k, True, True)["agree"]  # a wrong verdict is a decisive disagreement
+
+    def test_dead_band(self):
+        # just past the positivity boundary, |m| = 1.003 sqrt(n (n + 1)) at n = 0.3, the oracle's smallest
+        # eigenvalue is -2.36e-3: outside fock.DEAD_BAND = 1e-5, so it decides, and agrees with "not positive"
+        n = 0.3
+        got = fock.compare(one_mode_kernel(n, 1.003 * math.sqrt(n * (n + 1.0))), False, None, 16)
+        assert got["oracle"]["min_eig"] == pytest.approx(-2.36e-3, rel=0.01)
+        assert got["agree"] and not got["indeterminate"]
 
     def test_compare_one_mode_has_no_partial_transpose(self):
         got = fock.compare(one_mode_kernel(0.5), True)

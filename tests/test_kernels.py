@@ -287,8 +287,35 @@ def test_convert_refuses_at_the_call_before_forming_a_matrix(monkeypatch, kernel
 
 
 def test_eigenvalue_near_the_bound_forms_a_finite_matrix():
-    w = convert(GaussianKernel("C", 2.0 / kernels._ENTRY_BOUND * np.eye(2)), "W")
-    assert np.isfinite(w.matrix).all() and w.matrix[0, 0].real == pytest.approx(0.5 * kernels._ENTRY_BOUND)
+    w = convert(GaussianKernel("C", 2.0 / linalg.MAX_SCALE * np.eye(2)), "W")
+    assert np.isfinite(w.matrix).all() and w.matrix[0, 0].real == pytest.approx(0.5 * linalg.MAX_SCALE)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1e3, 1e40, 1e74, 2.0**249, linalg.MAX_SCALE, 1e80, 1e200, 1e300])
+def test_every_kernel_that_exists_gets_finite_verdicts(scale):
+    # a kernel's eigenvalues are at most linalg.MAX_SCALE, where the engine's products stay finite;
+    # past it the products overflow: C = 1e80 I would get a thermal pair of nan and Tr G^2 = 0
+    try:
+        k = GaussianKernel("C", scale * np.eye(4))
+    except ValueError as exc:
+        assert scale > linalg.MAX_SCALE and "an eigenvalue overflows it" in str(exc)
+        return
+    for k in (k, states.mixed_epr(2.0**248, 2.0**247)):
+        thermal = twomode.classify2(k).thermal
+        assert math.isfinite(thermal.g1) and math.isfinite(thermal.g2) and twomode.trace_g2(k) > 0.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: onemode.OneModeMoments(1e80, 0.0),  # refused as build_C refuses its C
+        lambda: convert(GaussianKernel("C", 1e-80 * np.eye(2)), "W"),  # W = 1e80 I
+    ],
+    ids=["one-mode-moments", "w-of-c"],
+)
+def test_kernel_past_the_verdict_range_is_refused(build):
+    with pytest.raises(ValueError, match="an eigenvalue overflows it"):
+        build()
 
 
 def test_carried_c_eigenvalue_below_band_is_not_a_state():
@@ -331,7 +358,7 @@ def _rule_refusal(kind, m):
         low = linalg.nonsingular([abs(y + s) for y in lam])
     except SingularMatrixError:
         return SingularMatrixError
-    if not (1.0 / low <= kernels._ENTRY_BOUND and max(map(abs, lam)) <= kernels._ENTRY_BOUND):
+    if not (1.0 / low <= linalg.MAX_SCALE and max(map(abs, lam)) <= linalg.MAX_SCALE):
         return ValueError
     exists, p_representable = linalg.c_rules(min(lam), sum(sorted(lam)))
     return None if exists and (kind != "P" or p_representable) else NotPRepresentableError if exists else NotAStateError
@@ -374,7 +401,7 @@ def test_p_kernel_not_positive_definite_is_refused():
     with pytest.raises(NotAStateError):
         GaussianKernel("P", [[0.5, 1.0], [1.0, 0.5]])
     with pytest.raises(NotAStateError):  # a matrix in normal form with eigenvalues -1 and 1
-        GaussianKernel._normal("P", [[0.0, 1.0], [1.0, 0.0]])
+        GaussianKernel("P", [[0.0, 1.0], [1.0, 0.0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -426,7 +453,7 @@ def _convert_from_own_eigenvalues(k, target):
                 raise NotPRepresentableError
             linalg.nonsingular([abs(y + s) for y in lam])
             out = [1.0 / (y + s) for y in lam]
-        if not max(map(abs, out)) <= kernels._ENTRY_BOUND:
+        if not max(map(abs, out)) <= linalg.MAX_SCALE:
             raise ValueError
         if target == "C" and min(out) < -linalg.band(sum(out), 1):
             raise NotAStateError

@@ -41,3 +41,10 @@ def test_family_boundary_signs():
     # the engine cannot resolve det C - 1/16 or the positivity margin within its band of the boundary
     wrong, margins = probes.family_boundary_signs()
     assert margins == 1200 and wrong <= 201
+
+
+def test_q_route_boundary_split():
+    # at classify2's positivity boundary the Q route, whose band is narrower than the engine's band(s, 2), calls
+    # the kernel not positive, so ppt_separable raises on a kernel that classify2 calls positive
+    refused, kernels = probes.q_route_boundary_split()
+    assert kernels == 500 and refused <= 476

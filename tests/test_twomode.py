@@ -204,25 +204,30 @@ class TestPartialTranspose:
 
 
 class TestInternalKernels:
-    """``squared_kernel`` and ``product_thermal_kernel`` build matrices already
-    in normal form (a sum of two, a diagonal) through ``GaussianKernel._normal``, which
-    skips the check of outside input.  The public constructor gives the same pair bit for bit, and the
-    same matrix up to the sign of zero imaginary parts: a real kernel's assembled m* is m - 0j, which
-    the public normal form averages with an m + 0j to +0j."""
+    """``squared_kernel`` and ``product_thermal_kernel`` build matrices already in normal form (a sum
+    of two, a diagonal) and enter them through the public constructor, as every matrix enters a kernel:
+    ``linalg.hermitian`` checks each and changes no value.  Building again from the kernel's matrix gives
+    the same matrix and the same pair bit for bit."""
 
     def test_bitwise_as_the_public_constructor(self, rng, monkeypatch):
-        built, checks = [], []
+        built, checked = [], []
+
+        def check(m, real=linalg.hermitian):
+            checked.append((m, real(m)))
+            return checked[-1][1]
+
         for k in differential_kernels(rng):
             if k.modes != 2:
                 continue
             v = twomode.classify2(k)
-            monkeypatch.setattr(linalg, "hermitian", lambda m, real=linalg.hermitian: checks.append(m) or real(m))
+            monkeypatch.setattr(linalg, "hermitian", check)
             with contextlib.suppress(SingularMatrixError):  # no W at a singular C
                 built.append(twomode.squared_kernel(k))
             if v.positive:
                 built.append(twomode.product_thermal_kernel(v.thermal.g1, v.thermal.g2))
             monkeypatch.undo()
-        assert checks == [] and len(built) > 400
+        assert {id(k.matrix) for k in built} <= {id(h) for _, h in checked} and len(built) > 400  # each build was checked
+        assert all(np.array_equal(h, m) for m, h in checked)
         for k in built:
             public = GaussianKernel(k.kind, k.matrix)
             assert np.array_equal(public.matrix, k.matrix)
