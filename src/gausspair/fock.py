@@ -12,21 +12,22 @@ B = S - (Q~ + Q~^T) / 2, where Q~ holds rows (0, 2, 1, 3) and columns (1, 3, 0, 
 S = [[0, I], [I, 0]].  So G_jk is the amplitude A_k = sqrt(det Q) sqrt(k!) [x^k] exp(x^T B x / 2),
 k = (j1, j2, k1, k2), and the Gaussian Fock-amplitude recurrence (Miatto & Quesada, Quantum 4,
 366 (2020)) builds each one from lower orders: sqrt(k_0 + 1) A_{k+e_0} = sum_j B_0j sqrt(k_j) A_{k-e_j}.
-Seeded with A_0 = sqrt(det Q), it fills a C-ordered (j1, j2, k1, k2) tensor that is the matrix itself.
-Every exponent term has degree 2, so entries with odd total index are exactly zero, and the
-zeros of B that come from a conserved quantity (n1 - n2 for `mixed_epr`, n1 + n2 for its
-partial transpose) zero many more; entries of B within band(max|B|, 1) are the round-off of
-the conversion to Q and are set to zero, so that these zeros survive it.  Spectra and traces
-of powers are taken over the connected components of the exact nonzero pattern, packed into
-bins the size of the largest block, one batched solve per bin size: entries between two blocks
-are exact zeros and a permutation makes the matrix block-diagonal, so a bin's eigenvalues are its
-blocks' and nothing is dropped or rounded away.  A real B is kept real, so real kernels give real
-matrices and real eigenproblems.  Moments are diagonal sums.
+Seeded with A_0 = sqrt(det Q), it fills a C-ordered (j1, j2, k1, k2) tensor that is the matrix itself.  Every exponent
+term has degree 2, so entries with odd total index are exactly zero; entries of B within band(max|B|, 1) are the
+round-off of the conversion to Q and are set to zero, so that B's exact zeros survive it.  Where they leave the last
+variable's part of B's coupling graph bipartite, with no self-coupling (``_charge``), every term conserves a charge c
+(n1 - n2 for `mixed_epr`, n2 for a product state): each nonzero entry has c.k = 0, so the recurrence runs on that
+sector with the last axis dropped and scatters it into the matrix, the same bit for bit.  Spectra and traces of powers
+are taken over the connected components of the exact nonzero pattern, packed into bins the size of the largest block,
+one batched solve per bin size: entries between two blocks are exact zeros and a permutation makes the matrix
+block-diagonal, so a bin's eigenvalues are its blocks' and nothing is dropped or rounded away.  A real B is kept real,
+so real kernels give real matrices and real eigenproblems.  Moments are diagonal sums.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ MAX_ENTRIES = 2**21  # largest (cutoff + 1)^(2 modes): 32 MB of complex amplitud
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Hermitian truncated matrix of a Gaussian operator in the Fock basis."""
+    """Truncated Fock matrix of a Gaussian operator, Hermitian to round-off: ``spectrum`` hermitizes its blocks."""
 
     modes: int
     cutoff: int
@@ -56,26 +57,57 @@ class FockOperator:
         return 1.0 - float(np.trace(self.matrix).real)
 
 
-def _amplitudes(b: np.ndarray, d: int, seed: float) -> np.ndarray:
+def _charge(b: np.ndarray) -> tuple[int, ...] | None:
+    """A charge c, c_last = 1, that every term b_ij x_i x_j conserves (c_i + c_j = 0): +-1 by side of a 2-colouring of
+    the last variable's component of the graph of b_ij != 0, 0 elsewhere; None for an odd cycle or a b_ii != 0 there."""
+    if b[-1, -1]:  # a self-coupled last variable, the common case, decided without the walk
+        return None
+    rows, c, todo = b.tolist(), [0] * (len(b) - 1) + [1], [len(b) - 1]
+    for i in todo:  # breadth first: todo grows while it is walked
+        for j in [j for j, bij in enumerate(rows[i]) if bij]:
+            if c[j] == c[i]:  # a self-coupling (j = i) or an odd cycle
+                return None
+            todo += [j] * (not c[j])  # j is reached for the first time
+            c[j] = -c[i]
+    return tuple(c)
+
+
+@functools.lru_cache
+def _sector(d: int, charge: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sqrt(k_l) over the indices ``_amplitudes`` stores with ``charge``, k_l = -sum_(i<l) c_i k_i, where k_l lies in
+    [0, d) and 0 elsewhere; the flat stored indices where it does; and their flat indices in the full tensor."""
+    last = -np.tensordot(charge[:-1], np.indices((d,) * (len(charge) - 1)), 1)
+    keep = np.flatnonzero(inside := (last >= 0) & (last < d))
+    sector = np.sqrt(np.where(inside, last, 0)), keep, keep * d + last.ravel()[keep]
+    for a in sector:  # shared by every build at (d, charge)
+        a.setflags(write=False)
+    return sector
+
+
+def _amplitudes(b: np.ndarray, d: int, seed: float, charge: tuple[int, ...] | None = None) -> np.ndarray:
     """seed * A_k, A_k = sqrt(k!) [x^k] exp(x^T b x / 2), for every k with entries < d, filled in
     place along the first index, each slab from the two below it; the k_0 = 0 slab is the same
-    problem over the other variables."""
-    if len(b) == 0:
+    problem over the other variables.  With a ``charge`` c (``_charge``) every nonzero A_k has c.k = 0, so the last
+    index k_l = -sum_(i<l) c_i k_i is not stored, and b_0l's term is a shift along the first axis alone."""
+    axes = len(b) - (charge is not None)
+    if axes == 0:
         return np.full((), seed, dtype=b.dtype)
     root = np.sqrt(np.arange(d))
-    a = np.zeros((d,) * len(b), dtype=b.dtype)
-    a[0] = _amplitudes(b[1:, 1:], d, seed)
+    a = np.zeros((d,) * axes, dtype=b.dtype)
+    a[0] = _amplitudes(b[1:, 1:], d, seed, charge and charge[1:])
     # b_0j sqrt(k_j) A_{k-e_j} / sqrt(k_0 + 1): a shift up axis j for each j that b couples, with a row per level k_0
     shifts = [((slice(None),) * j + (slice(1, None),), (slice(None),) * j + (slice(None, -1),),
-               (b[0, j + 1] * root[1:] / root[1:, None]).reshape((d - 1, -1) + (1,) * (len(b) - 2 - j)))
-              for j in np.flatnonzero(b[0, 1:])]
+               (b[0, j + 1] * root[1:] / root[1:, None]).reshape((d - 1, -1) + (1,) * (axes - 2 - j)))
+              for j in np.flatnonzero(b[0, 1:axes])]
+    if axes < len(b) and b[0, -1]:  # b_0l sqrt(k_l) / sqrt(k_0 + 1), zero where k_l is outside [0, d)
+        shifts.append((..., ..., (b[0, -1] * _sector(d, charge)[0])[1:] / root[1:].reshape((-1,) + (1,) * (axes - 1))))
     diag = (b[0, 0] * root[:-1] / root[1:]).tolist()
     for k in range(d - 1):
         lo, hi = a[k, ...], a[k + 1, ...]  # views, also where a slab is one entry
         if diag[k]:
             np.multiply(a[k - 1], diag[k], out=hi)
         for dst, src, coef in shifts:
-            hi[dst] += coef[k] * lo[src]
+            hi[dst] += coef[k, ...] * lo[src]  # 0-d arrays for a one-entry slab: numpy scalars round otherwise
     return a
 
 
@@ -90,9 +122,12 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     b = np.roll(np.eye(2 * modes), modes, axis=1) - 0.5 * (q_x + q_x.T)
     b[np.abs(b) <= band(np.abs(b).max(), 1)] = 0.0
     b = b if b.imag.any() else b.real
-    dim = (cutoff + 1) ** modes
-    mat = _amplitudes(b, cutoff + 1, math.sqrt(det_q)).reshape(dim, dim)  # (j1, j2, k1, k2) is matrix order
-    op = FockOperator(modes=modes, cutoff=cutoff, matrix=mat)
+    d, charge = cutoff + 1, _charge(b)
+    a = _amplitudes(b, d, math.sqrt(det_q), charge)
+    if charge:  # the charge sector, scattered into the full tensor
+        a, sector, (_, keep, full) = np.zeros(d ** len(b), dtype=a.dtype), a, _sector(d, charge)
+        a[full] = sector.take(keep)
+    op = FockOperator(modes=modes, cutoff=cutoff, matrix=a.reshape(d**modes, d**modes))  # (j1, j2, k1, k2) order
     if strict and op.truncation_loss > LOSS_THRESHOLD:
         raise CutoffTooSmallError(f"truncation loss {op.truncation_loss:.2e} exceeds {LOSS_THRESHOLD}")
     return op

@@ -37,6 +37,34 @@ MUTANTS = [
         ["tests/test_fock.py::TestAgreement::test_dead_band"],
     ),
     (
+        "fock.py",
+        "keep = np.flatnonzero(inside := (last >= 0) & (last < d))",
+        "keep = np.flatnonzero(inside := (last >= 0) & (last <= d))",
+        "the charge sector holds the amplitudes whose last index k_l lies in [0, d)",
+        ["tests/test_fock.py::TestChargeSector::test_the_sector_build_is_the_full_recurrence_bit_for_bit"],
+    ),
+    (
+        "fock.py",
+        "keep = np.flatnonzero(inside := (last >= 0) & (last < d))",
+        "keep = np.flatnonzero(inside := (last < d))",
+        "the charge sector's indices are those with c.k = 0 and every index in [0, d)",
+        ["tests/test_fock.py::TestChargeSector::test_the_sector_is_every_index_that_conserves_the_charge"],
+    ),
+    (
+        "fock.py",
+        "if c[j] == c[i]:  # a self-coupling (j = i) or an odd cycle",
+        "if c[j] == c[i] and j != i:  # a self-coupling (j = i) or an odd cycle",
+        "a B whose last variable's component couples a variable to itself conserves no charge",
+        ["tests/test_fock.py::TestChargeSector::test_a_self_coupling_in_the_last_variables_component_leaves_no_charge"],
+    ),
+    (
+        "fock.py",
+        "b[np.abs(b) <= band(np.abs(b).max(), 1)] = 0.0",
+        "b[np.abs(b) <= 0.0] = 0.0",
+        "entries of B within band(max|B|, 1) are the conversion's round-off and are cut to zero",
+        ["tests/test_fock.py::TestBlocks::test_conversion_round_off_keeps_the_blocks"],
+    ),
+    (
         "kernels.py",
         "if not all(abs(y) <= linalg.MAX_SCALE for y in lam):",
         "if not all(abs(y) <= __import__('sys').float_info.max / 4 for y in lam):",

@@ -89,6 +89,31 @@ def wq_file_round_trip(seed: int = 7, count: int = 3000) -> dict:
     return {kind: tuple(pair) for kind, pair in counts.items()}
 
 
+def converted_pair_residual(seed: int = 53, count: int = 300) -> dict:
+    """``count`` complex two-mode C of ``build_C2``, one ``eigh`` each: n = 10^U(-6, 3), n1, n2 in n U(0.5, 1) and four
+    couplings n U(0, 0.3) e^(2 pi i U).  Per kind, W, Q and P: (the converted kernels whose carried pair misses its own
+    matrix, |V diag(x) V^dag - M| > band(max|x|, 1), the tolerance a closed-form pair meets, those ``convert`` returns)."""
+    rng, counts, drawn = np.random.default_rng(seed), {"W": [0, 0], "Q": [0, 0], "P": [0, 0]}, 0
+    while drawn < count:
+        n = 10.0 ** rng.uniform(-6.0, 3.0)
+        n1, n2 = (n * rng.uniform(0.5, 1.0, 2)).tolist()
+        m1, m2, ms, mc = (n * rng.uniform(0.0, 0.3, 4) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 4))).tolist()
+        try:
+            c = twomode.build_C2(twomode.TwoModeMoments(n1, n2, m1, m2, ms, mc))
+        except NotAStateError:
+            continue
+        drawn += 1
+        for kind, tally in counts.items():
+            try:
+                k = convert(c, kind)
+            except (NotPRepresentableError, SingularMatrixError):
+                continue
+            x, v = k.eig
+            tally[1] += 1
+            tally[0] += bool(np.abs((v * x) @ v.conj().T - k.matrix).max() > linalg.band(np.abs(x).max(), 1))
+    return {kind: tuple(pair) for kind, pair in counts.items()}
+
+
 def near_half_product_signs() -> tuple[int, int]:
     """Product states n1 in logspace(-6, 0, 13), n2 = -10^-k for k = 9..13, whose n2 factor alone is
     not positive: the engine's decisions on det C - 1/16 and the positivity and PPT margins (each

@@ -28,6 +28,17 @@ KERNELS = {
     "complex_two_mode": lambda: twomode.build_C2(COMPLEX_TWO_MODE),
     "complex_one_mode": lambda: onemode.build_C(COMPLEX_ONE_MODE),
 }
+# mixed_epr points whose conversion to Q leaves round-off where B has exact zeros
+ROUND_OFF_POINTS = [(0.6735727653444255, 0.967023070269148), (0.7594238572792352, 0.92208927381045),
+                    (0.5661268429308703, 0.7260394427217898)]
+# kernels whose B conserves a charge, so that from_kernel builds their charge sector
+CHARGED = {
+    "mixed_epr": KERNELS["mixed_epr"],
+    "product_thermal": KERNELS["product_thermal"],
+    "product": lambda: twomode.build_C2(twomode.TwoModeMoments(n1=0.5, n2=0.2)),
+    "one_mode_thermal": lambda: one_mode_kernel(0.6),
+    **{f"round_off_{i}": lambda n=n, mc=mc: states.mixed_epr(n, mc) for i, (n, mc) in enumerate(ROUND_OFF_POINTS)},
+}
 
 
 def hermitized(op):
@@ -125,7 +136,7 @@ class TestFromKernel:
             return
         assert got.dtype == float
         recurrence = fock._amplitudes
-        monkeypatch.setattr(fock, "_amplitudes", lambda b, d, seed: recurrence(b.astype(complex), d, seed))
+        monkeypatch.setattr(fock, "_amplitudes", lambda b, *args: recurrence(b.astype(complex), *args))
         want = fock.from_kernel(k, cutoff=cutoff, strict=False).matrix
         assert want.dtype == complex
         assert np.max(np.abs(got - want)) <= 1e-15
@@ -169,6 +180,59 @@ class TestFromKernel:
         with pytest.raises(CutoffTooSmallError, match="1.01e-03"):
             fock.from_kernel(k, 16)
         assert fock.from_kernel(k, 32).truncation_loss == pytest.approx(1.5e-6, rel=0.05)
+
+
+def recurrence_arguments(k, monkeypatch):
+    """The B and the charge that ``from_kernel`` hands the amplitude recurrence for k."""
+    calls, recurrence = [], fock._amplitudes
+    with monkeypatch.context() as patch:
+        patch.setattr(fock, "_amplitudes", lambda *args: calls.append(args) or recurrence(*args))
+        fock.from_kernel(k, cutoff=8, strict=False)
+    return calls[0][0], calls[0][3]
+
+
+class TestChargeSector:
+    @pytest.mark.parametrize(
+        "name, want",
+        [("mixed_epr", (1, -1, -1, 1)), ("product_thermal", (0, -1, 0, 1)), ("product", (0, -1, 0, 1)),
+         ("one_mode_thermal", (-1, 1)), ("anti_epr", None), ("squeezed_epr", None), ("complex_two_mode", None),
+         ("complex_one_mode", None)],
+    )
+    def test_charge_of_each_kernel(self, name, want, monkeypatch):
+        # x = (alpha1*, alpha2*, beta1, beta2): mixed_epr conserves n1 - n2 and a product state n2; anti_epr's B has a
+        # triangle, and the others couple the last variable to itself
+        b, charge = recurrence_arguments({**KERNELS, **CHARGED}[name](), monkeypatch)
+        assert fock._charge(b) == charge == want
+
+    def test_a_self_coupling_in_the_last_variables_component_leaves_no_charge(self):
+        # alpha* beta and beta^2: bipartite as a graph, but beta^2 carries twice beta's charge
+        assert fock._charge(np.array([[0.0, 0.2], [0.2, 0.1]])) is None
+        assert fock._charge(np.array([[0.0, 0.2], [0.2, 0.0]])) == (-1, 1)
+        # the same for a variable the last one reaches, here x_2 through x_0, and not for one it does not reach
+        b = np.zeros((4, 4))
+        b[[0, 3, 0, 2, 2], [3, 0, 2, 0, 2]] = [0.2, 0.2, 0.3, 0.3, 0.1]
+        assert fock._charge(b) is None
+        b[2, 2], b[1, 1] = 0.0, 0.1
+        assert fock._charge(b) == (-1, 0, 1, 1)
+
+    @pytest.mark.parametrize("charge", [(1, -1, -1, 1), (0, -1, 0, 1), (-1, 1)])
+    def test_the_sector_is_every_index_that_conserves_the_charge(self, charge):
+        d = 9
+        _, keep, full = fock._sector(d, charge)
+        k = np.indices((d,) * len(charge)).reshape(len(charge), -1)
+        assert np.array_equal(full, np.flatnonzero(np.tensordot(charge, k, 1) == 0)) and len(keep) == len(full)
+
+    @pytest.mark.parametrize("cutoff", [8, 16, 24, 32])
+    @pytest.mark.parametrize("name", CHARGED)
+    def test_the_sector_build_is_the_full_recurrence_bit_for_bit(self, name, cutoff, monkeypatch):
+        k = CHARGED[name]()
+        assert recurrence_arguments(k, monkeypatch)[1] is not None
+        got = fock.from_kernel(k, cutoff=cutoff, strict=False)
+        monkeypatch.setattr(fock, "_charge", lambda b: None)
+        want = fock.from_kernel(k, cutoff=cutoff, strict=False)
+        assert np.array_equal(got.matrix, want.matrix)
+        for m, full in zip(with_partial_transpose(got), with_partial_transpose(want)):
+            assert np.array_equal(fock.spectrum(m), fock.spectrum(full))
 
 
 class TestSpectrum:
@@ -268,10 +332,7 @@ class TestBlocks:
         thermal = fock.from_kernel(KERNELS["product_thermal"](), cutoff=16, strict=False)
         assert [stack.shape for stack in fock._blocks(thermal)] == [(289, 1, 1)]
 
-    @pytest.mark.parametrize(
-        "n, mc", [(0.6735727653444255, 0.967023070269148), (0.7594238572792352, 0.92208927381045),
-                  (0.5661268429308703, 0.7260394427217898)],
-    )
+    @pytest.mark.parametrize("n, mc", ROUND_OFF_POINTS)
     def test_conversion_round_off_keeps_the_blocks(self, n, mc, monkeypatch):
         # C -> Q leaves entries of about 1e-16 where these kernels have exact zeros
         k = states.mixed_epr(n, mc)

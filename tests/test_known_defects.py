@@ -24,6 +24,15 @@ def test_wq_file_round_trip_near_a_singular_c():
     assert counts["Q"][1] == 3000 and counts["Q"][0] <= 338
 
 
+def test_converted_pair_residual_of_an_eigh_built_c():
+    # eigh's V of a C with clustered eigenvalues errs by about eps |C| / gap, and not T-symmetrically: the normal form
+    # removes that error from a converted kernel's matrix but not from its carried pair (V, x), which for P, whose
+    # x = 1/(lam - 1/2) spread widest, misses the matrix by more than a closed-form pair's band(max|x|, 1)
+    counts = probes.converted_pair_residual()
+    assert counts["W"][1] == counts["Q"][1] == 300 and counts["W"][0] <= 0 and counts["Q"][0] <= 0
+    assert counts["P"][1] == 299 and counts["P"][0] <= 138
+
+
 def test_near_half_product_signs():
     # the engine cannot resolve second-order margins where both symplectic eigenvalues lie near 1/2
     wrong, margins = probes.near_half_product_signs()
