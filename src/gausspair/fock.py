@@ -20,8 +20,9 @@ variable's part of B's coupling graph bipartite, with no self-coupling (``_charg
 sector with the last axis dropped and scatters it into the matrix, the same bit for bit.  Spectra and traces of powers
 are taken over the connected components of the exact nonzero pattern, packed into bins the size of the largest block,
 one batched solve per bin size: entries between two blocks are exact zeros and a permutation makes the matrix
-block-diagonal, so a bin's eigenvalues are its blocks' and nothing is dropped or rounded away.  A real B is kept real,
-so real kernels give real matrices and real eigenproblems.  Moments are diagonal sums.
+block-diagonal, so a bin's eigenvalues are its blocks' and nothing is dropped or rounded away.  The blocks of a pattern
+are found once and reused by every later matrix with that pattern.  A real B is kept real, so real kernels give real
+matrices and real eigenproblems.  Moments are diagonal sums.
 """
 
 from __future__ import annotations
@@ -133,15 +134,15 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     return op
 
 
-def _bins(lab: np.ndarray) -> tuple[list[np.ndarray], bool]:
+def _bins(lab: np.ndarray) -> list[np.ndarray]:
     """The blocks labelled ``lab`` packed into bins the size of the largest block, as index arrays, one (bins, size)
-    array per bin size, and whether a bin holds several blocks.  Each bin holds the largest block left, then the
-    smallest blocks left while they still fit; blocks of size 1 (a diagonal matrix) cannot pair and form one stack."""
+    array per bin size.  Each bin holds the largest block left, then the smallest blocks left while they still fit;
+    blocks of size 1 (a diagonal matrix) cannot pair and form one stack."""
     count = np.bincount(lab, minlength=len(lab))  # count[r]: size of the block labelled r
     blocks = np.argsort(count)[: -np.count_nonzero(count) - 1 : -1]  # largest first
     sizes = count[blocks].tolist()
     if sizes[0] == 1:
-        return [np.arange(len(lab))[:, None]], False
+        return [np.arange(len(lab))[:, None]]
     n, acc = len(sizes), [0, *itertools.accumulate(reversed(sizes))]  # acc[t]: total size of the t smallest blocks
     key, hi, lo = [0] * n, 0, n  # blocks [hi, lo) are left; a bin's key is its size * n + its number
     while hi < lo:  # bin hi: block hi, then the smallest blocks left, [n - t, lo), while they fit
@@ -154,25 +155,33 @@ def _bins(lab: np.ndarray) -> tuple[list[np.ndarray], bool]:
     order, stacks, start = np.argsort(key_of[lab], kind="stable"), [], 0  # bins of one size side by side
     for size, run in itertools.groupby(sorted(k // n for k in key[:hi])):  # the bin sizes, ascending
         stacks.append(order[start : (start := start + size * len(list(run)))].reshape(-1, size))
-    return stacks, hi < n
+    return stacks
+
+
+@functools.lru_cache(maxsize=32)
+def _pattern_blocks(n: int, packed: bytes) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The labels of the connected components of an n x n nonzero pattern (row-major, ``np.packbits``) and its
+    transpose, and their bins (``_bins``), read-only and shared by every matrix with that pattern.  Each index is
+    labelled with the lowest index its row touches; while a nonzero entry lies between indices of two labels, every
+    index takes the lowest label among its neighbours in row and column."""
+    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n).reshape(n, n).view(bool)
+    touch = pattern.copy()
+    np.fill_diagonal(touch, True)
+    lab = touch.argmax(axis=1)
+    while (pattern & (lab[:, None] != lab)).any():
+        touch |= touch.T
+        lab = np.where(touch, lab, n).min(axis=1)
+    bins = tuple(_bins(lab))
+    for a in (lab, *bins):
+        a.setflags(write=False)
+    return lab, bins
 
 
 def _components(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The labels of the connected components of the exact nonzero pattern of m and m^T, and m gathered into their bins
-    (``_bins``).  Each index is labelled with the lowest index its row touches; while a nonzero entry is not held in a
-    bin between two indices of one label, every index takes the lowest label among its neighbours in row and column."""
-    touch = m != 0
-    nonzero = np.count_nonzero(touch)
-    np.fill_diagonal(touch, True)
-    lab = touch.argmax(axis=1)
-    while True:
-        bins, paired = _bins(lab)
-        stacks = [m.take(idx[:, :, None] * len(m) + idx[:, None, :]) for idx in bins]
-        if nonzero == sum(np.count_nonzero((s != 0) & ((w := lab[idx])[:, :, None] == w[:, None, :]) if paired else s)
-                          for s, idx in zip(stacks, bins)):
-            return lab, stacks
-        touch |= touch.T
-        lab = np.where(touch, lab, len(m)).min(axis=1)
+    """The labels of the connected components of the exact nonzero pattern of m and m^T, and m gathered into their bins:
+    the blocks of a pattern are found once (``_pattern_blocks``) and reused by every later matrix with that pattern."""
+    lab, bins = _pattern_blocks(len(m), np.packbits(m != 0).tobytes())
+    return lab, [m.take(idx[:, :, None] * len(m) + idx[:, None, :]) for idx in bins]
 
 
 def _blocks(f: FockOperator) -> list[np.ndarray]:

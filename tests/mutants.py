@@ -65,6 +65,30 @@ MUTANTS = [
         ["tests/test_fock.py::TestBlocks::test_conversion_round_off_keeps_the_blocks"],
     ),
     (
+        # the first blocks found for a (size, nonzero count) are handed to every later matrix with that key
+        "fock.py",
+        "lab, bins = _pattern_blocks(len(m), np.packbits(m != 0).tobytes())",
+        "lab, bins = _pattern_blocks.__dict__.setdefault((len(m), np.count_nonzero(m)), "
+        "_pattern_blocks(len(m), np.packbits(m != 0).tobytes()))",
+        "the blocks of a matrix are memoized on its exact nonzero pattern, not on its size and nonzero count",
+        ["tests/test_fock.py::TestSpectrum::test_blocks_match_the_full_eigenproblem",
+         "tests/test_fock.py::TestPatternMemo::test_a_matrix_and_its_partial_transpose_keep_their_own_blocks"],
+    ),
+    (
+        "fock.py",
+        "for a in (lab, *bins):",
+        "for a in ():",
+        "the memoized labels and bins, shared by every matrix with their pattern, are read-only",
+        ["tests/test_fock.py::TestPatternMemo::test_the_cached_labels_and_bins_are_read_only"],
+    ),
+    (
+        "fock.py",
+        "@functools.lru_cache(maxsize=32)",
+        "@functools.lru_cache(maxsize=None)",
+        "the memo of block patterns holds at most 32 patterns",
+        ["tests/test_fock.py::TestPatternMemo::test_the_memo_is_bounded"],
+    ),
+    (
         "kernels.py",
         "if not all(abs(y) <= linalg.MAX_SCALE for y in lam):",
         "if not all(abs(y) <= __import__('sys').float_info.max / 4 for y in lam):",

@@ -196,3 +196,23 @@ def q_route_boundary_split(seed: int = 31, count: int = 500) -> tuple[int, int]:
         except NotPositiveError:
             refused += 1
     return refused, count
+
+
+def one_mode_returned_c_p_edge() -> dict:
+    """The probe of ``test_scale.test_one_mode_verdict_and_convert_agree_at_the_p_edge``: 100 n in geomspace(1e-6, 1e6),
+    +-20 ulps of n around n - |m| = band(2n + 1, 1), arg m in {0, 0.7}.  Per arg m: (the kernels on which C -> P -> C
+    succeeds and the returned C's moments, ``onemode.classify(moments_from_c(back))``, refuse P, those on which it succeeds)."""
+    counts = {}
+    for phase in (0.0, 0.7):
+        refused = admitted = 0
+        for n in np.geomspace(1e-6, 1e6, 100):
+            m = (n - linalg.band(2.0 * n + 1.0, 1)) * np.exp(1j * phase)
+            for nk in n + np.arange(-20, 21) * np.spacing(n):
+                try:
+                    back = convert(convert(onemode.build_C(onemode.OneModeMoments(nk, m if phase else m.real)), "P"), "C")
+                except (NotPRepresentableError, SingularMatrixError):
+                    continue
+                admitted += 1
+                refused += not onemode.classify(onemode.moments_from_c(back)).p_representable
+        counts[f"arg m = {phase}"] = (refused, admitted)
+    return counts

@@ -393,6 +393,48 @@ class TestBlocks:
             assert_close(fock.spectrum(op), np.linalg.eigvalsh(m)[::-1], tol=1e-13)
 
 
+class TestPatternMemo:
+    def test_the_search_runs_once_per_pattern(self):
+        # two mixed_epr operators share one pattern, and their partial transposes another
+        fock._pattern_blocks.cache_clear()
+        for k in (states.mixed_epr(0.8, 1.0), states.mixed_epr(0.5, 0.6)):
+            for m in with_partial_transpose(fock.from_kernel(k, cutoff=16)):
+                fock.spectrum(m)
+        info = fock._pattern_blocks.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_a_matrix_and_its_partial_transpose_keep_their_own_blocks(self):
+        # the same size and nonzero count, but n1 - n2 blocks against n1 + n2 blocks
+        op, pt = with_partial_transpose(fock.from_kernel(KERNELS["mixed_epr"](), cutoff=16))
+        assert op.matrix.shape == pt.matrix.shape == (289, 289)
+        assert np.count_nonzero(op.matrix) == np.count_nonzero(pt.matrix)
+        assert not np.array_equal(op.matrix != 0, pt.matrix != 0)
+        fock.spectrum(op)
+        labels = [fock._components(m.matrix)[0] for m in (op, pt)]
+        assert [len(np.unique(lab)) for lab in labels] == [33, 33]
+        assert not np.array_equal(*labels)
+
+    @pytest.mark.parametrize("cutoff", [16, 24, 32])
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_a_cache_hit_gives_the_searched_spectrum_bit_for_bit(self, name, cutoff):
+        for m in with_partial_transpose(fock.from_kernel(KERNELS[name](), cutoff=cutoff, strict=False)):
+            fock._pattern_blocks.cache_clear()
+            searched = fock.spectrum(m)
+            assert np.array_equal(fock.spectrum(m), searched)
+            assert fock._pattern_blocks.cache_info().hits == 1
+
+    def test_the_cached_labels_and_bins_are_read_only(self):
+        m = fock.from_kernel(KERNELS["mixed_epr"](), cutoff=16).matrix
+        lab, bins = fock._pattern_blocks(len(m), np.packbits(m != 0).tobytes())
+        assert not any(a.flags.writeable for a in (lab, *bins))
+        with pytest.raises(ValueError):
+            lab[0] = 1
+
+    def test_the_memo_is_bounded(self):
+        # a key is n^2 / 8 bytes, 262 KB at the largest cutoffs MAX_ENTRIES admits
+        assert fock._pattern_blocks.cache_info().maxsize <= 32
+
+
 class TestPartialTranspose:
     def test_product_state_spectrum_unchanged(self):
         k = twomode.build_C2(twomode.TwoModeMoments(n1=1.0, n2=0.5))

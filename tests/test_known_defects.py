@@ -57,3 +57,11 @@ def test_q_route_boundary_split():
     # the kernel not positive, so ppt_separable raises on a kernel that classify2 calls positive
     refused, kernels = probes.q_route_boundary_split()
     assert kernels == 500 and refused <= 476
+
+
+def test_one_mode_returned_c_p_edge():
+    # the C that C -> P -> C returns carries n + 1/2 -+ |m| unchanged, but its formed matrix's moments,
+    # which onemode.classify reads, can lose the P edge in the last bits where m is complex
+    counts = probes.one_mode_returned_c_p_edge()
+    assert counts["arg m = 0.0"][1] == 1437 and counts["arg m = 0.0"][0] <= 0
+    assert counts["arg m = 0.7"][1] == 1430 and counts["arg m = 0.7"][0] <= 8
