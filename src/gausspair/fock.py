@@ -27,7 +27,6 @@ matrices and real eigenproblems.  Moments are diagonal sums.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -61,8 +60,6 @@ class FockOperator:
 def _charge(b: np.ndarray) -> tuple[int, ...] | None:
     """A charge c, c_last = 1, that every term b_ij x_i x_j conserves (c_i + c_j = 0): +-1 by side of a 2-colouring of
     the last variable's component of the graph of b_ij != 0, 0 elsewhere; None for an odd cycle or a b_ii != 0 there."""
-    if b[-1, -1]:  # a self-coupled last variable, the common case, decided without the walk
-        return None
     rows, c, todo = b.tolist(), [0] * (len(b) - 1) + [1], [len(b) - 1]
     for i in todo:  # breadth first: todo grows while it is walked
         for j in [j for j, bij in enumerate(rows[i]) if bij]:
@@ -136,24 +133,22 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
 
 def _bins(lab: np.ndarray) -> list[np.ndarray]:
     """The blocks labelled ``lab`` packed into bins the size of the largest block, as index arrays, one (bins, size)
-    array per bin size.  Each bin holds the largest block left, then the smallest blocks left while they still fit;
-    blocks of size 1 (a diagonal matrix) cannot pair and form one stack."""
+    array per bin size.  Bin h takes the largest block left, h, then the smallest blocks left while the bin's size stays
+    within the largest block's; on a diagonal pattern every bin is one block of size 1, and they form one stack."""
     count = np.bincount(lab, minlength=len(lab))  # count[r]: size of the block labelled r
     blocks = np.argsort(count)[: -np.count_nonzero(count) - 1 : -1]  # largest first
     sizes = count[blocks].tolist()
-    if sizes[0] == 1:
-        return [np.arange(len(lab))[:, None]]
-    n, acc = len(sizes), [0, *itertools.accumulate(reversed(sizes))]  # acc[t]: total size of the t smallest blocks
-    key, hi, lo = [0] * n, 0, n  # blocks [hi, lo) are left; a bin's key is its size * n + its number
-    while hi < lo:  # bin hi: block hi, then the smallest blocks left, [n - t, lo), while they fit
-        t = min(bisect.bisect_right(acc, acc[n - lo] + sizes[0] - sizes[hi]) - 1, n - hi - 1)
-        key[hi] = (sizes[hi] + acc[t] - acc[n - lo]) * n + hi
-        key[n - t : lo] = [key[hi]] * (lo - n + t)
-        hi, lo = hi + 1, n - t
-    key_of = np.empty(len(lab), dtype=np.intp)
-    key_of[blocks] = key
+    owner, fill, hi, lo = list(range(len(sizes))), sizes.copy(), 0, len(sizes)  # block b lies in bin owner[b]
+    while hi < lo:  # blocks [hi, lo) are left: bin hi holds block hi, then takes blocks lo - 1, lo - 2, ... that fit
+        while lo - 1 > hi and fill[hi] + sizes[lo - 1] <= sizes[0]:
+            lo -= 1
+            fill[hi] += sizes[lo]
+            owner[lo] = hi
+        hi += 1
+    key_of = np.empty(len(lab), dtype=np.intp)  # a bin's key: its size fill[h] * len(lab) + its number h
+    key_of[blocks] = [fill[h] * len(lab) + h for h in owner]
     order, stacks, start = np.argsort(key_of[lab], kind="stable"), [], 0  # bins of one size side by side
-    for size, run in itertools.groupby(sorted(k // n for k in key[:hi])):  # the bin sizes, ascending
+    for size, run in itertools.groupby(sorted(fill[:hi])):  # the bin sizes, ascending
         stacks.append(order[start : (start := start + size * len(list(run)))].reshape(-1, size))
     return stacks
 
@@ -177,22 +172,18 @@ def _pattern_blocks(n: int, packed: bytes) -> tuple[np.ndarray, tuple[np.ndarray
     return lab, bins
 
 
-def _components(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The labels of the connected components of the exact nonzero pattern of m and m^T, and m gathered into their bins:
-    the blocks of a pattern are found once (``_pattern_blocks``) and reused by every later matrix with that pattern."""
-    lab, bins = _pattern_blocks(len(m), np.packbits(m != 0).tobytes())
-    return lab, [m.take(idx[:, :, None] * len(m) + idx[:, None, :]) for idx in bins]
-
-
-def _blocks(f: FockOperator) -> list[np.ndarray]:
-    """The hermitized bins of the matrix's exact blocks (``_components``), one stack per bin size."""
-    herm = [0.5 * (b + b.conj().swapaxes(1, 2)) for b in _components(f.matrix)[1]]
+def _blocks(m: np.ndarray) -> list[np.ndarray]:
+    """m gathered into the bins of its exact blocks, hermitized, and real where it is real, one stack per bin size: the
+    blocks of a pattern are found once (``_pattern_blocks``) and reused by every later matrix with that pattern."""
+    bins = _pattern_blocks(len(m), np.packbits(m != 0).tobytes())[1]
+    stacks = [m.take(i[:, :, None] * len(m) + i[:, None, :]) for i in bins]
+    herm = [0.5 * (b + b.conj().swapaxes(1, 2)) for b in stacks]
     return [b if b.imag.any() else b.real for b in herm]
 
 
 def spectrum(f: FockOperator) -> np.ndarray:
     """Eigenvalues of the (hermitized) truncated matrix, descending."""
-    eigs = np.concatenate([np.linalg.eigvalsh(b).ravel() for b in _blocks(f)])
+    eigs = np.concatenate([np.linalg.eigvalsh(b).ravel() for b in _blocks(f.matrix)])
     return np.sort(eigs)[::-1]
 
 

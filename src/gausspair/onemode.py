@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, NotAStateError, NotPositiveError, NotPureError, NotRealBranchError
+from .errors import NotAStateError, NotPositiveError, NotPureError, NotRealBranchError
 from .kernels import GaussianKernel, convert, require
 
 
@@ -130,14 +130,12 @@ def apply_squeeze(k: GaussianKernel, u: SqueezeMap, direction: str = "forward") 
     forward:  C -> U^dag C U        (basic Gaussian to squeezed one)
     inverse:  C -> E U E C E U^dag E  (undoes the forward map)
     """
-    require(k, "C")
+    require(k, "C", 1)
     um = u.matrix
-    if um.shape[0] != k.dim:
-        raise DimensionMismatchError("squeeze map dimension does not match kernel")
     if direction == "forward":
         a = um.conj().T
     elif direction == "inverse":
-        e = linalg.structure_e(k.dim)
+        e = linalg.structure_e(2)
         a = e @ um @ e
     else:
         raise ValueError("direction must be 'forward' or 'inverse'")
@@ -171,10 +169,8 @@ def diagonalizing_squeeze(p: OneModeMoments) -> SqueezeMap:
     """Squeeze map whose inverse action brings C to its thermal diagonal form c*I.
 
     The relative phase is fixed by phi = -arg(m), varphi = 0; at m = 0 this is
-    the identity map.
+    the identity map.  A state that is not positive raises ``theta_window``'s NotPositiveError.
     """
-    if not classify(p).positive:
-        raise NotPositiveError("diagonalizing squeeze requires a positive state")
     _, _, theta0 = theta_window(p)
     return SqueezeMap(theta=theta0, phi=-np.angle(p.m), varphi=0.0)
 

@@ -3,8 +3,9 @@
 Each row of ``MUTANTS`` breaks one rule by replacing one exact text in a file of ``src/gausspair``, and
 names the tests that pin the rule.  For each row the runner copies ``src/`` to a temporary directory,
 checks that the old text occurs there exactly once, applies the change and runs only the named tests,
-importing the package from the copy.  A mutant is killed when a named test fails, and survives when
-all of them pass.  The named tests are first run on the unchanged copy, where every one must pass.
+importing the package from the copy.  A mutant is killed when a named test fails or the run outlasts
+``TIMEOUT`` (a mutant that makes a loop endless), and survives when all of them pass.  The named tests
+are first run on the unchanged copy, where every one must pass within the same timeout.
 
 Run from anywhere, with numpy, pytest and hypothesis installed: ``python3 tests/mutants.py``.  It prints
 one line per row and exits 1 if any mutant survives.
@@ -19,6 +20,7 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+TIMEOUT = 30  # seconds for one row's tests; the slowest row takes about 3.5 s unmutated on a 2-core machine
 
 # (file in src/gausspair, exact old text, new text, the rule it breaks, the test ids that kill it)
 MUTANTS = [
@@ -67,12 +69,12 @@ MUTANTS = [
     (
         # the first blocks found for a (size, nonzero count) are handed to every later matrix with that key
         "fock.py",
-        "lab, bins = _pattern_blocks(len(m), np.packbits(m != 0).tobytes())",
-        "lab, bins = _pattern_blocks.__dict__.setdefault((len(m), np.count_nonzero(m)), "
-        "_pattern_blocks(len(m), np.packbits(m != 0).tobytes()))",
+        "bins = _pattern_blocks(len(m), np.packbits(m != 0).tobytes())[1]",
+        "bins = _pattern_blocks.__dict__.setdefault((len(m), np.count_nonzero(m)), "
+        "_pattern_blocks(len(m), np.packbits(m != 0).tobytes()))[1]",
         "the blocks of a matrix are memoized on its exact nonzero pattern, not on its size and nonzero count",
         ["tests/test_fock.py::TestSpectrum::test_blocks_match_the_full_eigenproblem",
-         "tests/test_fock.py::TestPatternMemo::test_a_matrix_and_its_partial_transpose_keep_their_own_blocks"],
+         "tests/test_fock.py::TestAgreement::test_compare_reads_both_spectra"],
     ),
     (
         "fock.py",
@@ -89,6 +91,33 @@ MUTANTS = [
         ["tests/test_fock.py::TestPatternMemo::test_the_memo_is_bounded"],
     ),
     (
+        # the search never ends: every pattern has a nonzero between indices of one label
+        "fock.py",
+        "while (pattern & (lab[:, None] != lab)).any():",
+        "while (pattern & (lab[:, None] == lab)).any():",
+        "the label search stops once no nonzero entry lies between indices of two labels",
+        ["tests/test_fock.py::TestSpectrum::test_vacuum"],
+    ),
+    (
+        "fock.py",
+        "fill[hi] + sizes[lo - 1] <= sizes[0]:",
+        "fill[hi] + sizes[lo - 1] < sizes[0]:",
+        "a bin is filled up to the size of the largest block, inclusive",
+        ["tests/test_fock.py::TestBlocks::test_an_epr_operator_is_one_batched_solve"],
+    ),
+    (
+        # the next-largest block left is rotated to slot lo - 1, behind the smaller ones, and taken from there
+        "fock.py",
+        "        while lo - 1 > hi and fill[hi] + sizes[lo - 1] <= sizes[0]:\n            lo -= 1\n",
+        "        while lo - 1 > hi and fill[hi] + sizes[hi + 1] <= sizes[0]:\n"
+        "            sizes[hi + 1 : lo] = sizes[hi + 2 : lo] + sizes[hi + 1 : hi + 2]\n"
+        "            blocks[hi + 1 : lo] = np.roll(blocks[hi + 1 : lo], -1)\n"
+        "            fill[hi + 1 : lo] = sizes[hi + 1 : lo]\n"
+        "            lo -= 1\n",
+        "a bin fills with the smallest blocks left, not the next-largest",
+        ["tests/test_fock.py::TestBlocks::test_an_epr_operator_is_one_batched_solve"],
+    ),
+    (
         "kernels.py",
         "if not all(abs(y) <= linalg.MAX_SCALE for y in lam):",
         "if not all(abs(y) <= __import__('sys').float_info.max / 4 for y in lam):",
@@ -99,9 +128,13 @@ MUTANTS = [
 
 
 def _passes(src: pathlib.Path, tests: list[str]) -> bool:
-    """Whether every test in ``tests`` passes with the package imported from ``src``."""
+    """Whether every test in ``tests`` passes within ``TIMEOUT`` with the package imported from ``src``."""
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", *tests]
-    return subprocess.run(argv, cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0
+    try:
+        run = subprocess.run(argv, cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return False
+    return run.returncode == 0
 
 
 def _copy(src: pathlib.Path) -> None:

@@ -223,6 +223,10 @@ class TestScan:
         # sum |eigenvalue| is tr C wherever C is a state
         assert np.all(np.abs(eig - want) <= band(np.abs(want).sum(-1, keepdims=True), 1))
 
+    def test_an_unknown_family_is_refused(self):
+        with pytest.raises(ValueError, match="unknown family 'cat_state'"):
+            cli.ScanRequest("cat_state", 0.0, 0.0, 1.0, 3, 0.0, 1.0, 3)
+
     def test_overflowing_moments_are_refused(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
             "".join(cli.scan_blocks(cli.ScanRequest("anti_epr", 1e300, 0.0, 1e10, 3, 0.0, 1.0, 2)))
@@ -572,6 +576,8 @@ class TestBadInput:
              "two-mode input takes --n only for a missing --n1 or --n2"),
             (["oracle", "--modes", "2", "--n", "0.8", "--n1", "1", "--n2", "1"], 64,
              "two-mode input takes --n only for a missing --n1 or --n2"),
+            (["classify", "--modes", "1", "--n", "1"], 64, "one-mode input needs --n and --m"),
+            (["classify", "--modes", "1", "--n", "abc", "--m", "0"], 64, "not a float number"),
         ],
         ids=["n-nan", "n-inf", "mc-nan", "wigner-nan", "one-step", "no-matrix", "missing-file",
              "not-a-state-file", "huge-c-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n", "oracle-singular",
@@ -581,7 +587,8 @@ class TestBadInput:
              "two-mode-foreign-m", "one-mode-foreign-mc", "one-mode-family", "oracle-two-mode-foreign-m",
              "oracle-one-mode-foreign-mc", "oracle-one-mode-family", "scan-mixed-ratio", "wigner-n-past-bound",
              "wavefun-lo-past-bound", "scan-mc-steps-past-bound", "scan-n-steps-past-bound", "wigner-samples-past-bound",
-             "wavefun-samples-past-bound", "two-mode-n-beside-n1-n2", "oracle-two-mode-n-beside-n1-n2"],
+             "wavefun-samples-past-bound", "two-mode-n-beside-n1-n2", "oracle-two-mode-n-beside-n1-n2",
+             "one-mode-no-m", "n-not-a-number"],
     )
     def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code, says):
         names = ("no_matrix", "missing", "not_a_state", "three_modes", "no_modes", "huge_c")

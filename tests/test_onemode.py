@@ -200,6 +200,14 @@ class TestSqueezeMap:
         back = onemode.apply_squeeze(onemode.apply_squeeze(k, u, "forward"), u, "inverse")
         assert np.allclose(back.matrix, k.matrix, rtol=0.0, atol=1e-10)
 
+    def test_a_squeeze_takes_a_one_mode_c_kernel(self):
+        with pytest.raises(ValueError, match="expected a one-mode C kernel"):
+            onemode.apply_squeeze(GaussianKernel("C", 0.5 * np.eye(4)), SqueezeMap(0.3))
+
+    def test_a_squeeze_goes_forward_or_inverse(self):
+        with pytest.raises(ValueError, match="direction must be 'forward' or 'inverse'"):
+            onemode.apply_squeeze(onemode.build_C(OneModeMoments(1.0, 0.2)), SqueezeMap(0.3), "sideways")
+
 
 class TestThetaWindow:
     def test_thermal(self):
@@ -257,6 +265,11 @@ class TestDiagonalizingSqueeze:
         u = onemode.diagonalizing_squeeze(OneModeMoments(1.0, 0.5j))
         assert u.phi == pytest.approx(-math.pi / 2)
 
+    def test_not_positive_rejected(self):
+        # |m| = 0.9 lies past sqrt(n (n + 1)) = 0.866, inside n + 1/2: a state with no squeeze to a thermal form
+        with pytest.raises(NotPositiveError):
+            onemode.diagonalizing_squeeze(OneModeMoments(0.5, 0.9))
+
 
 class TestNormalOrderNu:
     def test_thermal(self):
@@ -296,3 +309,7 @@ class TestSqueezedWavefunction:
     def test_complex_m_rejected(self):
         with pytest.raises(NotRealBranchError):
             onemode.squeezed_wavefunction(OneModeMoments(1.0, math.sqrt(2.0) * 1j))
+
+    def test_negative_m_rejected(self):
+        with pytest.raises(NotRealBranchError, match="m >= 0"):
+            onemode.squeezed_wavefunction(OneModeMoments(1.0, -math.sqrt(2.0)))

@@ -366,6 +366,11 @@ class TestMarginalSeparability:
         with pytest.raises(NotPureError):
             twomode.pure_marginal_separability(product_thermal(1.0, 1.0), 1)
 
+    def test_which_names_mode_one_or_two(self):
+        k = states.pure_from_d(states.PureStateD(alpha=2.0, beta=0.7, gamma=0.0))
+        with pytest.raises(ValueError, match="which must be 1 or 2"):
+            twomode.pure_marginal_separability(k, which=3)
+
     @pytest.mark.parametrize("n", [1e-6, 0.7, 1e3, 1e6])
     def test_closed_form_kernels_form_no_matrix(self, n):
         # tr C for the band is the sum of the carried eigenvalues, as for the Q route
