@@ -78,6 +78,9 @@ class ScanRequest:
             raise ValueError("steps must be at least 2")
         if max(self.mc_steps, self.n_steps) > phasespace.MAX_SAMPLES:
             raise ValueError(f"steps must be at most {phasespace.MAX_SAMPLES}")
+        n_top, mc_top = np.abs([[self.n_lo, self.n_hi], [self.mc_lo, self.mc_hi]]).max(axis=1).tolist()  # keeps a NaN end
+        if not n_top + 0.5 + (1.0 + abs(self.ratio)) * mc_top <= linalg.MAX_SCALE:
+            raise ValueError(f"scan moments overflow the verdict range |eigenvalue| <= {linalg.MAX_SCALE:.3g}")
 
 
 # grid commands evaluate, format and write this many points at a time, in whole outer rows
@@ -89,12 +92,9 @@ _FLAGS = [",".join(f"{code:04b}") for code in range(16)]
 def scan_blocks(req: ScanRequest) -> Iterator[str]:
     """The CSV text of a family region scan, one block of mc rows at a time (``_grid_text``):
     ``classify2``'s engine on ``states.family_invariants``, each point's text looked up by its
-    flag code in a table of 16 per n column.  The grid is checked first, before any output:
-    no |eigenvalue| exceeds max|n| + 1/2 + (1 + |ratio|) max|mc| <= ``linalg.MAX_SCALE``."""
+    flag code in a table of 16 per n column.  ``ScanRequest`` bounded every |eigenvalue| on the grid by
+    ``linalg.MAX_SCALE`` from the axes' ends, where an axis takes its largest |value|, so no axis overflows."""
     mcs, ns = np.linspace(req.mc_lo, req.mc_hi, req.mc_steps), np.linspace(req.n_lo, req.n_hi, req.n_steps)
-    top = float(np.abs(ns).max()) + 0.5 + (1.0 + abs(req.ratio)) * float(np.abs(mcs).max())
-    if not top <= linalg.MAX_SCALE:
-        raise ValueError(f"scan moments overflow the verdict range |eigenvalue| <= {linalg.MAX_SCALE:.3g}")
     cells = np.array([["," + y + "," + f + "\n" for f in _FLAGS] for y in _axis_texts(ns)], dtype=object).ravel()
     column = 16 * np.arange(len(ns))
 

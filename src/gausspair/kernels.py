@@ -19,8 +19,9 @@ module decides which kernels exist, by one rule per kind on lam: a W, Q or P bui
 admitted where ``convert`` admits that kind of its lam, so a file ``convert`` writes reads back except
 within ``eigh``'s round-off; the rules' primitives are ``linalg``'s (``c_rules``, ``nonsingular``).  A chain of
 conversions diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and forms a matrix only
-for a kernel that is read.  ``convert``, ``det`` and ``twomode``'s verdicts compute on Python floats.  Only this module
-touches a kernel's slots; ``block_dets`` serves C's block determinants; ``require`` is the one kernel-argument check."""
+for a kernel that is read, and ``partial_transpose`` maps the pair alike for every kind, so it commutes with ``convert``.
+Only this module touches a kernel's slots; ``block_dets`` serves C's block determinants; ``require`` checks a kernel
+argument.  ``convert``, ``det`` and ``twomode``'s verdicts compute on Python floats."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .errors import NotAStateError, NotPRepresentableError
+from .errors import NotAStateError, NotPRepresentableError, WrongModeCountError
 
 KINDS = ("C", "W", "Q", "P")
 # each kind other than C is E (C + s I)^-1 E with this shift s
@@ -77,14 +78,6 @@ class GaussianKernel:
         x = tuple(map(float, x))
         _check("C", x)
         return object.__new__(cls)._hold("C", x, x, v, form, dets)
-
-    def _permuted(self, perm: list, det_signs: tuple) -> "GaussianKernel":
-        """Pi K Pi^T for an index permutation Pi that keeps normal form, with no eigensolver: the same x and lam, C's
-        eigenvectors Pi V_C (E Pi E V_C for W, Q and P) and C's carried (dA, dB, dX) times ``det_signs``."""
-        vc = self._vc[perm] if self._kind == "C" else (e := _E_SIGN[len(perm)]) * e[perm] * self._vc[perm]
-        vc.setflags(write=False)
-        dets = self._dets and tuple(s * d for s, d in zip(det_signs, self._dets))
-        return object.__new__(GaussianKernel)._hold(self._kind, self._lam, self._x, vc, None, dets)
 
     def _hold(self, kind: str, lam: tuple, x: tuple | None, vc: np.ndarray, m, dets: tuple | None):
         """Set the slots, unchecked: C's checked eigenvalues lam, the kernel's own x (None until mapped), C's eigenvectors
@@ -192,3 +185,13 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
     if target != "C":
         _invertible(lam, _SHIFT[target])
     return object.__new__(GaussianKernel)._hold(target, lam, lam if target == "C" else None, k._vc, None, k._dets)
+
+
+def partial_transpose(k: GaussianKernel) -> GaussianKernel:
+    """The first mode transposed: k's kind of Pi C Pi, Pi swapping z1 and z1*, so m1 -> m1*, ms -> mc*, mc -> ms*.  With
+    no eigensolver: the same x and lam, C's eigenvectors Pi V_C and C's (dA, dB, -dX), as Pi swaps X's rows."""
+    if k.modes != 2:
+        raise WrongModeCountError("partial transpose needs a two-mode kernel")
+    vc = k._vc[[1, 0, 2, 3]]
+    vc.setflags(write=False)
+    return object.__new__(GaussianKernel)._hold(k._kind, k._lam, k._x, vc, None, k._dets and (*k._dets[:2], -k._dets[2]))

@@ -66,8 +66,8 @@ def squeezed_epr(n: float, mc: float, m: float) -> GaussianKernel:
     return build_family(n, m, 0.0, mc)
 
 
-# closed-form positivity / separability margins for the three families;
-# the state is positive (separable) iff the margin is >= 0
+# the families' positivity / separability margins, for n >= 0 and couplings >= 0: positive (separable) iff >= 0; a
+# coupling's sign flip keeps C's spectrum and (dA, dB, dX), so a negative coupling is decided by the margins at its size
 
 def mixed_epr_positivity(n: float, mc: float) -> float:
     return n * (n + 1.0) - mc * mc

@@ -1,5 +1,5 @@
-"""Two-mode Gaussian states: positivity, partial transpose, PPT separability,
-P-representability, and thermal-pair extraction.  One engine, ``verdicts_from_invariants``,
+"""Two-mode Gaussian states: positivity, PPT separability, P-representability, and thermal-pair extraction
+(``partial_transpose`` is ``kernels.partial_transpose``).  One engine, ``verdicts_from_invariants``,
 decides on Python floats for one kernel (``classify2``) and on arrays for a stack (``invariant_verdicts``)
 or a scan block (``states.family_invariants``); the Q-matrix route (one Q for positivity and PPT) and the
 determinant route stay as criteria.  Every margin is compared with ``linalg.band``; C's rules are ``linalg.c_rules``.
@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import NotPositiveError, NotPureError, WrongModeCountError
-from .kernels import GaussianKernel, convert, require
+from .errors import NotPositiveError, NotPureError
+from .kernels import GaussianKernel, convert, partial_transpose, require
 from .onemode import SqueezeMap
 
 
@@ -183,22 +183,15 @@ def _q_margins_hold(k: GaussianKernel) -> tuple[bool, bool, bool]:
     return p.nu1 + p.nu2 >= -tol, *holds
 
 
-def partial_transpose(k: GaussianKernel) -> GaussianKernel:
-    """Transpose the first mode only; on moments m1 -> m1*, ms -> mc*, mc -> ms*.  Pi K Pi, Pi swapping z1 and z1*,
-    from k's eigenpair and no eigensolver; Pi swaps X's rows, so dX changes sign."""
-    if k.modes != 2:
-        raise WrongModeCountError("partial transpose needs a two-mode kernel")
-    return k._permuted([1, 0, 2, 3], (1.0, 1.0, -1.0))
-
-
 def separability_inequality(k: GaussianKernel) -> bool:
     """Direct separability test nu1*nu2 >= |muc|^2 on the untransposed kernel."""
     return _q_margins_hold(k)[2]
 
 
 def ppt_separable(k: GaussianKernel) -> bool:
-    """Peres criterion: positivity of the partial transpose (sufficient for Gaussians).  Its Q is S Pi Q Pi S, Pi
-    swapping z1 and z1*, S = diag(-1, -1, 1, 1): k's nu, with |mus| and |muc| exchanged, so k's own Q decides."""
+    """Peres criterion: positivity of the partial transpose (sufficient for Gaussians).  Its Q, the Q of
+    ``partial_transpose``, is S Pi Q Pi S, Pi swapping z1 and z1*, S = diag(-1, -1, 1, 1): k's nu, with |mus| and
+    |muc| exchanged, so k's own Q decides."""
     total, positive, separable = _q_margins_hold(k)
     if not (total and positive):
         raise NotPositiveError("separability is only defined for positive states")

@@ -124,6 +124,80 @@ MUTANTS = [
         "a kernel's C eigenvalues lie in the verdict range linalg.MAX_SCALE",
         ["tests/test_kernels.py::test_every_kernel_that_exists_gets_finite_verdicts"],
     ),
+    (
+        "kernels.py",
+        "vc = k._vc[[1, 0, 2, 3]]",
+        "vc = k._vc[[0, 1, 2, 3]]",
+        "the partial transpose maps C's eigenvectors V_C to Pi V_C, Pi swapping z1 and z1*",
+        ["tests/test_twomode.py::TestPartialTranspose::test_moment_relabeling",
+         "tests/test_states.py::TestAntiEpr::test_transpose_swaps_couplings"],
+    ),
+    (
+        "kernels.py",
+        "k._dets and (*k._dets[:2], -k._dets[2])",
+        "k._dets and (*k._dets[:2], k._dets[2])",
+        "the partial transpose carries C's (dA, dB, -dX): Pi swaps X's rows",
+        ["tests/test_twomode.py::TestPartialTranspose::test_maps_the_carried_pair[C]",
+         "tests/test_known_defects.py::test_ppt_split_at_the_anti_epr_separability_boundary"],
+    ),
+    (
+        # the map of W, Q and P before it was one map: Pi K Pi of the kernel's own matrix, C's rule turned by a pi phase
+        "kernels.py",
+        "vc = k._vc[[1, 0, 2, 3]]",
+        'vc = k._vc[[1, 0, 2, 3]] if k._kind == "C" else (e := _E_SIGN[4]) * e[[1, 0, 2, 3]] * k._vc[[1, 0, 2, 3]]',
+        "the partial transpose is one map for every kind: it commutes with convert",
+        ["tests/test_twomode.py::TestPartialTranspose::test_maps_the_carried_pair[W]",
+         "tests/test_fock.py::TestPartialTranspose::test_the_kernel_map_is_the_fock_map_up_to_a_local_phase[k_star-Q-16]"],
+    ),
+    (
+        "linalg.py",
+        "K = 16  #",
+        "K = 4  #",
+        "the verdict band is 16 eps scale^degree",
+        ["tests/test_linalg.py::TestSymMatrix::test_hermiticity_band_is_relative[1.0-1e-15-True]"],
+    ),
+    (
+        "linalg.py",
+        "return low >= -tol, low - 0.5 > tol",
+        "return low >= 0.0, low - 0.5 > tol",
+        "C exists where its smallest eigenvalue is at least -band(tr C, 1)",
+        ["tests/test_onemode.py::TestExistenceFollowsTheKernelRule::test_moments_are_admitted_where_build_c_is[0.0--0.5]"],
+    ),
+    (
+        "linalg.py",
+        "if not low > tol:",
+        "if not low >= tol:",
+        "a smallest |eigenvalue| at band(sum, 1) is singular",
+        ["tests/test_linalg.py::TestNonsingular::test_a_smallest_eigenvalue_on_the_band_is_singular"],
+    ),
+    (
+        "onemode.py",
+        "band = linalg.band(2.0 * p.n + 1.0, 2)",
+        "band = linalg.band(2.0 * p.n + 1.0, 1)",
+        "the one-mode margins take band(2n + 1, 2)",
+        ["tests/test_scale.py::TestOneModeAcrossScale::test_pure_state_is_positive_and_pure"],
+    ),
+    (
+        "twomode.py",
+        "floor = 0.25 * self.positive",
+        "floor = 0.0 * self.positive",
+        "on a positive state both symplectic eigenvalues are held at 1/2 or above",
+        ["tests/test_twomode.py::TestClassify2::test_large_n_pure_epr_returns"],
+    ),
+    (
+        "twomode.py",
+        "(d_ab + dx2 - 0.5 <= linalg.band(top, 2))",
+        "(d_ab + dx2 - 0.5 <= linalg.band(top, 1))",
+        "the purity margin Delta - 1/2 takes band(|C|, 2)",
+        ["tests/test_scale.py::TestPureTwoModeAcrossScale::test_positive_pure_and_entangled[smoothed_epr]"],
+    ),
+    (
+        "cli.py",
+        "+ 0.5 + (1.0 + abs(self.ratio)) * mc_top",
+        "+ 0.5 + mc_top",
+        "a scan's eigenvalue bound is max|n| + 1/2 + (1 + |ratio|) max|mc|",
+        ["tests/test_cli.py::TestScan::test_overflowing_moments_are_refused"],
+    ),
 ]
 
 

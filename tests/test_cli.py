@@ -227,9 +227,21 @@ class TestScan:
         with pytest.raises(ValueError, match="unknown family 'cat_state'"):
             cli.ScanRequest("cat_state", 0.0, 0.0, 1.0, 3, 0.0, 1.0, 3)
 
-    def test_overflowing_moments_are_refused(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
-            "".join(cli.scan_blocks(cli.ScanRequest("anti_epr", 1e300, 0.0, 1e10, 3, 0.0, 1.0, 2)))
+    @pytest.mark.parametrize("request_", [
+        ("anti_epr", 1e300, 0.0, 1e10, 3, 0.0, 1.0, 2),
+        # from the ends, before any axis exists: linspace of these overflowed, and RuntimeWarning is an error under pytest
+        ("mixed_epr", 0.0, -1e308, 1e308, 3, 0.0, 1.0, 2),
+        ("mixed_epr", 0.0, 0.0, 1.0, 3, -1e308, 1e308, 2),
+        ("mixed_epr", 0.0, -2e75, -1e75, 3, 0.0, 1.0, 2),
+        # a NaN end in either place, as a NaN on an axis was
+        ("mixed_epr", 0.0, 0.0, math.nan, 3, 0.0, 1.0, 2),
+        ("mixed_epr", 0.0, 0.0, 1.0, 3, 0.0, math.nan, 2),
+        ("mixed_epr", 0.0, math.nan, 1.0, 3, math.nan, 1.0, 2),
+    ], ids=["ratio-past-the-verdict-range", "mc-spans-the-floats", "n-spans-the-floats", "mc-past-the-verdict-range",
+            "mc-hi-nan", "n-hi-nan", "lo-ends-nan"])
+    def test_overflowing_moments_are_refused(self, request_):
+        with pytest.raises(ValueError, match="overflow"):
+            cli.ScanRequest(*request_)
 
     def test_overflow_is_refused_before_any_output(self, capsys, tmp_path):
         argv = ["--ratio", "1e300", "--mc-min", "0", "--mc-max", "1e10", "--mc-steps", "3",
@@ -578,6 +590,10 @@ class TestBadInput:
              "two-mode input takes --n only for a missing --n1 or --n2"),
             (["classify", "--modes", "1", "--n", "1"], 64, "one-mode input needs --n and --m"),
             (["classify", "--modes", "1", "--n", "abc", "--m", "0"], 64, "not a float number"),
+            # a scan window past the verdict range is refused from its ends: numpy's linspace overflowed
+            # on them first, with RuntimeWarnings
+            (["scan", "--family", "mixed-epr", "--mc-min", "-1e308", "--mc-max", "1e308", "--mc-steps", "3",
+              "--n-min", "0", "--n-max", "1", "--n-steps", "2"], 64, "scan moments overflow the verdict range"),
         ],
         ids=["n-nan", "n-inf", "mc-nan", "wigner-nan", "one-step", "no-matrix", "missing-file",
              "not-a-state-file", "huge-c-file", "two-mode-no-n", "two-mode-no-n2", "family-no-mc", "oracle-no-n", "oracle-singular",
@@ -588,7 +604,7 @@ class TestBadInput:
              "oracle-one-mode-foreign-mc", "oracle-one-mode-family", "scan-mixed-ratio", "wigner-n-past-bound",
              "wavefun-lo-past-bound", "scan-mc-steps-past-bound", "scan-n-steps-past-bound", "wigner-samples-past-bound",
              "wavefun-samples-past-bound", "two-mode-n-beside-n1-n2", "oracle-two-mode-n-beside-n1-n2",
-             "one-mode-no-m", "n-not-a-number"],
+             "one-mode-no-m", "n-not-a-number", "scan-window-past-bound"],
     )
     def test_documented_exit_without_traceback(self, capsys, tmp_path, argv, code, says):
         names = ("no_matrix", "missing", "not_a_state", "three_modes", "no_modes", "huge_c")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_close, random_one_mode, random_two_mode
+from test_twomode import K_STAR
 from gausspair import fock, onemode, states, twomode
 from gausspair.errors import CutoffTooSmallError, WrongModeCountError
 from gausspair.kernels import convert
@@ -27,6 +28,12 @@ KERNELS = {
     "product_thermal": lambda: twomode.product_thermal_kernel(1.0 / 3.0, -1.0 / 3.0),
     "complex_two_mode": lambda: twomode.build_C2(COMPLEX_TWO_MODE),
     "complex_one_mode": lambda: onemode.build_C(COMPLEX_ONE_MODE),
+}
+KSTAR = twomode.build_C2(K_STAR)
+PARTIAL_TRANSPOSE_KERNELS = {
+    **{name: KERNELS[name] for name in ("mixed_epr", "anti_epr", "squeezed_epr")},
+    "k_star": lambda: KSTAR,
+    "product": lambda: twomode.build_C2(twomode.TwoModeMoments(n1=0.5, n2=0.2)),
 }
 # mixed_epr points whose conversion to Q leaves round-off where B has exact zeros
 ROUND_OFF_POINTS = [(0.6735727653444255, 0.967023070269148), (0.7594238572792352, 0.92208927381045),
@@ -465,6 +472,24 @@ class TestPartialTranspose:
             fock.from_kernel(states.anti_epr(1.0, 0.4, 0.2), cutoff=16)
         )
         assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-10
+
+    @pytest.mark.parametrize("cutoff", [12, 16])
+    @pytest.mark.parametrize("name, kind", [(name, kind) for name, build in PARTIAL_TRANSPOSE_KERNELS.items()
+                                            for kind in "CWQP" if kind != "P" or twomode.p_representable(build())])
+    def test_the_kernel_map_is_the_fock_map_up_to_a_local_phase(self, name, kind, cutoff):
+        # the kernel's partial transpose (ms -> mc*) is the Fock index swap (ms -> -mc*) conjugated by
+        # (-1)^n1, the local pi phase that flips the sign of mode 1's ladder operator: the same operator, for every kind
+        k = convert(PARTIAL_TRANSPOSE_KERNELS[name](), kind)
+        signs = np.repeat((-1.0) ** np.arange(cutoff + 1), cutoff + 1)  # (-1)^j1 of the row (j1, j2)
+        got = fock.from_kernel(twomode.partial_transpose(k), cutoff, strict=False).matrix
+        want = fock.partial_transpose_fock(fock.from_kernel(k, cutoff, strict=False)).matrix
+        assert np.max(np.abs(got - signs[:, None] * signs * want)) <= 1e-15
+
+    def test_the_fock_map_takes_ms_to_minus_mc_conjugate(self):
+        moments = fock.reconstructed_moments(fock.partial_transpose_fock(fock.from_kernel(KSTAR, cutoff=24)))
+        want = {"m1": np.conj(K_STAR.m1), "ms": -np.conj(K_STAR.mc), "mc": -np.conj(K_STAR.ms)}
+        for moment, value in want.items():  # within the truncation at cutoff 24
+            assert moments[moment] == pytest.approx(value, abs=1e-6)
 
 
 class TestTracePower:

@@ -181,6 +181,15 @@ class TestBand:
             assert np.array_equal(got.view(np.uint64), linalg.band(np.array(xs), degree).view(np.uint64)), degree
 
 
+class TestNonsingular:
+    def test_a_smallest_eigenvalue_on_the_band_is_singular(self):
+        # the sum is 1 exactly and band(1, 1) = 16 eps = 2^-48: a smallest |eigenvalue| at the band is singular,
+        # strictly above it is not
+        with pytest.raises(SingularMatrixError):
+            linalg.nonsingular([2.0**-48, 1.0 - 2.0**-48])
+        assert linalg.nonsingular([2.0**-47, 1.0 - 2.0**-47]) == 2.0**-47
+
+
 def _scan_text():
     return "".join(cli.scan_blocks(cli.ScanRequest("anti_epr", 0.5, 0.0, 2.0, 9, 0.0, 2.0, 9)))
 

@@ -103,6 +103,47 @@ class TestSqueezedEpr:
         assert not twomode.ppt_separable(k)
 
 
+class TestFamilyMarginDomain:
+    """The engine's family verdicts depend only on the couplings' sizes; the paper's margins are stated for
+    non-negative couplings, where they match the engine, and ``anti_epr_*`` and ``squeezed_epr_*`` change with a
+    coupling's sign."""
+
+    GRID = [(n, a, b) for n in (0.0, 0.3, 0.8, 1.5) for a in (-1.2, -0.45, 0.0, 0.3, 0.9) for b in (-0.9, -0.2, 0.0, 0.5)]
+
+    @staticmethod
+    def family_kernel(family, n, a, b):
+        couplings = (a, b)[: len(states.FAMILIES[family])]
+        try:
+            return getattr(states, family)(n, *couplings), couplings
+        except NotAStateError:
+            return None, couplings
+
+    @pytest.mark.parametrize("family", list(states.FAMILIES))
+    def test_verdicts_keep_each_coupling_sign(self, family):
+        for n, a, b in self.GRID:
+            k, couplings = self.family_kernel(family, n, a, b)
+            if k is None:
+                continue
+            want = twomode.classify2(k)
+            for i in range(len(couplings)):
+                flipped = [-c if j == i else c for j, c in enumerate(couplings)]
+                assert twomode.classify2(getattr(states, family)(n, *flipped)) == want
+
+    @pytest.mark.parametrize("family", list(states.FAMILIES))
+    def test_margins_at_the_couplings_sizes_match_the_engine(self, family):
+        positivity, separability = (getattr(states, f"{family}_{rule}") for rule in ("positivity", "separability"))
+        for n, a, b in self.GRID:
+            k, couplings = self.family_kernel(family, n, a, b)
+            if k is None:
+                continue
+            v, sizes = twomode.classify2(k), [abs(c) for c in couplings]
+            pos, sep = positivity(n, *sizes), separability(n, *sizes)
+            if abs(pos) > 1e-9:
+                assert v.positive == (pos >= 0)
+            if v.positive and abs(sep) > 1e-9:
+                assert v.ppt_separable == (sep >= 0)
+
+
 class TestPRepAngle:
     def test_example_point(self):
         theta = states.anti_epr_p_rep_angle(1.0, 0.6, 0.3)

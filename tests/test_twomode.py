@@ -188,7 +188,8 @@ class TestPartialTranspose:
 
     @pytest.mark.parametrize("kind", ["C", "W", "Q", "P"])
     def test_maps_the_carried_pair(self, kind, rng, monkeypatch):
-        # Pi K Pi from k's own pair, Pi swapping z1 and z1*: the same eigenvalues, C's (dA, dB, -dX), no eigh
+        # one map for every kind, from k's own pair and no eigh: the same eigenvalues, C's (dA, dB, -dX), and
+        # the kernel of that kind of C's partial transpose Pi C Pi, Pi swapping z1 and z1*, bit for bit
         swap = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
         sources = [states.mixed_epr(0.8, 1.0), states.anti_epr(0.9, 0.5, 0.3), states.squeezed_epr(0.7, 0.4, 0.3),
                    *(build_C2(TwoModeMoments(1.0 + x, 0.8, 0.1 + 0.1j, 0.05j, 0.2, 0.15j)) for x in rng.uniform(0, 1, 4))]
@@ -199,8 +200,10 @@ class TestPartialTranspose:
             pt = twomode.partial_transpose(k)
             assert pt.kind == kind and pt.eigenvalues == k.eigenvalues
             assert convert(pt, "C").block_dets == (da, db, -dx)
-            x, v = pt.eig
-            assert np.max(np.abs((v * x) @ v.conj().T - k.matrix[swap])) <= linalg.band(np.max(np.abs(x)), 1)
+            assert np.max(np.abs(convert(pt, "C").matrix - c.matrix[swap])) <= linalg.band(max(map(abs, c.eigenvalues)), 1)
+            other = convert(twomode.partial_transpose(c), kind)
+            assert np.array_equal(pt.matrix, other.matrix) and pt.eigenvalues == other.eigenvalues
+            assert all(np.array_equal(a, b) for a, b in zip(pt.eig, other.eig))
 
 
 class TestInternalKernels:
