@@ -1,5 +1,4 @@
-"""Truncated Fock-space oracle: rebuild a Gaussian kernel as an explicit matrix
-and re-derive every verdict numerically.
+"""Truncated Fock-space oracle: rebuild a Gaussian kernel's Fock amplitudes and re-derive every verdict numerically.
 
 The generating function of G = sqrt(det Q) :exp(-a^dag Q a / 2): is
 
@@ -12,21 +11,21 @@ B = S - (Q~ + Q~^T) / 2, where Q~ holds rows (0, 2, 1, 3) and columns (1, 3, 0, 
 S = [[0, I], [I, 0]].  So G_jk is the amplitude A_k = sqrt(det Q) sqrt(k!) [x^k] exp(x^T B x / 2),
 k = (j1, j2, k1, k2), and the Gaussian Fock-amplitude recurrence (Miatto & Quesada, Quantum 4,
 366 (2020)) builds each one from lower orders: sqrt(k_0 + 1) A_{k+e_0} = sum_j B_0j sqrt(k_j) A_{k-e_j}.
-Seeded with A_0 = sqrt(det Q), it fills a C-ordered (j1, j2, k1, k2) tensor that is the matrix itself.  Every exponent
-term has degree 2, so entries with odd total index are exactly zero; entries of B within band(max|B|, 1) are the
-round-off of the conversion to Q and are set to zero, so that B's exact zeros survive it.  Where they leave the last
-variable's part of B's coupling graph bipartite, with no self-coupling (``_charge``), every term conserves a charge c
-(n1 - n2 for `mixed_epr`, n2 for a product state): each nonzero entry has c.k = 0, so the recurrence runs on that
-sector with the last axis dropped and scatters it into the matrix, the same bit for bit.  Spectra and traces of powers
-are taken over the connected components of the exact nonzero pattern, packed into bins the size of the largest block,
-one batched solve per bin size: entries between two blocks are exact zeros and a permutation makes the matrix
-block-diagonal, so a bin's eigenvalues are its blocks' and nothing is dropped or rounded away.  The blocks of a pattern
-are found once and reused by every later matrix with that pattern.  A real B is kept real, so real kernels give real
-matrices and real eigenproblems.  Moments are diagonal sums.
+Seeded with A_0 = sqrt(det Q), it fills a C-ordered (j1, j2, k1, k2) tensor, G's entries in row-major order.  Entries
+of B within band(max|B|, 1) are the round-off of the conversion to Q and are set to zero, so that B's exact zeros
+survive it.  Each component of B's coupling graph, closed under the swap of alpha_i* and beta_i (``_laws``), gives a
+law that every term, and so every nonzero entry, keeps: a charge c.k = 0 (n1 - n2 for `mixed_epr`) where it is
+bipartite with no self-coupling, else an even c.k.  An index's class is its row's share of each law's value: the
+matrix is block-diagonal over the classes, and the partial transpose swaps the roles of alpha1* and beta1.  Where the
+last variable carries a charge, the recurrence runs on that sector with the last axis dropped.  The operator holds
+the filled tensor and reads it through an index map, which sends an entry between two classes to a stored zero; the
+dense ``matrix`` is formed only when read.  Spectra are solved on the classes, packed into bins the size of the
+largest, one batched solve per bin size.  Real kernels give real eigenproblems.  Moments are shifted diagonal sums.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -46,71 +45,86 @@ MAX_ENTRIES = 2**21  # largest (cutoff + 1)^(2 modes): 32 MB of complex amplitud
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Truncated Fock matrix of a Gaussian operator, Hermitian to round-off: ``spectrum`` hermitizes its blocks."""
+    """Truncated Fock matrix of a Gaussian operator, held as its amplitudes; ``matrix`` is formed on each read."""
 
     modes: int
     cutoff: int
-    matrix: np.ndarray
+    amplitudes: np.ndarray  # the tensor ``_amplitudes`` fills, flat, then one stored zero
+    laws: tuple[tuple[tuple[int, ...], bool], ...]  # ``_laws`` of B; the first, a charge, drops the tensor's last axis
+    roles: tuple[int, ...]  # the tensor's axis of each row index, then of each column index
+
+    @property
+    def matrix(self) -> np.ndarray:
+        rows = np.arange((self.cutoff + 1) ** self.modes)
+        return _take(self, rows[:, None], rows)
 
     @property
     def truncation_loss(self) -> float:
-        return 1.0 - float(np.trace(self.matrix).real)
+        rows = np.arange((self.cutoff + 1) ** self.modes)
+        return 1.0 - float(_take(self, rows, rows).sum().real)
 
 
-def _charge(b: np.ndarray) -> tuple[int, ...] | None:
-    """A charge c, c_last = 1, that every term b_ij x_i x_j conserves (c_i + c_j = 0): +-1 by side of a 2-colouring of
-    the last variable's component of the graph of b_ij != 0, 0 elsewhere; None for an odd cycle or a b_ii != 0 there."""
-    rows, c, todo = b.tolist(), [0] * (len(b) - 1) + [1], [len(b) - 1]
-    for i in todo:  # breadth first: todo grows while it is walked
-        for j in [j for j, bij in enumerate(rows[i]) if bij]:
-            if c[j] == c[i]:  # a self-coupling (j = i) or an odd cycle
-                return None
-            todo += [j] * (not c[j])  # j is reached for the first time
-            c[j] = -c[i]
-    return tuple(c)
+def _laws(b: np.ndarray) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """Per component of the graph of b_ij != 0, closed under the swap of alpha_i* and beta_i and with each such pair
+    joined (so a law's row and column shares agree), last variables first: (c, True), c = +-1 by side of a 2-colouring
+    and 1 at its last variable, where it is bipartite with no self-coupling, else (1 on it, False); 0 off it."""
+    n, coupled, side, laws = len(b), (b != 0).tolist(), [0] * len(b), []
+    swap = [(i + n // 2) % n for i in range(n)]
+    for last in (i for i in reversed(range(n)) if not side[i]):  # each component's last variable
+        side[last], todo, charged = 1, [last], True
+        for i in todo:  # breadth first: todo grows while it is walked
+            for j in range(n):
+                if coupled[i][j] or coupled[swap[i]][swap[j]] or j == swap[i]:  # a coupling, its mirror or the pair
+                    charged &= side[j] != side[i]  # false at a self-coupling (j = i) or an odd cycle
+                    todo += [j] * (not side[j])  # j is reached for the first time
+                    side[j] = side[j] or -side[i]
+        laws.append((tuple((side[i] if charged else 1) * (i in todo) for i in range(n)), charged))
+    return tuple(laws)
 
 
 @functools.lru_cache
-def _sector(d: int, charge: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sector(d: int, charge: tuple[int, ...]) -> np.ndarray:
     """sqrt(k_l) over the indices ``_amplitudes`` stores with ``charge``, k_l = -sum_(i<l) c_i k_i, where k_l lies in
-    [0, d) and 0 elsewhere; the flat stored indices where it does; and their flat indices in the full tensor."""
+    [0, d) and 0 elsewhere; read-only, shared by every build at (d, charge)."""
     last = -np.tensordot(charge[:-1], np.indices((d,) * (len(charge) - 1)), 1)
-    keep = np.flatnonzero(inside := (last >= 0) & (last < d))
-    sector = np.sqrt(np.where(inside, last, 0)), keep, keep * d + last.ravel()[keep]
-    for a in sector:  # shared by every build at (d, charge)
-        a.setflags(write=False)
-    return sector
+    root = np.sqrt(np.where((last >= 0) & (last < d), last, 0))
+    root.setflags(write=False)
+    return root
 
 
-def _amplitudes(b: np.ndarray, d: int, seed: float, charge: tuple[int, ...] | None = None) -> np.ndarray:
-    """seed * A_k, A_k = sqrt(k!) [x^k] exp(x^T b x / 2), for every k with entries < d, filled in
-    place along the first index, each slab from the two below it; the k_0 = 0 slab is the same
-    problem over the other variables.  With a ``charge`` c (``_charge``) every nonzero A_k has c.k = 0, so the last
-    index k_l = -sum_(i<l) c_i k_i is not stored, and b_0l's term is a shift along the first axis alone."""
+def _amplitudes(b: np.ndarray, d: int, seed: float, charge: tuple | None = None, out: np.ndarray | None = None):
+    """seed * A_k, A_k = sqrt(k!) [x^k] exp(x^T b x / 2), for every k with entries < d, filled in place into ``out`` or
+    a new flat array, returned with one stored zero after it: along the first index, each slab from the two below it,
+    the k_0 = 0 slab the same problem over the other variables.  With a ``charge`` c every nonzero A_k has c.k = 0, so
+    the last index k_l = -sum_(i<l) c_i k_i is not stored, and b_0l's term is a shift along the first axis alone."""
     axes = len(b) - (charge is not None)
+    flat = np.zeros(d**axes + 1, dtype=b.dtype) if out is None else None
+    a = flat[:-1].reshape((d,) * axes) if out is None else out
     if axes == 0:
-        return np.full((), seed, dtype=b.dtype)
+        a[...] = seed
+        return flat
     root = np.sqrt(np.arange(d))
-    a = np.zeros((d,) * axes, dtype=b.dtype)
-    a[0] = _amplitudes(b[1:, 1:], d, seed, charge and charge[1:])
-    # b_0j sqrt(k_j) A_{k-e_j} / sqrt(k_0 + 1): a shift up axis j for each j that b couples, with a row per level k_0
-    shifts = [((slice(None),) * j + (slice(1, None),), (slice(None),) * j + (slice(None, -1),),
+    _amplitudes(b[1:, 1:], d, seed, charge and charge[1:], a[0, ...])
+    # b_0j sqrt(k_j) A_{k-e_j} / sqrt(k_0 + 1): a shift up axis j for each j that b couples, row k_0 of a[:-1] to a[1:]
+    up, down, whole = slice(1, None), slice(None, -1), (slice(None),)
+    shifts = [(a[(up,) + whole * j + (up,)], a[(down,) + whole * j + (down,)],
                (b[0, j + 1] * root[1:] / root[1:, None]).reshape((d - 1, -1) + (1,) * (axes - 2 - j)))
               for j in np.flatnonzero(b[0, 1:axes])]
     if axes < len(b) and b[0, -1]:  # b_0l sqrt(k_l) / sqrt(k_0 + 1), zero where k_l is outside [0, d)
-        shifts.append((..., ..., (b[0, -1] * _sector(d, charge)[0])[1:] / root[1:].reshape((-1,) + (1,) * (axes - 1))))
+        coef = (b[0, -1] * _sector(d, charge))[1:] / root[1:].reshape((-1,) + (1,) * (axes - 1))
+        shifts.append((a[up], a[down], coef))
     diag = (b[0, 0] * root[:-1] / root[1:]).tolist()
     for k in range(d - 1):
-        lo, hi = a[k, ...], a[k + 1, ...]  # views, also where a slab is one entry
         if diag[k]:
-            np.multiply(a[k - 1], diag[k], out=hi)
-        for dst, src, coef in shifts:
-            hi[dst] += coef[k, ...] * lo[src]  # 0-d arrays for a one-entry slab: numpy scalars round otherwise
-    return a
+            np.multiply(a[k - 1], diag[k], out=a[k + 1, ...])
+        for hi, lo, coef in shifts:
+            view = hi[k, ...]  # a view, also where a slab is one entry
+            view += coef[k, ...] * lo[k, ...]  # 0-d arrays for a one-entry slab: numpy scalars round otherwise
+    return flat
 
 
 def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = True) -> FockOperator:
-    """Truncated Fock matrix of the Gaussian operator behind any kernel."""
+    """Truncated Fock operator of the Gaussian operator behind any kernel, holding the amplitudes it is built from."""
     if cutoff < 4 or (cutoff + 1) ** (2 * k.modes) > MAX_ENTRIES:
         raise ValueError(f"cutoff must be at least 4 and (cutoff + 1)^(2 modes) at most {MAX_ENTRIES}")
     kq = convert(k, "Q")
@@ -120,12 +134,9 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     b = np.roll(np.eye(2 * modes), modes, axis=1) - 0.5 * (q_x + q_x.T)
     b[np.abs(b) <= band(np.abs(b).max(), 1)] = 0.0
     b = b if b.imag.any() else b.real
-    d, charge = cutoff + 1, _charge(b)
-    a = _amplitudes(b, d, math.sqrt(det_q), charge)
-    if charge:  # the charge sector, scattered into the full tensor
-        a, sector, (_, keep, full) = np.zeros(d ** len(b), dtype=a.dtype), a, _sector(d, charge)
-        a[full] = sector.take(keep)
-    op = FockOperator(modes=modes, cutoff=cutoff, matrix=a.reshape(d**modes, d**modes))  # (j1, j2, k1, k2) order
+    laws = _laws(b)  # the first is the last variable's: a charge there drops the tensor's last axis
+    a = _amplitudes(b, cutoff + 1, math.sqrt(det_q), laws[0][0] if laws[0][1] else None)
+    op = FockOperator(modes, cutoff, a, laws, tuple(range(2 * modes)))  # (j1, j2, k1, k2) roles
     if strict and op.truncation_loss > LOSS_THRESHOLD:
         raise CutoffTooSmallError(f"truncation loss {op.truncation_loss:.2e} exceeds {LOSS_THRESHOLD}")
     return op
@@ -153,37 +164,36 @@ def _bins(lab: np.ndarray) -> list[np.ndarray]:
     return stacks
 
 
-@functools.lru_cache(maxsize=32)
-def _pattern_blocks(n: int, packed: bytes) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The labels of the connected components of an n x n nonzero pattern (row-major, ``np.packbits``) and its
-    transpose, and their bins (``_bins``), read-only and shared by every matrix with that pattern.  Each index is
-    labelled with the lowest index its row touches; while a nonzero entry lies between indices of two labels, every
-    index takes the lowest label among its neighbours in row and column."""
-    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n).reshape(n, n).view(bool)
-    touch = pattern.copy()
-    np.fill_diagonal(touch, True)
-    lab = touch.argmax(axis=1)
-    while (pattern & (lab[:, None] != lab)).any():
-        touch |= touch.T
-        lab = np.where(touch, lab, n).min(axis=1)
-    bins = tuple(_bins(lab))
-    for a in (lab, *bins):
-        a.setflags(write=False)
-    return lab, bins
+@functools.lru_cache
+def _index(d: int, modes: int, laws: tuple, roles: tuple[int, ...]) -> tuple:
+    """The class of each index, its value of every law's row share (a parity's mod 2), labelled by the class's lowest
+    index; the classes' bins (``_bins``); and each row's and column's share of the flat held index: its digits times
+    the strides of the held axes that their roles name, where a sector's last axis has stride 0."""
+    digits = np.indices((d,) * modes).reshape(modes, -1)
+    values = np.array([np.take(c, roles[:modes]) for c, _ in laws]) @ digits
+    values[[not charged for _, charged in laws]] %= 2
+    cls = np.unique(values, axis=1, return_inverse=True)[1].ravel()
+    lab = np.unique(cls, return_index=True)[1][cls]
+    strides = d ** np.arange(2 * modes - 1, -1, -1) // d ** laws[0][1]
+    return lab, _bins(lab), *(strides[list(r)] @ digits for r in (roles[:modes], roles[modes:]))
 
 
-def _blocks(m: np.ndarray) -> list[np.ndarray]:
-    """m gathered into the bins of its exact blocks, hermitized, and real where it is real, one stack per bin size: the
-    blocks of a pattern are found once (``_pattern_blocks``) and reused by every later matrix with that pattern."""
-    bins = _pattern_blocks(len(m), np.packbits(m != 0).tobytes())[1]
-    stacks = [m.take(i[:, :, None] * len(m) + i[:, None, :]) for i in bins]
+def _take(f: FockOperator, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """f's entries at rows r and columns c (broadcast): held where they share a class, else the stored zero."""
+    lab, _, row, col = _index(f.cutoff + 1, f.modes, f.laws, f.roles)
+    return f.amplitudes.take(np.where(lab[r] == lab[c], row[r] + col[c], len(f.amplitudes) - 1))
+
+
+def _blocks(f: FockOperator) -> list[np.ndarray]:
+    """f gathered into the bins of its classes, hermitized, and real where it is real, one stack per bin size."""
+    stacks = [_take(f, i[:, :, None], i[:, None, :]) for i in _index(f.cutoff + 1, f.modes, f.laws, f.roles)[1]]
     herm = [0.5 * (b + b.conj().swapaxes(1, 2)) for b in stacks]
-    return [b if b.imag.any() else b.real for b in herm]
+    return [b if np.iscomplexobj(b) and b.imag.any() else b.real for b in herm]
 
 
 def spectrum(f: FockOperator) -> np.ndarray:
     """Eigenvalues of the (hermitized) truncated matrix, descending."""
-    eigs = np.concatenate([np.linalg.eigvalsh(b).ravel() for b in _blocks(f.matrix)])
+    eigs = np.concatenate([np.linalg.eigvalsh(b).ravel() for b in _blocks(f)])
     return np.sort(eigs)[::-1]
 
 
@@ -213,12 +223,10 @@ def compare(k: GaussianKernel, positive: bool, separable=None, cutoff: int = DEF
 
 
 def partial_transpose_fock(f: FockOperator) -> FockOperator:
-    """Index swap (m1 m2, n1 n2) -> (n1 m2, m1 n2) on a two-mode operator."""
+    """Index swap (m1 m2, n1 n2) -> (n1 m2, m1 n2) on a two-mode operator: alpha1* and beta1 swap roles, no copy."""
     if f.modes != 2:
         raise WrongModeCountError("partial transpose needs two modes")
-    d = f.cutoff + 1
-    four = f.matrix.reshape(d, d, d, d)  # (m1, m2, n1, n2)
-    return FockOperator(modes=2, cutoff=f.cutoff, matrix=four.transpose(2, 1, 0, 3).reshape(d * d, d * d))
+    return dataclasses.replace(f, roles=tuple(f.roles[i] for i in (2, 1, 0, 3)))
 
 
 def trace_power(f: FockOperator, k: int) -> float:
@@ -229,30 +237,22 @@ def trace_power(f: FockOperator, k: int) -> float:
 def alternating_trace(f: FockOperator) -> float:
     """Tr{2^modes (-1)^(total occupation) G}: the Wigner function value at the origin."""
     d = f.cutoff + 1
-    signs = (-1.0) ** np.arange(d)
-    diag = np.diagonal(f.matrix).real
+    signs, rows = (-1.0) ** np.arange(d), np.arange(d**f.modes)
     weights = signs if f.modes == 1 else np.outer(signs, signs).reshape(d * d)
-    return float(2**f.modes * np.dot(weights, diag))
+    return float(2**f.modes * np.dot(weights, _take(f, rows, rows).real))
 
 
 def reconstructed_moments(f: FockOperator) -> dict[str, complex]:
-    """Second moments recomputed from the truncated matrix, each a weighted sum over one
-    shifted diagonal: n1 = sum n1 G_(n1 n2)(n1 n2), m1 = -sum sqrt(j1 (j1 - 1)) G_(j1 j2)(j1-2, j2),
-    ms = sum sqrt(j1 (j2 + 1)) G_(j1 j2)(j1-1, j2+1), mc = -sum sqrt(j1 j2) G_(j1 j2)(j1-1, j2-1).
-    The local moments are those of the reduced one-mode matrices."""
-    d = f.cutoff + 1
-    occ = np.arange(d)
-    root = np.sqrt(occ[1:])  # <j-1| a |j> for j >= 1
-
-    def n_and_m(g: np.ndarray) -> tuple[complex, complex]:
-        return complex(occ @ np.diagonal(g)), complex(-(root[1:] * root[:-1]) @ np.diagonal(g, -2))
-
-    if f.modes == 1:
-        n, m = n_and_m(f.matrix)
-        return {"n": n, "m": m}
-    four = f.matrix.reshape(d, d, d, d)  # (j1, j2, k1, k2): row (j1, j2), column (k1, k2)
-    (n1, m1), (n2, m2) = n_and_m(np.einsum("ijkj->ik", four)), n_and_m(np.einsum("ijil->jl", four))
-    lo, hi = slice(None, -1), slice(1, None)
-    ms = complex(root @ np.einsum("ijij->ij", four[hi, lo, lo, hi]) @ root)
-    mc = complex(-root @ np.einsum("ijij->ij", four[hi, hi, lo, lo]) @ root)
-    return {"n1": n1, "n2": n2, "m1": m1, "m2": m2, "ms": ms, "mc": mc}
+    """Second moments recomputed from the truncated matrix, each a weighted sum over one diagonal, the column shifted
+    by s: n1 = sum j1 G_(j1 j2)(j1 j2), m1 = -sum sqrt(j1 (j1 - 1)) G_(j1 j2)(j1-2, j2), ms = sum sqrt(j1 (j2 + 1))
+    G_(j1 j2)(j1-1, j2+1), mc = -sum sqrt(j1 j2) G_(j1 j2)(j1-1, j2-1), and n2, m2 as n1, m1 on mode 2.  A weight is
+    zero where the column leaves the box, so the column index may wrap there."""
+    d, rows = f.cutoff + 1, np.arange((f.cutoff + 1) ** f.modes)
+    occ, ones = np.arange(d), np.ones(d)
+    root, two, up = np.sqrt(occ), -np.sqrt(occ * (occ - 1)), np.sqrt(np.append(occ[1:], 0))  # a, -a^2 and a^dag
+    terms = {"n": (0, occ, [1.0]), "m": (2, two, [1.0])} if f.modes == 1 else {  # s and the weights of j1 and j2
+        "n1": (0, occ, ones), "n2": (0, ones, occ), "m1": (2 * d, two, ones), "m2": (2, ones, two),
+        "ms": (d - 1, root, up), "mc": (d + 1, -root, root)}
+    shifts, left, right = map(np.array, zip(*terms.values()))
+    g = _take(f, rows, rows - shifts[:, None]).reshape(len(terms), d, -1)
+    return dict(zip(terms, map(complex, (left[:, None] @ g @ right[:, :, None]).ravel())))

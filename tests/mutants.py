@@ -40,24 +40,32 @@ MUTANTS = [
     ),
     (
         "fock.py",
-        "keep = np.flatnonzero(inside := (last >= 0) & (last < d))",
-        "keep = np.flatnonzero(inside := (last >= 0) & (last <= d))",
-        "the charge sector holds the amplitudes whose last index k_l lies in [0, d)",
-        ["tests/test_fock.py::TestChargeSector::test_the_sector_build_is_the_full_recurrence_bit_for_bit"],
+        "root = np.sqrt(np.where((last >= 0) & (last < d), last, 0))",
+        "root = np.sqrt(np.where((last >= 0) & (last <= d), last, 0))",
+        "the charge sector's sqrt(k_l) is zero where the last index k_l leaves [0, d)",
+        ["tests/test_fock.py::TestChargeSector::test_the_sector_root_is_the_last_index_inside_the_box[charge0]"],
+    ),
+    (
+        # sqrt of a negative k_l: a RuntimeWarning, which the suite turns into an error
+        "fock.py",
+        "root = np.sqrt(np.where((last >= 0) & (last < d), last, 0))",
+        "root = np.sqrt(np.where((last < d), last, 0))",
+        "the charge sector's sqrt(k_l) is zero where k_l is negative",
+        ["tests/test_fock.py::TestChargeSector::test_the_sector_root_is_the_last_index_inside_the_box[charge0]"],
     ),
     (
         "fock.py",
-        "keep = np.flatnonzero(inside := (last >= 0) & (last < d))",
-        "keep = np.flatnonzero(inside := (last < d))",
-        "the charge sector's indices are those with c.k = 0 and every index in [0, d)",
-        ["tests/test_fock.py::TestChargeSector::test_the_sector_is_every_index_that_conserves_the_charge"],
+        "charged &= side[j] != side[i]  # false at a self-coupling (j = i) or an odd cycle",
+        "charged &= side[j] != side[i] or j == i  # false at a self-coupling (j = i) or an odd cycle",
+        "a component of B's graph that couples a variable to itself keeps a parity, not a charge",
+        ["tests/test_fock.py::TestChargeSector::test_a_self_coupling_leaves_a_parity"],
     ),
     (
         "fock.py",
-        "if c[j] == c[i]:  # a self-coupling (j = i) or an odd cycle",
-        "if c[j] == c[i] and j != i:  # a self-coupling (j = i) or an odd cycle",
-        "a B whose last variable's component couples a variable to itself conserves no charge",
-        ["tests/test_fock.py::TestChargeSector::test_a_self_coupling_in_the_last_variables_component_leaves_no_charge"],
+        "if coupled[i][j] or coupled[swap[i]][swap[j]] or j == swap[i]:",
+        "if coupled[i][j]:",
+        "the laws come from B's graph closed under the swap of alpha_i* and beta_i, with each such pair joined",
+        ["tests/test_fock.py::TestChargeSector::test_the_laws_are_closed_under_the_swap_of_alpha_and_beta"],
     ),
     (
         "fock.py",
@@ -67,36 +75,32 @@ MUTANTS = [
         ["tests/test_fock.py::TestBlocks::test_conversion_round_off_keeps_the_blocks"],
     ),
     (
-        # the first blocks found for a (size, nonzero count) are handed to every later matrix with that key
+        # the partial transpose's classes read with G's roles: n1 - n2 classes where the entries keep n1 + n2
         "fock.py",
-        "bins = _pattern_blocks(len(m), np.packbits(m != 0).tobytes())[1]",
-        "bins = _pattern_blocks.__dict__.setdefault((len(m), np.count_nonzero(m)), "
-        "_pattern_blocks(len(m), np.packbits(m != 0).tobytes()))[1]",
-        "the blocks of a matrix are memoized on its exact nonzero pattern, not on its size and nonzero count",
-        ["tests/test_fock.py::TestSpectrum::test_blocks_match_the_full_eigenproblem",
-         "tests/test_fock.py::TestAgreement::test_compare_reads_both_spectra"],
+        "values = np.array([np.take(c, roles[:modes]) for c, _ in laws]) @ digits",
+        "values = np.array([np.take(c, range(modes)) for c, _ in laws]) @ digits",
+        "an index's class is its value of each law's share of a row, alpha1* and beta1 swapping roles on the partial "
+        "transpose",
+        ["tests/test_fock.py::TestPatternReference::"
+         "test_the_classes_are_the_pattern_components_and_the_spectra_agree_bit_for_bit[mixed_epr-16]",
+         "tests/test_fock.py::TestPartialTranspose::test_entangled_point_negative"],
+    ),
+    (
+        # every index then shares a parity's value: a kernel with one parity law is solved as one block
+        "fock.py",
+        "values[[not charged for _, charged in laws]] %= 2",
+        "values[[not charged for _, charged in laws]] = 0",
+        "a non-bipartite component's parity is part of each index's class",
+        ["tests/test_fock.py::TestPatternReference::"
+         "test_the_classes_are_the_pattern_components_and_the_spectra_agree_bit_for_bit[k_star-16]"],
     ),
     (
         "fock.py",
-        "for a in (lab, *bins):",
-        "for a in ():",
-        "the memoized labels and bins, shared by every matrix with their pattern, are read-only",
-        ["tests/test_fock.py::TestPatternMemo::test_the_cached_labels_and_bins_are_read_only"],
-    ),
-    (
-        "fock.py",
-        "@functools.lru_cache(maxsize=32)",
-        "@functools.lru_cache(maxsize=None)",
-        "the memo of block patterns holds at most 32 patterns",
-        ["tests/test_fock.py::TestPatternMemo::test_the_memo_is_bounded"],
-    ),
-    (
-        # the search never ends: every pattern has a nonzero between indices of one label
-        "fock.py",
-        "while (pattern & (lab[:, None] != lab)).any():",
-        "while (pattern & (lab[:, None] == lab)).any():",
-        "the label search stops once no nonzero entry lies between indices of two labels",
-        ["tests/test_fock.py::TestSpectrum::test_vacuum"],
+        "np.where(lab[r] == lab[c], row[r] + col[c], len(f.amplitudes) - 1)",
+        "np.where(True, row[r] + col[c], len(f.amplitudes) - 1)",
+        "an entry between two classes is read from the stored zero, not from the held tensor",
+        ["tests/test_fock.py::TestBlocks::test_entries_between_two_blocks_of_a_bin_are_read_from_the_stored_zero",
+         "tests/test_fock.py::TestChargeSector::test_the_sector_build_is_the_full_recurrence_bit_for_bit[mixed_epr-16]"],
     ),
     (
         "fock.py",

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -52,9 +53,57 @@ def hermitized(op):
     return 0.5 * (op.matrix + op.matrix.conj().T)
 
 
-def labels(m):
-    """The component labels of m's exact nonzero pattern, as the oracle's block search finds them."""
-    return fock._pattern_blocks(len(m), np.packbits(m != 0).tobytes())[0]
+# the oracle plan's kinds of check, one kernel each
+ORACLE_KINDS = {
+    "one_mode_nonpositive": lambda: one_mode_kernel(0.5, math.sqrt(0.75) + 0.8 * (1.0 - math.sqrt(0.75))),
+    "one_mode_random": lambda: one_mode_kernel(1.3, 0.6 * 1.8 * cmath.exp(2.1j)),
+    "two_mode_random": lambda: twomode.build_C2(random_two_mode(np.random.default_rng(7), coupling=0.3, n_hi=1.0)),
+    "epr_band": lambda: states.mixed_epr(0.7, 0.7 + 0.5 * (math.sqrt(0.7 * 1.7) - 0.7)),
+}
+# a charge on one mode and a parity on the other: held as the sector where the charge is the last variable's
+MIXED_LAWS = {
+    "thermal_and_squeezed": lambda: twomode.build_C2(twomode.TwoModeMoments(n1=0.5, n2=0.3, m2=0.2)),
+    "squeezed_and_thermal": lambda: twomode.build_C2(twomode.TwoModeMoments(n1=0.3, n2=0.5, m1=0.2j)),
+}
+REFERENCE_KERNELS = {**KERNELS, **PARTIAL_TRANSPOSE_KERNELS, **CHARGED, **ORACLE_KINDS, **MIXED_LAWS}
+
+
+def classes(op):
+    """The class label of each index of op, the lowest index of its class."""
+    return fock._index(op.cutoff + 1, op.modes, op.laws, op.roles)[0]
+
+
+def pattern_labels(m):
+    """Reference for the classes: the connected components of m's exact nonzero pattern, by a graph search, each
+    index labelled with the lowest index of its component."""
+    pattern = (m != 0) | (m != 0).T
+    lab = np.full(len(m), -1)
+    for start in range(len(m)):
+        if lab[start] < 0:
+            lab[start], todo = start, [start]
+            for i in todo:
+                reached = np.flatnonzero(pattern[i] & (lab < 0))
+                lab[reached] = start
+                todo += reached.tolist()
+    return lab
+
+
+def pattern_spectrum(m):
+    """Reference for ``fock.spectrum``: m's pattern components (``pattern_labels``) packed by ``fock._bins``, each bin
+    gathered from m, hermitized, real where it is real, and solved."""
+    stacks = [m.take(i[:, :, None] * len(m) + i[:, None, :]) for i in fock._bins(pattern_labels(m))]
+    herm = [0.5 * (b + b.conj().swapaxes(1, 2)) for b in stacks]
+    eigs = np.concatenate([np.linalg.eigvalsh(b if b.imag.any() else b.real).ravel() for b in herm])
+    return np.sort(eigs)[::-1]
+
+
+def full_recurrence(k, cutoff, monkeypatch):
+    """k's dense matrix from the recurrence over every index, with no charge, no classes and no index map, and its
+    partial transpose by a dense index swap."""
+    b, _, seed, _ = recurrence_arguments(k, monkeypatch, cutoff)
+    d = cutoff + 1
+    m = fock._amplitudes(b, d, seed)[:-1].reshape(d**k.modes, d**k.modes)
+    return [m] if k.modes == 1 else [m, m.reshape((d,) * 4).transpose(2, 1, 0, 3).reshape(d * d, d * d)]
 
 
 def with_partial_transpose(op):
@@ -163,9 +212,9 @@ class TestFromKernel:
         big = fock.from_kernel(k, cutoff=24, strict=False).matrix.reshape((25,) * axes)
         assert np.array_equal(small, big[(slice(17),) * axes])
 
-    def test_build_peak_memory_is_about_the_matrix(self):
-        # the amplitude tensor is the matrix: no reordered copy and no scaling pass, and the
-        # k_0 = 0 slab and the slab-sized temporaries add under 2/33 at cutoff 32, a slab being 1/33
+    def test_build_peak_memory_is_about_the_held_tensor(self):
+        # the operator holds the amplitude tensor the recurrence fills, the k_0 = 0 slab filled in place: no reordered
+        # copy, no scaling pass, and slab-sized temporaries that add under 2/33 at cutoff 32, a slab being 1/33
         k = twomode.build_C2(COMPLEX_TWO_MODE)
         tracemalloc.start()
         try:
@@ -173,7 +222,22 @@ class TestFromKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * op.matrix.nbytes, peak / op.matrix.nbytes
+        assert peak <= (1 + 2 / 33) * op.amplitudes.nbytes, peak / op.amplitudes.nbytes
+
+    def test_a_charged_check_allocates_no_dense_matrix(self):
+        # the build, both spectra and the moments of a charged kernel at cutoff 32 read the 33^3 sector through the
+        # index map: the peak stays below one 33^4 matrix, and the partial transpose shares the amplitudes
+        k = KERNELS["mixed_epr"]()
+        tracemalloc.start()
+        try:
+            op = fock.from_kernel(k, cutoff=32)
+            pt = fock.partial_transpose_fock(op)
+            fock.spectrum(op), fock.spectrum(pt), fock.reconstructed_moments(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.amplitudes.size == 33**3 + 1 and peak < 33**4 * op.amplitudes.itemsize, peak
+        assert np.shares_memory(pt.amplitudes, op.amplitudes)
 
     def test_cutoff_guard(self, monkeypatch):
         with pytest.raises(CutoffTooSmallError):
@@ -194,13 +258,13 @@ class TestFromKernel:
         assert fock.from_kernel(k, 32).truncation_loss == pytest.approx(1.5e-6, rel=0.05)
 
 
-def recurrence_arguments(k, monkeypatch):
-    """The B and the charge that ``from_kernel`` hands the amplitude recurrence for k."""
+def recurrence_arguments(k, monkeypatch, cutoff=8):
+    """The (B, d, seed, charge) that ``from_kernel`` hands the amplitude recurrence for k."""
     calls, recurrence = [], fock._amplitudes
     with monkeypatch.context() as patch:
         patch.setattr(fock, "_amplitudes", lambda *args: calls.append(args) or recurrence(*args))
-        fock.from_kernel(k, cutoff=8, strict=False)
-    return calls[0][0], calls[0][3]
+        fock.from_kernel(k, cutoff=cutoff, strict=False)
+    return calls[0]
 
 
 class TestChargeSector:
@@ -213,38 +277,74 @@ class TestChargeSector:
     def test_charge_of_each_kernel(self, name, want, monkeypatch):
         # x = (alpha1*, alpha2*, beta1, beta2): mixed_epr conserves n1 - n2 and a product state n2; anti_epr's B has a
         # triangle, and the others couple the last variable to itself
-        b, charge = recurrence_arguments({**KERNELS, **CHARGED}[name](), monkeypatch)
-        assert fock._charge(b) == charge == want
+        b, *_, charge = recurrence_arguments({**KERNELS, **CHARGED}[name](), monkeypatch)
+        (last, charged), *_ = fock._laws(b)
+        assert charge == (last if charged else None) == want
 
-    def test_a_self_coupling_in_the_last_variables_component_leaves_no_charge(self):
+    @pytest.mark.parametrize(
+        "name, want",
+        [("mixed_epr", [((1, -1, -1, 1), True)]), ("product", [((0, -1, 0, 1), True), ((-1, 0, 1, 0), True)]),
+         ("anti_epr", [((1, 1, 1, 1), False)]), ("complex_one_mode", [((1, 1), False)]),
+         ("squeezed_and_thermal", [((0, -1, 0, 1), True), ((1, 0, 1, 0), False)])],
+    )
+    def test_every_component_gives_a_law(self, name, want, monkeypatch):
+        # a product state conserves n1 and n2; anti_epr's and a complex kernel's one component keeps a parity, and a
+        # squeezed mode 1 beside a thermal mode 2 keeps a parity beside n2
+        b, *_ = recurrence_arguments(REFERENCE_KERNELS[name](), monkeypatch)
+        assert list(fock._laws(b)) == want
+
+    def test_a_self_coupling_leaves_a_parity(self):
         # alpha* beta and beta^2: bipartite as a graph, but beta^2 carries twice beta's charge
-        assert fock._charge(np.array([[0.0, 0.2], [0.2, 0.1]])) is None
-        assert fock._charge(np.array([[0.0, 0.2], [0.2, 0.0]])) == (-1, 1)
-        # the same for a variable the last one reaches, here x_2 through x_0, and not for one it does not reach
+        assert fock._laws(np.array([[0.0, 0.2], [0.2, 0.1]])) == (((1, 1), False),)
+        assert fock._laws(np.array([[0.0, 0.2], [0.2, 0.0]])) == (((-1, 1), True),)
+        # the same for a variable the last one reaches, here x_2 through x_0; alpha_i* and beta_i always share a
+        # component, so the last variable's charge survives a self-coupling of x_0 alone, whose component keeps a parity
         b = np.zeros((4, 4))
         b[[0, 3, 0, 2, 2], [3, 0, 2, 0, 2]] = [0.2, 0.2, 0.3, 0.3, 0.1]
-        assert fock._charge(b) is None
-        b[2, 2], b[1, 1] = 0.0, 0.1
-        assert fock._charge(b) == (-1, 0, 1, 1)
+        assert fock._laws(b) == (((1, 1, 1, 1), False),)
+        b[:] = 0.0
+        b[[1, 3, 0], [3, 1, 0]] = [0.2, 0.2, 0.1]
+        assert fock._laws(b) == (((0, -1, 0, 1), True), ((1, 0, 1, 0), False))
+
+    def test_the_laws_are_closed_under_the_swap_of_alpha_and_beta(self):
+        # alpha1* beta2 and alpha2* beta1 alone: by B's own graph two charges, -j1 + k2 and -j2 + k1, whose shares of
+        # a row and of a column differ; closed under the swap and with each alpha_i* beta_i joined, one charge n1 + n2
+        b = np.zeros((4, 4))
+        b[[0, 3, 1, 2], [3, 0, 2, 1]] = 0.5
+        assert fock._laws(b) == (((-1, -1, 1, 1), True),)
 
     @pytest.mark.parametrize("charge", [(1, -1, -1, 1), (0, -1, 0, 1), (-1, 1)])
-    def test_the_sector_is_every_index_that_conserves_the_charge(self, charge):
+    def test_the_sector_root_is_the_last_index_inside_the_box(self, charge):
+        # sqrt(k_l), k_l = -sum_(i<l) c_i k_i, where k_l lies in [0, d), and 0 elsewhere
         d = 9
-        _, keep, full = fock._sector(d, charge)
-        k = np.indices((d,) * len(charge)).reshape(len(charge), -1)
-        assert np.array_equal(full, np.flatnonzero(np.tensordot(charge, k, 1) == 0)) and len(keep) == len(full)
+        last = -np.tensordot(charge[:-1], np.indices((d,) * (len(charge) - 1)), 1)
+        want = np.where((last >= 0) & (last < d), np.sqrt(np.abs(last)), 0.0)
+        assert np.array_equal(fock._sector(d, charge), want)
 
     @pytest.mark.parametrize("cutoff", [8, 16, 24, 32])
     @pytest.mark.parametrize("name", CHARGED)
     def test_the_sector_build_is_the_full_recurrence_bit_for_bit(self, name, cutoff, monkeypatch):
         k = CHARGED[name]()
-        assert recurrence_arguments(k, monkeypatch)[1] is not None
+        assert recurrence_arguments(k, monkeypatch)[3] is not None
         got = fock.from_kernel(k, cutoff=cutoff, strict=False)
-        monkeypatch.setattr(fock, "_charge", lambda b: None)
-        want = fock.from_kernel(k, cutoff=cutoff, strict=False)
-        assert np.array_equal(got.matrix, want.matrix)
-        for m, full in zip(with_partial_transpose(got), with_partial_transpose(want)):
-            assert np.array_equal(fock.spectrum(m), fock.spectrum(full))
+        assert got.amplitudes.size == (cutoff + 1) ** (2 * k.modes - 1) + 1  # the sector, then the stored zero
+        for m, full in zip(with_partial_transpose(got), full_recurrence(k, cutoff, monkeypatch)):
+            assert np.array_equal(m.matrix, full)
+
+
+class TestPatternReference:
+    """The classes against the route they replace: a graph search on the dense matrix's nonzero pattern, its
+    components packed by ``_bins``, gathered and solved."""
+
+    @pytest.mark.parametrize("cutoff", [8, 16, 24, 32])
+    @pytest.mark.parametrize("name", REFERENCE_KERNELS)
+    def test_the_classes_are_the_pattern_components_and_the_spectra_agree_bit_for_bit(self, name, cutoff, monkeypatch):
+        k = REFERENCE_KERNELS[name]()
+        got = with_partial_transpose(fock.from_kernel(k, cutoff=cutoff, strict=False))
+        for m, full in zip(got, full_recurrence(k, cutoff, monkeypatch)):
+            assert np.array_equal(m.matrix, full)  # every nonzero entry lies within a class
+            assert np.array_equal(classes(m), pattern_labels(full))
+            assert np.array_equal(fock.spectrum(m), pattern_spectrum(full))
 
 
 class TestSpectrum:
@@ -318,7 +418,7 @@ class TestSpectrum:
 class TestBlocks:
     @staticmethod
     def count(op):
-        return len(np.unique(labels(op.matrix)))
+        return len(np.unique(classes(op)))
 
     def test_conserved_quantities_split_beyond_parity(self):
         # mixed_epr conserves n1 - n2 and its partial transpose n1 + n2: 33 blocks of
@@ -326,7 +426,7 @@ class TestBlocks:
         op = fock.from_kernel(KERNELS["mixed_epr"](), cutoff=16)
         for m in with_partial_transpose(op):
             assert self.count(m) == 33
-            assert max(stack.shape[-1] for stack in fock._blocks(m.matrix)) == 17
+            assert max(stack.shape[-1] for stack in fock._blocks(m)) == 17
         thermal = fock.from_kernel(KERNELS["product_thermal"](), cutoff=16, strict=False)
         assert self.count(thermal) == 289
 
@@ -342,7 +442,7 @@ class TestBlocks:
 
     def test_a_diagonal_matrix_is_one_stack_of_its_entries(self):
         thermal = fock.from_kernel(KERNELS["product_thermal"](), cutoff=16, strict=False)
-        assert [stack.shape for stack in fock._blocks(thermal.matrix)] == [(289, 1, 1)]
+        assert [stack.shape for stack in fock._blocks(thermal)] == [(289, 1, 1)]
 
     @pytest.mark.parametrize("n, mc", ROUND_OFF_POINTS)
     def test_conversion_round_off_keeps_the_blocks(self, n, mc, monkeypatch):
@@ -357,63 +457,34 @@ class TestBlocks:
         for m, raw in zip(with_partial_transpose(op), with_partial_transpose(kept)):
             assert_close(fock.spectrum(m), fock.spectrum(raw), tol=1e-13)
 
-    @pytest.mark.parametrize(
-        "i, j, mirror", [(0, 17, True), (18, 35, True), (18, 35, False), (35, 18, False)]
-    )
-    def test_a_tiny_entry_joins_two_blocks(self, i, j, mirror):
-        # (j1, j2) = (0, 0), (1, 1) lie in the n1 - n2 = 0 block, (1, 0), (2, 1) in the
-        # n1 - n2 = 1 block; (18, 35) joins two indices that are not the lowest of their
-        # blocks, and without its mirror only one of the two rows sees the other
+    def test_entries_between_two_blocks_of_a_bin_are_read_from_the_stored_zero(self):
+        # mixed_epr's bins pair its n1 - n2 = delta block with a smaller one.  The sector holds an amplitude at every
+        # (j1, j2, k1), with k2 = k1 + j2 - j1, so at a row of one block and a column of the other it holds an
+        # amplitude of another column: the index map sends that entry to the stored zero
         op = fock.from_kernel(KERNELS["mixed_epr"](), cutoff=16)
-        m = op.matrix.copy()
-        assert m[i, j] == m[j, i] == 0
-        m[i, j] = 1e-300
-        if mirror:
-            m[j, i] = 1e-300
-        joined = fock.FockOperator(modes=2, cutoff=16, matrix=m)
-        assert self.count(joined) == self.count(op) - 1 == 32
-        full = np.linalg.eigvalsh(hermitized(joined))[::-1]
-        assert np.max(np.abs(fock.spectrum(joined) - full)) <= 1e-14 * np.max(np.abs(full))
+        lab, (bins,), row, col = fock._index(op.cutoff + 1, op.modes, op.laws, op.roles)
+        r, c = bins[:, :, None], bins[:, None, :]
+        between = lab[r] != lab[c]
+        assert np.count_nonzero(op.amplitudes[(row[r] + col[c])[between]]) > 0
+        assert np.all(fock._blocks(op)[0][between] == 0)
 
     def test_real_blocks_of_a_complex_matrix_are_solved_as_real(self):
         op = fock.from_kernel(KERNELS["anti_epr"](), cutoff=16)
-        held = fock.FockOperator(modes=2, cutoff=16, matrix=op.matrix.astype(complex))
-        assert [stack.dtype for stack in fock._blocks(held.matrix)] == [float, float]
+        held = dataclasses.replace(op, amplitudes=op.amplitudes.astype(complex))
+        assert [stack.dtype for stack in fock._blocks(held)] == [float, float]
         assert np.array_equal(fock.spectrum(held), fock.spectrum(op))
         complex_op = fock.from_kernel(KERNELS["complex_two_mode"](), cutoff=16)
-        assert [stack.dtype for stack in fock._blocks(complex_op.matrix)] == [complex, complex]
-
-    def test_random_patterns_match_a_graph_search(self, rng):
-        # sparse patterns give long chains, so the labels need several passes
-        for _ in range(20):
-            d = 40
-            m = np.where(rng.random((d, d)) < 0.03, rng.normal(size=(d, d)), 0.0)
-            m = m + m.T
-            seen, components = set(), 0
-            for start in range(d):
-                if start in seen:
-                    continue
-                components += 1
-                todo = [start]
-                while todo:
-                    i = todo.pop()
-                    if i not in seen:
-                        seen.add(i)
-                        todo.extend(np.flatnonzero(m[i]))
-            op = fock.FockOperator(modes=1, cutoff=d - 1, matrix=m)
-            assert self.count(op) == components
-            assert_close(fock.spectrum(op), np.linalg.eigvalsh(m)[::-1], tol=1e-13)
+        assert [stack.dtype for stack in fock._blocks(complex_op)] == [complex, complex]
 
 
-class TestPatternMemo:
-    def test_the_search_runs_once_per_pattern(self):
-        # two mixed_epr operators share one pattern, and their partial transposes another
-        fock._pattern_blocks.cache_clear()
+class TestClassCache:
+    def test_the_classes_are_found_once_per_cutoff_and_laws(self):
+        # two mixed_epr operators share their laws, and their partial transposes theirs
+        fock._index.cache_clear()
         for k in (states.mixed_epr(0.8, 1.0), states.mixed_epr(0.5, 0.6)):
             for m in with_partial_transpose(fock.from_kernel(k, cutoff=16)):
                 fock.spectrum(m)
-        info = fock._pattern_blocks.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
+        assert fock._index.cache_info().misses == 2
 
     def test_a_matrix_and_its_partial_transpose_keep_their_own_blocks(self):
         # the same size and nonzero count, but n1 - n2 blocks against n1 + n2 blocks
@@ -421,30 +492,18 @@ class TestPatternMemo:
         assert op.matrix.shape == pt.matrix.shape == (289, 289)
         assert np.count_nonzero(op.matrix) == np.count_nonzero(pt.matrix)
         assert not np.array_equal(op.matrix != 0, pt.matrix != 0)
-        fock.spectrum(op)
-        found = [labels(m.matrix) for m in (op, pt)]
+        found = [classes(m) for m in (op, pt)]
         assert [len(np.unique(lab)) for lab in found] == [33, 33]
         assert not np.array_equal(*found)
 
     @pytest.mark.parametrize("cutoff", [16, 24, 32])
     @pytest.mark.parametrize("name", KERNELS)
-    def test_a_cache_hit_gives_the_searched_spectrum_bit_for_bit(self, name, cutoff):
+    def test_a_cache_hit_gives_the_first_spectrum_bit_for_bit(self, name, cutoff):
         for m in with_partial_transpose(fock.from_kernel(KERNELS[name](), cutoff=cutoff, strict=False)):
-            fock._pattern_blocks.cache_clear()
-            searched = fock.spectrum(m)
-            assert np.array_equal(fock.spectrum(m), searched)
-            assert fock._pattern_blocks.cache_info().hits == 1
-
-    def test_the_cached_labels_and_bins_are_read_only(self):
-        m = fock.from_kernel(KERNELS["mixed_epr"](), cutoff=16).matrix
-        lab, bins = fock._pattern_blocks(len(m), np.packbits(m != 0).tobytes())
-        assert not any(a.flags.writeable for a in (lab, *bins))
-        with pytest.raises(ValueError):
-            lab[0] = 1
-
-    def test_the_memo_is_bounded(self):
-        # a key is n^2 / 8 bytes, 262 KB at the largest cutoffs MAX_ENTRIES admits
-        assert fock._pattern_blocks.cache_info().maxsize <= 32
+            fock._index.cache_clear()
+            first = fock.spectrum(m)
+            assert np.array_equal(fock.spectrum(m), first)
+            assert fock._index.cache_info().misses == 1
 
 
 class TestPartialTranspose:
