@@ -37,5 +37,5 @@ class CutoffTooSmallError(GausspairError):
     """Fock-space truncation loses too much trace weight at the requested cutoff."""
 
 
-class WrongModeCountError(GausspairError):
-    """Operation is only defined for a different number of modes."""
+class WrongModeCountError(GausspairError, ValueError):
+    """Operation is only defined for a different number of modes: a ``ValueError``, as ``kernels.require`` raises it."""

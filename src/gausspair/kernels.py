@@ -20,7 +20,7 @@ admitted where ``convert`` admits that kind of its lam, so a file ``convert`` wr
 within ``eigh``'s round-off; the rules' primitives are ``linalg``'s (``c_rules``, ``nonsingular``).  A chain of
 conversions diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and forms a matrix only
 for a kernel that is read, and ``partial_transpose`` maps the pair alike for every kind, so it commutes with ``convert``.
-Only this module touches a kernel's slots; ``block_dets`` serves C's block determinants; ``require`` checks a kernel
+Only this module touches a kernel's slots; ``block_dets`` serves C's block determinants; ``require`` is the one check of a kernel
 argument.  ``convert``, ``det`` and ``twomode``'s verdicts compute on Python floats."""
 
 from __future__ import annotations
@@ -141,9 +141,11 @@ class GaussianKernel:
 
 
 def require(k: GaussianKernel, kind: str, modes: int | None = None) -> None:
-    """The one check of a kernel argument: ``ValueError`` unless k is of ``kind`` and, when given, of ``modes`` modes."""
+    """The one check of a kernel argument: ``ValueError`` unless k is of ``kind``, ``WrongModeCountError`` (a ValueError)
+    unless, when given, of ``modes`` modes.  Every function that takes a kernel calls it before computing anything."""
     if k.kind != kind or modes not in (None, k.modes):
-        raise ValueError(f"expected a {('', 'one-mode ', 'two-mode ')[modes or 0]}{kind} kernel")
+        error = ValueError if k.kind != kind else WrongModeCountError
+        raise error(f"expected a {('', 'one-mode ', 'two-mode ')[modes or 0]}{kind} kernel")
 
 
 def _check(kind: str, lam: tuple) -> None:
@@ -190,8 +192,7 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
 def partial_transpose(k: GaussianKernel) -> GaussianKernel:
     """The first mode transposed: k's kind of Pi C Pi, Pi swapping z1 and z1*, so m1 -> m1*, ms -> mc*, mc -> ms*.  With
     no eigensolver: the same x and lam, C's eigenvectors Pi V_C and C's (dA, dB, -dX), as Pi swaps X's rows."""
-    if k.modes != 2:
-        raise WrongModeCountError("partial transpose needs a two-mode kernel")
+    require(k, k.kind, 2)
     vc = k._vc[[1, 0, 2, 3]]
     vc.setflags(write=False)
     return object.__new__(GaussianKernel)._hold(k._kind, k._lam, k._x, vc, None, k._dets and (*k._dets[:2], -k._dets[2]))

@@ -113,8 +113,8 @@ def classify(p: OneModeMoments) -> OneModeVerdict:
 
 
 def purity_from_wigner(k: GaussianKernel) -> float:
-    """Tr G^2 evaluated from the Wigner matrix: half the square root of det W."""
-    require(k, "W")
+    """Tr G^2 of one mode from its Wigner matrix: half the square root of det W (of two modes: ``twomode.trace_g2``)."""
+    require(k, "W", 1)
     return 0.5 * math.sqrt(k.det)
 
 

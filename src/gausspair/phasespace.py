@@ -1,5 +1,5 @@
 """Gaussian phase-space functions from one z^dag M z, at a point of float coordinates or on a grid taken as one point
-of array coordinates: ``wigner_grid`` is ``wigner_value`` on arrays.  ``kernels.require`` checks each kernel's kind."""
+of array coordinates: ``wigner_grid`` is ``wigner_value`` on arrays.  ``kernels.require`` checks each kernel's kind and modes."""
 
 from __future__ import annotations
 
@@ -67,10 +67,8 @@ class GridSpec:
 
 
 def _quadratic_form(k: GaussianKernel, z: np.ndarray, kind: str):
-    """z^dag M z of the kernel M, which must be of ``kind``, for a ``zvector`` (of a point or of a grid)."""
-    require(k, kind)
-    if len(z) != k.dim:
-        raise ValueError("phase point does not match kernel mode count")
+    """z^dag M z of the kernel M, of ``kind`` and of the point's mode count, for a ``zvector`` (of a point or of a grid)."""
+    require(k, kind, len(z) // 2)
     return np.einsum("i...,ij,j...->...", np.conj(z), k.matrix, z)
 
 

@@ -124,7 +124,7 @@ class PureStateD:
     gamma: float
 
     def __post_init__(self):
-        if self.alpha + self.beta <= math.sqrt((self.alpha - self.beta) ** 2 + 4.0 * self.gamma**2):
+        if not self.alpha + self.beta > math.sqrt((self.alpha - self.beta) ** 2 + 4.0 * self.gamma**2):  # refuses NaN too
             raise NotAStateError("D is not positive definite: wave function not normalizable")
 
     @property
@@ -162,7 +162,7 @@ class SmoothedEprParam:
     nbar: float
 
     def __post_init__(self):
-        if self.nbar < 0.0:
+        if not self.nbar >= 0.0:  # refuses NaN too
             raise NotAStateError("nbar must be non-negative")
 
     def to_d(self) -> PureStateD:

@@ -146,10 +146,9 @@ def squared_kernel(k: GaussianKernel) -> GaussianKernel:
 def positivity_by_dets(k: GaussianKernel) -> bool:
     """Both margins within the engine's band of det C.  They decide for g in (-1, 1) only, and both hold
     at a singular C (nu = 0, g = -1): a C with lam_min lam_max < 1/4, as no positive state has, is not."""
-    x = k.eigenvalues
+    tol, x = _kernel_verdicts(k).band, k.eigenvalues  # the verdicts first: their block_dets require a two-mode C
     if min(x) * max(x) < 0.25 - linalg.band(max(x), 2):
         return False
-    tol = _kernel_verdicts(k).band
     return all(margin >= -tol for margin in positivity_det_margins(k))
 
 

@@ -154,6 +154,28 @@ MUTANTS = [
          "tests/test_fock.py::TestPartialTranspose::test_the_kernel_map_is_the_fock_map_up_to_a_local_phase[k_star-Q-16]"],
     ),
     (
+        "kernels.py",
+        "if k.kind != kind or modes not in (None, k.modes):",
+        "if k.kind != kind:",
+        "require refuses a kernel argument of the wrong mode count",
+        ["tests/test_kernels.py::test_block_dets_are_only_a_two_mode_cs[family]",
+         "tests/test_kernels.py::TestOneKernelCheck::test_require_refuses_every_kernel_a_function_does_not_take[kernels.partial_transpose]"],
+    ),
+    (
+        "kernels.py",
+        "1.0 / linalg.nonsingular([abs(y + s) for y in lam]) <= linalg.MAX_SCALE:",
+        '1.0 / linalg.nonsingular([abs(y + s) for y in lam]) <= float("inf"):',
+        "a conversion's eigenvalues 1/(lam + s) lie in the verdict range linalg.MAX_SCALE",
+        ["tests/test_kernels.py::test_convert_refuses_at_the_call_before_forming_a_matrix[overflow]"],
+    ),
+    (
+        "kernels.py",
+        'if kind == "P" and not p_representable:',
+        'if False and not p_representable:',
+        "a P kernel's C is P-representable",
+        ["tests/test_kernels.py::test_p_conversion_refused_for_pure_state"],
+    ),
+    (
         "linalg.py",
         "K = 16  #",
         "K = 4  #",
@@ -194,6 +216,27 @@ MUTANTS = [
         "(d_ab + dx2 - 0.5 <= linalg.band(top, 1))",
         "the purity margin Delta - 1/2 takes band(|C|, 2)",
         ["tests/test_scale.py::TestPureTwoModeAcrossScale::test_positive_pure_and_entangled[smoothed_epr]"],
+    ),
+    (
+        "twomode.py",
+        "positive & (slack >= -dx2), p_rep",
+        "positive & (slack >= dx2), p_rep",
+        "PPT separability is the positivity margin with -2dX: slack >= -2dX",
+        ["tests/test_twomode.py::TestClassify2::test_entangled_mixed_point"],
+    ),
+    (
+        "twomode.py",
+        "positive = exists & (excess >= -tol) & (slack >= dx2)",
+        "positive = exists & (slack >= dx2)",
+        "a positive C has det C >= 1/16 within the band",
+        ["tests/test_twomode.py::TestPositivity::test_det_route_answers_a_singular_c[0.3]"],
+    ),
+    (
+        "twomode.py",
+        "positive = exists & (excess >= -tol) & (slack >= dx2)",
+        "positive = exists & (excess >= -tol)",
+        "a positive C has 1/4 + 4D - (dA + dB + 2dX) >= 0 within the band",
+        ["tests/test_twomode.py::TestPositivity::test_det_route_answers_wherever_classify2_does"],
     ),
     (
         "cli.py",

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import inspect
 import math
 import pickle
+import traceback
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import assert_close, differential_kernels, one_mode_moments, random_one_mode, random_two_mode, two_mode_kernels
-from gausspair import kernels, linalg, onemode, states, twomode
-from gausspair.errors import NotAStateError, NotPRepresentableError, SingularMatrixError
+from gausspair import cli, fock, kernels, linalg, onemode, phasespace, states, twomode
+from gausspair.errors import NotAStateError, NotPRepresentableError, SingularMatrixError, WrongModeCountError
 from gausspair.kernels import GaussianKernel, convert
 
 
@@ -499,3 +501,72 @@ def test_det_is_the_product_of_the_carried_floats(rng):
             except SingularMatrixError:
                 continue
             assert c.det == float(np.prod(c.eig[0])) and type(c.det) is float  # both sequential: the same bits
+
+
+def _point(k):
+    return phasespace.PhasePoint.one_mode(0.1, 0.2) if k.modes == 1 else phasespace.PhasePoint.two_mode(0.1, 0.2, 0.3, 0.4)
+
+
+class TestOneKernelCheck:
+    """``kernels.require`` is the one check of a kernel argument's kind and mode count: every public function that
+    takes a kernel refuses each other kind and mode count there, before anything is computed, seen as the last frame
+    of the traceback.  A wrong mode count of a kind the function takes raises ``WrongModeCountError``."""
+
+    # every public function that takes a kernel: the kinds and mode counts it takes, and its other arguments
+    TAKES = [
+        (kernels.convert, "CWQP", (1, 2), lambda k: ("W",)),
+        (kernels.partial_transpose, "CWQP", (2,), lambda k: ()),
+        (onemode.moments_from_c, "C", (1,), lambda k: ()),
+        (onemode.purity_from_wigner, "W", (1,), lambda k: ()),
+        (onemode.apply_squeeze, "C", (1,), lambda k: (onemode.SqueezeMap(0.3),)),
+        *((f, "C", (2,), lambda k: ()) for f in (
+            twomode.moments_from_c, twomode.trace_g2, twomode.squared_kernel, twomode.positivity_by_dets,
+            twomode.positivity_det_margins, twomode.normal_order_params, twomode.positivity_by_q,
+            twomode.separability_inequality, twomode.ppt_separable, twomode.p_representable, twomode.thermal_pair,
+            twomode.purity2, twomode.pure_marginal_separability, twomode.classify2)),
+        (twomode.local_squeeze_to_p_rep, "C", (2,), lambda k: (0.1,)),
+        (phasespace.wigner_value, "W", (1, 2), lambda k: (_point(k),)),
+        (phasespace.characteristic_value, "C", (1, 2), lambda k: (_point(k),)),
+        (phasespace.wigner_grid, "W", (1,), lambda k: (phasespace.GridSpec(-1.0, 1.0, 3),)),
+        (fock.from_kernel, "CWQP", (1, 2), lambda k: (4, False)),
+        (fock.compare, "CWQP", (1, 2), lambda k: (True, None, 4, False)),
+        (cli.kernel_to_json, "CWQP", (1, 2), lambda k: ()),
+    ]
+    # each kind and mode count of a positive state and of a C with lam_min lam_max < 1/4, which no positive state has
+    C_KERNELS = [onemode.build_C(onemode.OneModeMoments(0.8, 0.3)), onemode.build_C(onemode.OneModeMoments(0.0, 0.4)),
+                 states.mixed_epr(0.8, 0.3), states.mixed_epr(0.0, 0.4)]
+
+    @pytest.mark.parametrize("f, kinds, modes, args", TAKES, ids=[f"{f.__module__[10:]}.{f.__name__}" for f, *_ in TAKES])
+    def test_require_refuses_every_kernel_a_function_does_not_take(self, f, kinds, modes, args):
+        for c in self.C_KERNELS:
+            for kind in kernels.KINDS:
+                try:
+                    k = convert(c, kind)
+                except NotPRepresentableError:
+                    continue
+                wrong = kind not in kinds or k.modes not in modes
+                try:
+                    f(k, *args(k))
+                except Exception as e:  # a refusal elsewhere, or a verdict's own error on a kernel f takes
+                    assert (traceback.extract_tb(e.__traceback__)[-1].name == "require") == wrong, (kind, k.modes, repr(e))
+                else:
+                    assert not wrong, (kind, k.modes)
+
+    def test_the_table_names_every_public_function_that_takes_a_kernel(self):
+        found = set()
+        for module in (cli, fock, kernels, linalg, onemode, phasespace, states, twomode):
+            for name, f in vars(module).items():
+                params = [*inspect.signature(f).parameters.values()] if inspect.isfunction(f) else []
+                if not name.startswith("_") and params and params[0].annotation == "GaussianKernel":
+                    found.add(f)
+        assert found - {kernels.require} == {f for f, *_ in self.TAKES}
+
+    def test_a_wrong_kind_is_a_value_error_and_a_wrong_mode_count_a_wrong_mode_count_error(self):
+        one, two = self.C_KERNELS[0], self.C_KERNELS[2]
+        for call, error in [(lambda: kernels.partial_transpose(one), WrongModeCountError),
+                            (lambda: onemode.purity_from_wigner(convert(two, "W")), WrongModeCountError),
+                            (lambda: onemode.purity_from_wigner(two), ValueError),
+                            (lambda: twomode.classify2(convert(two, "W")), ValueError)]:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert type(raised.value) is error

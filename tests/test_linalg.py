@@ -7,7 +7,7 @@ from hypothesis import given
 
 from conftest import assert_close, one_mode_moments, two_mode_kernels
 from gausspair import cli, kernels, linalg, onemode, states, twomode
-from gausspair.errors import DimensionMismatchError, SingularMatrixError, WrongModeCountError
+from gausspair.errors import DimensionMismatchError, SingularMatrixError
 from gausspair.kernels import GaussianKernel, convert
 
 # the fixed involutions, written out: T exchanges (z, z*) of every mode,
@@ -60,10 +60,6 @@ class TestStructureMatrix:
         k = states.anti_epr(n=0.9, mc=0.3, ms=0.2)
         twice = twomode.partial_transpose(twomode.partial_transpose(k))
         assert_close(twice.matrix, k.matrix)
-
-    def test_t1_one_mode_rejected(self):
-        with pytest.raises(WrongModeCountError):
-            twomode.partial_transpose(onemode.build_C(onemode.OneModeMoments(n=1.0, m=0.3)))
 
 
 class TestSymMatrix:

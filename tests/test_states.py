@@ -185,6 +185,12 @@ class TestPureFromD:
         with pytest.raises(NotAStateError):
             states.PureStateD(1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("d", [(math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 1.0, math.nan)])
+    def test_nan_d_rejected(self, d):
+        # accepted, pure_ket_params and pure_from_d would answer NaN
+        with pytest.raises(NotAStateError):
+            states.PureStateD(*d)
+
     @given(valid_d())
     def test_always_pure(self, d):
         k = states.pure_from_d(d)
@@ -243,6 +249,11 @@ class TestSmoothedEpr:
     def test_negative_nbar_rejected(self):
         with pytest.raises(NotAStateError):
             states.SmoothedEprParam(-0.1)
+
+    def test_nan_nbar_rejected(self):
+        # accepted, epr_wavefunction would answer NaN
+        with pytest.raises(NotAStateError):
+            states.SmoothedEprParam(math.nan)
 
     @pytest.mark.parametrize("nbar", np.logspace(-6, 6, 61).tolist())
     def test_closed_form_matches_the_d_route(self, nbar):
