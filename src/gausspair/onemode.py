@@ -125,12 +125,12 @@ def normal_order_nu(p: OneModeMoments) -> float:
 
 
 def apply_squeeze(k: GaussianKernel, u: SqueezeMap, direction: str = "forward") -> GaussianKernel:
-    """Conjugate a C kernel by a squeeze map.
+    """Conjugate a one- or two-mode C kernel by the same squeeze map on every mode.
 
     forward:  C -> U^dag C U        (basic Gaussian to squeezed one)
     inverse:  C -> E U E C E U^dag E  (undoes the forward map)
     """
-    require(k, "C", 1)
+    require(k, "C")
     um = u.matrix
     if direction == "forward":
         a = um.conj().T
@@ -139,22 +139,19 @@ def apply_squeeze(k: GaussianKernel, u: SqueezeMap, direction: str = "forward") 
         a = e @ um @ e
     else:
         raise ValueError("direction must be 'forward' or 'inverse'")
-    return GaussianKernel("C", linalg.congruence(a, k.matrix))
+    return GaussianKernel("C", linalg.congruence(np.kron(np.eye(k.modes), a), k.matrix))
 
 
 def theta_window(p: OneModeMoments) -> tuple[float, float, float]:
     """Range of squeeze angles mapping a positive state onto a P-representable one.
 
-    Returns (lo, hi, theta0) where theta0 marks the transformation that lands
-    on the thermal diagonal form.
+    Returns (-log(2 lo)/2, log(2 hi)/2, theta0 = log(hi/lo)/4) from the eigenvalues lo, hi that ``build_C``
+    carries; theta0 marks the transformation that lands on the thermal diagonal form.
     """
     if not classify(p).positive:
         raise NotPositiveError("theta window is only defined for positive states")
-    am = abs(p.m)
-    lo = -0.5 * math.log(2.0 * p.n + 1.0 - 2.0 * am)
-    hi = 0.5 * math.log(2.0 * p.n + 1.0 + 2.0 * am)
-    theta0 = 0.25 * math.log((p.n + 0.5 + am) / (p.n + 0.5 - am))
-    return lo, hi, theta0
+    lo, hi = _eigenvalues(p)
+    return -0.5 * math.log(2.0 * lo), 0.5 * math.log(2.0 * hi), 0.25 * math.log(hi / lo)
 
 
 def moments_after_squeeze(p: OneModeMoments, theta: float) -> tuple[float, float]:

@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import NotPositiveError, NotPureError
 from .kernels import GaussianKernel, convert, partial_transpose, require
-from .onemode import SqueezeMap
+from .onemode import SqueezeMap, apply_squeeze
 
 
 @dataclass(frozen=True)
@@ -146,10 +146,10 @@ def squared_kernel(k: GaussianKernel) -> GaussianKernel:
 def positivity_by_dets(k: GaussianKernel) -> bool:
     """Both margins within the engine's band of det C.  They decide for g in (-1, 1) only, and both hold
     at a singular C (nu = 0, g = -1): a C with lam_min lam_max < 1/4, as no positive state has, is not."""
-    tol, x = _kernel_verdicts(k).band, k.eigenvalues  # the verdicts first: their block_dets require a two-mode C
+    v, x = _kernel_verdicts(k), k.eigenvalues  # the verdicts first: their block_dets require a two-mode C
     if min(x) * max(x) < 0.25 - linalg.band(max(x), 2):
         return False
-    return all(margin >= -tol for margin in positivity_det_margins(k))
+    return all(margin >= -v.band for margin in _det_margins(v))
 
 
 def positivity_det_margins(k: GaussianKernel) -> tuple[float, float]:
@@ -159,7 +159,10 @@ def positivity_det_margins(k: GaussianKernel) -> tuple[float, float]:
     cross term 4 sqrt(D det Cbar) is 1/16 + D + Delta/4 with Delta = dA + dB + 2dX, since C = S diag(nu1,
     nu1, nu2, nu2) S^dag gives det Cbar = prod (nu/2 + 1/(8 nu))^2 = (1 + 16D + 4 Delta)^2 / (4096 D).
     """
-    v = _kernel_verdicts(k)
+    return _det_margins(_kernel_verdicts(k))
+
+
+def _det_margins(v: InvariantVerdicts) -> tuple[float, float]:
     cross = 1.0 / 16.0 + v.det_c + 0.25 * (v.d_ab + 2.0 * v.d_x)
     return (1.0 / 16.0 + 3.0 * v.det_c) - cross, (1.0 / 8.0 + 2.0 * v.det_c) - cross
 
@@ -233,19 +236,11 @@ def pure_marginal_separability(k: GaussianKernel, which: int = 1) -> bool:
     return bool(abs(k.block_dets[which - 1] - 0.25) <= linalg.band(sum(k.eigenvalues), 2))
 
 
-def local_squeeze_map(theta1: float, theta2: float) -> np.ndarray:
-    """Block matrix of two real-phase one-mode squeezes, ``SqueezeMap(theta1)`` and ``SqueezeMap(theta2)``."""
-    u = np.zeros((4, 4), dtype=complex)
-    u[:2, :2], u[2:, 2:] = SqueezeMap(theta1).matrix, SqueezeMap(theta2).matrix
-    return u
-
-
 def local_squeeze_to_p_rep(k: GaussianKernel, theta: float) -> GaussianKernel:
-    """Apply the local map C -> E U E C E U^dag E with equal real squeezes on both modes."""
+    """``onemode.apply_squeeze``'s inverse map C -> E U E C E U^dag E by ``SqueezeMap(theta)`` on both modes."""
     if not _kernel_verdicts(k).positive:
         raise NotPositiveError("local squeeze to P form requires a positive state")
-    e = linalg.structure_e(4)
-    return GaussianKernel("C", linalg.congruence(e @ local_squeeze_map(theta, theta) @ e, k.matrix))
+    return apply_squeeze(k, SqueezeMap(theta), "inverse")
 
 
 def invariant_verdicts(c, eig=None) -> InvariantVerdicts:

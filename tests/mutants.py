@@ -239,6 +239,20 @@ MUTANTS = [
         ["tests/test_twomode.py::TestPositivity::test_det_route_answers_wherever_classify2_does"],
     ),
     (
+        "twomode.py",
+        "if min(x) * max(x) < 0.25 - linalg.band(max(x), 2):",
+        "if False:",
+        "the determinant route refuses a C with lam_min lam_max < 1/4 before its margins",
+        ["tests/test_twomode.py::TestPositivity::test_det_route_answers_a_singular_c[0.3]"],
+    ),
+    (
+        "twomode.py",
+        "margin >= -v.band for margin",
+        "margin >= 0.0 for margin",
+        "the determinant route's margins hold within the engine's band",
+        ["tests/test_twomode.py::TestPositivity::test_det_route_on_pure_smoothed_epr[1.0]"],
+    ),
+    (
         "cli.py",
         "+ 0.5 + (1.0 + abs(self.ratio)) * mc_top",
         "+ 0.5 + mc_top",

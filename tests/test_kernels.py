@@ -518,7 +518,7 @@ class TestOneKernelCheck:
         (kernels.partial_transpose, "CWQP", (2,), lambda k: ()),
         (onemode.moments_from_c, "C", (1,), lambda k: ()),
         (onemode.purity_from_wigner, "W", (1,), lambda k: ()),
-        (onemode.apply_squeeze, "C", (1,), lambda k: (onemode.SqueezeMap(0.3),)),
+        (onemode.apply_squeeze, "C", (1, 2), lambda k: (onemode.SqueezeMap(0.3),)),
         *((f, "C", (2,), lambda k: ()) for f in (
             twomode.moments_from_c, twomode.trace_g2, twomode.squared_kernel, twomode.positivity_by_dets,
             twomode.positivity_det_margins, twomode.normal_order_params, twomode.positivity_by_q,

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import assert_close, one_mode_moments
-from gausspair import linalg, onemode
+from gausspair import linalg, onemode, twomode
 from gausspair.errors import (
     NotAStateError,
     NotPositiveError,
@@ -200,9 +200,16 @@ class TestSqueezeMap:
         back = onemode.apply_squeeze(onemode.apply_squeeze(k, u, "forward"), u, "inverse")
         assert np.allclose(back.matrix, k.matrix, rtol=0.0, atol=1e-10)
 
-    def test_a_squeeze_takes_a_one_mode_c_kernel(self):
-        with pytest.raises(ValueError, match="expected a one-mode C kernel"):
-            onemode.apply_squeeze(GaussianKernel("C", 0.5 * np.eye(4)), SqueezeMap(0.3))
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_a_squeeze_takes_a_c_kernel_and_squeezes_every_mode(self, direction):
+        with pytest.raises(ValueError, match="expected a C kernel"):
+            onemode.apply_squeeze(convert(onemode.build_C(OneModeMoments(1.0, 0.2)), "W"), SqueezeMap(0.3))
+        # a product of two one-mode C: each mode is squeezed as that mode alone, and no coupling appears
+        u, p1, p2 = SqueezeMap(0.4, 0.3, -0.2), OneModeMoments(0.7, 0.3 - 0.1j), OneModeMoments(1.5, 0.5j)
+        c = onemode.apply_squeeze(twomode.build_C2(twomode.TwoModeMoments(p1.n, p2.n, p1.m, p2.m)), u, direction).matrix
+        for block, p in ((c[:2, :2], p1), (c[2:, 2:], p2)):
+            assert_close(block, onemode.apply_squeeze(onemode.build_C(p), u, direction).matrix, tol=1e-12)
+        assert_close(c[:2, 2:], np.zeros((2, 2)), tol=1e-12)
 
     def test_a_squeeze_goes_forward_or_inverse(self):
         with pytest.raises(ValueError, match="direction must be 'forward' or 'inverse'"):
@@ -239,6 +246,15 @@ class TestThetaWindow:
     def test_not_positive_rejected(self):
         with pytest.raises(NotPositiveError):
             onemode.theta_window(OneModeMoments(0.2, 0.6))
+
+    def test_read_from_the_carried_eigenvalues_as_the_closed_form(self, rng):
+        # 2 lam = 2n + 1 -+ 2|m| exactly, so the window is the closed form's, bit for bit, from n = 1e-8 to 1e8
+        for n in 10.0 ** rng.uniform(-8, 8, 3000):
+            p = OneModeMoments(n, rng.uniform(0, 1) * math.sqrt(n * (n + 1.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            am = abs(p.m)
+            want = (-0.5 * math.log(2.0 * p.n + 1.0 - 2.0 * am), 0.5 * math.log(2.0 * p.n + 1.0 + 2.0 * am),
+                    0.25 * math.log((p.n + 0.5 + am) / (p.n + 0.5 - am)))
+            assert onemode.theta_window(p) == want
 
 
 class TestDiagonalizingSqueeze:

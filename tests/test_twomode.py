@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import assert_close, differential_kernels, two_mode_kernels
-from gausspair import linalg, states, twomode
+from gausspair import linalg, onemode, states, twomode
 from gausspair.errors import NotAStateError, NotPositiveError, NotPureError, SingularMatrixError
 from gausspair.kernels import GaussianKernel, convert
+from gausspair.onemode import SqueezeMap
 from gausspair.twomode import TwoModeMoments, build_C2
 
 
@@ -121,6 +123,14 @@ class TestPositivity:
                 assert twomode.positivity_by_dets(k) == positive
             else:
                 assert isinstance(twomode.positivity_by_dets(k), bool)
+
+    def test_det_route_runs_the_engine_once(self, monkeypatch):
+        engine, calls = twomode.verdicts_from_invariants, []
+        monkeypatch.setattr(twomode, "verdicts_from_invariants", lambda *args: calls.append(args) or engine(*args))
+        for k in (two_vacua(), states.mixed_epr(0.8, 0.3), states.mixed_epr(0.3, 0.8), twomode.product_thermal_kernel(1 / 3, -1 / 3)):
+            calls.clear()
+            twomode.positivity_by_dets(k)
+            assert len(calls) == 1
 
     @given(two_mode_kernels())
     def test_routes_agree(self, k):
@@ -408,6 +418,18 @@ class TestLocalSqueeze:
     def test_requires_positive_state(self):
         with pytest.raises(NotPositiveError):
             twomode.local_squeeze_to_p_rep(states.mixed_epr(0.5, 0.99), 0.1)
+
+    @pytest.mark.parametrize("theta", [-0.7, 0.0, 0.3])
+    def test_is_the_inverse_squeeze_on_both_modes(self, theta):
+        for k in (states.anti_epr(1.0, 0.3, 0.15), build_C2(K_STAR)):
+            want = onemode.apply_squeeze(k, SqueezeMap(theta), "inverse")
+            assert twomode.local_squeeze_to_p_rep(k, theta).matrix.tobytes() == want.matrix.tobytes()
+
+    @given(two_mode_kernels(), st.floats(-1, 1, allow_nan=False))
+    def test_forward_then_inverse_is_identity(self, k, theta):
+        u = SqueezeMap(theta, 0.3, -0.2)
+        back = onemode.apply_squeeze(onemode.apply_squeeze(k, u, "forward"), u, "inverse")
+        assert np.allclose(back.matrix, k.matrix, rtol=0.0, atol=1e-10)
 
 
 class TestBohrVariances:
