@@ -4,23 +4,22 @@ The generating function of G = sqrt(det Q) :exp(-a^dag Q a / 2): is
 
     sum_jk G_jk alpha*^j beta^k / sqrt(j! k!) = sqrt(det Q) exp(x^T B x / 2)
 
-over x = (alpha1*, alpha2*, beta1, beta2), the matrix's own index order: the exponent
-alpha*.beta - s^dag Q s / 2, s = (beta1, alpha1*, beta2, alpha2*), is x^T B x / 2 with
-B = S - (Q~ + Q~^T) / 2, where Q~ holds rows (0, 2, 1, 3) and columns (1, 3, 0, 2) of Q (rows
-(0, 1) and columns (1, 0) for one mode), the entries of s^dag and s in x's order, and
-S = [[0, I], [I, 0]].  So G_jk is the amplitude A_k = sqrt(det Q) sqrt(k!) [x^k] exp(x^T B x / 2),
-k = (j1, j2, k1, k2), and the Gaussian Fock-amplitude recurrence (Miatto & Quesada, Quantum 4,
-366 (2020)) builds each one from lower orders: sqrt(k_0 + 1) A_{k+e_0} = sum_j B_0j sqrt(k_j) A_{k-e_j}.
+over x = (alpha1*, alpha2*, beta1, beta2), the matrix's own index order: the exponent alpha*.beta - s^dag Q s / 2, s =
+(beta1, alpha1*, beta2, alpha2*), is x^T B x / 2 with B = S - Q~, S = [[0, I], [I, 0]], where Q~_ij = Q[r_i, r_j ^ 1],
+r = (0, 2, 1, 3) ((0, 1) for one mode), holds the entries of s^dag and s in x's order: Q's normal form is exactly
+T-symmetric, Q_ab = Q[b ^ 1, a ^ 1], so Q~ is exactly symmetric as read.  So G_jk is the amplitude A_k = sqrt(det Q)
+sqrt(k!) [x^k] exp(x^T B x / 2), k = (j1, j2, k1, k2), and the Gaussian Fock-amplitude recurrence (Miatto & Quesada,
+Quantum 4, 366 (2020)) builds each one from lower orders: sqrt(k_0 + 1) A_{k+e_0} = sum_j B_0j sqrt(k_j) A_{k-e_j}.
 Seeded with A_0 = sqrt(det Q), it fills a C-ordered (j1, j2, k1, k2) tensor, G's entries in row-major order.  Entries
 of B within band(max|B|, 1) are the round-off of the conversion to Q and are set to zero, so that B's exact zeros
-survive it.  Each component of B's coupling graph, closed under the swap of alpha_i* and beta_i (``_laws``), gives a
-law that every term, and so every nonzero entry, keeps: a charge c.k = 0 (n1 - n2 for `mixed_epr`) where it is
-bipartite with no self-coupling, else an even c.k.  An index's class is its row's share of each law's value: the
-matrix is block-diagonal over the classes, and the partial transpose swaps the roles of alpha1* and beta1.  Where the
-last variable carries a charge, the recurrence runs on that sector with the last axis dropped.  The operator holds
-the filled tensor and reads it through an index map, which sends an entry between two classes to a stored zero; the
-dense ``matrix`` is formed only when read.  Spectra are solved on the classes, packed into bins the size of the
-largest, one batched solve per bin size.  Real kernels give real eigenproblems.  Moments are shifted diagonal sums.
+survive it.  Each component of B's coupling graph, with alpha_i* and beta_i joined (``_laws``), gives a law that every
+term, and so every nonzero entry, keeps: a charge c.k = 0 (n1 - n2 for `mixed_epr`) where it is bipartite with no
+self-coupling, else an even c.k.  An index's class is its row's share of each law's value: the matrix is
+block-diagonal over the classes, and the partial transpose swaps the roles of alpha1* and beta1.  Where the last
+variable carries a charge, the recurrence runs on that sector with the last axis dropped.  The operator holds the
+filled tensor and reads it through an index map, which sends an entry between two classes to a stored zero; the dense
+``matrix`` is formed only when read.  Spectra are solved on the classes, packed into bins the size of the largest, one
+batched solve per bin size.  Real kernels give real eigenproblems.  Moments are shifted diagonal sums.
 """
 
 from __future__ import annotations
@@ -58,23 +57,24 @@ class FockOperator:
         rows = np.arange((self.cutoff + 1) ** self.modes)
         return _take(self, rows[:, None], rows)
 
-    @property
+    @functools.cached_property
     def truncation_loss(self) -> float:
         rows = np.arange((self.cutoff + 1) ** self.modes)
         return 1.0 - float(_take(self, rows, rows).sum().real)
 
 
 def _laws(b: np.ndarray) -> tuple[tuple[tuple[int, ...], bool], ...]:
-    """Per component of the graph of b_ij != 0, closed under the swap of alpha_i* and beta_i and with each such pair
-    joined (so a law's row and column shares agree), last variables first: (c, True), c = +-1 by side of a 2-colouring
-    and 1 at its last variable, where it is bipartite with no self-coupling, else (1 on it, False); 0 off it."""
+    """Per component of the graph of b_ij != 0, with each pair alpha_i*, beta_i joined (so a law's row and column shares
+    agree), last variables first: (c, True), c = +-1 by side of a 2-colouring and 1 at its last variable, where it is
+    bipartite with no self-coupling, else (1 on it, False); 0 off it.  The graph of ``from_kernel``'s B is closed under
+    the swap of alpha_i* and beta_i already: Q's normal form is Hermitian, so B_(swap i)(swap j) = conj(B_ij)."""
     n, coupled, side, laws = len(b), (b != 0).tolist(), [0] * len(b), []
     swap = [(i + n // 2) % n for i in range(n)]
     for last in (i for i in reversed(range(n)) if not side[i]):  # each component's last variable
         side[last], todo, charged = 1, [last], True
         for i in todo:  # breadth first: todo grows while it is walked
             for j in range(n):
-                if coupled[i][j] or coupled[swap[i]][swap[j]] or j == swap[i]:  # a coupling, its mirror or the pair
+                if coupled[i][j] or j == swap[i]:  # a coupling or the pair
                     charged &= side[j] != side[i]  # false at a self-coupling (j = i) or an odd cycle
                     todo += [j] * (not side[j])  # j is reached for the first time
                     side[j] = side[j] or -side[i]
@@ -130,8 +130,7 @@ def from_kernel(k: GaussianKernel, cutoff: int = DEFAULT_CUTOFF, strict: bool = 
     kq = convert(k, "Q")
     q, det_q, modes = kq.matrix, kq.det, k.modes
     axes = [*range(0, 2 * modes, 2), *range(1, 2 * modes, 2)]  # x = (alpha1*, alpha2*, beta1, beta2)
-    q_x = q[np.ix_(axes, axes[modes:] + axes[:modes])]
-    b = np.roll(np.eye(2 * modes), modes, axis=1) - 0.5 * (q_x + q_x.T)
+    b = np.roll(np.eye(2 * modes), modes, axis=1) - q[np.ix_(axes, axes[modes:] + axes[:modes])]  # S - Q~, symmetric
     b[np.abs(b) <= band(np.abs(b).max(), 1)] = 0.0
     b = b if b.imag.any() else b.real
     laws = _laws(b)  # the first is the last variable's: a charge there drops the tensor's last axis
@@ -238,7 +237,7 @@ def alternating_trace(f: FockOperator) -> float:
     """Tr{2^modes (-1)^(total occupation) G}: the Wigner function value at the origin."""
     d = f.cutoff + 1
     signs, rows = (-1.0) ** np.arange(d), np.arange(d**f.modes)
-    weights = signs if f.modes == 1 else np.outer(signs, signs).reshape(d * d)
+    weights = functools.reduce(np.multiply.outer, [signs] * f.modes).ravel()
     return float(2**f.modes * np.dot(weights, _take(f, rows, rows).real))
 
 

@@ -98,6 +98,12 @@ def family_bounds(n: float, r: float) -> dict:
             "squeezed_epr": (math.sqrt(nn) / (1.0 + r), sep)}
 
 
+def scaled_two_mode(n: float, p: twomode.TwoModeMoments):
+    """The two-mode C kernel n times the C of moments p."""
+    return twomode.build_C2(twomode.TwoModeMoments(
+        n * (p.n1 + 0.5) - 0.5, n * (p.n2 + 0.5) - 0.5, *(n * x for x in (p.m1, p.m2, p.ms, p.mc))))
+
+
 def differential_kernels(rng) -> list:
     """C kernels over n in [1e-6, 1e6] for comparing the per-kernel float path with the array
     one: the three families at 0.9, 1 -+ 1e-9, 1 and 1.1 of their positivity and separability
@@ -119,8 +125,7 @@ def differential_kernels(rng) -> list:
                     add(getattr(states, family), *((n, mc) if family == "mixed_epr" else (n, mc, r * mc)))
         for _ in range(4):
             p = random_two_mode(rng)
-            add(lambda: twomode.build_C2(twomode.TwoModeMoments(  # n times the C of p
-                n * (p.n1 + 0.5) - 0.5, n * (p.n2 + 0.5) - 0.5, *(n * x for x in (p.m1, p.m2, p.ms, p.mc)))))
+            add(scaled_two_mode, n, p)
             alpha, beta = n ** rng.uniform(-0.5, 0.5), rng.uniform(0.1, 10.0)
             add(lambda: states.pure_from_d(states.PureStateD(alpha, beta, rng.uniform(-0.9, 0.9) * math.sqrt(alpha * beta))))
         for m in (math.sqrt(nn), 0.999 * math.sqrt(nn), n, rng.uniform(0.0, n)):

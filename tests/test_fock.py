@@ -689,6 +689,18 @@ class TestAgreement:
         assert got["truncation_loss"] == op.truncation_loss
         assert not fock.compare(k, True, True)["agree"]  # a wrong verdict is a decisive disagreement
 
+    def test_a_strict_compare_measures_the_loss_once(self, monkeypatch):
+        # the loss is the one read of the diagonal alone, rows and columns both 1-d, in a compare: the strict gate, its
+        # message and the report read one cached measurement
+        diagonal_reads, take = [], fock._take
+        monkeypatch.setattr(fock, "_take",
+                            lambda f, r, c: diagonal_reads.append(np.ndim(r) == np.ndim(c) == 1) or take(f, r, c))
+        got = fock.compare(states.mixed_epr(0.8, 1.0), True, False)
+        assert sum(diagonal_reads) == 1 and 0.0 < got["truncation_loss"] <= fock.LOSS_THRESHOLD
+        with pytest.raises(CutoffTooSmallError):
+            fock.compare(one_mode_kernel(2.0), True)
+        assert sum(diagonal_reads) == 2
+
     def test_dead_band(self):
         # just past the positivity boundary, |m| = 1.003 sqrt(n (n + 1)) at n = 0.3, the oracle's smallest
         # eigenvalue is -2.36e-3: outside fock.DEAD_BAND = 1e-5, so it decides, and agrees with "not positive"

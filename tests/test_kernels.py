@@ -1,3 +1,4 @@
+import cmath
 import collections
 import dataclasses
 import inspect
@@ -10,10 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_close, differential_kernels, one_mode_moments, random_one_mode, random_two_mode, two_mode_kernels
+from conftest import (assert_close, differential_kernels, family_bounds, one_mode_moments, random_one_mode,
+                      random_two_mode, scaled_two_mode, two_mode_kernels)
 from gausspair import cli, fock, kernels, linalg, onemode, phasespace, states, twomode
-from gausspair.errors import NotAStateError, NotPRepresentableError, SingularMatrixError, WrongModeCountError
+from gausspair.errors import (NotAStateError, NotPositiveError, NotPRepresentableError, NotPureError,
+                              SingularMatrixError, WrongModeCountError)
 from gausspair.kernels import GaussianKernel, convert
+
+EPS = np.finfo(float).eps
 
 
 def test_vacuum_conversions():
@@ -570,3 +575,127 @@ class TestOneKernelCheck:
             with pytest.raises(ValueError) as raised:
                 call()
             assert type(raised.value) is error
+
+
+def _log_uniform_n(rng, count):
+    return np.exp(rng.uniform(math.log(1e-6), math.log(1e6), count)).tolist()
+
+
+class TestNormalForm:
+    """Every kernel's matrix is in ``linalg.normal_form`` exactly, whichever way the kernel is made: equal to its
+    conjugate transpose (by ==, so a zero's sign does not count) and to T m^T T bit for bit.  The Fock oracle relies on
+    it: it reads B = S - Q~ off Q's matrix with no symmetrization, and B's graph as closed under the swap of alpha_i*
+    and beta_i."""
+
+    @staticmethod
+    def made(rng):
+        """(route, kernel) for every way a kernel is made, over n log-uniform in [1e-6, 1e6]."""
+        out = []
+        for n in _log_uniform_n(rng, 40):
+            f, r, phase = rng.uniform(0.0, 0.9), rng.uniform(0.1, 0.9), cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            bound = {family: positive for family, (positive, _) in family_bounds(n, r).items()}
+            alpha, beta = n ** rng.uniform(-0.5, 0.5), rng.uniform(0.1, 10.0)
+            gamma = rng.uniform(-0.9, 0.9) * math.sqrt(alpha * beta)
+            built = {
+                "build_C": onemode.build_C(onemode.OneModeMoments(n, f * n * phase)),
+                "mixed_epr": states.mixed_epr(n, f * bound["mixed_epr"]),
+                "anti_epr": states.anti_epr(n, f * bound["anti_epr"], r * f * bound["anti_epr"]),
+                "squeezed_epr": states.squeezed_epr(n, f * bound["squeezed_epr"], r * f * bound["squeezed_epr"]),
+                "smoothed_epr": states.smoothed_epr(states.SmoothedEprParam(n)),
+                "build_C2": scaled_two_mode(n, random_two_mode(rng)),
+                "pure_from_d": states.pure_from_d(states.PureStateD(alpha, beta, gamma)),
+                "product_thermal_kernel": twomode.product_thermal_kernel(n / (n + 1.0), -rng.uniform(0.0, 0.9)),
+            }
+            for name, c in built.items():
+                out.append((name, c))
+                theta = rng.uniform(-1.0, 1.0)
+                out += [(f"apply_squeeze {way}", onemode.apply_squeeze(c, onemode.SqueezeMap(theta, 0.3), way))
+                        for way in ("forward", "inverse")]
+                if c.modes == 2:
+                    out.append(("squared_kernel", twomode.squared_kernel(c)))
+                    if twomode.classify2(c).positive:
+                        out.append(("local_squeeze_to_p_rep", twomode.local_squeeze_to_p_rep(c, theta)))
+                for kind in kernels.KINDS:
+                    try:
+                        k = convert(c, kind)
+                    except NotPRepresentableError:
+                        continue
+                    out.append((f"convert to {kind}", k))
+                    if k.modes == 2:
+                        out.append((f"partial_transpose of {kind}", kernels.partial_transpose(k)))
+                    m = k.matrix
+                    noise = rng.uniform(-1.0, 1.0, m.shape) + 1j * rng.uniform(-1.0, 1.0, m.shape)
+                    # neither Hermitian nor T-symmetric, within the check's band(max|M|, 1)
+                    out.append((f"GaussianKernel {kind}", GaussianKernel(kind, m + 2 * EPS * np.abs(m).max() * noise)))
+        return out
+
+    def test_every_route_makes_a_matrix_in_normal_form(self, rng):
+        made = self.made(rng)
+        assert len({route for route, _ in made}) == 24 and len(made) > 4000
+        for route, k in made:
+            m = k.matrix
+            swap = np.arange(len(m)) ^ 1
+            assert np.array_equal(m, m.conj().T), route
+            assert m.tobytes() == np.ascontiguousarray(m.T[np.ix_(swap, swap)]).tobytes(), route
+            # so Q~_ij = Q[r_i, r_j ^ 1], r = (0, 2, 1, 3) or (0, 1), which fock.from_kernel reads B from, is symmetric
+            q = convert(k, "Q").matrix
+            r = np.array([0, 2, 1, 3] if len(q) == 4 else [0, 1])
+            q_tilde = q[np.ix_(r, r ^ 1)]
+            assert q_tilde.tobytes() == np.ascontiguousarray(q_tilde.T).tobytes(), route
+
+
+class TestEveryPathAnswers:
+    """ROADMAP item 15, first part: every public function that takes a kernel answers on every kernel it takes with n
+    in [1e-6, 1e6], in each of the four kinds, or raises the refusal it documents, and then exactly where the engine's
+    verdict says so.  Kernels inside a boundary's band are left to the known-defect probes."""
+
+    # each documented refusal: the error and the verdict whose failure raises it
+    REFUSALS = {**{f: (NotPositiveError, "positive")
+                   for f in (twomode.ppt_separable, twomode.thermal_pair, twomode.local_squeeze_to_p_rep)},
+                twomode.pure_marginal_separability: (NotPureError, "pure")}
+
+    @staticmethod
+    def kernels(rng):
+        """(C kernel, its closed-form verdict): the three EPR families at 0 to 1.2 of their positivity boundary
+        coupling (one in eight on it, where they are pure), complex two-mode C, and one-mode C with |m| at 0 to 1.2
+        of sqrt(n (n + 1)), each over n log-uniform in [1e-6, 1e6]; a C that is no state is dropped."""
+        out = []
+        for n in _log_uniform_n(rng, 80):
+            r, f = rng.uniform(0.1, 0.9), 1.0 if rng.uniform() < 0.125 else rng.uniform(0.0, 1.2)
+            bound = family_bounds(n, r)
+            m = rng.uniform(0.0, 1.2) * math.sqrt(n * (n + 1.0)) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            builds = [lambda: states.mixed_epr(n, f * bound["mixed_epr"][0]),
+                      lambda: states.anti_epr(n, f * bound["anti_epr"][0], r * f * bound["anti_epr"][0]),
+                      lambda: states.squeezed_epr(n, f * bound["squeezed_epr"][0], r * f * bound["squeezed_epr"][0]),
+                      lambda: scaled_two_mode(n, random_two_mode(rng)), lambda: onemode.OneModeMoments(n, m)]
+            for build in builds:
+                try:
+                    c = build()
+                except NotAStateError:
+                    continue
+                one = isinstance(c, onemode.OneModeMoments)
+                out.append((onemode.build_C(c), onemode.classify(c)) if one else (c, twomode.classify2(c)))
+        return out
+
+    def test_every_path_answers_or_refuses_where_the_engine_says(self):
+        refused = collections.Counter()
+        for c, verdict in self.kernels(np.random.default_rng(15)):
+            forms = {}
+            for kind in kernels.KINDS:
+                try:
+                    forms[kind] = convert(c, kind)
+                except NotPRepresentableError:
+                    refused["convert to P"] += 1
+            assert ("P" in forms) == verdict.p_representable, c.eigenvalues
+            for f, kinds, modes, args in TestOneKernelCheck.TAKES:
+                for k in (forms[kind] for kind in kinds if kind in forms and c.modes in modes):
+                    error, name = self.REFUSALS.get(f, (None, None))
+                    try:
+                        f(k, *args(k))
+                        got = None
+                    except Exception as e:
+                        got = type(e)
+                        refused[f.__name__] += 1
+                    want = error if error and not getattr(verdict, name) else None
+                    assert got is want, (f.__name__, k.kind, c.eigenvalues)
+        assert min(refused.values()) > 0 and len(refused) == 5, refused
