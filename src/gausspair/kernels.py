@@ -127,10 +127,6 @@ class GaussianKernel:
     sym = matrix  # the old name, kept for the traced probe in perfbench/workloads.py
 
     @property
-    def dim(self) -> int:
-        return len(self._vc)
-
-    @property
     def modes(self) -> int:
         return len(self._vc) // 2
 

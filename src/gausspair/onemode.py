@@ -27,7 +27,7 @@ class OneModeMoments:
 
     def __post_init__(self):
         lo, hi = _eigenvalues(self)
-        if hi > linalg.MAX_SCALE:  # past the verdict range, as ``kernels._check`` refuses lam; then |lo| <= hi if C exists
+        if not (abs(lo) <= linalg.MAX_SCALE and abs(hi) <= linalg.MAX_SCALE):  # ``kernels._check``'s range; NaN fails it
             raise ValueError("matrix has non-finite entries: an eigenvalue overflows it")
         if not linalg.c_rules(lo, lo + hi)[0]:
             raise NotAStateError(f"n + 1/2 = {self.n + 0.5} must exceed |m| = {abs(self.m)}")
@@ -105,11 +105,13 @@ def classify(p: OneModeMoments) -> OneModeVerdict:
     pure = positive and abs(det_c - 0.25) <= band
     lo, hi = _eigenvalues(p)
     p_rep = linalg.c_rules(lo, lo + hi)[1]  # strict: no delta-function limit
-    g = None
-    if positive:
-        s = math.sqrt(max(det_c, 0.25))
-        g = (s - 0.5) / (s + 0.5)
+    g = basic_g(math.sqrt(max(det_c, 0.25))) if positive else None
     return OneModeVerdict(positive=positive, pure=pure, p_representable=p_rep, g=g)
+
+
+def basic_g(nu: float) -> float:
+    """g of the basic Gaussian (1 - g) g^(a^dag a) whose C is nu I, of one mode or a two-mode thermal factor."""
+    return (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
 
 
 def purity_from_wigner(k: GaussianKernel) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import NotPositiveError, NotPureError
 from .kernels import GaussianKernel, convert, partial_transpose, require
-from .onemode import SqueezeMap, apply_squeeze
+from .onemode import SqueezeMap, apply_squeeze, basic_g
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def trace_g2(k: GaussianKernel) -> float:
 
 
 def squared_kernel(k: GaussianKernel) -> GaussianKernel:
-    """C matrix of the normalized square G^2 / Tr G^2: Cbar = C/2 + E C^-1 E / 8."""
+    """C matrix of the normalized square G^2 / Tr G^2: Cbar = C/2 + E C^-1 E / 8; a singular C raises ``SingularMatrixError``."""
     require(k, "C", 2)
     return GaussianKernel("C", 0.5 * k.matrix + 0.125 * convert(k, "W").matrix)
 
@@ -200,13 +200,8 @@ def ppt_separable(k: GaussianKernel) -> bool:
     return separable
 
 
-def p_representable(k: GaussianKernel) -> bool:
-    """True iff all four eigenvalues of C - I/2 are strictly positive."""
-    return _kernel_verdicts(k).p_representable
-
-
 def thermal_pair(k: GaussianKernel, diagnostics: bool = False) -> ThermalPair:
-    """Recover (g1, g2) from the symplectic eigenvalues: g = (2 nu - 1)/(2 nu + 1).
+    """Recover (g1, g2) from the symplectic eigenvalues: each g is ``onemode.basic_g`` of its nu.
 
     Each thermal factor has C = nu I with nu = (1+g)/(2(1-g)).  ``diagnostics``
     allows extraction for non-positive kernels (one g may then be negative).
@@ -218,20 +213,14 @@ def thermal_pair(k: GaussianKernel, diagnostics: bool = False) -> ThermalPair:
 
 
 def _thermal(v: InvariantVerdicts) -> ThermalPair:
-    g1, g2 = ((2.0 * nu - 1.0) / (2.0 * nu + 1.0) for nu in v.nu)
-    return ThermalPair(g1=g1, g2=g2)
-
-
-def purity2(k: GaussianKernel) -> bool:
-    """det C = 1/16 marks a pure state (given positivity): the engine's verdict."""
-    return _kernel_verdicts(k).pure
+    return ThermalPair(*map(basic_g, v.nu))
 
 
 def pure_marginal_separability(k: GaussianKernel, which: int = 1) -> bool:
     """For a pure state: separable iff the chosen 2x2 diagonal block has det 1/4."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    if not purity2(k):
+    if not _kernel_verdicts(k).pure:
         raise NotPureError("marginal criterion only applies to pure states")
     return bool(abs(k.block_dets[which - 1] - 0.25) <= linalg.band(sum(k.eigenvalues), 2))
 

@@ -122,6 +122,13 @@ MUTANTS = [
         ["tests/test_fock.py::TestBlocks::test_an_epr_operator_is_one_batched_solve"],
     ),
     (
+        "fock.py",
+        "if cutoff < 4 or",
+        "if cutoff < 1 or",
+        "the oracle takes cutoffs from 4",
+        ["tests/test_fock.py::TestFromKernel::test_cutoff_guard"],
+    ),
+    (
         "kernels.py",
         "if not all(abs(y) <= linalg.MAX_SCALE for y in lam):",
         "if not all(abs(y) <= __import__('sys').float_info.max / 4 for y in lam):",
@@ -184,6 +191,17 @@ MUTANTS = [
     ),
     (
         "linalg.py",
+        "> band(np.abs(h).max(), 1):",
+        "> 0.0:",
+        "a matrix is Hermitian where its anti-Hermitian part is within band(max|M|, 1)",
+        ["tests/test_kernels.py::test_construction_decides_every_conversion",
+         "tests/test_kernels.py::TestNormalForm::test_every_route_makes_a_matrix_in_normal_form",
+         "tests/test_known_defects.py::test_wq_file_round_trip_near_a_singular_c",
+         "tests/test_linalg.py::TestSymMatrix::test_hermiticity_band_is_relative[1.0-1e-15-True]",
+         "tests/test_linalg.py::TestSymMatrix::test_hermiticity_band_is_relative[1000000.0-1e-09-True]"],
+    ),
+    (
+        "linalg.py",
         "return low >= -tol, low - 0.5 > tol",
         "return low >= 0.0, low - 0.5 > tol",
         "C exists where its smallest eigenvalue is at least -band(tr C, 1)",
@@ -218,6 +236,17 @@ MUTANTS = [
         "band = linalg.band(2.0 * p.n + 1.0, 1)",
         "the one-mode margins take band(2n + 1, 2)",
         ["tests/test_scale.py::TestOneModeAcrossScale::test_pure_state_is_positive_and_pure"],
+    ),
+    (
+        "onemode.py",
+        "if not linalg.c_rules(lo, lo + hi)[0]:",
+        "if not lo >= 0.0:",
+        "one-mode moments exist by c_rules on the eigenvalues build_C carries, band and all",
+        ["tests/test_linalg.py::TestOneHomePerRule::test_each_caller_goes_through_the_rules[one-mode-moments]",
+         "tests/test_onemode.py::TestExistenceFollowsTheKernelRule::test_moments_are_admitted_where_build_c_is[0.0--0.5]",
+         "tests/test_onemode.py::TestExistenceFollowsTheKernelRule::test_moments_are_admitted_where_build_c_is[0.7--0.5]",
+         "tests/test_onemode.py::TestExistenceFollowsTheKernelRule::test_moments_from_c_takes_every_accepted_kernel[0.0--0.5]",
+         "tests/test_onemode.py::TestExistenceFollowsTheKernelRule::test_moments_from_c_takes_every_accepted_kernel[0.7--0.5]"],
     ),
     (
         "twomode.py",
@@ -267,6 +296,13 @@ MUTANTS = [
         "margin >= 0.0 for margin",
         "the determinant route's margins hold within the engine's band",
         ["tests/test_twomode.py::TestPositivity::test_det_route_on_pure_smoothed_epr[1.0]"],
+    ),
+    (
+        "twomode.py",
+        "<= linalg.band(sum(k.eigenvalues), 2))",
+        "<= linalg.band(sum(k.eigenvalues), 1))",
+        "the pure-state marginal test det A = 1/4 takes band(tr C, 2)",
+        ["tests/test_twomode.py::TestMarginalSeparability::test_closed_form_kernels_form_no_matrix[1000.0]"],
     ),
     (
         "cli.py",

@@ -8,8 +8,8 @@ import math
 import numpy as np
 from test_engine_reference import exact_margins, margins
 
-from gausspair import cli, linalg, onemode, phasespace, states, twomode
-from gausspair.errors import NotAStateError, NotPositiveError, NotPRepresentableError, SingularMatrixError
+from gausspair import cli, fock, linalg, onemode, phasespace, states, twomode
+from gausspair.errors import CutoffTooSmallError, NotAStateError, NotPositiveError, NotPRepresentableError, SingularMatrixError
 from gausspair.kernels import GaussianKernel, convert
 
 
@@ -216,3 +216,22 @@ def one_mode_returned_c_p_edge() -> dict:
                 refused += not onemode.classify(onemode.moments_from_c(back)).p_representable
         counts[f"arg m = {phase}"] = (refused, admitted)
     return counts
+
+
+def negative_truncation_loss() -> tuple[int, int]:
+    """One-mode C that exist and are not positive, n = 0.1, 0.2, ..., 1.0 and m = s + f (n + 1/2 - s) with
+    s = sqrt(n (n + 1)) and f = 0.1, 0.3, ..., 0.9, each built by the strict ``fock.from_kernel`` at cutoffs 8, 16, 24
+    and 32: the builds admitted with a truncation loss below -``fock.LOSS_THRESHOLD``, where the trace of the truncated
+    operator exceeds 1 and the one-sided gate, loss > ``LOSS_THRESHOLD``, lets it through, of all builds."""
+    negative = total = 0
+    for n in (i / 10 for i in range(1, 11)):
+        s = math.sqrt(n * (n + 1.0))
+        for f in (0.1, 0.3, 0.5, 0.7, 0.9):
+            c = onemode.build_C(onemode.OneModeMoments(n, s + f * (n + 0.5 - s)))
+            for cutoff in (8, 16, 24, 32):
+                total += 1
+                try:
+                    negative += fock.from_kernel(c, cutoff).truncation_loss < -fock.LOSS_THRESHOLD
+                except CutoffTooSmallError:
+                    continue
+    return negative, total

@@ -74,7 +74,7 @@ def test_02_representation_round_trips(rng):
             p_rep = convert(q, "P")
             back = convert(p_rep, "C")
             assert np.max(np.abs(back.matrix - k.matrix)) < 1e-9
-            eye = np.eye(k.dim)
+            eye = np.eye(2 * k.modes)
             product = (2 * eye + w.matrix) @ (2 * eye - q.matrix)
             assert np.max(np.abs(product - 4 * eye)) < 1e-9
 

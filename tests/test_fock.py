@@ -534,7 +534,7 @@ class TestPartialTranspose:
 
     @pytest.mark.parametrize("cutoff", [12, 16])
     @pytest.mark.parametrize("name, kind", [(name, kind) for name, build in PARTIAL_TRANSPOSE_KERNELS.items()
-                                            for kind in "CWQP" if kind != "P" or twomode.p_representable(build())])
+                                            for kind in "CWQP" if kind != "P" or twomode.classify2(build()).p_representable])
     def test_the_kernel_map_is_the_fock_map_up_to_a_local_phase(self, name, kind, cutoff):
         # the kernel's partial transpose (ms -> mc*) is the Fock index swap (ms -> -mc*) conjugated by
         # (-1)^n1, the local pi phase that flips the sign of mode 1's ladder operator: the same operator, for every kind

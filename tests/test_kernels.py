@@ -383,7 +383,7 @@ def test_construction_decides_every_conversion(rng):
             for center in (0.0, 0.5):
                 for bands in (-2, 0, 2):
                     jitter = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0)  # lam_min + s is never 0
-                    low = center + (bands + jitter) * linalg.band(trace + c.dim * center, 1)
+                    low = center + (bands + jitter) * linalg.band(trace + 2 * c.modes * center, 1)
                     m = _kind_matrix(c, kind, low)
                     want = _rule_refusal(kind, m)
                     outcomes[kind, want] += 1
@@ -493,7 +493,7 @@ def test_kernel_built_from_a_matrix_converts_as_from_its_own_eigenvalues(rng):
 
 def test_reading_modes_and_dim_forms_no_eigenvalues():
     k = convert(convert(states.anti_epr(0.9, 0.5, 0.3), "W"), "Q")
-    assert (k.modes, k.dim) == (2, 4)
+    assert k.modes == 2
     assert k._x is None and k._matrix is None
     assert k.eigenvalues == tuple(1.0 / (y + 0.5) for y in states.anti_epr(0.9, 0.5, 0.3).eigenvalues)
 
@@ -527,8 +527,8 @@ class TestOneKernelCheck:
         *((f, "C", (2,), lambda k: ()) for f in (
             twomode.moments_from_c, twomode.trace_g2, twomode.squared_kernel, twomode.positivity_by_dets,
             twomode.positivity_det_margins, twomode.normal_order_params, twomode.positivity_by_q,
-            twomode.separability_inequality, twomode.ppt_separable, twomode.p_representable, twomode.thermal_pair,
-            twomode.purity2, twomode.pure_marginal_separability, twomode.classify2)),
+            twomode.separability_inequality, twomode.ppt_separable, twomode.thermal_pair,
+            twomode.pure_marginal_separability, twomode.classify2)),
         (twomode.local_squeeze_to_p_rep, "C", (2,), lambda k: (0.1,)),
         (phasespace.wigner_value, "W", (1, 2), lambda k: (_point(k),)),
         (phasespace.characteristic_value, "C", (1, 2), lambda k: (_point(k),)),
@@ -699,3 +699,50 @@ class TestEveryPathAnswers:
                     want = error if error and not getattr(verdict, name) else None
                     assert got is want, (f.__name__, k.kind, c.eigenvalues)
         assert min(refused.values()) > 0 and len(refused) == 5, refused
+
+
+class TestEveryPathAnswersAtTheEdges:
+    """ROADMAP item 15, the edges: every function of ``TestOneKernelCheck.TAKES``, on every kind of a C at lam_min = 0
+    or at the P edge lam_min = 1/2, each moved by 0, +-1/2 and +-2 bands of band(tr C, 1), one-mode or ``mixed_epr``
+    with n log-uniform in [1e-6, 1e6], and of the clustered C = a I + m (X + Y + XY) of eigenvalues 1, e, e, e for
+    e = 1e-15 ... 1e-6, answers or raises one of the four refusals the package documents for them."""
+
+    REFUSALS = (NotPositiveError, NotPureError, NotPRepresentableError, SingularMatrixError)
+
+    @staticmethod
+    def kernels(rng):
+        """The edge kernels; a C that is no state is dropped."""
+        out = []
+        for n in _log_uniform_n(rng, 40):
+            builds = {1: lambda m: onemode.build_C(onemode.OneModeMoments(n, m)), 2: lambda m: states.mixed_epr(n, m)}
+            for edge in (0.0, 0.5):
+                for bands in (-2.0, -0.5, 0.0, 0.5, 2.0):
+                    for modes, build in builds.items():
+                        # lam_min = n + 1/2 - |m|, and tr C = 2 modes (n + 1/2)
+                        low = edge + bands * linalg.band(2 * modes * (n + 0.5), 1)
+                        try:
+                            out.append(build(n + 0.5 - low))
+                        except NotAStateError:
+                            continue
+        for e in np.logspace(-15, -6, 10).tolist():
+            a, m = (1 + 3 * e) / 4, (1 - e) / 4
+            out.append(GaussianKernel("C", [[(a, m, m, m)[i ^ j] for j in range(4)] for i in range(4)]))
+        return out
+
+    def test_every_path_answers_or_refuses_at_the_edges(self):
+        refused, calls = collections.Counter(), 0
+        for c in self.kernels(np.random.default_rng(15)):
+            for kind in kernels.KINDS:
+                try:
+                    k = convert(c, kind)
+                except self.REFUSALS as e:
+                    refused[type(e)] += 1
+                    continue
+                for f, kinds, modes, args in TestOneKernelCheck.TAKES:
+                    if kind in kinds and k.modes in modes:
+                        calls += 1
+                        try:
+                            f(k, *args(k))
+                        except self.REFUSALS as e:
+                            refused[type(e)] += 1
+        assert set(refused) == set(self.REFUSALS) and calls > 10000, (refused, calls)

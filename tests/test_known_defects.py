@@ -65,3 +65,10 @@ def test_one_mode_returned_c_p_edge():
     counts = probes.one_mode_returned_c_p_edge()
     assert counts["arg m = 0.0"][1] == 1437 and counts["arg m = 0.0"][0] <= 0
     assert counts["arg m = 0.7"][1] == 1430 and counts["arg m = 0.7"][0] <= 8
+
+
+def test_negative_truncation_loss():
+    # the oracle's cutoff gate is one-sided: a non-positive operator's truncated trace can exceed 1, and its
+    # negative loss passes the gate loss > LOSS_THRESHOLD however large it is
+    negative, builds = probes.negative_truncation_loss()
+    assert builds == 200 and negative <= 102

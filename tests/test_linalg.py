@@ -164,7 +164,7 @@ class TestSymMatrix:
         k = GaussianKernel("C", [[1.5, 0.5], [0.5, 1.5]])
         assert k.det == pytest.approx(2.0)  # the product of the carried eigenvalues
         assert k.matrix[1, 0] == pytest.approx(0.5)
-        assert k.dim == 2 and k.modes == 1
+        assert k.modes == 1
 
 
 class TestBand:

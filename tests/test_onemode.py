@@ -107,6 +107,14 @@ class TestExistenceFollowsTheKernelRule:
         assert onemode.moments_from_c(k) == OneModeMoments(0.5, 1.0)
         assert convert(k, "Q").eigenvalues == pytest.approx((2.0, 0.4), rel=1e-15)
 
+    @pytest.mark.parametrize("n, m", [(math.nan, 0.0), (1.0, math.nan), (-math.inf, 0.0), (-1e300, 0.0)])
+    def test_non_finite_moments_are_refused_as_build_c_refuses_them(self, n, m):
+        # an eigenvalue NaN or past the verdict range: a ValueError from both, not NotAStateError from the moments
+        for build in (lambda: onemode.build_C(self.unchecked(n, m)), lambda: OneModeMoments(n, m)):
+            with pytest.raises(ValueError, match="non-finite") as raised:
+                build()
+            assert type(raised.value) is ValueError
+
     def test_the_refusal_message_is_kept(self):
         with pytest.raises(NotAStateError, match=r"^n \+ 1/2 = 0.5 must exceed \|m\| = 1.0$"):
             OneModeMoments(0.0, 1.0)

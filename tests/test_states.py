@@ -195,7 +195,7 @@ class TestPureFromD:
     def test_always_pure(self, d):
         k = states.pure_from_d(d)
         assert abs(k.det - 1.0 / 16.0) <= 1e-10
-        assert twomode.purity2(k)
+        assert twomode.classify2(k).pure
 
     @given(valid_d())
     def test_separable_iff_gamma_zero(self, d):

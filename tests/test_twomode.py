@@ -204,7 +204,7 @@ class TestPartialTranspose:
         sources = [states.mixed_epr(0.8, 1.0), states.anti_epr(0.9, 0.5, 0.3), states.squeezed_epr(0.7, 0.4, 0.3),
                    *(build_C2(TwoModeMoments(1.0 + x, 0.8, 0.1 + 0.1j, 0.05j, 0.2, 0.15j)) for x in rng.uniform(0, 1, 4))]
         monkeypatch.setattr(np.linalg, "eigh", None)
-        for c in (c for c in sources if kind != "P" or twomode.p_representable(c)):
+        for c in (c for c in sources if kind != "P" or twomode.classify2(c).p_representable):
             da, db, dx = c.block_dets  # taken before the conversion, which carries them
             k = convert(c, kind)
             pt = twomode.partial_transpose(k)
@@ -298,14 +298,14 @@ class TestSeparability:
 
 class TestPRepresentable:
     def test_two_vacua_excluded(self):
-        assert not twomode.p_representable(two_vacua())
+        assert not twomode.classify2(two_vacua()).p_representable
 
     def test_product_thermal(self):
-        assert twomode.p_representable(product_thermal(1.0, 1.0))
+        assert twomode.classify2(product_thermal(1.0, 1.0)).p_representable
 
     def test_pure_entangled_state(self):
         k = states.smoothed_epr(states.SmoothedEprParam(1.0))
-        assert not twomode.p_representable(k)
+        assert not twomode.classify2(k).p_representable
 
 
 class TestThermalPair:
@@ -344,15 +344,15 @@ class TestThermalPair:
 
 class TestPurity:
     def test_two_vacua(self):
-        assert twomode.purity2(two_vacua())
+        assert twomode.classify2(two_vacua()).pure
 
     def test_mixed_epr_pure_boundary(self):
         n = 0.25  # (n + 1/2)^2 - mc^2 = 1/4 with mc = sqrt(n(n+1))
         mc = math.sqrt(n * (n + 1.0))
-        assert twomode.purity2(states.mixed_epr(n, mc))
+        assert twomode.classify2(states.mixed_epr(n, mc)).pure
 
     def test_product_thermal_not_pure(self):
-        assert not twomode.purity2(product_thermal(1.0, 1.0))
+        assert not twomode.classify2(product_thermal(1.0, 1.0)).pure
 
     @pytest.mark.parametrize("n1", np.logspace(12, 30, 10))
     def test_thermal_times_vacuum_not_pure_at_large_n(self, n1):
@@ -413,7 +413,7 @@ class TestLocalSqueeze:
         n, mc, ms = 1.0, 0.3, 0.15
         theta = states.anti_epr_p_rep_angle(n, mc, ms)
         k = twomode.local_squeeze_to_p_rep(states.anti_epr(n, mc, ms), theta)
-        assert twomode.p_representable(k)
+        assert twomode.classify2(k).p_representable
 
     def test_requires_positive_state(self):
         with pytest.raises(NotPositiveError):
