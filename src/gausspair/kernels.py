@@ -19,7 +19,10 @@ module decides which kernels exist, by one rule per kind on lam: a W, Q or P bui
 admitted where ``convert`` admits that kind of its lam, so a file ``convert`` writes reads back except
 within ``eigh``'s round-off; the rules' primitives are ``linalg``'s (``c_rules``, ``nonsingular``).  A chain of
 conversions diagonalizes at most once, maps lam once per kernel whose eigenvalues are read, and forms a matrix only
-for a kernel that is read, and ``partial_transpose`` maps the pair alike for every kind, so it commutes with ``convert``.
+for a kernel that is read.  A W, Q or P that ``convert`` makes from a C, directly or through other W, Q or P, refers to
+that C: converted to C it returns that C itself, and the C keeps each kind's matrix once formed, so the kernels of one
+kind converted from one C form one matrix.  ``partial_transpose`` maps the pair alike for every kind, so it commutes
+with ``convert``, and refers to no C, as Pi C Pi is not the C its argument was converted from.
 Only this module touches a kernel's slots; ``block_dets`` serves C's block determinants; ``require`` is the one check of a kernel
 argument.  ``convert``, ``det`` and ``twomode``'s verdicts compute on Python floats."""
 
@@ -46,13 +49,13 @@ class GaussianKernel:
     ``eigenvalues`` its own x, unsorted, as Python floats, and ``eig`` the read-only pair (x, V),
     formed on each read from those floats and C's eigenvectors (V = E V_C for W, Q and P).
     The matrix is V diag(x) V^dag to round-off: the one it was built from, or formed when first
-    read, by a closed-form C's closed form or, for a kernel that ``convert`` returns, from ``eig``;
-    for W, Q and P, x = 1/(lam + s) is formed where no ``eigh`` ran.  Each kind keeps C's
-    eigenvalues lam and eigenvectors, and C's block determinants once known (``block_dets``),
-    so ``convert`` copies no array and maps no eigenvalue."""
+    read, by a closed-form C's closed form or, for a kernel that ``convert`` returns, from ``eig``,
+    once per kind of the C it was converted from; for W, Q and P, x = 1/(lam + s) is formed where
+    no ``eigh`` ran.  Each kind keeps C's eigenvalues lam and eigenvectors, and C's block
+    determinants once known (``block_dets``), so ``convert`` copies no array and maps no eigenvalue."""
 
     # private slots behind read-only properties: the public surface cannot be assigned
-    __slots__ = ("_kind", "_lam", "_x", "_vc", "_matrix", "_dets")
+    __slots__ = ("_kind", "_lam", "_x", "_vc", "_matrix", "_dets", "_source", "_formed")
 
     def __init__(self, kind: str, entries):
         """The kernel of a matrix, outside input or assembled, which ``linalg.hermitian`` checks and copies: one ``eigh``."""
@@ -79,10 +82,14 @@ class GaussianKernel:
         _check("C", x)
         return object.__new__(cls)._hold("C", x, x, v, form, dets)
 
-    def _hold(self, kind: str, lam: tuple, x: tuple | None, vc: np.ndarray, m, dets: tuple | None):
+    def _hold(self, kind: str, lam: tuple, x: tuple | None, vc: np.ndarray, m, dets: tuple | None,
+              source: GaussianKernel | None = None):
         """Set the slots, unchecked: C's checked eigenvalues lam, the kernel's own x (None until mapped), C's eigenvectors
-        vc, the matrix (until formed, its closed form or None) and C's (dA, dB, dX) (or None)."""
+        vc, the matrix (until formed, its closed form or None), C's (dA, dB, dX) (or None) and, for a W, Q or P that
+        ``convert`` made from a C, that C kernel (``source``).  A C keeps the W, Q and P matrices formed from it
+        (``_formed``, by kind): arrays, never kernels, so no kernel refers back to one that refers to it."""
         self._kind, self._lam, self._x, self._vc, self._matrix, self._dets = kind, lam, x, vc, m, dets
+        self._source, self._formed = source, {} if kind == "C" else None
         return self
 
     @property
@@ -115,9 +122,12 @@ class GaussianKernel:
     def matrix(self) -> np.ndarray:
         m = self._matrix
         if not isinstance(m, np.ndarray):  # formed on first read: a closed form, or V diag(x) V^dag, hermitized
-            if m is None:
-                x, v = self.eig
-                m = linalg.hermitian_part((v * x) @ v.conj().T)  # finite: convert bounds max|x|
+            if m is None:  # once per kind of one source C: its kernels of this kind share the array
+                formed = {} if self._source is None else self._source._formed
+                m = formed.get(self._kind)
+                if m is None:
+                    x, v = self.eig
+                    m = formed[self._kind] = linalg.hermitian_part((v * x) @ v.conj().T)  # finite: convert bounds max|x|
             else:
                 m = np.asarray(m(), dtype=complex)
             m.setflags(write=False)
@@ -168,26 +178,31 @@ def convert(k: GaussianKernel, target: str) -> GaussianKernel:
     """Convert a kernel to the target representation.
 
     The result holds the source's C eigenvalues lam, eigenvectors and block determinants
-    unchanged.  Its constructor checked lam, so only what the target adds runs, on lam as
-    Python floats: for C no rule; for P, ``_check``'s P rule; for W, Q and P, ``_invertible``,
-    which a W, Q or P built from a matrix obeys too.  The result forms its eigenvalues
+    unchanged; a W, Q or P made from a C, directly or through other W, Q or P, refers to that C,
+    which is its conversion to C.  Its constructor checked lam, so only what the target adds runs,
+    on lam as Python floats: for C no rule; for P, ``_check``'s P rule; for W, Q and P,
+    ``_invertible``, which a W, Q or P built from a matrix obeys too.  The result forms its eigenvalues
     1/(lam + s) and its arrays only when they are read; every refusal of a conversion is raised here.
     """
     if target not in KINDS:
         raise ValueError(f"target must be one of {KINDS}, got {target!r}")
     if target == k._kind:
         return k
+    source = k if k._kind == "C" else k._source
+    if target == "C" and source is not None:
+        return source
     lam = k._lam
     if target == "P":
         _check("P", lam)
     if target != "C":
         _invertible(lam, _SHIFT[target])
-    return object.__new__(GaussianKernel)._hold(target, lam, lam if target == "C" else None, k._vc, None, k._dets)
+    return object.__new__(GaussianKernel)._hold(target, lam, lam if target == "C" else None, k._vc, None, k._dets, source)
 
 
 def partial_transpose(k: GaussianKernel) -> GaussianKernel:
     """The first mode transposed: k's kind of Pi C Pi, Pi swapping z1 and z1*, so m1 -> m1*, ms -> mc*, mc -> ms*.  With
-    no eigensolver: the same x and lam, C's eigenvectors Pi V_C and C's (dA, dB, -dX), as Pi swaps X's rows."""
+    no eigensolver: the same x and lam, C's eigenvectors Pi V_C and C's (dA, dB, -dX), as Pi swaps X's rows, and no
+    source C, as Pi C Pi is not the C that k was converted from."""
     require(k, k.kind, 2)
     vc = k._vc[[1, 0, 2, 3]]
     vc.setflags(write=False)

@@ -311,6 +311,21 @@ MUTANTS = [
         "a scan's eigenvalue bound is max|n| + 1/2 + (1 + |ratio|) max|mc|",
         ["tests/test_cli.py::TestScan::test_overflowing_moments_are_refused"],
     ),
+    (
+        "kernels.py",
+        "return source",
+        "pass",
+        "a W, Q or P converted from a C converts back to that C, not to a C built again from the carried pair",
+        ["tests/test_kernels.py::test_every_chain_ending_in_c_returns_its_source[build_C2-0.7]",
+         "tests/test_kernels.py::test_one_eigensolve_per_chain"],
+    ),
+    (
+        "kernels.py",
+        "vc, None, k._dets and (*k._dets[:2], -k._dets[2]))",
+        "vc, None, k._dets and (*k._dets[:2], -k._dets[2]), k._source)",
+        "the partial transpose refers to no source C, as Pi C Pi is not k's C",
+        ["tests/test_kernels.py::test_partial_transpose_drops_the_carried_c[K*]"],
+    ),
 ]
 
 

@@ -1,7 +1,9 @@
 import cmath
 import collections
 import dataclasses
+import gc
 import inspect
+import itertools
 import math
 import pickle
 import traceback
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (assert_close, differential_kernels, family_bounds, one_mode_moments, random_one_mode,
                       random_two_mode, scaled_two_mode, two_mode_kernels)
+from test_twomode import K_STAR
 from gausspair import cli, fock, kernels, linalg, onemode, phasespace, states, twomode
 from gausspair.errors import (NotAStateError, NotPositiveError, NotPRepresentableError, NotPureError,
                               SingularMatrixError, WrongModeCountError)
@@ -138,13 +141,15 @@ def test_one_eigensolve_per_chain(monkeypatch):
         chain = [k]
         for target in "WQPC":
             chain.append(convert(chain[-1], target))
-        # the family C forms its matrix only when read and the built C2 holds its assembled one:
-        # none is formed from a pair until the chain's last kernel is read
-        assert calls == {"eigh": eighs, "eigvalsh": 0, "formed": 0}
+        # the family C forms its matrix only when read and the built C2 holds its assembled one; the chain
+        # ends in that C itself, so reading its last kernel forms no matrix from a pair
+        assert calls == {"eigh": eighs, "eigvalsh": 0, "formed": 0} and chain[-1] is k
         back = chain[-1].matrix
-        assert calls == {"eigh": eighs, "eigvalsh": 0, "formed": 1}
-        assert chain[-1].matrix is back and not back.flags.writeable
+        assert calls == {"eigh": eighs, "eigvalsh": 0, "formed": 0}
+        assert chain[-1].matrix is back is k.matrix and not back.flags.writeable
         assert all(_carried_pair_rebuilds(c) for c in chain)
+        # W, Q and P each formed once, when first read
+        assert calls == {"eigh": eighs, "eigvalsh": 0, "formed": 3}
 
 
 @pytest.mark.parametrize(
@@ -253,23 +258,99 @@ def test_unread_closed_form_kernels_pickle():
 @pytest.mark.parametrize("n", [1e-6, 1e-3, 0.7, 1e3, 1e6])
 @pytest.mark.parametrize("family", list(_FAMILY_BUILDS))
 def test_classify2_is_kept_through_a_round_trip(family, n):
-    # the round trip carries C's eigenvalues and block determinants, so the engine reads the same floats
+    # the round trip returns the C it started from, so the engine reads the same kernel
     k = _FAMILY_BUILDS[family][0](n, 0.3, -0.2)
     back = convert(convert(k, "W"), "C")
-    assert back is not k and twomode.classify2(back) == twomode.classify2(k)
+    assert back is k and twomode.classify2(back) == twomode.classify2(k)
 
 
 @pytest.mark.parametrize("n", [1e-6, 1e-2, 1.0, 1e3, 1e6])
 @pytest.mark.parametrize("chain", ["WQPC", "PWQC", "QPWC"])
 def test_carried_pair_rebuilds_every_converted_matrix(n, chain):
-    for k in (states.anti_epr(n, 0.2 * n, 0.1 * n), states.squeezed_epr(n, 0.3 * n, 0.2 * n),
-              onemode.build_C(onemode.OneModeMoments(n, 0.4 * n * np.exp(1j)))):
+    for root in (states.anti_epr(n, 0.2 * n, 0.1 * n), states.squeezed_epr(n, 0.3 * n, 0.2 * n),
+                 onemode.build_C(onemode.OneModeMoments(n, 0.4 * n * np.exp(1j)))):
         # a family kernel's V is exact, so every kind rebuilds within band(max|x|, 1)
-        c_scale = np.abs(k.eig[0]).max() if k.modes == 1 else 0.0
+        c_scale = np.abs(root.eig[0]).max() if root.modes == 1 else 0.0
+        k = root
         for target in chain:
             k = convert(k, target)
-            assert np.array_equal(k.matrix, _formed(*k.eig)), (target, n)
+            # the chain's C is the root, its matrix the root's own; every other kind forms V diag(x) V^dag
+            want = root.matrix if target == "C" else _formed(*k.eig)
+            assert np.array_equal(k.matrix, want), (target, n)
             assert _carried_pair_rebuilds(k, 0.0 if target == "C" else c_scale), (target, n)
+        assert k is root
+
+
+_SOURCES = {
+    "one-mode": lambda n: onemode.build_C(onemode.OneModeMoments(n, 0.3 * n * np.exp(0.4j))),
+    **{family: lambda n, build=build: build(n, 0.3, -0.2) for family, (build, _) in _FAMILY_BUILDS.items()},
+    "build_C2": lambda n: scaled_two_mode(n, K_STAR),
+    "pure_from_d": lambda n: states.pure_from_d(states.PureStateD(1.0 + n, 0.5, 0.3 * math.sqrt(0.5 * (1.0 + n)))),
+}
+
+
+@pytest.mark.parametrize("n", [1e-3, 0.7, 1e3])
+@pytest.mark.parametrize("source", list(_SOURCES))
+def test_every_chain_ending_in_c_returns_its_source(source, n):
+    k = _SOURCES[source](n)
+    verdicts = (twomode.classify2(k), twomode.trace_g2(k)) if k.modes == 2 else None
+    try:
+        convert(k, "P")
+        kinds = "WQP"
+    except NotPRepresentableError:
+        kinds = "WQ"
+    for chain in itertools.chain.from_iterable(itertools.product(kinds, repeat=r) for r in (1, 2, 3)):
+        x = k
+        for target in chain:
+            x = convert(x, target)
+        back = convert(x, "C")
+        # every W, Q or P converted from k, directly or through others, refers to k itself
+        assert back is k and back.matrix.tobytes() == k.matrix.tobytes(), chain
+        if verdicts:
+            assert (twomode.classify2(back), twomode.trace_g2(back)) == verdicts, chain
+
+
+@pytest.mark.parametrize("build", [lambda: twomode.build_C2(K_STAR), lambda: states.anti_epr(0.9, 0.5, 0.3)],
+                         ids=["K*", "anti_epr"])
+def test_partial_transpose_drops_the_carried_c(build):
+    # Pi C Pi is not k's C, so the transposed W converts back to the transpose of k, not to k
+    k = build()
+    back = convert(kernels.partial_transpose(convert(k, "W")), "C")
+    assert back is not k and back.matrix.tobytes() == kernels.partial_transpose(k).matrix.tobytes()
+    assert not np.array_equal(back.matrix, k.matrix)
+
+
+def _convert_through_every_kind(build) -> None:
+    k = build()
+    chain = [k]
+    for target in "WQPWC":
+        chain.append(convert(chain[-1], target))
+    for x in chain + [convert(k, "Q")]:
+        x.matrix
+
+
+def test_a_converted_kernel_makes_no_reference_cycle():
+    # a W, Q or P refers to its C, and the C keeps the arrays formed from it, never the kernels
+    gc.collect()
+    gc.disable()
+    try:
+        for build in (lambda: onemode.build_C(onemode.OneModeMoments(0.7, 0.2j)), lambda: states.mixed_epr(0.8, 0.6),
+                      lambda: twomode.build_C2(K_STAR)):
+            _convert_through_every_kind(build)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_an_oracle_check_forms_q_once(monkeypatch):
+    # positivity, the PPT test and the Fock oracle each convert k to Q: the kernels of one C share one formed Q
+    k = twomode.build_C2(K_STAR)
+    calls = _count_calls(monkeypatch)
+    assert twomode.positivity_by_q(k)
+    twomode.ppt_separable(k)
+    fock.spectrum(fock.from_kernel(k, 16, False))
+    assert calls["formed"] == 1
+    assert convert(convert(k, "W"), "Q").matrix is convert(k, "Q").matrix and calls["formed"] == 1
 
 
 @pytest.mark.parametrize(
