@@ -12,7 +12,7 @@ from .errors import (
     SingularMatrixError,
     WrongModeCountError,
 )
-from .kernels import GaussianKernel, convert
+from .kernels import GaussianKernel, convert, partial_transpose
 from .onemode import OneModeMoments, OneModeVerdict, SqueezeMap, build_C, classify
 from .states import (
     BellShift,
@@ -30,7 +30,6 @@ from .twomode import (
     TwoModeVerdict,
     build_C2,
     classify2,
-    partial_transpose,
     ppt_separable,
 )
 

@@ -40,8 +40,6 @@ KINDS = ("C", "W", "Q", "P")
 _SHIFT = {"W": 0.0, "Q": 0.5, "P": -0.5}
 # the diagonal of E, which flips eigenvectors by a sign per row
 _E_SIGN = {dim: np.diag(linalg.structure_e(dim))[:, None] for dim in (2, 4)}
-# the flat indices of a two-mode C's 2x2 blocks A, B, X: its determinants in one ``linalg.block_det`` pass
-_BLOCKS = np.array([[[4 * r + c, 4 * r + c + 1], [4 * r + c + 4, 4 * r + c + 5]] for r, c in ((0, 0), (2, 2), (0, 2))])
 
 
 class GaussianKernel:
@@ -115,7 +113,7 @@ class GaussianKernel:
         """A two-mode C's (dA, dB, dX), carried or taken once and kept; only C's, as ``convert`` passes them on."""
         require(self, "C", 2)
         if self._dets is None:
-            self._dets = tuple(linalg.block_det(self.matrix.take(_BLOCKS), 0, 0).tolist())
+            self._dets = tuple(linalg.block_dets(self.matrix).tolist())
         return self._dets
 
     @property

@@ -4,8 +4,8 @@ All covariance-style matrices in this package are plain ndarrays (read-only
 once a kernel holds them), Hermitian and obeying the swap symmetry M = T M^T T,
 where T exchanges the (z, z*) pair of every mode.  ``normal_form`` puts a matrix in it, halving before it adds;
 ``hermitian`` checks each matrix a kernel is built from and returns its ``normal_form``; ``hermitian_part`` and
-``congruence`` return matrices already in it.  ``kernels.GaussianKernel`` holds the result.  ``block_det`` is C's
-2x2 block determinant.
+``congruence`` return matrices already in it.  ``kernels.GaussianKernel`` holds the result.  ``block_dets`` holds
+a two-mode C's block layout, the one place it is written, and returns its 2x2 block determinants.
 
 No tolerance of the package is absolute: the Hermiticity check, every verdict margin and the
 primitives written only here, the singularity test ``nonsingular`` and C's existence and P rules
@@ -28,6 +28,8 @@ MAX_SCALE = 2.0**250
 
 # T m^T T as a gather from the flattened m: T exchanges z and z* of every mode
 _T_GATHER = {dim: np.arange(dim * dim).reshape(dim, dim).T[np.ix_(np.arange(dim) ^ 1, np.arange(dim) ^ 1)] for dim in (2, 4)}
+# the flat indices (a, b, d, e) of a two-mode C's 2x2 blocks [[a, b], [d, e]]: A, B and X, at these corners
+_BLOCKS = np.array([[4 * r + c, 4 * r + c + 1, 4 * r + c + 4, 4 * r + c + 5] for r, c in ((0, 0), (2, 2), (0, 2))])
 
 
 def hermitian(entries) -> np.ndarray:
@@ -81,9 +83,11 @@ def c_rules(low, trace):
     return low >= -tol, low - 0.5 > tol
 
 
-def block_det(c, row: int, col: int):
-    """Re(a e - b d) of the 2x2 block [[a, b], [d, e]] at (row, col) of one matrix or a stack: every dA, dB and dX."""
-    return (c[..., row, col] * c[..., row + 1, col + 1] - c[..., row, col + 1] * c[..., row + 1, col]).real
+def block_dets(c: np.ndarray) -> np.ndarray:
+    """(dA, dB, dX) on the last axis, Re(a e - b d) of each 2x2 block [[a, b], [d, e]], of one two-mode C or a stack
+    (..., 4, 4) of them."""
+    g = c.reshape(c.shape[:-2] + (16,)).take(_BLOCKS, axis=-1)
+    return (g[..., 0] * g[..., 3] - g[..., 1] * g[..., 2]).real
 
 
 def invert(m: np.ndarray) -> np.ndarray:

@@ -1,8 +1,7 @@
-"""Two-mode Gaussian states: positivity, PPT separability, P-representability, and thermal-pair extraction
-(``partial_transpose`` is ``kernels.partial_transpose``).  One engine, ``verdicts_from_invariants``,
-decides on Python floats for one kernel (``classify2``) and on arrays for a stack (``invariant_verdicts``)
-or a scan block (``states.family_invariants``); the Q-matrix route (one Q for positivity and PPT) and the
-determinant route stay as criteria.  Every margin is compared with ``linalg.band``; C's rules are ``linalg.c_rules``.
+"""Two-mode Gaussian states: positivity, PPT separability, P-representability, and thermal-pair extraction.
+One engine, ``verdicts_from_invariants``, decides on Python floats for one kernel (``classify2``) and on arrays
+for a stack (``invariant_verdicts``) or a scan block (``states.family_invariants``); the Q-matrix route (one Q
+for positivity and PPT) and the determinant route stay as criteria.  Every margin is compared with ``linalg.band``; C's rules are ``linalg.c_rules``.
 
 The covariance matrix is parameterized as
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotPositiveError, NotPureError
-from .kernels import GaussianKernel, convert, partial_transpose, require
+from .kernels import GaussianKernel, convert, require
 from .onemode import SqueezeMap, apply_squeeze, basic_g
 
 
@@ -185,15 +184,10 @@ def _q_margins_hold(k: GaussianKernel) -> tuple[bool, bool, bool]:
     return p.nu1 + p.nu2 >= -tol, *holds
 
 
-def separability_inequality(k: GaussianKernel) -> bool:
-    """Direct separability test nu1*nu2 >= |muc|^2 on the untransposed kernel."""
-    return _q_margins_hold(k)[2]
-
-
 def ppt_separable(k: GaussianKernel) -> bool:
-    """Peres criterion: positivity of the partial transpose (sufficient for Gaussians).  Its Q, the Q of
-    ``partial_transpose``, is S Pi Q Pi S, Pi swapping z1 and z1*, S = diag(-1, -1, 1, 1): k's nu, with |mus| and
-    |muc| exchanged, so k's own Q decides."""
+    """Peres criterion: positivity of the partial transpose (sufficient for Gaussians), the paper's
+    nu1*nu2 >= |muc|^2.  Its Q, the Q of ``kernels.partial_transpose``, is S Pi Q Pi S, Pi swapping z1 and z1*,
+    S = diag(-1, -1, 1, 1): k's nu, with |mus| and |muc| exchanged, so k's own Q decides."""
     total, positive, separable = _q_margins_hold(k)
     if not (total and positive):
         raise NotPositiveError("separability is only defined for positive states")
@@ -232,14 +226,11 @@ def local_squeeze_to_p_rep(k: GaussianKernel, theta: float) -> GaussianKernel:
     return apply_squeeze(k, SqueezeMap(theta), "inverse")
 
 
-def invariant_verdicts(c, eig=None) -> InvariantVerdicts:
+def invariant_verdicts(c) -> InvariantVerdicts:
     """Two-mode verdicts for stacked (..., 4, 4) C matrices: ``verdicts_from_invariants``
-    on their spectrum and the determinants dA, dB, dX of their diagonal and off-diagonal
-    2x2 blocks.  ``eig``, C's eigenvalues ascending along the last axis, defaults to ``eigvalsh``."""
+    on their ``eigvalsh`` spectrum and their block determinants (``linalg.block_dets``)."""
     c = np.asarray(c)
-    if eig is None:
-        eig = np.linalg.eigvalsh(c)
-    return verdicts_from_invariants(np.moveaxis(eig, -1, 0), *(linalg.block_det(c, r, s) for r, s in ((0, 0), (2, 2), (0, 2))))
+    return verdicts_from_invariants(np.moveaxis(np.linalg.eigvalsh(c), -1, 0), *np.moveaxis(linalg.block_dets(c), -1, 0))
 
 
 def verdicts_from_invariants(eig, da, db, dx) -> InvariantVerdicts:

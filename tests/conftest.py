@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gausspair import onemode, states, twomode
+from gausspair import linalg, onemode, states, twomode
 from gausspair.errors import NotAStateError
 from gausspair.kernels import GaussianKernel
 
@@ -130,6 +130,32 @@ def differential_kernels(rng) -> list:
             add(lambda: states.pure_from_d(states.PureStateD(alpha, beta, rng.uniform(-0.9, 0.9) * math.sqrt(alpha * beta))))
         for m in (math.sqrt(nn), 0.999 * math.sqrt(nn), n, rng.uniform(0.0, n)):
             add(lambda: onemode.build_C(onemode.OneModeMoments(n, m * np.exp(1j * rng.uniform(0, 2 * np.pi)))))
+    return out
+
+
+def local_squeeze(k, u1: onemode.SqueezeMap, u2: onemode.SqueezeMap) -> GaussianKernel:
+    """The two-mode C kernel k under a local map with its own squeeze on each mode: the kernel of A C A^dag, with
+    A = diag(U1^dag, U2^dag), each mode's ``onemode.apply_squeeze`` forward map."""
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, :2], a[2:, 2:] = u1.matrix.conj().T, u2.matrix.conj().T
+    return GaussianKernel("C", linalg.congruence(a, k.matrix))
+
+
+def local_unitary_pairs(rng: np.random.Generator, count: int, r: float = 2.0) -> list:
+    """``count`` pairs (k, ``local_squeeze`` of k): k a ``build_C2`` kernel of n1, n2 in U(0, s) and four couplings
+    U(0, s) e^(2 pi i U) with s = 10^U(-6, 6), each mode's map ``SqueezeMap(U(-r, r), U(0, 2 pi), U(0, 2 pi))``.
+    Moments that are no state are drawn again, before the maps are."""
+    out = []
+    while len(out) < count:
+        s = 10.0 ** rng.uniform(-6.0, 6.0)
+        n1, n2 = rng.uniform(0.0, s, 2).tolist()
+        m1, m2, ms, mc = (rng.uniform(0.0, s, 4) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 4))).tolist()
+        try:
+            k = twomode.build_C2(twomode.TwoModeMoments(n1, n2, m1, m2, ms, mc))
+        except NotAStateError:
+            continue
+        maps = [onemode.SqueezeMap(rng.uniform(-r, r), *rng.uniform(0.0, 2.0 * math.pi, 2).tolist()) for _ in range(2)]
+        out.append((k, local_squeeze(k, *maps)))
     return out
 
 

@@ -231,6 +231,17 @@ MUTANTS = [
          "tests/test_linalg.py::TestSymMatrix::test_normal_form_is_exact"],
     ),
     (
+        # X read where B lies: dX = dB
+        "linalg.py",
+        "for r, c in ((0, 0), (2, 2), (0, 2))])",
+        "for r, c in ((0, 0), (2, 2), (2, 2))])",
+        "C's off-diagonal block X, whose determinant dX every two-mode verdict reads, is at rows 0-1, columns 2-3",
+        ["tests/test_kernels.py::test_carried_block_determinants_are_those_of_the_formed_matrix[mixed_epr]",
+         "tests/test_twomode.py::TestClassify2::test_two_vacua",
+         "tests/test_cli.py::TestScan::test_closed_form_invariants_equal_the_block_determinants[figure-mixed_epr-0.0]",
+         "tests/test_twomode.py::TestLocalUnitaries::test_seeded"],
+    ),
+    (
         "onemode.py",
         "band = linalg.band(2.0 * p.n + 1.0, 2)",
         "band = linalg.band(2.0 * p.n + 1.0, 1)",

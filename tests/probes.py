@@ -6,11 +6,12 @@ import json
 import math
 
 import numpy as np
+from conftest import local_unitary_pairs
 from test_engine_reference import exact_margins, margins
 
 from gausspair import cli, fock, linalg, onemode, phasespace, states, twomode
 from gausspair.errors import CutoffTooSmallError, NotAStateError, NotPositiveError, NotPRepresentableError, SingularMatrixError
-from gausspair.kernels import GaussianKernel, convert
+from gausspair.kernels import GaussianKernel, convert, partial_transpose
 
 
 def _ppt_split_kernels(seed: int = 5, count: int = 4000) -> list:
@@ -32,7 +33,7 @@ def ppt_split(seed: int = 5, count: int = 4000) -> tuple[int, int]:
     """Kernels of ``_ppt_split_kernels`` where ``classify2`` of the partial transpose (the kernel's mapped pair)
     calls it positive and ``classify2`` of the kernel calls it not PPT-separable, or the reverse."""
     kernels = _ppt_split_kernels(seed, count)
-    split = sum(twomode.classify2(twomode.partial_transpose(k)).positive != twomode.classify2(k).ppt_separable for k in kernels)
+    split = sum(twomode.classify2(partial_transpose(k)).positive != twomode.classify2(k).ppt_separable for k in kernels)
     return split, len(kernels)
 
 
@@ -235,3 +236,47 @@ def negative_truncation_loss() -> tuple[int, int]:
                 except CutoffTooSmallError:
                     continue
     return negative, total
+
+
+def local_unitary_flips(seed: int = 1, count: int = 3000) -> dict:
+    """``conftest.local_unitary_pairs`` at r = 2: the ``count`` pairs (k, k') where ``classify2`` changes its positivity
+    verdict, of all of them, and, of the pairs positive in both, those where it changes its PPT verdict.  Local Gaussian
+    unitaries leave both verdicts unchanged."""
+    counts = {"positivity": [0, 0], "ppt": [0, 0]}
+    for k, mapped in local_unitary_pairs(np.random.default_rng(seed), count):
+        a, b = twomode.classify2(k), twomode.classify2(mapped)
+        counts["positivity"][0] += a.positive != b.positive
+        counts["positivity"][1] += 1
+        if a.positive and b.positive:
+            counts["ppt"][0] += a.ppt_separable != b.ppt_separable
+            counts["ppt"][1] += 1
+    return {kind: tuple(pair) for kind, pair in counts.items()}
+
+
+def degenerate_thermal_split() -> tuple[int, int]:
+    """Exactly degenerate pairs nu+ = nu-, for n in logspace(-6, 6, 121): ``mixed_epr(n, f sqrt(n (n + 1)))`` for
+    f = 0.1, 0.5 and 0.9, ``smoothed_epr(n)`` and ``product_thermal_kernel(g, g)`` with g = n / (n + 1).  The kernels
+    whose ``classify2(k).thermal`` has g1 != g2, of all of them: nu+- read off the invariants lose half their digits
+    where Delta^2 - 4D cancels."""
+    split = total = 0
+    for n in np.logspace(-6.0, 6.0, 121).tolist():
+        g = n / (n + 1.0)
+        kernels = [states.mixed_epr(n, f * math.sqrt(n * (n + 1.0))) for f in (0.1, 0.5, 0.9)]
+        kernels += [states.smoothed_epr(states.SmoothedEprParam(n)), twomode.product_thermal_kernel(g, g)]
+        for k in kernels:
+            thermal = twomode.classify2(k).thermal
+            split += thermal.g1 != thermal.g2
+            total += 1
+    return split, total
+
+
+def d_state_refusals() -> tuple[int, int]:
+    """``SmoothedEprParam(nbar).to_d()`` for nbar in logspace(0, 9, 181): the D matrices of these pure states that
+    ``PureStateD`` refuses as not positive definite, of all of them."""
+    nbars, refused = np.logspace(0.0, 9.0, 181).tolist(), 0
+    for nbar in nbars:
+        try:
+            states.SmoothedEprParam(nbar).to_d()
+        except NotAStateError:
+            refused += 1
+    return refused, len(nbars)

@@ -1,14 +1,17 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from conftest import family_bounds, family_stack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausspair import cli, linalg, onemode, phasespace, states, twomode
 from gausspair.cli import main
-from gausspair.errors import NotAStateError
+from gausspair.errors import NotAStateError, NotPRepresentableError, SingularMatrixError
 from gausspair.kernels import convert
 from gausspair.linalg import band
 
@@ -204,14 +207,14 @@ class TestScan:
         ids=["figure", "1e6", "negative-mc"],
     )
     def test_closed_form_invariants_equal_the_block_determinants(self, family, ratio, grid):
-        # the scan reads dA, dB, dX as closed forms: the same floats block_det takes from the
-        # gathered stack, so the core decides exactly as invariant_verdicts does on it
+        # the scan reads dA, dB, dX as closed forms: the same floats block_dets takes from the
+        # gathered stack, so the core decides exactly as the engine does on the stack's determinants
         _, _, _, c, (eig, da, db, dx) = family_grid((family, ratio, *grid))
-        for got, (row, col) in zip((da, db, dx), ((0, 0), (2, 2), (0, 2))):
-            want = linalg.block_det(c, row, col)
+        dets = np.moveaxis(linalg.block_dets(c), -1, 0)
+        for got, want in zip((da, db, dx), dets):
             assert np.array_equal(np.broadcast_to(got, want.shape), want)
         core = twomode.verdicts_from_invariants(np.moveaxis(eig, -1, 0), da, db, dx)
-        stack = twomode.invariant_verdicts(c, eig)
+        stack = twomode.verdicts_from_invariants(np.moveaxis(eig, -1, 0), *dets)
         for field in ("positive", "pure", "ppt_separable", "p_representable"):
             assert np.array_equal(getattr(core, field), getattr(stack, field)), field
 
@@ -714,3 +717,105 @@ class TestParserCache:
         assert fresh[0][3].decode() != fresh[1][1] and fresh[2][3].decode() != fresh[3][1]
         assert fresh[4][1] != fresh[5][1] and fresh[6][1] != fresh[7][1]
         assert [r[0] for r in fresh] == [0] * 9 + [64, 0, 64]
+
+
+# every command's flags: the sets of flags one of which it needs, one- and two-mode for the moment commands, and the
+# others it takes.  A drawn argv has one such set, some other own flags and at times another command's flag
+_MOMENT_SETS = [("--modes", "--n", "--m"), ("--modes", "--n1", "--n2"), ("--modes", "--n", "--n2", "--mc"),
+                ("--modes", "--family", "--n", "--mc")]
+_MOMENT_OTHERS = ("--family", "--n", "--m", "--n1", "--n2", "--m1", "--m2", "--ms", "--mc")
+_FUZZ_FLAGS = {
+    "classify": (_MOMENT_SETS, _MOMENT_OTHERS),
+    "oracle": (_MOMENT_SETS, (*_MOMENT_OTHERS, "--cutoff")),
+    "scan": ([("--family", "--mc-min", "--mc-max", "--mc-steps", "--n-min", "--n-max", "--n-steps")], ("--ratio", "--out")),
+    "convert": ([("--in", "--to")], ("--out",)),
+    "wavefun": ([("--nbar",)], ("--lo", "--hi", "--samples", "--out")),
+    "wigner": ([("--n",)], ("--m", "--lo", "--hi", "--samples", "--out")),
+}
+_ALL_FLAGS = sorted({flag for sets, others in _FUZZ_FLAGS.values() for flag in (*others, *sets[0])})
+_COUNT = st.integers(2, 21).map(str)  # at most 21 steps or samples
+_FUZZ_VALUES = {  # the valid values of each flag; any other flag takes a number, real or complex by its kind
+    "--family": st.sampled_from(cli._FAMILY_CHOICES), "--to": st.sampled_from(["C", "W", "Q", "P"]),
+    "--cutoff": st.integers(4, 10).map(str), "--mc-steps": _COUNT, "--n-steps": _COUNT, "--samples": _COUNT,
+    **dict.fromkeys(("--m", "--m1", "--m2", "--ms", "--mc"),
+                    st.one_of(st.floats(-1.0, 1.0), st.complex_numbers(max_magnitude=1.0))),
+}
+# the values no flag takes: NaN, +-inf, 1e308, -1e-10, complex strings, a family or kind that does not exist, garbage
+_ODD = st.one_of(
+    st.floats().map(repr), st.complex_numbers(allow_nan=True, allow_infinity=True).map(repr), st.integers(-2, 1).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "-1e-10", "1e-300", "0.2+0.1j", "nanj", "mixed_epr", "c",
+                     "", "abc", "--", "1e", "0x10", "1,2", "1+", "j", "(1", "-"]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory) -> dict:
+    """An output path, a directory, a missing file, and kernel files: the W, Q and P ``convert`` writes of one- and
+    two-mode C, a C read as another kind, and files of NaN, non-Hermitian, huge or malformed matrices."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    objs = {"nan": _kernel_file("C", np.full((4, 4), math.nan)),
+            "non_hermitian": _kernel_file("C", [[1.0, 0.4], [0.0, 1.0]]),
+            "huge": _kernel_file("C", 1e308 * np.eye(2)), "no_matrix": {"modes": 2, "kind": "W"},
+            "three_modes": _kernel_file("C", np.eye(6)), "not_a_state": _kernel_file("C", -np.eye(4))}
+    sources = (onemode.build_C(onemode.OneModeMoments(0.7, 0.2 + 0.3j)),
+               onemode.build_C(onemode.OneModeMoments(0.5, 1.0)),  # lam_min = 0: no W
+               twomode.build_C2(twomode.TwoModeMoments(0.7, 0.4, 0.1 + 0.05j, 0.08 - 0.03j, 0.05 + 0.02j, 0.2 + 0.1j)),
+               states.mixed_epr(0.5, 1.0))  # det C = 0: no W
+    for i, c in enumerate(sources):
+        for kind in ("C", "W", "Q", "P"):
+            try:
+                objs[f"{i}_{kind}"] = cli.kernel_to_json(convert(c, kind))
+            except (NotAStateError, SingularMatrixError, NotPRepresentableError):
+                pass
+        objs[f"{i}_c_as_p"] = {**cli.kernel_to_json(c), "kind": "P"}
+    paths = {name: tmp / f"{name}.json" for name in objs}
+    for name, obj in objs.items():
+        paths[name].write_text(json.dumps(obj))
+    (tmp / "not_json.json").write_text("{")
+    return {"in": [str(p) for p in (*paths.values(), tmp / "not_json.json", tmp / "missing.json")],
+            "out": [str(tmp / "out.txt"), str(tmp)]}
+
+
+@st.composite
+def _argv(draw, files: dict) -> list:
+    """A command, one set of flags it needs and up to two of its other flags, each with a valid value; ``--modes`` fits
+    the set.  Every other argv has one fault: a flag's value replaced by an odd one, ``--modes`` that does not fit, or
+    a flag of another command."""
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    sets, others = _FUZZ_FLAGS[command]
+    flags = list(draw(st.sampled_from(sets)))
+    flags += [flag for flag in draw(st.lists(st.sampled_from(others), unique=True, max_size=2)) if flag not in flags]
+    values = {**_FUZZ_VALUES, "--modes": st.just("1" if "--m" in flags[:3] else "2"),
+              "--in": st.sampled_from(files["in"]), "--out": st.sampled_from(files["out"])}
+    argv = [command]
+    for flag in flags:
+        argv += [flag, str(draw(values.get(flag, st.floats(-1.0, 3.0))))]
+    if draw(st.booleans()):
+        fault = draw(st.sampled_from(["value", "modes", "flag"]))
+        if fault == "flag":
+            flag = draw(st.sampled_from(_ALL_FLAGS))
+            argv += [flag, str(draw(values.get(flag, st.floats(-1.0, 3.0))))]
+        elif fault == "modes" and "--modes" in flags:
+            argv[argv.index("--modes") + 1] = draw(st.sampled_from(["1", "2", "0"]))
+        else:  # never --out's: an odd value there is a file name the command would write in the working directory
+            argv[2 * draw(st.sampled_from([i for i, flag in enumerate(flags) if flag != "--out"])) + 2] = draw(_ODD)
+    if command == "oracle" and "--cutoff" not in flags:  # cutoffs 4-10 only: a two-mode check at the default 16 takes 15 ms
+        argv += ["--cutoff", str(draw(st.integers(4, 10)))]
+    if command in ("wavefun", "wigner") and "--samples" not in flags:
+        argv += ["--samples", str(draw(st.integers(2, 21)))]
+    return argv
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_drawn_argv_exits_with_a_documented_code(fuzz_files, data):
+    # cli.main in process, with every warning an error: it returns, or exits through SystemExit (argparse), with a
+    # documented code; any other exception is a traceback the user would see
+    argv = data.draw(_argv(fuzz_files))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5, 6, 64), argv

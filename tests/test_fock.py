@@ -10,7 +10,7 @@ from conftest import assert_close, random_one_mode, random_two_mode
 from test_twomode import K_STAR
 from gausspair import fock, onemode, states, twomode
 from gausspair.errors import CutoffTooSmallError, WrongModeCountError
-from gausspair.kernels import convert
+from gausspair.kernels import convert, partial_transpose
 from gausspair.onemode import OneModeMoments
 
 
@@ -540,7 +540,7 @@ class TestPartialTranspose:
         # (-1)^n1, the local pi phase that flips the sign of mode 1's ladder operator: the same operator, for every kind
         k = convert(PARTIAL_TRANSPOSE_KERNELS[name](), kind)
         signs = np.repeat((-1.0) ** np.arange(cutoff + 1), cutoff + 1)  # (-1)^j1 of the row (j1, j2)
-        got = fock.from_kernel(twomode.partial_transpose(k), cutoff, strict=False).matrix
+        got = fock.from_kernel(partial_transpose(k), cutoff, strict=False).matrix
         want = fock.partial_transpose_fock(fock.from_kernel(k, cutoff, strict=False)).matrix
         assert np.max(np.abs(got - signs[:, None] * signs * want)) <= 1e-15
 

@@ -161,7 +161,7 @@ def test_one_eigensolve_per_chain(monkeypatch):
 def test_family_kernels_run_no_eigensolver(monkeypatch, build):
     calls = _count_calls(monkeypatch)
     det2 = collections.Counter()
-    monkeypatch.setattr(linalg, "block_det", lambda *args, real=linalg.block_det: det2.update(["calls"]) or real(*args))
+    monkeypatch.setattr(linalg, "block_dets", lambda *args, real=linalg.block_dets: det2.update(["calls"]) or real(*args))
     k = build()
     twomode.classify2(k)
     twomode.trace_g2(k)
@@ -209,7 +209,7 @@ def test_carried_block_determinants_are_those_of_the_formed_matrix(family, n, f,
     # a I + m1 X + ms Y + mc XY assembled from the moments cast to float64 by numpy
     want = np.asarray(np.array([n + 0.5, *couplings(n, f, g)], dtype=float)[states._SWAP], dtype=complex)
     assert k.matrix.tobytes() == want.tobytes()
-    assert np.array(k._dets).tobytes() == linalg.block_det(k.matrix.take(kernels._BLOCKS), 0, 0).tobytes()
+    assert np.array(k._dets).tobytes() == linalg.block_dets(k.matrix).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -608,7 +608,7 @@ class TestOneKernelCheck:
         *((f, "C", (2,), lambda k: ()) for f in (
             twomode.moments_from_c, twomode.trace_g2, twomode.squared_kernel, twomode.positivity_by_dets,
             twomode.positivity_det_margins, twomode.normal_order_params, twomode.positivity_by_q,
-            twomode.separability_inequality, twomode.ppt_separable, twomode.thermal_pair,
+            twomode.ppt_separable, twomode.thermal_pair,
             twomode.pure_marginal_separability, twomode.classify2)),
         (twomode.local_squeeze_to_p_rep, "C", (2,), lambda k: (0.1,)),
         (phasespace.wigner_value, "W", (1, 2), lambda k: (_point(k),)),

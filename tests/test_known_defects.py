@@ -72,3 +72,24 @@ def test_negative_truncation_loss():
     # negative loss passes the gate loss > LOSS_THRESHOLD however large it is
     negative, builds = probes.negative_truncation_loss()
     assert builds == 200 and negative <= 102
+
+
+def test_local_unitary_flips():
+    # local squeezes and rotations of each mode leave positivity and PPT unchanged; classify2 decides in-band
+    # kernels by its convention, and a map that grows |C| moves a margin across the band
+    counts = probes.local_unitary_flips()
+    assert counts["positivity"][1] == 3000 and counts["positivity"][0] <= 26
+    assert counts["ppt"][1] == 1323 and counts["ppt"][0] <= 13
+
+
+def test_degenerate_thermal_split():
+    # nu+- read off the invariants lose half their digits where Delta^2 - 4D cancels, so an exactly
+    # degenerate pair comes back with g1 != g2; a Williamson decomposition of C would keep them
+    split, kernels = probes.degenerate_thermal_split()
+    assert kernels == 605 and split <= 209
+
+
+def test_d_state_refusals():
+    # SmoothedEprParam(nbar).to_d() loses det D = 1 by eps nbar^2, and PureStateD's exact test refuses it
+    refused, nbars = probes.d_state_refusals()
+    assert nbars == 181 and refused <= 30

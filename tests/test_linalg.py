@@ -42,7 +42,7 @@ class TestStructureMatrix:
         k = twomode.build_C2(
             twomode.TwoModeMoments(n1=1.0, n2=0.8, m1=0.1 + 0.2j, m2=0.1j, ms=0.2, mc=0.15j)
         )
-        assert_close(twomode.partial_transpose(k).matrix, T1 @ k.matrix @ T1)
+        assert_close(kernels.partial_transpose(k).matrix, T1 @ k.matrix @ T1)
 
     @pytest.mark.parametrize("kind", ["E", "T"])
     @pytest.mark.parametrize("dim", [2, 4])
@@ -58,7 +58,7 @@ class TestStructureMatrix:
 
     def test_t1_squares_to_identity(self):
         k = states.anti_epr(n=0.9, mc=0.3, ms=0.2)
-        twice = twomode.partial_transpose(twomode.partial_transpose(k))
+        twice = kernels.partial_transpose(kernels.partial_transpose(k))
         assert_close(twice.matrix, k.matrix)
 
 
@@ -262,13 +262,13 @@ class TestConjByStructure:
     def test_t_conjugates_one_mode_m(self):
         # on the first mode's block the partial transpose is T conjugation: m1 -> m1*
         k = twomode.build_C2(twomode.TwoModeMoments(n1=1.0, n2=0.5, m1=0.3j))
-        out = twomode.partial_transpose(k)
+        out = kernels.partial_transpose(k)
         want = twomode.build_C2(twomode.TwoModeMoments(n1=1.0, n2=0.5, m1=-0.3j))
         assert np.allclose(out.matrix, want.matrix, rtol=0.0, atol=1e-10)
         assert_close(out.matrix[:2, :2], T2 @ k.matrix[:2, :2] @ T2)
 
     def test_t1_moves_mc_to_ms_slot(self):
-        out = twomode.partial_transpose(states.mixed_epr(n=1.0, mc=0.7))
+        out = kernels.partial_transpose(states.mixed_epr(n=1.0, mc=0.7))
         want = states.anti_epr(n=1.0, mc=0.0, ms=0.7)
         assert np.allclose(out.matrix, want.matrix, rtol=0.0, atol=1e-10)
 
@@ -282,10 +282,10 @@ class TestConjByStructure:
             # T applied to the transpose: the kernel's own normal form
             twice = T4 @ k.matrix.T @ T4
         else:
-            twice = twomode.partial_transpose(twomode.partial_transpose(k)).matrix
+            twice = kernels.partial_transpose(kernels.partial_transpose(k)).matrix
         assert_close(twice, k.matrix)
 
     @given(two_mode_kernels())
     def test_t1_preserves_det(self, k):
-        out = twomode.partial_transpose(k)
+        out = kernels.partial_transpose(k)
         assert out.det == pytest.approx(k.det, abs=1e-10)

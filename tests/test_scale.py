@@ -13,7 +13,7 @@ from test_engine_reference import exact_det_margin_squares, exact_margins, exact
 
 from gausspair import linalg, onemode, states, twomode
 from gausspair.errors import NotAStateError, NotPRepresentableError, NotPureError, SingularMatrixError
-from gausspair.kernels import convert
+from gausspair.kernels import convert, partial_transpose
 from gausspair.onemode import OneModeMoments
 
 occupations = st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0**e)
@@ -248,7 +248,7 @@ def test_routes_differ_from_the_engine_only_within_two_bands():
                     if twomode.positivity_by_dets(k) != v.positive:
                         assert _engine_within_two_bands(k, False) or _det_route_within_two_bands(k), where
                     if by_q and v.positive and twomode.ppt_separable(k) != v.ppt_separable:
-                        pt = twomode.partial_transpose(k)
+                        pt = partial_transpose(k)
                         assert _engine_within_two_bands(k, True) or _q_route_within_two_bands(pt), where
 
 

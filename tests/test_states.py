@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import assert_close
 from gausspair import cli, linalg, states, twomode
 from gausspair.errors import NotAStateError
+from gausspair.kernels import partial_transpose
 
 
 @st.composite
@@ -79,7 +80,7 @@ class TestAntiEpr:
         assert twomode.ppt_separable(k) == (states.anti_epr_separability(n, mc, ms) >= 0)
 
     def test_transpose_swaps_couplings(self):
-        k = twomode.partial_transpose(states.anti_epr(1.0, 0.5, 0.2))
+        k = partial_transpose(states.anti_epr(1.0, 0.5, 0.2))
         p = twomode.moments_from_c(k)
         assert p.mc == pytest.approx(0.2) and p.ms == pytest.approx(0.5)
 

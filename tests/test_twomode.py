@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_close, differential_kernels, two_mode_kernels
+from conftest import assert_close, differential_kernels, local_squeeze, local_unitary_pairs, two_mode_kernels
 from gausspair import linalg, onemode, states, twomode
 from gausspair.errors import NotAStateError, NotPositiveError, NotPureError, SingularMatrixError
-from gausspair.kernels import GaussianKernel, convert
+from gausspair.kernels import GaussianKernel, convert, partial_transpose
 from gausspair.onemode import SqueezeMap
 from gausspair.twomode import TwoModeMoments, build_C2
 
@@ -177,20 +177,20 @@ class TestNormalOrderParams:
 
 class TestPartialTranspose:
     def test_mixed_epr_becomes_anti_shaped(self):
-        out = twomode.partial_transpose(states.mixed_epr(1.0, 0.7))
+        out = partial_transpose(states.mixed_epr(1.0, 0.7))
         assert np.allclose(out.matrix, states.anti_epr(1.0, 0.0, 0.7).matrix, rtol=0.0, atol=1e-10)
 
     @given(two_mode_kernels())
     def test_involution_and_det(self, k):
-        twice = twomode.partial_transpose(twomode.partial_transpose(k))
+        twice = partial_transpose(partial_transpose(k))
         assert np.allclose(twice.matrix, k.matrix, rtol=0.0, atol=1e-10)
-        assert twomode.partial_transpose(k).det == pytest.approx(
+        assert partial_transpose(k).det == pytest.approx(
             k.det, abs=1e-10
         )
 
     def test_moment_relabeling(self):
         p = TwoModeMoments(n1=1.0, n2=0.8, m1=0.1 + 0.2j, m2=0.1j, ms=0.2, mc=0.15j)
-        q = twomode.moments_from_c(twomode.partial_transpose(build_C2(p)))
+        q = twomode.moments_from_c(partial_transpose(build_C2(p)))
         assert q.m1 == pytest.approx(np.conj(p.m1))
         assert q.m2 == pytest.approx(p.m2)
         assert q.ms == pytest.approx(np.conj(p.mc))
@@ -207,11 +207,11 @@ class TestPartialTranspose:
         for c in (c for c in sources if kind != "P" or twomode.classify2(c).p_representable):
             da, db, dx = c.block_dets  # taken before the conversion, which carries them
             k = convert(c, kind)
-            pt = twomode.partial_transpose(k)
+            pt = partial_transpose(k)
             assert pt.kind == kind and pt.eigenvalues == k.eigenvalues
             assert convert(pt, "C").block_dets == (da, db, -dx)
             assert np.max(np.abs(convert(pt, "C").matrix - c.matrix[swap])) <= linalg.band(max(map(abs, c.eigenvalues)), 1)
-            other = convert(twomode.partial_transpose(c), kind)
+            other = convert(partial_transpose(c), kind)
             assert np.array_equal(pt.matrix, other.matrix) and pt.eigenvalues == other.eigenvalues
             assert all(np.array_equal(a, b) for a, b in zip(pt.eig, other.eig))
 
@@ -267,11 +267,6 @@ class TestSeparability:
         with pytest.raises(NotPositiveError):
             twomode.ppt_separable(states.mixed_epr(0.5, 0.99))
 
-    @given(two_mode_kernels())
-    def test_transpose_route_matches_direct_inequality(self, k):
-        if twomode.positivity_by_q(k):
-            assert twomode.ppt_separable(k) == twomode.separability_inequality(k)
-
     @pytest.mark.parametrize("build", [lambda: states.anti_epr(0.9, 0.5, 0.3), lambda: build_C2(K_STAR)], ids=["anti_epr", "K*"])
     def test_ppt_reads_one_q_and_runs_no_eigensolver(self, monkeypatch, build):
         from test_kernels import _count_calls
@@ -289,7 +284,7 @@ class TestSeparability:
         for k in differential_kernels(rng):
             if k.modes != 2 or not twomode.positivity_by_q(k):
                 continue
-            pt = twomode.partial_transpose(k)
+            pt = partial_transpose(k)
             if min(_q_margin_in_bands(k, "muc"), _q_margin_in_bands(pt, "mus")) > 2.0:
                 compared += 1
                 assert twomode.ppt_separable(k) == twomode.positivity_by_q(pt)
@@ -578,7 +573,7 @@ class TestInvariantVerdicts:
                 continue
             e0, e1, e2, e3 = np.sort(k.eig[0])
             c, det_c = k.matrix, e0 * e1 * e2 * e3
-            da, db, dx = (linalg.block_det(c, r, s) for r, s in ((0, 0), (2, 2), (0, 2)))
+            da, db, dx = linalg.block_dets(c)
             delta = da + db + 2.0 * dx
             root = np.sqrt(np.maximum(delta * delta - 4.0 * det_c, 0.0))
             plus = np.maximum(0.5 * (delta + root), 0.25)
@@ -594,13 +589,19 @@ def _bits(x) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
+def _stacked_engine(kernels) -> twomode.InvariantVerdicts:
+    """The engine on the stacked matrices' block determinants and the kernels' carried eigenvalues, sorted."""
+    eig, dets = np.stack([np.sort(k.eig[0]) for k in kernels]), linalg.block_dets(np.stack([k.matrix for k in kernels]))
+    return twomode.verdicts_from_invariants(np.moveaxis(eig, -1, 0), *np.moveaxis(dets, -1, 0))
+
+
 class TestFloatPath:
     """``classify2`` runs the engine on one kernel's Python floats; the same engine on the
     stacked matrices and their carried eigenvalues must give the same bits."""
 
     def test_classify2_bitwise_as_the_stacked_engine(self, rng):
         kernels = [k for k in differential_kernels(rng) if k.modes == 2]
-        v = twomode.invariant_verdicts(np.stack([k.matrix for k in kernels]), np.stack([np.sort(k.eig[0]) for k in kernels]))
+        v = _stacked_engine(kernels)
         g1, g2 = ((2.0 * nu - 1.0) / (2.0 * nu + 1.0) for nu in v.nu)
         seen = set()
         for i, k in enumerate(kernels):
@@ -619,7 +620,7 @@ class TestFloatPath:
 
     def test_engine_fields_bitwise_on_floats_and_arrays(self, rng):
         kernels = [k for k in differential_kernels(rng) if k.modes == 2]
-        v = twomode.invariant_verdicts(np.stack([k.matrix for k in kernels]), np.stack([np.sort(k.eig[0]) for k in kernels]))
+        v = _stacked_engine(kernels)
         for i, k in enumerate(kernels):
             one = twomode._kernel_verdicts(k)
             assert [_bits(x) for x in one[4:]] == [_bits(x[i]) for x in v[4:]], i  # det_c, d_ab, d_x, band
@@ -634,3 +635,72 @@ def _q_margin_in_bands(k, coupling: str) -> float:
     p, tol = twomode.normal_order_params(k), linalg.band(sum(k.eigenvalues), 1)
     mu = abs(getattr(p, coupling))
     return abs(p.nu1 * p.nu2 - mu * mu) / (tol * (abs(p.nu1) + abs(p.nu2) + 2.0 * mu + tol))
+
+
+_SWAP_MODES = np.ix_([2, 3, 0, 1], [2, 3, 0, 1])
+
+
+def _outside_band(v: twomode.InvariantVerdicts) -> bool:
+    """Whether each deciding margin of the engine's record v, det C - 1/16 and 1/4 + 4D - (dA + dB +- 2dX), lies outside
+    the record's band."""
+    margins = (v.det_c - 1.0 / 16.0, *(0.25 + 4.0 * v.det_c - (v.d_ab + s * v.d_x) for s in (2.0, -2.0)))
+    return all(abs(m) > v.band for m in margins)
+
+
+def _assert_same_state(k, other, flags: tuple) -> None:
+    """k and other, one state in two frames, get the same verdict ``flags`` of ``classify2`` wherever each deciding
+    margin of both records lies outside its band; where both are positive or neither, nu+- within sqrt(band), the band
+    the larger of the two records', as nu+-^2 = (Delta +- sqrt(Delta^2 - 4D)) / 2 loses half its digits where the root
+    cancels; and, where both C are nonsingular, Tr G^2 within band(kappa, 1) relative, kappa the larger
+    lam_max / lam_min of the two C."""
+    (v, a), (w, b) = ((twomode._kernel_verdicts(x), twomode.classify2(x)) for x in (k, other))
+    if _outside_band(v) and _outside_band(w):
+        assert [getattr(a, f) for f in flags] == [getattr(b, f) for f in flags]
+    if a.positive == b.positive:  # nu's floor, 1/2 on a positive state and 0 on any other, is the same
+        tol = math.sqrt(max(v.band, w.band))
+        assert all(abs(x - y) <= tol for x, y in zip(v.nu, w.nu)), (v.nu, w.nu)
+    lows = [min(x.eigenvalues) for x in (k, other)]
+    if min(lows) > 0.0:  # Tr G^2 = 1 / (4 sqrt(det C)) is finite and kappa defined
+        kappa = max(max(x.eigenvalues) / low for x, low in zip((k, other), lows))
+        tr = twomode.trace_g2(k)
+        assert abs(twomode.trace_g2(other) - tr) <= tr * linalg.band(kappa, 1)
+
+
+def _assert_local_invariance(k, mapped) -> None:
+    """A local map keeps positivity, purity and PPT; P-representability it changes.  The mode swap, rows and columns
+    [2, 3, 0, 1], keeps all four verdicts, in the band too."""
+    _assert_same_state(k, mapped, ("positive", "pure", "ppt_separable"))
+    swapped = GaussianKernel("C", k.matrix[_SWAP_MODES])
+    _assert_same_state(k, swapped, ())
+    a, b = twomode.classify2(k), twomode.classify2(swapped)
+    assert (a.positive, a.pure, a.p_representable, a.ppt_separable) == (b.positive, b.pure, b.p_representable, b.ppt_separable)
+
+
+@st.composite
+def _local_unitary_pair(draw):
+    """``local_unitary_pairs``' draw under hypothesis: couplings of moments that are no state are halved until they are."""
+    unit = st.floats(0.0, 1.0)
+    s = 10.0 ** draw(st.floats(-6.0, 6.0))
+    n1, n2 = s * draw(unit), s * draw(unit)
+    couplings = [s * draw(unit) * complex(math.cos(t), math.sin(t)) for t in (2.0 * math.pi * draw(unit) for _ in range(4))]
+    while True:
+        try:
+            k = build_C2(TwoModeMoments(n1, n2, *couplings))
+            break
+        except NotAStateError:
+            couplings = [0.5 * m for m in couplings]
+    maps = [SqueezeMap(draw(st.floats(-2.0, 2.0)), 2.0 * math.pi * draw(unit), 2.0 * math.pi * draw(unit)) for _ in range(2)]
+    return k, local_squeeze(k, *maps)
+
+
+class TestLocalUnitaries:
+    """Positivity, purity, PPT, nu+- and Tr G^2 are invariant under local Gaussian unitaries, a squeeze and rotations
+    of each mode (``conftest.local_squeeze``), and under the swap of the two modes."""
+
+    def test_seeded(self):
+        for k, mapped in local_unitary_pairs(np.random.default_rng(19), 1000):
+            _assert_local_invariance(k, mapped)
+
+    @given(_local_unitary_pair())
+    def test_drawn(self, pair):
+        _assert_local_invariance(*pair)
